@@ -141,7 +141,7 @@ engineEventsPerSecOnce(std::uint64_t target)
  * Best-of-K events/sec: scheduler preemption and frequency scaling
  * only ever make a trial *slower*, so the max over trials is the
  * least-noisy estimate of the engine's true rate — what both the
- * artifact and the bench-selfperf-tolerance regression gate record.
+ * artifact and the verify-perf regression gate record.
  */
 constexpr unsigned kEngineTrials = 5;
 
@@ -350,7 +350,7 @@ checkSchema(const damn::exp::Json &doc, std::string *err)
 }
 
 /**
- * Perf-regression gate (the bench-selfperf-tolerance ctest): re-run
+ * Perf-regression gate (the opt-in verify-perf target): re-run
  * the engine A/B and compare the measured speedup ratio against the
  * committed baseline, then re-run the intra-run shard scaling A/B
  * (1 worker vs 4) with two gates:

@@ -5,9 +5,34 @@
 
 #include "mem/phys.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 
 namespace damn::mem {
+
+void *
+detail::mapZeroed(std::size_t bytes)
+{
+    // MAP_NORESERVE: a 4 GiB machine reserves ~48 MB of address space
+    // but commits only the pages its simulation touches.
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    // Keep first-touch at 4 KiB granularity even where transparent
+    // huge pages are on by default; a 2 MiB fault per sparse access
+    // would make most of the memmap resident.  Advisory only.
+    ::madvise(p, bytes, MADV_NOHUGEPAGE);
+    return p;
+}
+
+void
+detail::unmapZeroed(void *p, std::size_t bytes)
+{
+    ::munmap(p, bytes);
+}
 
 void
 PhysicalMemory::write(Pa pa, const void *src, std::uint64_t len)

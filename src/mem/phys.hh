@@ -9,8 +9,14 @@
  * physical addresses (the direct map), so a `Pa` doubles as the kernel
  * pointer throughout the codebase.
  *
- * Frames are backed lazily so experiments can declare multi-GiB
- * machines while touching only the pages they actually use.
+ * Everything is backed on demand, so experiments can declare multi-GiB
+ * machines while paying only for the pages they actually use.  Frames
+ * are allocated on first write.  The memmap (the `Page` array) and the
+ * frame table are anonymous mappings the host kernel zero-fills on
+ * first touch, the analogue of Linux's SPARSEMEM vmemmap: an all-zero
+ * `Page` is exactly `Page{}` and an all-zero table slot is a null
+ * frame pointer, so untouched entries already hold their default
+ * state and the constructor writes nothing.
  */
 
 #ifndef DAMN_MEM_PHYS_HH
@@ -18,9 +24,11 @@
 
 #include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace damn::mem {
@@ -57,6 +65,9 @@ enum PageFlag : std::uint32_t
  * of a compound, exactly as the paper does to avoid growing the page
  * struct (section 5.5); helpers in core/compound.hh enforce that
  * placement.
+ *
+ * Every default is zero: the memmap relies on all-zero bytes being a
+ * default-constructed Page.
  */
 struct Page
 {
@@ -73,6 +84,44 @@ struct Page
     bool test(PageFlag f) const { return flags & f; }
     void set(PageFlag f) { flags |= f; }
     void clearFlag(PageFlag f) { flags &= ~std::uint32_t(f); }
+};
+
+namespace detail {
+/** Map @p bytes of zero-fill-on-demand memory; throws bad_alloc. */
+void *mapZeroed(std::size_t bytes);
+/** Release a mapZeroed() region. */
+void unmapZeroed(void *p, std::size_t bytes);
+} // namespace detail
+
+/**
+ * A fixed-size array in an anonymous private mapping.  The host kernel
+ * hands out zero pages on first touch, so only the parts of the array
+ * that are used ever become resident.  Valid only for trivially
+ * destructible types whose all-zero bytes are their default state.
+ */
+template <typename T>
+class ZeroFilledArray
+{
+    static_assert(std::is_trivially_copyable_v<T> &&
+                  std::is_trivially_destructible_v<T>);
+
+  public:
+    explicit ZeroFilledArray(std::size_t n)
+        : bytes_(n * sizeof(T)),
+          data_(static_cast<T *>(detail::mapZeroed(bytes_)))
+    {}
+    ~ZeroFilledArray() { detail::unmapZeroed(data_, bytes_); }
+
+    ZeroFilledArray(const ZeroFilledArray &) = delete;
+    ZeroFilledArray &operator=(const ZeroFilledArray &) = delete;
+
+    T &operator[](std::size_t i) { return data_[i]; }
+    const T &operator[](std::size_t i) const { return data_[i]; }
+    const T *data() const { return data_; }
+
+  private:
+    std::size_t bytes_;
+    T *data_;
 };
 
 /**
@@ -128,7 +177,7 @@ class PhysicalMemory
     void writeByte(Pa pa, std::uint8_t v);
 
     /** Number of frames that have been touched (backed). */
-    std::uint64_t backedFrames() const { return backed_; }
+    std::uint64_t backedFrames() const { return owned_.size(); }
 
   private:
     using Frame = std::array<std::uint8_t, kPageSize>;
@@ -137,12 +186,9 @@ class PhysicalMemory
     backing(Pfn pfn)
     {
         assert(pfn < numFrames_);
-        auto &f = frames_[pfn];
-        if (!f) {
-            f = std::make_unique<Frame>();
-            f->fill(0);
-            ++backed_;
-        }
+        Frame *&f = frames_[pfn];
+        if (!f)
+            f = owned_.emplace_back(std::make_unique<Frame>()).get();
         return f->data();
     }
 
@@ -153,14 +199,16 @@ class PhysicalMemory
         // them; a static zero frame serves all such reads.
         static const Frame kZero{};
         assert(pfn < numFrames_);
-        const auto &f = frames_[pfn];
+        const Frame *f = frames_[pfn];
         return f ? f->data() : kZero.data();
     }
 
     Pfn numFrames_;
-    std::vector<std::unique_ptr<Frame>> frames_;
-    std::vector<Page> pages_;
-    std::uint64_t backed_ = 0;
+    /** Frame table indexed by pfn; null until the frame is written. */
+    ZeroFilledArray<Frame *> frames_;
+    ZeroFilledArray<Page> pages_;
+    /** Owns every backed frame, so teardown never walks the table. */
+    std::vector<std::unique_ptr<Frame>> owned_;
 };
 
 } // namespace damn::mem
