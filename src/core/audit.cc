@@ -10,6 +10,7 @@ namespace damn::audit {
 Auditor::Auditor(iommu::Iommu &mmu) : mmu_(mmu)
 {
     ledger_.resize(mmu.numDomains());
+    ledgerPages_.resize(mmu.numDomains(), 0);
     mmu_.onMapChange(
         [this](iommu::MapEvent ev, iommu::DomainId d, iommu::Iova iova,
                unsigned pages) { onEvent(ev, d, iova, pages); });
@@ -19,23 +20,32 @@ void
 Auditor::onEvent(iommu::MapEvent ev, iommu::DomainId d, iommu::Iova iova,
                  unsigned pages)
 {
-    if (d >= ledger_.size())
+    if (d >= ledger_.size()) {
         ledger_.resize(d + 1);
+        ledgerPages_.resize(d + 1, 0);
+    }
     auto &dom = ledger_[d];
+    std::uint64_t &count = ledgerPages_[d];
     switch (ev) {
-      case iommu::MapEvent::Map:
+      case iommu::MapEvent::Map: {
         ++mapEvents_;
-        dom[iova] = pages;
-        break;
+        unsigned &slot = dom[iova];
+        count += pages - std::uint64_t(slot); // a re-map replaces
+        slot = pages;
+      } break;
       case iommu::MapEvent::Unmap:
         ++unmapEvents_;
-        dom.erase(iova);
+        if (const auto it = dom.find(iova); it != dom.end()) {
+            count -= it->second;
+            dom.erase(it);
+        }
         break;
       case iommu::MapEvent::DetachClear:
         // The IOMMU dropped the whole table; anything still in the
         // ledger was force-cleared and is reported by verifyTeardown()
         // through the detach return value — the ledger follows suit.
         dom.clear();
+        count = 0;
         break;
     }
 }
@@ -43,12 +53,7 @@ Auditor::onEvent(iommu::MapEvent ev, iommu::DomainId d, iommu::Iova iova,
 std::uint64_t
 Auditor::ledgerPages(iommu::DomainId d) const
 {
-    if (d >= ledger_.size())
-        return 0;
-    std::uint64_t n = 0;
-    for (const auto &[iova, pages] : ledger_[d])
-        n += pages;
-    return n;
+    return d < ledgerPages_.size() ? ledgerPages_[d] : 0;
 }
 
 std::uint64_t

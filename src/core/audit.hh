@@ -60,7 +60,8 @@ class Auditor
     Auditor(const Auditor &) = delete;
     Auditor &operator=(const Auditor &) = delete;
 
-    /** Live 4 KiB-equivalent pages the ledger holds for @p d. */
+    /** Live 4 KiB-equivalent pages the ledger holds for @p d (O(1):
+     *  a running count, not a walk of the ledger). */
     std::uint64_t ledgerPages(iommu::DomainId d) const;
 
     /** Total Map events seen (lifetime). */
@@ -94,6 +95,8 @@ class Auditor
     iommu::Iommu &mmu_;
     /** Per-domain: iova page -> pages mapped there (1 or 512). */
     std::vector<std::map<iommu::Iova, unsigned>> ledger_;
+    /** Per-domain running sum of ledger_[d]'s values, kept by onEvent. */
+    std::vector<std::uint64_t> ledgerPages_;
     std::uint64_t mapEvents_ = 0;
     std::uint64_t unmapEvents_ = 0;
 };

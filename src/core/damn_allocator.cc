@@ -27,7 +27,7 @@ DamnAllocator::DamnAllocator(sim::Context &ctx, mem::PageAllocator &pa,
                              mem::KmallocHeap &heap, iommu::Iommu &mmu,
                              DamnConfig config)
     : ctx_(ctx), pageAlloc_(pa), heap_(heap), iommu_(mmu),
-      config_(config)
+      config_(config), freesCtr_(ctx.stats.counter("damn.frees"))
 {}
 
 DmaCache &
@@ -162,7 +162,7 @@ DamnAllocator::damnFree(sim::CpuCursor &cpu, mem::Pa addr, AllocCtx actx)
             cache.recycleChunk(cpu, Chunk{head, pm.page(head + 1).priv},
                                actx);
         }
-        ctx_.stats.add("damn.frees");
+        ctx_.stats.add(freesCtr_);
         return;
     }
 

@@ -155,6 +155,7 @@ class DamnAllocator
     mem::KmallocHeap &heap_;
     iommu::Iommu &iommu_;
     DamnConfig config_;
+    sim::Stats::Counter freesCtr_;
 
     std::map<CacheKey, std::uint32_t> cacheIndex_;
     std::vector<std::unique_ptr<DmaCache>> caches_;

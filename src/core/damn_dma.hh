@@ -29,7 +29,9 @@ class DamnDmaApi : public dma::DmaApi
   public:
     DamnDmaApi(sim::Context &ctx, DamnAllocator &alloc,
                std::unique_ptr<dma::DmaApi> fallback)
-        : ctx_(ctx), alloc_(alloc), fallback_(std::move(fallback))
+        : ctx_(ctx), alloc_(alloc), fallback_(std::move(fallback)),
+          mapHitsCtr_(ctx.stats.counter("damn.map_hits")),
+          unmapHitsCtr_(ctx.stats.counter("damn.unmap_hits"))
     {}
 
     iommu::Iova
@@ -42,7 +44,7 @@ class DamnDmaApi : public dma::DmaApi
         cpu.charge(ctx_.cost.damnMapLookupNs);
         if (alloc_.isDamnBuffer(pa)) {
             // Long-lived mapping already exists; just look up the IOVA.
-            ctx_.stats.add("damn.map_hits");
+            ctx_.stats.add(mapHitsCtr_);
             return alloc_.iovaOf(pa);
         }
         return fallback_->map(cpu, dev, pa, len, dir);
@@ -59,7 +61,7 @@ class DamnDmaApi : public dma::DmaApi
         if (isDamnIova(dma_addr, alloc_.layout())) {
             // Nothing to tear down; the buffer is freed later by the
             // networking subsystem through damn_free.
-            ctx_.stats.add("damn.unmap_hits");
+            ctx_.stats.add(unmapHitsCtr_);
             return;
         }
         fallback_->unmap(cpu, dev, dma_addr, len, dir);
@@ -73,7 +75,7 @@ class DamnDmaApi : public dma::DmaApi
         for (const UnmapReq &r : reqs) {
             cpu.charge(ctx_.cost.damnUnmapCheckNs);
             if (isDamnIova(r.dmaAddr, alloc_.layout()))
-                ctx_.stats.add("damn.unmap_hits");
+                ctx_.stats.add(unmapHitsCtr_);
             else
                 legacy.push_back(r);
         }
@@ -136,6 +138,8 @@ class DamnDmaApi : public dma::DmaApi
     sim::Context &ctx_;
     DamnAllocator &alloc_;
     std::unique_ptr<dma::DmaApi> fallback_;
+    sim::Stats::Counter mapHitsCtr_;
+    sim::Stats::Counter unmapHitsCtr_;
 };
 
 } // namespace damn::core

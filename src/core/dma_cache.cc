@@ -38,7 +38,7 @@ DmaCache::DmaCache(sim::Context &ctx, mem::PageAllocator &pa,
                    const DmaCacheConfig &config)
     : ctx_(ctx), pageAlloc_(pa), iommu_(mmu), domain_(domain),
       cacheId_(cache_id), devIdx_(dev_idx), rights_(rights), numa_(numa),
-      config_(config),
+      config_(config), ctr_(ctx.stats),
       depot_(*this, config.magazineCapacity, ctx.cost.depotExchangeNs),
       perCore_(ctx.machine.numCores())
 {
@@ -78,7 +78,7 @@ DmaCache::allocChunkIova(sim::CoreId creating_core)
         // invalid sentinel for the caller's OOM path.
         slot = nextSlot_;
         if (slot * chunk_bytes > lay.offsetMask()) {
-            ctx_.stats.add("damn.iova_region_exhausted");
+            ctx_.stats.add(ctr_.iovaRegionExhausted);
             return 0;
         }
         ++nextSlot_;
@@ -171,7 +171,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
         hugeCarved_.pop_back();
         initCompound(c);
         ++ownedChunks_;
-        ctx_.stats.add("damn.chunks_allocated");
+        ctx_.stats.add(ctr_.chunksAllocated);
         return c;
     }
 
@@ -182,7 +182,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
         // OS page allocator exhausted: propagate the failure up the
         // magazine protocol instead of dying here — alloc() returns 0
         // and the caller takes its OOM path.
-        ctx_.stats.add("damn.chunk_alloc_fails");
+        ctx_.stats.add(ctr_.chunkAllocFails);
         return Chunk{};
     }
     // The depot zeroes every chunk it obtains from the OS (TX security,
@@ -197,7 +197,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
             // propagate the failure like a page-allocator miss.
             cpu.charge(ctx_.cost.pageAllocNs);
             pageAlloc_.freePages(c.pfn, order);
-            ctx_.stats.add("damn.chunk_alloc_fails");
+            ctx_.stats.add(ctr_.chunkAllocFails);
             return Chunk{};
         }
         cpu.charge(ctx_.cost.ptePerPageNs * config_.chunkPages);
@@ -215,7 +215,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
 
     initCompound(c);
     ++ownedChunks_;
-    ctx_.stats.add("damn.chunks_allocated");
+    ctx_.stats.add(ctr_.chunksAllocated);
     return c;
 }
 
@@ -253,7 +253,7 @@ DmaCache::releaseChunk(sim::CpuCursor &cpu, const Chunk &c)
     pageAlloc_.freePages(c.pfn, orderOf(config_.chunkPages));
     assert(ownedChunks_ > 0);
     --ownedChunks_;
-    ctx_.stats.add("damn.chunks_released");
+    ctx_.stats.add(ctr_.chunksReleased);
 }
 
 Chunk
@@ -318,7 +318,7 @@ DmaCache::alloc(sim::CpuCursor &cpu, std::uint32_t size,
         retireBumpChunk(cpu, pc, bs);
         bs.chunk = getChunk(cpu, pc);
         if (!bs.chunk.valid()) {
-            ctx_.stats.add("damn.alloc_fails");
+            ctx_.stats.add(ctr_.allocFails);
             return 0;
         }
         bs.offset = 0;
@@ -329,7 +329,7 @@ DmaCache::alloc(sim::CpuCursor &cpu, std::uint32_t size,
 
     bs.offset = start + size;
     ++pageAlloc_.phys().page(bs.chunk.pfn).refcount;
-    ctx_.stats.add("damn.allocs");
+    ctx_.stats.add(ctr_.allocs);
     return mem::pfnToPa(bs.chunk.pfn) + start;
 }
 
@@ -338,7 +338,7 @@ DmaCache::recycleChunk(sim::CpuCursor &cpu, const Chunk &chunk,
                        AllocCtx actx)
 {
     putChunk(cpu, state(cpu.id(), actx), chunk);
-    ctx_.stats.add("damn.chunks_recycled");
+    ctx_.stats.add(ctr_.chunksRecycled);
 }
 
 iommu::Iova

@@ -22,7 +22,7 @@ Device::dmaAccess(sim::TimeNs now, iommu::Iova addr, void *buf,
     if (attached_ &&
         ctx_.faults.shouldFail(sim::FaultSite::DeviceUnplug)) {
         unplug();
-        ctx_.stats.add("dma.surprise_unplugs");
+        ctx_.stats.add(surpriseUnplugsCtr_);
     }
     if (!attached_) {
         // Bus master-abort: completes immediately, no bytes moved, no
@@ -30,7 +30,7 @@ Device::dmaAccess(sim::TimeNs now, iommu::Iova addr, void *buf,
         out.fault = true;
         out.completes = now;
         ++faultedDmas_;
-        ctx_.stats.add("dma.unplugged_aborts");
+        ctx_.stats.add(unpluggedAbortsCtr_);
         return out;
     }
 
@@ -84,7 +84,7 @@ Device::dmaAts(iommu::AtsAgent &ats, sim::TimeNs now, iommu::Iova addr,
     if (attached_ &&
         ctx_.faults.shouldFail(sim::FaultSite::DeviceUnplug)) {
         unplug();
-        ctx_.stats.add("dma.surprise_unplugs");
+        ctx_.stats.add(surpriseUnplugsCtr_);
     }
     if (!attached_) {
         // Master-abort, as in dmaAccess: no bytes, no translation —
@@ -92,7 +92,7 @@ Device::dmaAts(iommu::AtsAgent &ats, sim::TimeNs now, iommu::Iova addr,
         // retry).
         out.completes = now;
         ++faultedDmas_;
-        ctx_.stats.add("dma.unplugged_aborts");
+        ctx_.stats.add(unpluggedAbortsCtr_);
         return out;
     }
 

@@ -44,14 +44,14 @@ MappedDmaApi::allocIovaWithReclaim(sim::CpuCursor &cpu, unsigned pages)
     // IOVA space exhausted.  The kernel's fallback (the fq_ring flush
     // in iova_rcache): force the batched invalidations out now, which
     // under the deferred scheme frees every pinned range, then retry.
-    ctx_.stats.add("iommu.iova_exhausted");
-    ctx_.stats.add("iommu.iova_forced_flushes");
+    ctx_.stats.add(ctr_.iovaExhausted);
+    ctx_.stats.add(ctr_.iovaForcedFlushes);
     ctx_.tracer.instant(cpu.id(), sim::TraceCat::Fault,
                         "iommu.iova_forced_flush", cpu.time, 0, pages);
     flushPending(cpu);
     iova = iovaAlloc_.alloc(pages);
     if (iova != iommu::kInvalidIova) {
-        ctx_.stats.add("iommu.iova_flush_recoveries");
+        ctx_.stats.add(ctr_.iovaFlushRecoveries);
         return iova;
     }
 
@@ -61,7 +61,7 @@ MappedDmaApi::allocIovaWithReclaim(sim::CpuCursor &cpu, unsigned pages)
     ctx_.pressure.reclaim(cpu);
     iova = iovaAlloc_.alloc(pages);
     if (iova != iommu::kInvalidIova)
-        ctx_.stats.add("iommu.iova_reclaim_recoveries");
+        ctx_.stats.add(ctr_.iovaReclaimRecoveries);
     return iova;
 }
 
@@ -86,7 +86,7 @@ MappedDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
         // like dma_map_single() returning DMA_MAPPING_ERROR.  The
         // driver backs off and retries.
         ++mapFails_;
-        ctx_.stats.add("dma.map_fails");
+        ctx_.stats.add(ctr_.mapFails);
         return kMapFailed;
     }
     ctx_.tracer.instant(cpu.id(), sim::TraceCat::DmaMap,
@@ -105,8 +105,8 @@ MappedDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
         (void)ok;
     }
 
-    ctx_.stats.add("dma.map");
-    ctx_.stats.add("dma.map_pages", pages);
+    ctx_.stats.add(ctr_.map);
+    ctx_.stats.add(ctr_.mapPages, pages);
     return iova + mem::pageOffset(pa);
 }
 
@@ -124,7 +124,7 @@ MappedDmaApi::clearPtes(sim::CpuCursor &cpu, Device &dev,
         assert(ok && "unmap of an unmapped IOVA");
         (void)ok;
     }
-    ctx_.stats.add("dma.unmap");
+    ctx_.stats.add(ctr_.unmap);
 }
 
 // ---------------------------------------------------------------------
@@ -160,7 +160,7 @@ StrictDmaApi::unmap(sim::CpuCursor &cpu, Device &dev,
     }
 
     iovaAlloc_.free(iova_base, pages);
-    ctx_.stats.add("dma.strict_invalidations");
+    ctx_.stats.add(ctr_.strictInvalidations);
 }
 
 void
@@ -194,7 +194,7 @@ StrictDmaApi::unmapBatch(sim::CpuCursor &cpu, Device &dev,
     }
     for (const auto &r : ranges)
         iovaAlloc_.free(r.iova, unsigned(r.len >> mem::kPageShift));
-    ctx_.stats.add("dma.strict_invalidations");
+    ctx_.stats.add(ctr_.strictInvalidations);
 }
 
 // ---------------------------------------------------------------------
@@ -247,8 +247,8 @@ DeferredDmaApi::flushPending(sim::CpuCursor &cpu)
     cpu.waitUntil(done);
     for (const PendingUnmap &p : flushQueue_)
         iovaAlloc_.free(p.iova, p.pages);
-    ctx_.stats.add("dma.deferred_flushes");
-    ctx_.stats.add("dma.deferred_flushed_unmaps", flushQueue_.size());
+    ctx_.stats.add(ctr_.deferredFlushes);
+    ctx_.stats.add(ctr_.deferredFlushedUnmaps, flushQueue_.size());
     flushQueue_.clear();
 }
 
@@ -286,7 +286,7 @@ bucketSize(unsigned b)
 
 ShadowDmaApi::ShadowDmaApi(sim::Context &ctx, iommu::Iommu &mmu,
                            mem::PageAllocator &pa)
-    : ctx_(ctx), iommu_(mmu), pageAlloc_(pa)
+    : ctx_(ctx), iommu_(mmu), pageAlloc_(pa), ctr_(ctx.stats)
 {
     iovaAlloc_.setAddressLimit(mmu.layout().dmaApiLimit());
 }
@@ -328,7 +328,7 @@ ShadowDmaApi::poolAlloc(sim::CpuCursor &cpu, Device &dev,
         mem::Pfn pfn =
             pageAlloc_.allocPages(order, dev.numa(), /*zero=*/true);
         if (pfn == mem::kInvalidPfn) {
-            ctx_.stats.add("shadow.pool_grow_fails");
+            ctx_.stats.add(ctr_.poolGrowFails);
             ctx_.pressure.reclaim(cpu);
             pfn = pageAlloc_.allocPages(order, dev.numa(), /*zero=*/true);
             if (pfn == mem::kInvalidPfn)
@@ -336,7 +336,7 @@ ShadowDmaApi::poolAlloc(sim::CpuCursor &cpu, Device &dev,
         }
         iommu::Iova iova = iovaAlloc_.alloc(1u << order);
         if (iova == iommu::kInvalidIova) {
-            ctx_.stats.add("iommu.iova_exhausted");
+            ctx_.stats.add(ctr_.iovaExhausted);
             ctx_.pressure.reclaim(cpu);
             iova = iovaAlloc_.alloc(1u << order);
             if (iova == iommu::kInvalidIova) {
@@ -356,7 +356,7 @@ ShadowDmaApi::poolAlloc(sim::CpuCursor &cpu, Device &dev,
         for (std::uint64_t off = 0; off + sz <= block; off += sz)
             freelist.push_back({mem::pfnToPa(pfn) + off, iova + off,
                                 bucket});
-        ctx_.stats.add("shadow.pool_grow");
+        ctx_.stats.add(ctr_.poolGrow);
     }
     const ShadowBuf buf = freelist.back();
     freelist.pop_back();
@@ -382,7 +382,7 @@ ShadowDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
         // Pool growth failed even after reclaim: fail the map; the
         // driver backs off and retries.
         ++mapFails_;
-        ctx_.stats.add("dma.map_fails");
+        ctx_.stats.add(ctr_.mapFails);
         return kMapFailed;
     }
 
@@ -399,11 +399,11 @@ ShadowDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
             std::uint64_t(2.0 * len * ctx_.cost.coldCopyMemFactor)));
         if (ctx_.functionalData)
             pm().copy(buf.pa, pa, len);
-        ctx_.stats.add("shadow.tx_copied_bytes", len);
+        ctx_.stats.add(ctr_.txCopiedBytes, len);
     }
 
     active_[buf.iova] = ActiveMap{buf, pa, len, dir, dev.domain()};
-    ctx_.stats.add("dma.map");
+    ctx_.stats.add(ctr_.map);
     return buf.iova;
 }
 
@@ -432,12 +432,12 @@ ShadowDmaApi::unmap(sim::CpuCursor &cpu, Device &dev,
             std::uint64_t(2.0 * am.len * ctx_.cost.coldCopyMemFactor)));
         if (ctx_.functionalData)
             pm().copy(am.origPa, am.buf.pa, am.len);
-        ctx_.stats.add("shadow.rx_copied_bytes", am.len);
+        ctx_.stats.add(ctr_.rxCopiedBytes, am.len);
     }
 
     cpu.charge(ctx_.cost.shadowPoolOpNs);
     poolFree(dev, am.buf);
-    ctx_.stats.add("dma.unmap");
+    ctx_.stats.add(ctr_.unmap);
 }
 
 std::uint64_t
@@ -484,7 +484,7 @@ ShadowDmaApi::drainDomain(sim::CpuCursor &cpu, Device &dev)
     for (auto it = active_.begin(); it != active_.end();) {
         if (it->second.domain == d) {
             it = active_.erase(it);
-            ctx_.stats.add("shadow.aborted_maps");
+            ctx_.stats.add(ctr_.abortedMaps);
         } else {
             ++it;
         }
@@ -492,7 +492,7 @@ ShadowDmaApi::drainDomain(sim::CpuCursor &cpu, Device &dev)
 
     const std::uint64_t released = releasePool(cpu, d, pit->second);
     if (released > 0)
-        ctx_.stats.add("shadow.drained_pages", released);
+        ctx_.stats.add(ctr_.drainedPages, released);
     return released;
 }
 
@@ -525,7 +525,7 @@ ShadowDmaApi::shrinkIdle(sim::CpuCursor &cpu)
     for (const iommu::DomainId d : idle)
         released += releasePool(cpu, d, pools_[d]);
     if (released > 0)
-        ctx_.stats.add("shadow.shrunk_pages", released);
+        ctx_.stats.add(ctr_.shrunkPages, released);
     return released;
 }
 

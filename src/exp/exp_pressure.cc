@@ -93,12 +93,17 @@ stormOne(const RunCtx &ctx, Collector &col, dma::SchemeKind kind,
     // Livelock sentry: "progress" is segments moving or teardown
     // advancing; bounded-retry loops that converge (to failed flows and
     // an empty queue) never accumulate the dispatch budget.
-    const sim::Stats &st = sys.ctx.stats;
-    sys.ctx.engine.armWatchdog(kStallBudgetEvents, [&st] {
-        return st.get("net.rx_segments") + st.get("net.tx_segments") +
-               st.get("net.rx_aborted_buffers") +
-               st.get("net.tx_aborted_segments") +
-               st.get("net.ring_teardowns");
+    sim::Stats &st = sys.ctx.stats;
+    const sim::Stats::Counter progress[] = {
+        st.counter("net.rx_segments"), st.counter("net.tx_segments"),
+        st.counter("net.rx_aborted_buffers"),
+        st.counter("net.tx_aborted_segments"),
+        st.counter("net.ring_teardowns")};
+    sys.ctx.engine.armWatchdog(kStallBudgetEvents, [&st, progress] {
+        std::uint64_t n = 0;
+        for (const sim::Stats::Counter c : progress)
+            n += st.get(c);
+        return n;
     });
 
     net::StreamEngine stream(

@@ -37,6 +37,8 @@ constexpr std::uint64_t kWatchdogBudget = 200000;
  * Ordered set of disjoint [lo, hi) byte ranges with coalescing insert,
  * splitting erase, and O(log n) overlap query — the representation for
  * the per-domain pending / must-not-translate IOVA range tracking.
+ * growth() counts the inserts, so an oracle can tell whether the set
+ * may have gained coverage since it last looked.
  */
 class IntervalSet
 {
@@ -46,6 +48,7 @@ class IntervalSet
     {
         if (lo >= hi)
             return;
+        ++growth_;
         auto it = m_.lower_bound(lo);
         if (it != m_.begin()) {
             auto prev = std::prev(it);
@@ -107,8 +110,30 @@ class IntervalSet
     bool empty() const { return m_.empty(); }
     void clear() { m_.clear(); }
 
+    /** Monotone count of inserts (erase/clear never move it). */
+    std::uint64_t growth() const { return growth_; }
+
   private:
     std::map<std::uint64_t, std::uint64_t> m_;
+    std::uint64_t growth_ = 0;
+};
+
+/**
+ * The change stamps of one cache's last clean stale scan for one
+ * domain.  Only a fill (the one way an entry becomes valid) or growth
+ * of the must-not set (the one way coverage appears) can turn a clean
+ * scan dirty, so an unchanged stamp means the scan may be skipped.
+ */
+struct CleanScan
+{
+    std::uint64_t fills = 0;
+    std::uint64_t growth = 0;
+
+    bool
+    current(std::uint64_t f, std::uint64_t g) const
+    {
+        return f == fills && g == growth;
+    }
 };
 
 /** One live DMA mapping the executor tracks. */
@@ -323,6 +348,17 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
     // (the Sync op), because the ATC lives outside the IOMMU.
     IntervalSet atsPending[2];
     IntervalSet atsMustNot[2];
+    CleanScan tlbClean[2];
+    CleanScan atsClean[2];
+
+    const sim::Stats::Counter invalDroppedCtr =
+        ctx.stats.counter("iommu.inval_dropped");
+    const sim::Stats::Counter deferredFlushesCtr =
+        ctx.stats.counter("dma.deferred_flushes");
+    const sim::Stats::Counter mapOomCtr = ctx.stats.counter("fuzz.map_oom");
+    const sim::Stats::Counter mapFailedCtr =
+        ctx.stats.counter("fuzz.map_failed");
+    const sim::Stats::Counter noopCtr = ctx.stats.counter("fuzz.noop");
 
     FuzzResult res;
     const auto fail = [&res](std::size_t i, const char *oracle,
@@ -351,11 +387,16 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
     const auto runOracles = [&](std::size_t i) {
         if (res.violated)
             return;
-        // 1. No stale translation after a certain invalidation.
+        // 1. No stale translation after a certain invalidation.  Only
+        //    re-scanned after a change (see CleanScan): exact, because
+        //    a violation needs a valid entry overlapping must-not.
         if (trackStale) {
+            const std::uint64_t fills = sys.mmu.iotlb().fills();
             for (unsigned k = 0; k < 2 && !res.violated; ++k) {
-                if (mustNot[k].empty())
+                if (mustNot[k].empty() ||
+                    tlbClean[k].current(fills, mustNot[k].growth()))
                     continue;
+                tlbClean[k] = {fills, mustNot[k].growth()};
                 const iommu::DomainId d = devs[k]->domain();
                 for (const iommu::TlbEntry &e :
                      sys.mmu.iotlb().validEntries(d)) {
@@ -377,8 +418,11 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
         // 1b. No stale device-TLB entry after a certain ATS inval.
         if (trackStale) {
             for (unsigned k = 0; k < 2 && !res.violated; ++k) {
-                if (atsMustNot[k].empty())
+                const std::uint64_t fills = agents[k]->fills();
+                if (atsMustNot[k].empty() ||
+                    atsClean[k].current(fills, atsMustNot[k].growth()))
                     continue;
+                atsClean[k] = {fills, atsMustNot[k].growth()};
                 for (const iommu::Iova page :
                      agents[k]->validEntries()) {
                     if (atsMustNot[k].overlaps(page,
@@ -458,10 +502,9 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
         const Op &op = seq[i];
         sim::CpuCursor cpu(ctx.machine.core(op.c % ncores), t);
 
-        const std::uint64_t droppedBefore =
-            ctx.stats.get("iommu.inval_dropped");
+        const std::uint64_t droppedBefore = ctx.stats.get(invalDroppedCtr);
         const std::uint64_t flushedBefore =
-            ctx.stats.get("dma.deferred_flushes");
+            ctx.stats.get(deferredFlushesCtr);
         bool promoteAll = false;   //!< global sync completed this op
         bool skipTracking = false; //!< op manages the sets itself
         // Ranges unmapped this op, awaiting classification.
@@ -491,7 +534,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
             const mem::Pfn pfn =
                 sys.pageAlloc.allocPages(order, op.c % p.sockets);
             if (pfn == mem::kInvalidPfn) {
-                ctx.stats.add("fuzz.map_oom");
+                ctx.stats.add(mapOomCtr);
                 break;
             }
             const mem::Pa pa = mem::pfnToPa(pfn);
@@ -499,7 +542,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                 sys.dmaApi->map(cpu, *devs[devIdx], pa, len, dir);
             if (iova == dma::kMapFailed) {
                 sys.pageAlloc.freePages(pfn, order);
-                ctx.stats.add("fuzz.map_failed");
+                ctx.stats.add(mapFailedCtr);
                 break;
             }
             for (const Mapping &m : live) {
@@ -530,7 +573,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::Unmap: {
             if (live.empty()) {
-                ctx.stats.add("fuzz.noop");
+                ctx.stats.add(noopCtr);
                 break;
             }
             const std::size_t idx = liveAt(op.a);
@@ -541,7 +584,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::BatchUnmap: {
             if (live.empty()) {
-                ctx.stats.add("fuzz.noop");
+                ctx.stats.add(noopCtr);
                 break;
             }
             const unsigned want = 1 + op.b % 4;
@@ -575,7 +618,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::Dma: {
             if (live.empty()) {
-                ctx.stats.add("fuzz.noop");
+                ctx.stats.add(noopCtr);
                 break;
             }
             const Mapping &m = live[liveAt(op.a)];
@@ -730,7 +773,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::AtsTranslate: {
             if (live.empty()) {
-                ctx.stats.add("fuzz.noop");
+                ctx.stats.add(noopCtr);
                 break;
             }
             const Mapping &m = live[liveAt(op.a)];
@@ -796,9 +839,9 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
         // pending (conservative, hence sound).
         if (trackStale && !skipTracking) {
             const std::uint64_t dropped =
-                ctx.stats.get("iommu.inval_dropped") - droppedBefore;
+                ctx.stats.get(invalDroppedCtr) - droppedBefore;
             const std::uint64_t flushed =
-                ctx.stats.get("dma.deferred_flushes") - flushedBefore;
+                ctx.stats.get(deferredFlushesCtr) - flushedBefore;
             if (dropped == 0) {
                 if (strictScheme)
                     for (const auto &[k, r] : unmappedNow)

@@ -4,8 +4,13 @@
  *
  * generate() expands a seed into a weighted random Sequence of chaos
  * ops (ops.hh); runSequence() executes it against a freshly built
- * net::System — one {scheme} x {backend} cell — checking the invariant
- * oracles after every step:
+ * net::System — one {scheme} x {backend} cell — checking that the
+ * invariant oracles hold after every step.  The two stale-entry
+ * oracles re-scan a cache only after a change: when it filled an entry
+ * (Iotlb::fills(), AtsAgent::fills()) or the domain's must-not set
+ * grew since the last clean scan.  Filling is the only way an entry
+ * becomes valid and promotion the only way must-not grows, so a clean
+ * scan stays clean until one of them moves — skipping is exact.
  *
  *   stale-device-tlb    the same property one cache further out: an
  *                       ATS device-TLB (ATC) entry whose range was

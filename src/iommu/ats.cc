@@ -11,7 +11,9 @@ namespace damn::iommu {
 
 AtsAgent::AtsAgent(sim::Context &ctx, Iommu &mmu, DomainId domain)
     : ctx_(ctx), mmu_(mmu), domain_(domain),
-      atc_(ctx.cost.atsDevTlbEntries)
+      atc_(ctx.cost.atsDevTlbEntries),
+      hitsCtr_(ctx.stats.counter("ats.devtlb_hits")),
+      missesCtr_(ctx.stats.counter("ats.devtlb_misses"))
 {}
 
 AtsAgent::Entry *
@@ -36,6 +38,7 @@ AtsAgent::insert(Iova page, mem::Pa paPage, std::uint32_t perm)
             victim = &e;
     }
     *victim = {true, page, paPage, perm, ++clock_};
+    ++fills_;
 }
 
 AtsAgent::Result
@@ -48,7 +51,7 @@ AtsAgent::translate(Iova iova, bool is_write)
     if (Entry *e = find(page); e != nullptr && (e->perm & need) == need) {
         e->lastUse = ++clock_;
         ++hits_;
-        ctx_.stats.add("ats.devtlb_hits");
+        ctx_.stats.add(hitsCtr_);
         r.ok = true;
         r.hit = true;
         r.pa = e->paPage + (iova - page);
@@ -62,7 +65,7 @@ AtsAgent::translate(Iova iova, bool is_write)
     // translation with no access rights (the PRI retry signal), not a
     // recorded IOMMU fault.
     ++misses_;
-    ctx_.stats.add("ats.devtlb_misses");
+    ctx_.stats.add(missesCtr_);
     r.latencyNs = ctx_.cost.atsTranslateNs +
                   mmu_.backend().walkLatency(domain_, iova);
     const WalkResult w = mmu_.pageTable(domain_).walk(iova);

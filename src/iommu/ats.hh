@@ -81,6 +81,11 @@ class AtsAgent
     /** Page-aligned IOVAs of all valid ATC entries (oracle probe). */
     std::vector<Iova> validEntries() const;
 
+    /** ATC entries written over the agent's lifetime (monotone, kept
+     *  across reset()).  Filling is the only way an ATC entry becomes
+     *  valid — the same change signal as Iotlb::fills(). */
+    std::uint64_t fills() const { return fills_; }
+
     std::size_t entries() const;
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -110,10 +115,13 @@ class AtsAgent
     Iommu &mmu_;
     DomainId domain_;
     std::vector<Entry> atc_;
+    sim::Stats::Counter hitsCtr_;
+    sim::Stats::Counter missesCtr_;
     std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t invalidations_ = 0;
+    std::uint64_t fills_ = 0;
     unsigned debugDropRemaining_ = 0;
 };
 

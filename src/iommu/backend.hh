@@ -166,7 +166,11 @@ class IommuBackend
 
     IommuBackend(sim::Context &ctx, const TlbGeometry &g)
         : ctx_(ctx), tlb_(g.sets4k, g.ways4k, g.sets2m, g.ways2m,
-                          g.pwcEntries)
+                          g.pwcEntries),
+          invalDroppedCtr_(ctx.stats.counter("iommu.inval_dropped")),
+          priRequestsCtr_(ctx.stats.counter("pri.requests")),
+          priAutoResponsesCtr_(ctx.stats.counter("pri.auto_responses")),
+          priResponsesCtr_(ctx.stats.counter("pri.responses"))
     {}
 
     virtual ~IommuBackend() = default;
@@ -330,10 +334,10 @@ class IommuBackend
     priAccept(const PageRequest &req, std::size_t depth)
     {
         ++priPosted_;
-        ctx_.stats.add("pri.requests");
+        ctx_.stats.add(priRequestsCtr_);
         if (prq_.size() >= depth) {
             ++priAutoResponses_;
-            ctx_.stats.add("pri.auto_responses");
+            ctx_.stats.add(priAutoResponsesCtr_);
             return false;
         }
         prq_.push_back(req);
@@ -357,13 +361,17 @@ class IommuBackend
     priNoteResponse()
     {
         ++priResponded_;
-        ctx_.stats.add("pri.responses");
+        ctx_.stats.add(priResponsesCtr_);
     }
 
     sim::Context &ctx_;
     Iotlb tlb_;
+    sim::Stats::Counter invalDroppedCtr_; //!< iommu.inval_dropped
 
   private:
+    sim::Stats::Counter priRequestsCtr_;
+    sim::Stats::Counter priAutoResponsesCtr_;
+    sim::Stats::Counter priResponsesCtr_;
     std::vector<PageRequest> prq_;
     std::uint64_t priPosted_ = 0;
     std::uint64_t priFetched_ = 0;

@@ -52,7 +52,7 @@ class SmmuV3Backend : public IommuBackend
     static constexpr TlbGeometry kGeometry{128, 4, 16, 4, 16};
 
     explicit SmmuV3Backend(sim::Context &ctx)
-        : IommuBackend(ctx, kGeometry)
+        : IommuBackend(ctx, kGeometry), ctr_(ctx.stats)
     {}
 
     BackendKind kind() const override { return BackendKind::SmmuV3; }
@@ -173,7 +173,7 @@ class SmmuV3Backend : public IommuBackend
     {
         if (!eventq_.empty()) {
             evtqDrained_ += eventq_.size();
-            ctx_.stats.add("smmu.evtq_drained", eventq_.size());
+            ctx_.stats.add(ctr_.evtqDrained, eventq_.size());
         }
         std::vector<FaultRecord> out = std::move(eventq_);
         eventq_.clear();
@@ -189,6 +189,15 @@ class SmmuV3Backend : public IommuBackend
     }
 
   private:
+    /** Interned handles of the smmu.* counters. */
+    struct Counters
+    {
+        explicit Counters(sim::Stats &s);
+        sim::Stats::Counter steWrites, cfgiSte, cdFetches, cmdqStalls,
+            cmds, syncs, stallAutoTerms, stallEvents, cmdResumes,
+            atcInvals, evtqRecords, evtqOverflows, evtqDrained;
+    };
+
     struct PendingInval
     {
         enum class Kind : std::uint8_t
@@ -213,6 +222,7 @@ class SmmuV3Backend : public IommuBackend
      */
     sim::TimeNs produce(sim::Core &core, sim::TimeNs now, unsigned n);
 
+    Counters ctr_;
     sim::SimMutex cmdqLock_;        //!< producer slot reservation
     sim::SerialResource consumer_;  //!< the SMMU draining the ring
     std::vector<PendingInval> pending_;

@@ -41,7 +41,10 @@ namespace damn::iommu {
 class InvalidationQueue
 {
   public:
-    explicit InvalidationQueue(sim::Context &ctx) : ctx_(ctx) {}
+    explicit InvalidationQueue(sim::Context &ctx)
+        : ctx_(ctx),
+          invalDroppedCtr_(ctx.stats.counter("iommu.inval_dropped"))
+    {}
 
     /**
      * Synchronously invalidate an IOVA range (strict mode): acquire the
@@ -59,7 +62,7 @@ class InvalidationQueue
             core, now, ctx_.cost.strictInvalidateNs,
             ctx_.cost.strictSpinBusyFraction, ctx_.engine.now());
         if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add("iommu.inval_dropped");
+            ctx_.stats.add(invalDroppedCtr_);
             return done;
         }
         tlb.invalidateRange(domain, iova, len);
@@ -83,7 +86,7 @@ class InvalidationQueue
             lock_.acquireAndHold(core, now, ctx_.cost.deferredFlushNs,
                                  1.0, ctx_.engine.now());
         if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add("iommu.inval_dropped");
+            ctx_.stats.add(invalDroppedCtr_);
             return done;
         }
         for (const DomainId d : domains)
@@ -107,7 +110,7 @@ class InvalidationQueue
             lock_.acquireAndHold(core, now, ctx_.cost.deferredFlushNs,
                                  1.0, ctx_.engine.now());
         if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add("iommu.inval_dropped");
+            ctx_.stats.add(invalDroppedCtr_);
             return done;
         }
         tlb.invalidateAll();
@@ -120,6 +123,7 @@ class InvalidationQueue
 
   private:
     sim::Context &ctx_;
+    sim::Stats::Counter invalDroppedCtr_;
     sim::SimMutex lock_;
 };
 
@@ -132,7 +136,12 @@ class VtdBackend : public IommuBackend
     static constexpr TlbGeometry kGeometry{256, 4, 32, 4, 32};
 
     explicit VtdBackend(sim::Context &ctx)
-        : IommuBackend(ctx, kGeometry), queue_(ctx)
+        : IommuBackend(ctx, kGeometry), queue_(ctx),
+          prqAutoResponsesCtr_(
+              ctx.stats.counter("vtd.prq_auto_responses")),
+          prqPostsCtr_(ctx.stats.counter("vtd.prq_posts")),
+          prqResponsesCtr_(ctx.stats.counter("vtd.prq_responses")),
+          devtlbInvalsCtr_(ctx.stats.counter("vtd.devtlb_invals"))
     {}
 
     BackendKind kind() const override { return BackendKind::Vtd; }
@@ -194,11 +203,11 @@ class VtdBackend : public IommuBackend
             // PRS overflow bit: sticky until the driver drains and
             // clears it; the hardware auto-responded failure.
             prsOverflow_ = true;
-            ctx_.stats.add("vtd.prq_auto_responses");
+            ctx_.stats.add(prqAutoResponsesCtr_);
             return false;
         }
         ++prqTail_;
-        ctx_.stats.add("vtd.prq_posts");
+        ctx_.stats.add(prqPostsCtr_);
         return true;
     }
 
@@ -221,7 +230,7 @@ class VtdBackend : public IommuBackend
         const sim::TimeNs done = queue_.lock().acquireAndHold(
             core, now, ctx_.cost.priResponseNs, 1.0, ctx_.engine.now());
         priNoteResponse();
-        ctx_.stats.add("vtd.prq_responses");
+        ctx_.stats.add(prqResponsesCtr_);
         return done;
     }
 
@@ -240,11 +249,11 @@ class VtdBackend : public IommuBackend
             core, now, ctx_.cost.atsInvalidateNs,
             ctx_.cost.strictSpinBusyFraction, ctx_.engine.now());
         if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add("iommu.inval_dropped");
+            ctx_.stats.add(invalDroppedCtr_);
             return done;
         }
         agent.invalidateRange(iova, len);
-        ctx_.stats.add("vtd.devtlb_invals");
+        ctx_.stats.add(devtlbInvalsCtr_);
         return done;
     }
 
@@ -257,11 +266,11 @@ class VtdBackend : public IommuBackend
             core, now, ctx_.cost.atsInvalidateNs,
             ctx_.cost.strictSpinBusyFraction, ctx_.engine.now());
         if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add("iommu.inval_dropped");
+            ctx_.stats.add(invalDroppedCtr_);
             return done;
         }
         agent.invalidateAll();
-        ctx_.stats.add("vtd.devtlb_invals");
+        ctx_.stats.add(devtlbInvalsCtr_);
         return done;
     }
 
@@ -283,6 +292,10 @@ class VtdBackend : public IommuBackend
 
   private:
     InvalidationQueue queue_;
+    sim::Stats::Counter prqAutoResponsesCtr_;
+    sim::Stats::Counter prqPostsCtr_;
+    sim::Stats::Counter prqResponsesCtr_;
+    sim::Stats::Counter devtlbInvalsCtr_;
     std::uint64_t prqHead_ = 0;
     std::uint64_t prqTail_ = 0;
     bool prsOverflow_ = false;

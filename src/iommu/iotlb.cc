@@ -116,6 +116,7 @@ Iotlb::insert(DomainId domain, Iova iova, const WalkResult &walk)
     victim->perm = walk.perm;
     victim->huge = huge;
     victim->lastUse = ++clock_;
+    ++fills_;
 }
 
 void
@@ -128,14 +129,39 @@ Iotlb::invalidateRange(DomainId domain, Iova iova, std::uint64_t len)
     ++invalidations_;
     const Iova lo = iova;
     const Iova hi = iova + len;
-    for (auto *bank : {&bank4k_, &bank2m_}) {
-        for (TlbEntry &e : *bank) {
-            if (!e.valid || e.domain != domain)
-                continue;
-            const std::uint64_t sz =
-                e.huge ? kHugePageSize : mem::kPageSize;
-            if (e.iovaPage < hi && e.iovaPage + sz > lo)
-                e.valid = false;
+    const auto drop = [domain, lo, hi](TlbEntry &e) {
+        if (!e.valid || e.domain != domain)
+            return;
+        const std::uint64_t sz = e.huge ? kHugePageSize : mem::kPageSize;
+        if (e.iovaPage < hi && e.iovaPage + sz > lo)
+            e.valid = false;
+    };
+    for (const bool huge : {false, true}) {
+        auto &bank = huge ? bank2m_ : bank4k_;
+        const unsigned sets = huge ? sets2m_ : sets4k_;
+        const unsigned ways = waysOf(huge);
+        const unsigned shift = huge ? 21 : 12;
+        // Tags are page-aligned, so only pages first..first+pages-1 can
+        // overlap [lo, hi); consecutive pages index consecutive sets
+        // (setBase), so fewer than `sets` pages touch exactly that many
+        // sets.  A wrapped range or one spanning every set keeps the
+        // full scan — same predicate either way, so the same entries
+        // drop.
+        const Iova first = lo >> shift;
+        const std::uint64_t pages =
+            hi > (first << shift) ? ((hi - 1) >> shift) - first + 1 : 0;
+        if (hi < lo || pages >= sets) {
+            for (TlbEntry &e : bank)
+                drop(e);
+            continue;
+        }
+        std::size_t set = std::size_t(first % sets);
+        for (std::uint64_t p = 0; p < pages; ++p) {
+            TlbEntry *base = &bank[set * ways];
+            for (unsigned w = 0; w < ways; ++w)
+                drop(base[w]);
+            if (++set == sets)
+                set = 0;
         }
     }
 }

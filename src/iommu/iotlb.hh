@@ -73,7 +73,12 @@ class Iotlb
     /** Insert a walk result (evicts LRU way of the set). */
     void insert(DomainId domain, Iova iova, const WalkResult &walk);
 
-    /** Invalidate any entry covering [@p iova, @p iova + @p len). */
+    /**
+     * Invalidate any entry covering [@p iova, @p iova + @p len).  Probes
+     * only the min(pages, sets) sets per bank the range maps to; a
+     * zero-length unaligned range still drops the page containing
+     * @p iova, and a range whose end wraps past 2^64 scans everything.
+     */
     void invalidateRange(DomainId domain, Iova iova, std::uint64_t len);
 
     /** Invalidate everything belonging to @p domain. */
@@ -85,20 +90,34 @@ class Iotlb
     /**
      * Snapshot of every valid entry cached for @p domain (both banks).
      *
-     * COLD PATH ONLY: audit/teardown use, never per-packet.  It scans
-     * both banks linearly, allocates the result vector, charges no
-     * virtual time and no sim::Tracer category, and — being const —
-     * cannot perturb the hot-path state (hit/miss counters, LRU clock,
-     * entry stamps), so calling it mid-run never changes simulated
-     * output.  After a domain invalidation this must be empty;
-     * anything else is a stale translation keeping freed memory
+     * COLD PATH ONLY: audit/teardown and oracle use, never per-packet.
+     * It scans both banks linearly, allocates the result vector,
+     * charges no virtual time and no sim::Tracer category, and — being
+     * const — cannot perturb the hot-path state (hit/miss counters,
+     * LRU clock, entry stamps), so calling it mid-run never changes
+     * simulated output.  After a domain invalidation this must be
+     * empty; anything else is a stale translation keeping freed memory
      * device-reachable.
+     *
+     * The fuzz stale-translation oracle calls it only after a change:
+     * when fills() moved or the domain's must-not-translate set grew
+     * since its last clean scan.  Between such changes entries can
+     * only be invalidated and the set can only shrink, so a clean scan
+     * stays clean and skipping the re-scan is exact.
      */
     std::vector<TlbEntry> validEntries(DomainId domain) const;
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t invalidations() const { return invalidations_; }
+
+    /**
+     * Entries written by insert() over the IOTLB's lifetime (monotone;
+     * resetAccounting() leaves it alone).  insert() is the only way an
+     * entry becomes valid, so an unchanged count proves no translation
+     * appeared — what lets oracles skip re-scanning validEntries().
+     */
+    std::uint64_t fills() const { return fills_; }
 
     /**
      * TEST-ONLY oracle self-check hook: silently discard the next
@@ -149,6 +168,7 @@ class Iotlb
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t invalidations_ = 0;
+    std::uint64_t fills_ = 0;
 };
 
 } // namespace damn::iommu

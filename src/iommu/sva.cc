@@ -14,7 +14,11 @@ SvaDomain::SvaDomain(sim::Context &ctx, Iommu &mmu,
                      mem::PageAllocator &alloc,
                      unsigned residentLimitPages)
     : ctx_(ctx), mmu_(mmu), alloc_(alloc),
-      residentLimit_(residentLimitPages), domain_(mmu.createDomain())
+      residentLimit_(residentLimitPages), domain_(mmu.createDomain()),
+      spuriousFaultsCtr_(ctx.stats.counter("sva.spurious_faults")),
+      faultAllocFailsCtr_(ctx.stats.counter("sva.fault_alloc_fails")),
+      faultsServicedCtr_(ctx.stats.counter("sva.faults_serviced")),
+      evictionsCtr_(ctx.stats.counter("sva.evictions"))
 {}
 
 SvaDomain::~SvaDomain()
@@ -46,20 +50,20 @@ SvaDomain::handleFault(sim::CpuCursor &cpu, Iova va, bool is_write,
     if (const auto it = resident_.find(page); it != resident_.end()) {
         // Spurious fault: another request already brought it in.
         it->second.lastUse = ++useClock_;
-        ctx_.stats.add("sva.spurious_faults");
+        ctx_.stats.add(spuriousFaultsCtr_);
         return true;
     }
     if (residentLimit_ != 0 && resident_.size() >= residentLimit_)
         evictLru(cpu, ats);
     if (ctx_.faults.shouldFail(sim::FaultSite::PageAlloc)) {
-        ctx_.stats.add("sva.fault_alloc_fails");
+        ctx_.stats.add(faultAllocFailsCtr_);
         ++failedFaults_;
         return false;
     }
     const mem::Pfn pfn =
         alloc_.allocPages(0, cpu.numa(), /*zero=*/ctx_.functionalData);
     if (pfn == mem::kInvalidPfn) {
-        ctx_.stats.add("sva.fault_alloc_fails");
+        ctx_.stats.add(faultAllocFailsCtr_);
         ++failedFaults_;
         return false;
     }
@@ -67,7 +71,7 @@ SvaDomain::handleFault(sim::CpuCursor &cpu, Iova va, bool is_write,
     mmu_.mapPage(domain_, page, mem::pfnToPa(pfn), PermRW);
     resident_.emplace(page, Resident{pfn, ++useClock_});
     ++faultsServiced_;
-    ctx_.stats.add("sva.faults_serviced");
+    ctx_.stats.add(faultsServicedCtr_);
     return true;
 }
 
@@ -103,7 +107,7 @@ SvaDomain::evict(sim::CpuCursor &cpu, Iova va, AtsAgent *ats)
     alloc_.freePages(pfn, 0);
     resident_.erase(it);
     ++evictions_;
-    ctx_.stats.add("sva.evictions");
+    ctx_.stats.add(evictionsCtr_);
     return true;
 }
 

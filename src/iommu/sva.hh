@@ -97,6 +97,10 @@ class SvaDomain
     mem::PageAllocator &alloc_;
     unsigned residentLimit_;
     DomainId domain_;
+    sim::Stats::Counter spuriousFaultsCtr_;
+    sim::Stats::Counter faultAllocFailsCtr_;
+    sim::Stats::Counter faultsServicedCtr_;
+    sim::Stats::Counter evictionsCtr_;
     std::map<Iova, Resident> resident_;
     std::uint64_t useClock_ = 0;
     std::uint64_t faultsServiced_ = 0;

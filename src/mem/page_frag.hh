@@ -33,7 +33,8 @@ class PageFragAllocator
 
     PageFragAllocator(sim::Context &ctx, PageAllocator &pa)
         : ctx_(ctx), pageAlloc_(pa),
-          perCore_(ctx.machine.numCores())
+          perCore_(ctx.machine.numCores()),
+          fragFailsCtr_(ctx.stats.counter("mem.page_frag_fails"))
     {}
 
     PageFragAllocator(const PageFragAllocator &) = delete;
@@ -58,7 +59,7 @@ class PageFragAllocator
             cpu.charge(ctx_.cost.pageAllocNs);
             b.pfn = pageAlloc_.allocPages(kBlockOrder, cpu.numa());
             if (b.pfn == kInvalidPfn) {
-                ctx_.stats.add("mem.page_frag_fails");
+                ctx_.stats.add(fragFailsCtr_);
                 return 0;
             }
             b.offset = 0;
@@ -122,6 +123,7 @@ class PageFragAllocator
     sim::Context &ctx_;
     PageAllocator &pageAlloc_;
     std::vector<Bump> perCore_;
+    sim::Stats::Counter fragFailsCtr_;
 };
 
 } // namespace damn::mem

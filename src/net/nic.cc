@@ -46,8 +46,8 @@ NicDevice::dropSegment(sim::TimeNs now, unsigned port, Traffic dir,
     dma::DmaOutcome out;
     out.fault = true;
     out.completes = pace(now, port, dir, seg_bytes, 0);
-    ctx_.stats.add(dir == Traffic::Rx ? "nic.rx_injected_drops"
-                                      : "nic.tx_injected_drops");
+    ctx_.stats.add(dir == Traffic::Rx ? rxInjectedDropsCtr_
+                                      : txInjectedDropsCtr_);
     return out;
 }
 
@@ -61,10 +61,10 @@ NicDevice::linkFlapped(sim::TimeNs now, unsigned port)
             std::max(ports_[port].linkDownUntil,
                      now + ctx_.cost.nicLinkFlapDownNs);
         ++linkFlaps_;
-        ctx_.stats.add("nic.link_flaps");
+        ctx_.stats.add(linkFlapsCtr_);
     }
     if (now < ports_[port].linkDownUntil) {
-        ctx_.stats.add("nic.link_down_drops");
+        ctx_.stats.add(linkDownDropsCtr_);
         return true;
     }
     return false;

@@ -80,7 +80,7 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
             // No kernel memory to copy into, even after reclaim: leave
             // the range in device-visible memory (degraded protection,
             // counted) instead of crashing the consumer.
-            ctx_.stats.add("skb.secure_fails");
+            ctx_.stats.add(secureFailsCtr_);
             continue;
         }
         cpu.charge(ctx_.copyCost(
@@ -141,7 +141,7 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
     }
 
     securedBytes_ += copied;
-    ctx_.stats.add("guard.secured_bytes", copied);
+    ctx_.stats.add(securedBytesCtr_, copied);
     return copied;
 }
 

@@ -103,7 +103,9 @@ class SkbAccessor
                 mem::KmallocHeap &heap, mem::PageFragAllocator &frag,
                 core::DamnAllocator *alloc)
         : ctx_(ctx), pageAlloc_(pa), pm_(pa.phys()), heap_(heap),
-          frag_(frag), alloc_(alloc)
+          frag_(frag), alloc_(alloc),
+          secureFailsCtr_(ctx.stats.counter("skb.secure_fails")),
+          securedBytesCtr_(ctx.stats.counter("guard.secured_bytes"))
     {}
 
     /**
@@ -140,6 +142,8 @@ class SkbAccessor
     mem::KmallocHeap &heap_;
     mem::PageFragAllocator &frag_;
     core::DamnAllocator *alloc_;
+    sim::Stats::Counter secureFailsCtr_;
+    sim::Stats::Counter securedBytesCtr_;
     std::uint64_t securedBytes_ = 0;
 };
 

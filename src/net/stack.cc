@@ -9,6 +9,15 @@
 
 namespace damn::net {
 
+NicDriver::NicDriver(System &sys, NicDevice &nic)
+    : sys_(sys), nic_(nic),
+      injectedAllocFailsCtr_(
+          sys.ctx.stats.counter("mem.injected_alloc_fails")),
+      rxMapFailsCtr_(sys.ctx.stats.counter("net.rx_map_fails")),
+      rxAbortedBuffersCtr_(sys.ctx.stats.counter("net.rx_aborted_buffers")),
+      txMapFailsCtr_(sys.ctx.stats.counter("net.tx_map_fails"))
+{}
+
 // ---------------------------------------------------------------------
 // NicDriver
 // ---------------------------------------------------------------------
@@ -24,7 +33,7 @@ NicDriver::allocRxBuffer(sim::CpuCursor &cpu, std::uint32_t bytes,
     // Injected memory pressure: the allocation fails before any
     // allocator is consulted, like a failed GFP_ATOMIC alloc.
     if (sys_.ctx.faults.shouldFail(sim::FaultSite::PageAlloc)) {
-        sys_.ctx.stats.add("mem.injected_alloc_fails");
+        sys_.ctx.stats.add(injectedAllocFailsCtr_);
         return buf;
     }
 
@@ -75,7 +84,7 @@ NicDriver::allocRxBuffer(sim::CpuCursor &cpu, std::uint32_t bytes,
         skb.append(buf.seg);
         sys_.accessor().freeSkb(cpu, skb, actx);
         buf.seg = SkbSegment{};
-        sys_.ctx.stats.add("net.rx_map_fails");
+        sys_.ctx.stats.add(rxMapFailsCtr_);
         return buf;
     }
     buf.seg.dmaAddr = dma_addr;
@@ -116,7 +125,7 @@ NicDriver::abortRxBuffer(sim::CpuCursor &cpu, RxBuffer buf,
     skb.dev = &nic_;
     skb.append(buf.seg);
     sys_.accessor().freeSkb(cpu, skb, actx);
-    sys_.ctx.stats.add("net.rx_aborted_buffers");
+    sys_.ctx.stats.add(rxAbortedBuffersCtr_);
 }
 
 bool
@@ -133,7 +142,7 @@ NicDriver::txMap(sim::CpuCursor &cpu, SkBuff &skb)
             // Roll back the segments already mapped so nothing leaks;
             // the caller drops the skb and backs off.
             txUnmap(cpu, skb);
-            sys_.ctx.stats.add("net.tx_map_fails");
+            sys_.ctx.stats.add(txMapFailsCtr_);
             return false;
         }
         seg.dmaAddr = addr;
@@ -213,8 +222,8 @@ TcpStack::rxSegment(sim::CpuCursor &cpu, SkBuff &skb, double factor)
 
     cpu.charge(sim::TimeNs(double(c.stackPerSegmentNs) * factor));
     cpu.charge(c.ackPerSegmentNs);
-    sys_.ctx.stats.add("net.rx_segments");
-    sys_.ctx.stats.add("net.rx_bytes", skb.len());
+    sys_.ctx.stats.add(ctr_.rxSegments);
+    sys_.ctx.stats.add(ctr_.rxBytes, skb.len());
 }
 
 void
@@ -229,7 +238,7 @@ TcpStack::appRead(sim::CpuCursor &cpu, SkBuff &skb, double factor,
     // for payload bytes -- no extra work.
     chargeCopy(cpu, skb.len(), sys_.ctx.cost.warmCopyBytesPerNs);
     sys_.accessor().freeSkb(cpu, skb, actx);
-    sys_.ctx.stats.add("net.user_read_bytes", skb.len());
+    sys_.ctx.stats.add(ctr_.userReadBytes, skb.len());
 }
 
 SkBuff
@@ -267,7 +276,7 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
     }
     if (head.pa == 0) {
         skb.allocFailed = true;
-        sys_.ctx.stats.add("net.tx_alloc_fails");
+        sys_.ctx.stats.add(ctr_.txAllocFails);
         return skb;
     }
     skb.append(head);
@@ -308,7 +317,7 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
         // Memory pressure beat the reclaimers: free what was built and
         // let the caller back off (flagged on the returned skb).
         sys_.accessor().freeSkb(cpu, skb, actx);
-        sys_.ctx.stats.add("net.tx_alloc_fails");
+        sys_.ctx.stats.add(ctr_.txAllocFails);
         return skb;
     }
 
@@ -324,8 +333,8 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
         skb.allocFailed = true;
         return skb;
     }
-    sys_.ctx.stats.add("net.tx_segments");
-    sys_.ctx.stats.add("net.tx_bytes", seg_bytes);
+    sys_.ctx.stats.add(ctr_.txSegments);
+    sys_.ctx.stats.add(ctr_.txBytes, seg_bytes);
     return skb;
 }
 
@@ -366,7 +375,7 @@ TcpStack::txBuildZeroCopy(sim::CpuCursor &cpu,
     }
     if (head.pa == 0) {
         skb.allocFailed = true;
-        sys_.ctx.stats.add("net.tx_alloc_fails");
+        sys_.ctx.stats.add(ctr_.txAllocFails);
         return skb;
     }
     skb.append(head);
@@ -392,7 +401,7 @@ TcpStack::txBuildZeroCopy(sim::CpuCursor &cpu,
         skb.allocFailed = true;
         return skb;
     }
-    sys_.ctx.stats.add("net.tx_zerocopy_segments");
+    sys_.ctx.stats.add(ctr_.txZerocopySegments);
     return skb;
 }
 
@@ -414,7 +423,7 @@ TcpStack::txAbort(sim::CpuCursor &cpu, SkBuff &skb, core::AllocCtx actx)
 {
     driver.txUnmap(cpu, skb);
     sys_.accessor().freeSkb(cpu, skb, actx);
-    sys_.ctx.stats.add("net.tx_aborted_segments");
+    sys_.ctx.stats.add(ctr_.txAbortedSegments);
 }
 
 } // namespace damn::net

@@ -88,7 +88,10 @@ class StreamEngine
   public:
     StreamEngine(System &sys, NicDevice &nic, TcpStack &stack,
                  StreamConfig config = {})
-        : sys_(sys), nic_(nic), stack_(stack), config_(config)
+        : sys_(sys), nic_(nic), stack_(stack), config_(config),
+          rxRefillFailsCtr_(sys.ctx.stats.counter("net.rx_refill_fails")),
+          txThrottledCtr_(sys.ctx.stats.counter("net.tx_throttled")),
+          ringTeardownsCtr_(sys.ctx.stats.counter("net.ring_teardowns"))
     {}
 
     /** Register a flow before run(). */
@@ -217,6 +220,9 @@ class StreamEngine
     NicDevice &nic_;
     TcpStack &stack_;
     StreamConfig config_;
+    sim::Stats::Counter rxRefillFailsCtr_;
+    sim::Stats::Counter txThrottledCtr_;
+    sim::Stats::Counter ringTeardownsCtr_;
     std::vector<State> flows_;
     sim::LatencyHistogram latency_;
     sim::TimeNs windowStart_ = 0;

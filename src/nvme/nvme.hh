@@ -35,7 +35,10 @@ class NvmeDevice : public dma::Device
   public:
     NvmeDevice(sim::Context &ctx, std::string name, iommu::Iommu &mmu,
                mem::PhysicalMemory &pm)
-        : dma::Device(ctx, std::move(name), mmu, pm)
+        : dma::Device(ctx, std::move(name), mmu, pm),
+          cmdDropsCtr_(ctx.stats.counter("nvme.cmd_drops")),
+          abortedCmdsCtr_(ctx.stats.counter("nvme.aborted_cmds")),
+          failedCmdsCtr_(ctx.stats.counter("nvme.failed_cmds"))
     {}
 
     /**
@@ -54,7 +57,7 @@ class NvmeDevice : public dma::Device
             // The command is lost in flight: no DMA, no completion
             // entry.  The driver notices only via its timeout.
             ++cmdDrops_;
-            ctx_.stats.add("nvme.cmd_drops");
+            ctx_.stats.add(cmdDropsCtr_);
             dma::DmaOutcome out;
             out.fault = true;
             out.completes = now;
@@ -92,7 +95,7 @@ class NvmeDevice : public dma::Device
                 // and aborts instead of burning the timeout budget.
                 r.aborted = true;
                 ++abortedCmds_;
-                ctx_.stats.add("nvme.aborted_cmds");
+                ctx_.stats.add(abortedCmdsCtr_);
                 ctx_.tracer.instant(0, sim::TraceCat::Nvme,
                                     "nvme.abort", t, 0, attempt);
                 r.completes = t;
@@ -116,7 +119,7 @@ class NvmeDevice : public dma::Device
                 // The fault *was* the unplug; abort without waiting.
                 r.aborted = true;
                 ++abortedCmds_;
-                ctx_.stats.add("nvme.aborted_cmds");
+                ctx_.stats.add(abortedCmdsCtr_);
                 ctx_.tracer.instant(0, sim::TraceCat::Nvme,
                                     "nvme.abort", out.completes, 0,
                                     attempt);
@@ -130,7 +133,7 @@ class NvmeDevice : public dma::Device
             t = out.completes + c.nvmeTimeoutNs;
         }
         ++failedCmds_;
-        ctx_.stats.add("nvme.failed_cmds");
+        ctx_.stats.add(failedCmdsCtr_);
         ctx_.tracer.instant(0, sim::TraceCat::Nvme, "nvme.fail", t, 0,
                             r.attempts);
         r.completes = t;
@@ -144,6 +147,9 @@ class NvmeDevice : public dma::Device
     std::uint64_t abortedCmds() const { return abortedCmds_; }
 
   private:
+    sim::Stats::Counter cmdDropsCtr_;
+    sim::Stats::Counter abortedCmdsCtr_;
+    sim::Stats::Counter failedCmdsCtr_;
     sim::SerialResource iopsEngine_;
     sim::SerialResource media_;
     std::uint64_t ios_ = 0;

@@ -69,7 +69,12 @@ class PressureController
      *  it reclaimed; 0 means it had nothing to give back. */
     using ReclaimFn = std::function<std::uint64_t(CpuCursor &)>;
 
-    explicit PressureController(Stats &stats) : stats_(stats) {}
+    explicit PressureController(Stats &stats)
+        : stats_(stats),
+          reclaimsCtr_(stats.counter("pressure.reclaims")),
+          reclaimNsCtr_(stats.counter("pressure.reclaim_ns")),
+          reclaimFutileCtr_(stats.counter("pressure.reclaim_futile"))
+    {}
 
     PressureController(const PressureController &) = delete;
     PressureController &operator=(const PressureController &) = delete;
@@ -83,9 +88,13 @@ class PressureController
                      double low_watermark = 0.75,
                      double critical_watermark = 0.90)
     {
-        resources_.push_back(Resource{std::move(name), std::move(usage),
-                                      low_watermark, critical_watermark,
-                                      PressureLevel::Ok});
+        Resource r{name, std::move(usage), low_watermark,
+                   critical_watermark, PressureLevel::Ok, {}};
+        for (const PressureLevel l : {PressureLevel::Ok, PressureLevel::Low,
+                                      PressureLevel::Critical})
+            r.toLevel[unsigned(l)] = stats_.counter(
+                "pressure." + name + ".to_" + pressureLevelName(l));
+        resources_.push_back(std::move(r));
     }
 
     /**
@@ -96,8 +105,10 @@ class PressureController
     void
     registerReclaimer(std::string name, unsigned cost, ReclaimFn fn)
     {
+        const Stats::Counter reclaimed =
+            stats_.counter("pressure.reclaimed." + name);
         reclaimers_.push_back(
-            Reclaimer{std::move(name), cost, std::move(fn)});
+            Reclaimer{std::move(name), cost, std::move(fn), reclaimed});
         std::stable_sort(reclaimers_.begin(), reclaimers_.end(),
                          [](const Reclaimer &a, const Reclaimer &b) {
                              return a.cost < b.cost;
@@ -137,8 +148,7 @@ class PressureController
         for (Resource &r : resources_) {
             const PressureLevel l = levelOf(r);
             if (l != r.lastLevel) {
-                stats_.add("pressure." + r.name + ".to_" +
-                           pressureLevelName(l));
+                stats_.add(r.toLevel[unsigned(l)]);
                 r.lastLevel = l;
             }
             worst = std::max(worst, l);
@@ -160,23 +170,23 @@ class PressureController
             return 0; // a reclaimer's own allocation failed: don't recurse
         reclaiming_ = true;
         ++reclaimEvents_;
-        stats_.add("pressure.reclaims");
+        stats_.add(reclaimsCtr_);
         const TimeNs t0 = cpu.time;
         std::uint64_t total = 0;
         for (Reclaimer &rec : reclaimers_) {
             const std::uint64_t got = rec.fn(cpu);
             if (got > 0) {
                 total += got;
-                stats_.add("pressure.reclaimed." + rec.name, got);
+                stats_.add(rec.reclaimed, got);
             }
             if (poll() < PressureLevel::Low)
                 break;
         }
         reclaimedUnits_ += total;
         lastReclaimNs_ = cpu.time - t0;
-        stats_.add("pressure.reclaim_ns", std::uint64_t(lastReclaimNs_));
+        stats_.add(reclaimNsCtr_, std::uint64_t(lastReclaimNs_));
         if (total == 0)
-            stats_.add("pressure.reclaim_futile");
+            stats_.add(reclaimFutileCtr_);
         reclaiming_ = false;
         return total;
     }
@@ -196,6 +206,7 @@ class PressureController
         double low;
         double critical;
         PressureLevel lastLevel;
+        Stats::Counter toLevel[3]; //!< pressure.<name>.to_<level>
     };
 
     struct Reclaimer
@@ -203,6 +214,7 @@ class PressureController
         std::string name;
         unsigned cost;
         ReclaimFn fn;
+        Stats::Counter reclaimed; //!< pressure.reclaimed.<name>
     };
 
     static PressureLevel
@@ -217,6 +229,9 @@ class PressureController
     }
 
     Stats &stats_;
+    Stats::Counter reclaimsCtr_;
+    Stats::Counter reclaimNsCtr_;
+    Stats::Counter reclaimFutileCtr_;
     std::vector<Resource> resources_;
     std::vector<Reclaimer> reclaimers_;
     bool reclaiming_ = false;

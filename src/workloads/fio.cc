@@ -17,7 +17,12 @@ class FioJob
   public:
     FioJob(net::System &sys, nvme::NvmeDevice &dev, const FioOpts &opts,
            unsigned core)
-        : sys_(sys), dev_(dev), opts_(opts), core_(core)
+        : sys_(sys), dev_(dev), opts_(opts), core_(core),
+          bufferAllocFailsCtr_(
+              sys.ctx.stats.counter("nvme.buffer_alloc_fails")),
+          throttledCtr_(sys.ctx.stats.counter("nvme.throttled")),
+          mapFailRetriesCtr_(sys.ctx.stats.counter("nvme.map_fail_retries")),
+          failedIosCtr_(sys.ctx.stats.counter("nvme.failed_ios"))
     {
         // fio preallocates its IO buffers once and reuses them.  Under
         // memory pressure the job runs at whatever queue depth the
@@ -34,7 +39,7 @@ class FioJob
                 pfn = sys_.pageAlloc.allocPages(order, 0);
             }
             if (pfn == mem::kInvalidPfn) {
-                sys_.ctx.stats.add("nvme.buffer_alloc_fails");
+                sys_.ctx.stats.add(bufferAllocFailsCtr_);
                 break;
             }
             buffers_.push_back(mem::pfnToPa(pfn));
@@ -69,7 +74,7 @@ class FioJob
             sys_.ctx.pressure.reclaim(cpu);
             if (sys_.ctx.pressure.poll() ==
                 sim::PressureLevel::Critical) {
-                sys_.ctx.stats.add("nvme.throttled");
+                sys_.ctx.stats.add(throttledCtr_);
                 sys_.ctx.engine.schedule(
                     cpu.time + sys_.ctx.cost.nvmeTimeoutNs,
                     [this, slot, backoffs] {
@@ -92,7 +97,7 @@ class FioJob
             // retry; past the budget the IO fails and the slot parks
             // (graceful queue-depth degradation).
             if (backoffs < kMaxBackoffs) {
-                sys_.ctx.stats.add("nvme.map_fail_retries");
+                sys_.ctx.stats.add(mapFailRetriesCtr_);
                 sys_.ctx.engine.schedule(
                     cpu.time + sys_.ctx.cost.nvmeTimeoutNs,
                     [this, slot, backoffs] {
@@ -100,7 +105,7 @@ class FioJob
                     });
             } else {
                 ++failedIos;
-                sys_.ctx.stats.add("nvme.failed_ios");
+                sys_.ctx.stats.add(failedIosCtr_);
             }
             return;
         }
@@ -112,7 +117,7 @@ class FioJob
             // failed IO and error-complete it so the mapping is not
             // leaked; a healthy device gets the slot back.
             ++failedIos;
-            sys_.ctx.stats.add("nvme.failed_ios");
+            sys_.ctx.stats.add(failedIosCtr_);
             const bool aborted = out.aborted;
             sys_.ctx.engine.schedule(
                 out.completes, [this, slot, dma, aborted] {
@@ -151,6 +156,10 @@ class FioJob
     nvme::NvmeDevice &dev_;
     FioOpts opts_;
     unsigned core_;
+    sim::Stats::Counter bufferAllocFailsCtr_;
+    sim::Stats::Counter throttledCtr_;
+    sim::Stats::Counter mapFailRetriesCtr_;
+    sim::Stats::Counter failedIosCtr_;
     std::vector<mem::Pa> buffers_;
 };
 

@@ -134,7 +134,9 @@ validateBfs(const Graph &g, std::uint32_t root, const BfsResult &r)
 // ---------------------------------------------------------------------
 
 BfsCorunner::BfsCorunner(sim::Context &ctx, Config cfg)
-    : ctx_(ctx), cfg_(cfg), stats_(ctx.stats, "bfs")
+    : ctx_(ctx), cfg_(cfg), stats_(ctx.stats, "bfs"),
+      quantaCtr_(stats_.counter("quanta")),
+      bytesCtr_(stats_.counter("bytes"))
 {}
 
 void
@@ -178,8 +180,8 @@ BfsCorunner::runQuantum(unsigned team, unsigned member)
 
     if (cpu.time >= windowStart_) {
         processedBytes_ += chunk;
-        stats_.add("quanta");
-        stats_.add("bytes", chunk);
+        ctx_.stats.add(quantaCtr_);
+        ctx_.stats.add(bytesCtr_, chunk);
     }
 
     ctx_.engine.schedule(cpu.time,

@@ -133,6 +133,8 @@ class BfsCorunner
     sim::Context &ctx_;
     Config cfg_;
     sim::ScopedStats stats_;
+    sim::Stats::Counter quantaCtr_;
+    sim::Stats::Counter bytesCtr_;
     std::uint64_t processedBytes_ = 0;
     sim::TimeNs windowStart_ = 0;
 };

@@ -39,7 +39,9 @@ class KbuildChurn
 
     KbuildChurn(sim::Context &ctx, mem::PageAllocator &pa, Config cfg)
         : ctx_(ctx), pageAlloc_(pa), cfg_(cfg),
-          stats_(ctx.stats, "kbuild")
+          stats_(ctx.stats, "kbuild"),
+          burstsCtr_(stats_.counter("bursts")),
+          pagesCtr_(stats_.counter("pages"))
     {}
 
     /** Begin churning (runs until the engine stops). */
@@ -74,8 +76,8 @@ class KbuildChurn
             pages += 1u << order;
         }
         ++bursts_;
-        stats_.add("bursts");
-        stats_.add("pages", pages);
+        ctx_.stats.add(burstsCtr_);
+        ctx_.stats.add(pagesCtr_, pages);
 
         const sim::TimeNs hold = ctx_.rng.between(cfg_.minHoldNs,
                                                   cfg_.maxHoldNs);
@@ -90,6 +92,8 @@ class KbuildChurn
     mem::PageAllocator &pageAlloc_;
     Config cfg_;
     sim::ScopedStats stats_;
+    sim::Stats::Counter burstsCtr_;
+    sim::Stats::Counter pagesCtr_;
     std::uint64_t bursts_ = 0;
 };
 

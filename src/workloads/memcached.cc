@@ -32,7 +32,9 @@ class Instance
     Instance(net::System &sys, net::NicDevice &nic, net::TcpStack &stack,
              const MemcachedOpts &opts, unsigned idx)
         : sys_(sys), nic_(nic), stack_(stack), opts_(opts),
-          core_(idx % sys.ctx.machine.numCores()), port_(idx % 2)
+          core_(idx % sys.ctx.machine.numCores()), port_(idx % 2),
+          txThrottledCtr_(sys.ctx.stats.counter("net.tx_throttled")),
+          rxRefillFailsCtr_(sys.ctx.stats.counter("net.rx_refill_fails"))
     {}
 
     void start() { nextOp(); }
@@ -70,7 +72,7 @@ class Instance
             if (skb->allocFailed) {
                 // Memory/IOVA pressure: retry this chunk later.
                 ++segsLeft_;
-                sys_.ctx.stats.add("net.tx_throttled");
+                sys_.ctx.stats.add(txThrottledCtr_);
                 sys_.ctx.engine.schedule(
                     cpu.time + 100 * sim::kNsPerUs,
                     [this] { moveSegment(); });
@@ -93,7 +95,7 @@ class Instance
             if (!buf.valid()) {
                 // Memory/IOVA pressure: retry the post later.
                 ++segsLeft_;
-                sys_.ctx.stats.add("net.rx_refill_fails");
+                sys_.ctx.stats.add(rxRefillFailsCtr_);
                 sys_.ctx.engine.schedule(
                     cpu.time + 100 * sim::kNsPerUs,
                     [this] { moveSegment(); });
@@ -132,6 +134,8 @@ class Instance
     MemcachedOpts opts_;
     unsigned core_;
     unsigned port_;
+    sim::Stats::Counter txThrottledCtr_;
+    sim::Stats::Counter rxRefillFailsCtr_;
     bool isGet_ = false;
     unsigned segsLeft_ = 0;
 };

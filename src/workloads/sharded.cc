@@ -205,7 +205,7 @@ runShardedNetperf(const ShardedNetperfOpts &opts)
         fold(h, st.telemetryHash);
         fold(h, st.streams->totalDrops());
         fold(h, st.streams->totalRetransmits());
-        for (const auto &[name, value] : ctx.stats.all()) {
+        for (const auto &[name, value] : ctx.stats.snapshot()) {
             foldStr(h, name);
             fold(h, value);
         }

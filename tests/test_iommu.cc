@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "iommu/backend_smmu.hh"
 #include "iommu/backend_vtd.hh"
 #include "iommu/iommu.hh"
 #include "iommu/iova_alloc.hh"
 #include "sim/fault_injector.hh"
+#include "sim/rng.hh"
 
 using namespace damn;
 using namespace damn::iommu;
@@ -222,6 +226,128 @@ TEST(Iotlb, WalkCacheThrashesAcrossManyRegions)
     for (Iova r = 0; r < 64; ++r)
         tlb.walkCached(0, r << 21);
     EXPECT_FALSE(tlb.walkCached(0, 0ull << 21));
+}
+
+TEST(Iotlb, ZeroLengthRangeDropsContainingPage)
+{
+    Iotlb tlb;
+    tlb.insert(0, 0x5000, walkOf(0x9000, PermRW));
+    tlb.insert(0, 0x6000, walkOf(0xa000, PermRW));
+    tlb.invalidateRange(0, 0x6000, 0); // aligned: covers nothing
+    EXPECT_EQ(tlb.validEntries(0).size(), 2u);
+    tlb.invalidateRange(0, 0x5123, 0); // unaligned: its own page
+    const auto left = tlb.validEntries(0);
+    ASSERT_EQ(left.size(), 1u);
+    EXPECT_EQ(left[0].iovaPage, 0x6000u);
+}
+
+namespace {
+
+/** Everything that identifies one cached entry, for exact comparison. */
+std::vector<std::tuple<Iova, bool, mem::Pa, std::uint64_t>>
+entryKeys(const std::vector<TlbEntry> &v)
+{
+    std::vector<std::tuple<Iova, bool, mem::Pa, std::uint64_t>> out;
+    for (const TlbEntry &e : v)
+        out.emplace_back(e.iovaPage, e.huge, e.paPage, e.lastUse);
+    return out;
+}
+
+/** Full-scan reference for invalidateRange: the entries of @p before
+ *  that no byte of [iova, iova+len) touches, in the same order. */
+std::vector<TlbEntry>
+referenceSurvivors(const std::vector<TlbEntry> &before, Iova iova,
+                   std::uint64_t len)
+{
+    const Iova lo = iova;
+    const Iova hi = iova + len;
+    std::vector<TlbEntry> out;
+    for (const TlbEntry &e : before) {
+        const std::uint64_t sz = e.huge ? kHugePageSize : mem::kPageSize;
+        if (!(e.iovaPage < hi && e.iovaPage + sz > lo))
+            out.push_back(e);
+    }
+    return out;
+}
+
+struct Geometry
+{
+    const char *name;
+    unsigned sets4k, ways4k, sets2m, ways2m;
+};
+
+} // namespace
+
+TEST(Iotlb, SetProbedInvalidationMatchesFullScan)
+{
+    // Tags cluster in three windows (low, the DAMN high half, just
+    // below 2^64) so random ranges hit cached entries, and the top
+    // window lets a range wrap past 2^64.
+    const Iova bases[] = {0, 0x4000'0000'0000ull, 0ull - (16ull << 20)};
+    const Geometry geoms[] = {
+        {"vtd", 256, 4, 32, 4},
+        {"smmuv3", 128, 4, 16, 4},
+        {"one-set", 1, 4, 1, 2},
+    };
+    for (const Geometry &g : geoms) {
+        SCOPED_TRACE(g.name);
+        Iotlb tlb(g.sets4k, g.ways4k, g.sets2m, g.ways2m);
+        sim::Rng rng(0x5e7 + g.sets4k);
+        const std::uint64_t setsSpan4k =
+            std::uint64_t(g.sets4k) * mem::kPageSize;
+        for (unsigned round = 0; round < 4000; ++round) {
+            // A few random fills per round, both domains, both banks.
+            for (unsigned f = 0; f < 3; ++f) {
+                const DomainId d = DomainId(rng.below(2));
+                const Iova base = bases[rng.below(3)];
+                const bool huge = rng.chance(0.25);
+                const Iova iova =
+                    huge ? base + rng.below(4) * kHugePageSize
+                         : base + rng.below(2048) * mem::kPageSize;
+                tlb.insert(d, iova,
+                           walkOf(rng.next() & ~0xfffull, PermRW, huge));
+            }
+
+            const DomainId d = DomainId(rng.below(2));
+            const Iova base = bases[rng.below(3)];
+            Iova iova = base + rng.below(8ull << 20);
+            std::uint64_t len = 0;
+            switch (rng.below(6)) {
+              case 0: // zero-length, unaligned
+                iova |= 1 + rng.below(mem::kPageSize - 1);
+                len = 0;
+                break;
+              case 1: // exactly `sets` pages (the full-scan threshold)
+                len = setsSpan4k;
+                break;
+              case 2: // larger than that
+                len = setsSpan4k + 1 + rng.below(setsSpan4k);
+                break;
+              case 3: { // straddles a 2 MiB boundary
+                const std::uint64_t x = 1 + rng.below(64 * mem::kPageSize);
+                iova = base + (1 + rng.below(3)) * kHugePageSize - x;
+                len = x + 1 + rng.below(64 * mem::kPageSize);
+              } break;
+              case 4: // iova + len wraps past 2^64
+                iova = bases[2] + rng.below(16ull << 20);
+                len = (0 - iova) + 1 + rng.below(1ull << 20);
+                break;
+              default: // small random range
+                len = rng.below(16 * mem::kPageSize);
+                break;
+            }
+
+            const auto before0 = tlb.validEntries(d);
+            const auto before1 = tlb.validEntries(1 - d);
+            tlb.invalidateRange(d, iova, len);
+            ASSERT_EQ(entryKeys(tlb.validEntries(d)),
+                      entryKeys(referenceSurvivors(before0, iova, len)))
+                << "round " << round << " iova " << iova << " len " << len;
+            ASSERT_EQ(entryKeys(tlb.validEntries(1 - d)),
+                      entryKeys(before1))
+                << "other domain touched in round " << round;
+        }
+    }
 }
 
 TEST(Iotlb, HitRateStat)

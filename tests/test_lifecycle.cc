@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/audit.hh"
 #include "net/stream.hh"
 #include "nvme/nvme.hh"
@@ -297,6 +299,59 @@ TEST_F(IommuLifecycle, AuditorLedgerTracksMapUnmapAndDetach)
         auditor.verifyTeardown(d, 0, forced);
     EXPECT_FALSE(rep.clean());
     EXPECT_EQ(rep.forceCleared, 512u);
+}
+
+// ledgerPages() is a running count kept by the map observer; it must
+// equal the sum over the ledger (and the page table's own count) after
+// every kind of mutation, including the ones that change nothing.
+TEST_F(IommuLifecycle, AuditorLedgerRunningCountMatchesLedgerSum)
+{
+    audit::Auditor auditor(mmu);
+    const iommu::DomainId d = mmu.createDomain();
+    const iommu::DomainId other = mmu.createDomain();
+    std::map<iommu::Iova, unsigned> ledger; // test-side reference
+    const auto check = [&](const char *step) {
+        SCOPED_TRACE(step);
+        std::uint64_t sum = 0;
+        for (const auto &[iova, pages] : ledger)
+            sum += pages;
+        EXPECT_EQ(auditor.ledgerPages(d), sum);
+        EXPECT_EQ(auditor.ledgerPages(d), mmu.pageTable(d).mappedPages());
+    };
+    check("empty");
+
+    ASSERT_TRUE(mmu.mapPage(d, 0x1000, 0x5000, iommu::PermRW));
+    ledger[0x1000] = 1;
+    check("4 KiB map");
+
+    ASSERT_TRUE(mmu.mapHuge(d, 0x400000, 0x800000, iommu::PermRead));
+    ledger[0x400000] = 512;
+    check("2 MiB map");
+
+    // Re-map of the same IOVA: refused while mapped, then accepted
+    // (onto a new frame) once the first mapping is gone.
+    EXPECT_FALSE(mmu.mapPage(d, 0x1000, 0x6000, iommu::PermRW));
+    check("refused re-map");
+    ASSERT_TRUE(mmu.unmapPage(d, 0x1000));
+    ledger.erase(0x1000);
+    check("unmap");
+    ASSERT_TRUE(mmu.mapPage(d, 0x1000, 0x7000, iommu::PermRW));
+    ledger[0x1000] = 1;
+    check("re-map at the same IOVA");
+
+    // Unmapping an IOVA that was never mapped emits nothing.
+    EXPECT_FALSE(mmu.unmapPage(d, 0x9000));
+    check("unmap of a never-mapped IOVA");
+
+    // Another domain's traffic never moves this domain's count.
+    ASSERT_TRUE(mmu.mapPage(other, 0x1000, 0x5000, iommu::PermRW));
+    check("other domain map");
+    EXPECT_EQ(auditor.ledgerPages(other), 1u);
+
+    EXPECT_EQ(mmu.detachDomain(d), 513u);
+    ledger.clear();
+    check("detach (DetachClear)");
+    EXPECT_EQ(auditor.ledgerPages(other), 1u);
 }
 
 TEST_F(IommuLifecycle, AuditorFlagsStaleTlbEntries)

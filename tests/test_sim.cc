@@ -554,16 +554,50 @@ TEST(Rng, UniformInUnitInterval)
 TEST(Stats, AddSetMaxGet)
 {
     Stats s;
-    s.add("a");
-    s.add("a", 4);
+    const Stats::Counter a = s.counter("a");
+    const Stats::Counter b = s.counter("b");
+    const Stats::Counter c = s.counter("c");
+    s.add(a);
+    s.add(a, 4);
+    EXPECT_EQ(s.get(a), 5u);
     EXPECT_EQ(s.get("a"), 5u);
-    s.set("b", 7);
+    s.set(b, 7);
     EXPECT_EQ(s.get("b"), 7u);
-    s.max("c", 3);
-    s.max("c", 1);
+    s.max(c, 3);
+    s.max(c, 1);
     EXPECT_EQ(s.get("c"), 3u);
     EXPECT_EQ(s.get("missing"), 0u);
     EXPECT_TRUE(s.has("a"));
     s.clear();
     EXPECT_FALSE(s.has("a"));
+    EXPECT_EQ(s.get(a), 0u);
+
+    // A handle taken before clear() still names the same counter.
+    s.add(a, 2);
+    EXPECT_EQ(s.get("a"), 2u);
+    EXPECT_TRUE(s.has("a"));
+
+    // Two counter() calls with one name alias.
+    const Stats::Counter a2 = s.counter("a");
+    s.add(a2);
+    EXPECT_EQ(s.get(a), 3u);
+
+    // Delta 0 touches; declared-but-untouched counters stay hidden.
+    const Stats::Counter zero = s.counter("zero");
+    (void)s.counter("declared");
+    s.add(zero, 0);
+    const auto snap = s.snapshot();
+    EXPECT_EQ(snap.count("zero"), 1u);
+    EXPECT_EQ(snap.at("zero"), 0u);
+    EXPECT_EQ(snap.count("declared"), 0u);
+    EXPECT_FALSE(s.has("declared"));
+    EXPECT_EQ(snap.count("b"), 0u); // cleared and not re-touched
+
+    // ScopedStats prefixes names into the shared registry.
+    ScopedStats scoped(s, "task");
+    const Stats::Counter t = scoped.counter("runs");
+    s.add(t, 4);
+    EXPECT_EQ(s.get("task.runs"), 4u);
+    EXPECT_EQ(scoped.counter("runs").index, t.index);
+    EXPECT_EQ(s.snapshot().count("task.runs"), 1u);
 }
