@@ -28,25 +28,18 @@ PageAllocator::PageAllocator(PhysicalMemory &pm, unsigned zones)
         z.base = per_zone * zi;
         z.frames = per_zone;
         z.free.resize(kMaxOrder + 1);
-        // Seed the free lists with max-order blocks.  Frame 0 stays
-        // reserved (null); the first max-order block of zone 0 is
-        // donated frame-by-frame minus frame 0 -- simpler: skip the
-        // whole first block of zone 0 and mark it reserved.
-        Pfn start = z.base;
+        // Frame 0 stays reserved so Pa 0 can serve as null; the whole
+        // first max-order block of zone 0 is reserved with it.  Every
+        // other full max-order block starts above the mark, free but
+        // never written (see Zone).
+        z.untouched = z.base;
         if (zi == 0) {
             for (Pfn p = 0; p < (1ull << kMaxOrder); ++p)
                 pm_.page(p).set(PG_reserved);
-            start += 1ull << kMaxOrder;
+            z.untouched += 1ull << kMaxOrder;
         }
-        const Pfn end = z.base + z.frames;
-        for (Pfn p = start; p + (1ull << kMaxOrder) <= end;
-             p += 1ull << kMaxOrder) {
-            z.free[kMaxOrder].insert(p);
-            z.freeFrames += 1ull << kMaxOrder;
-            Page &pg = pm_.page(p);
-            pg.order = kMaxOrder;
-            pg.flags |= kBuddyFree;
-        }
+        const Pfn blocks = (z.base + z.frames - z.untouched) >> kMaxOrder;
+        z.freeFrames = blocks << kMaxOrder;
     }
 }
 
@@ -74,12 +67,20 @@ PageAllocator::allocFromZone(Zone &z, unsigned order, bool zero)
     unsigned o = order;
     while (o <= kMaxOrder && z.free[o].empty())
         ++o;
-    if (o > kMaxOrder)
-        return kInvalidPfn;
-
-    const Pfn pfn = *z.free[o].begin();
-    z.free[o].erase(z.free[o].begin());
-    pm_.page(pfn).flags &= ~kBuddyFree;
+    Pfn pfn;
+    if (o <= kMaxOrder) {
+        pfn = *z.free[o].begin();
+        z.free[o].erase(z.free[o].begin());
+        pm_.page(pfn).flags &= ~kBuddyFree;
+    } else {
+        // Every free list is empty, so the block at the mark is the
+        // lowest free max-order block: carve it.
+        if (z.untouched + (1ull << kMaxOrder) > z.base + z.frames)
+            return kInvalidPfn;
+        pfn = z.untouched;
+        z.untouched += 1ull << kMaxOrder;
+        o = kMaxOrder;
+    }
 
     // Split down to the requested order, returning the upper halves
     // to the free lists.

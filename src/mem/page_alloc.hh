@@ -68,6 +68,15 @@ class PageAllocator
     PhysicalMemory &phys() { return pm_; }
 
   private:
+    /**
+     * One NUMA zone.  Max-order blocks at or above the high-water mark
+     * `untouched` are free and have never been handed out: they are in
+     * no free list and their Page structs are still all-zero, so a
+     * zone costs nothing to build.  Invariant: every entry of
+     * free[kMaxOrder] lies below `untouched`, so the lowest free
+     * max-order block is free[kMaxOrder].begin() when that list is
+     * non-empty and the block at the mark otherwise.
+     */
     struct Zone
     {
         Pfn base;
@@ -76,6 +85,7 @@ class PageAllocator
         // deterministic and allow O(log n) removal of a specific buddy.
         std::vector<std::set<Pfn>> free;
         std::uint64_t freeFrames = 0;
+        Pfn untouched = 0; //!< first never-allocated max-order block
     };
 
     Pfn allocFromZone(Zone &z, unsigned order, bool zero);

@@ -8,13 +8,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
+#include <set>
+#include <utility>
 
 #include "mem/kmalloc.hh"
 #include "mem/page_frag.hh"
 #include "sim/context.hh"
 #include "sim/cpu_cursor.hh"
+#include "sim/rng.hh"
 
 using namespace damn;
 using namespace damn::mem;
@@ -120,13 +124,17 @@ TEST(PhysicalMemory, MemmapIsLazy)
     GTEST_SKIP() << "sanitizer shadow memory skews the resident set";
 #endif
     // An eager 4 GiB memmap is ~48 MiB (1 M Page structs + 1 M frame
-    // pointers); only the entries the buddy allocator seeds may fault in.
+    // pointers), and eagerly seeding the buddy free lists would write
+    // one head Page per max-order block (~4 MiB).  Only zone 0's
+    // reserved block may fault in: 1024 Page structs, 40 KiB.
     const std::uint64_t before = residentBytes();
     PhysicalMemory pm(4 * kGiB);
     PageAllocator pa(pm, 2);
     const std::uint64_t grown = residentBytes() - before;
-    EXPECT_LT(grown, 8 * kMiB);
+    EXPECT_LT(grown, 1 * kMiB);
     EXPECT_EQ(pm.backedFrames(), 0u);
+    EXPECT_EQ(pa.freeFrames(),
+              pm.numFrames() - (1ull << PageAllocator::kMaxOrder));
 }
 
 TEST(PhysicalMemory, UntouchedPagesAreDefault)
@@ -265,12 +273,13 @@ TEST_F(MemFixture, FallsBackToRemoteNode)
 
 TEST_F(MemFixture, ExhaustionReturnsInvalid)
 {
-    std::vector<Pfn> hog;
+    const std::uint64_t start = pa.freeFrames();
+    std::vector<std::pair<Pfn, unsigned>> hog;
     for (;;) {
         const Pfn p = pa.allocPages(PageAllocator::kMaxOrder, 0);
         if (p == kInvalidPfn)
             break;
-        hog.push_back(p);
+        hog.emplace_back(p, PageAllocator::kMaxOrder);
     }
     // Smaller blocks may still exist (the reserved split), but after
     // draining order-0 too the allocator must fail cleanly.
@@ -278,12 +287,182 @@ TEST_F(MemFixture, ExhaustionReturnsInvalid)
         const Pfn p = pa.allocPages(0, 0);
         if (p == kInvalidPfn)
             break;
-        hog.push_back(p); // order recorded below via page order
+        hog.emplace_back(p, 0);
     }
     EXPECT_EQ(pa.allocPages(0, 0), kInvalidPfn);
     EXPECT_EQ(pa.freeFrames(), 0u);
-    // Cleanup: we cannot distinguish orders here; rebuild fixture
-    // implicitly by leaking into the fixture-local allocator.
+
+    // Every block goes back, the carved ones coalescing to max order.
+    for (const auto &[pfn, order] : hog)
+        pa.freePages(pfn, order);
+    EXPECT_EQ(pa.freeFrames(), start);
+    const Pfn big = pa.allocPages(PageAllocator::kMaxOrder, 0);
+    EXPECT_NE(big, kInvalidPfn);
+    pa.freePages(big, PageAllocator::kMaxOrder);
+}
+
+namespace {
+
+/**
+ * Eager buddy reference: every max-order block starts on the free
+ * list, the lowest pfn of the smallest fitting order is taken first,
+ * and a freed block coalesces with any free buddy of its order.
+ */
+class EagerBuddy
+{
+  public:
+    static constexpr unsigned kMax = PageAllocator::kMaxOrder;
+
+    EagerBuddy(Pfn frames, unsigned zones) : perZone_(frames / zones)
+    {
+        zones_.resize(zones);
+        for (unsigned zi = 0; zi < zones; ++zi) {
+            Zone &z = zones_[zi];
+            z.base = perZone_ * zi;
+            const Pfn start = z.base + (zi == 0 ? 1ull << kMax : 0);
+            for (Pfn p = start; p + (1ull << kMax) <= z.base + perZone_;
+                 p += 1ull << kMax) {
+                z.free[kMax].insert(p);
+                z.freeFrames += 1ull << kMax;
+            }
+        }
+    }
+
+    Pfn
+    alloc(unsigned order, unsigned node)
+    {
+        for (unsigned i = 0; i < zones_.size(); ++i) {
+            Zone &z = zones_[(node + i) % zones_.size()];
+            unsigned o = order;
+            while (o <= kMax && z.free[o].empty())
+                ++o;
+            if (o > kMax)
+                continue;
+            const Pfn pfn = *z.free[o].begin();
+            z.free[o].erase(z.free[o].begin());
+            while (o > order) {
+                --o;
+                z.free[o].insert(pfn + (1ull << o));
+            }
+            z.freeFrames -= 1ull << order;
+            allocated_ += 1ull << order;
+            return pfn;
+        }
+        return kInvalidPfn;
+    }
+
+    void
+    free(Pfn pfn, unsigned order)
+    {
+        Zone &z = zones_[pfn / perZone_];
+        z.freeFrames += 1ull << order;
+        allocated_ -= 1ull << order;
+        while (order < kMax) {
+            const Pfn buddy = pfn ^ (1ull << order);
+            if (buddy < z.base ||
+                buddy + (1ull << order) > z.base + perZone_ ||
+                !z.free[order].erase(buddy))
+                break;
+            pfn = std::min(pfn, buddy);
+            ++order;
+        }
+        z.free[order].insert(pfn);
+    }
+
+    std::uint64_t freeFramesInZone(unsigned zi) const
+    {
+        return zones_[zi].freeFrames;
+    }
+    std::uint64_t allocatedFrames() const { return allocated_; }
+
+  private:
+    struct Zone
+    {
+        Pfn base = 0;
+        std::set<Pfn> free[kMax + 1];
+        std::uint64_t freeFrames = 0;
+    };
+
+    Pfn perZone_;
+    std::vector<Zone> zones_;
+    std::uint64_t allocated_ = 0;
+};
+
+} // namespace
+
+TEST(PageAllocator, LazySeedingMatchesEagerReference)
+{
+    constexpr unsigned kMax = PageAllocator::kMaxOrder;
+    PhysicalMemory pm(4 * kGiB);
+    PageAllocator pa(pm, 2);
+    EagerBuddy ref(pm.numFrames(), 2);
+    sim::Rng rng(0x1a2b);
+    std::vector<std::pair<Pfn, unsigned>> live;
+    unsigned fallbacks = 0;
+
+    auto check = [&](const char *what, std::size_t step) {
+        SCOPED_TRACE(testing::Message() << what << " step " << step);
+        ASSERT_EQ(pa.allocatedFrames(), ref.allocatedFrames());
+        ASSERT_EQ(pa.freeFramesInZone(0), ref.freeFramesInZone(0));
+        ASSERT_EQ(pa.freeFramesInZone(1), ref.freeFramesInZone(1));
+    };
+    auto alloc = [&](unsigned order, unsigned node) {
+        const Pfn got = pa.allocPages(order, node);
+        const Pfn want = ref.alloc(order, node);
+        EXPECT_EQ(got, want) << "order " << order << " node " << node;
+        if (got == kInvalidPfn)
+            return got;
+        if (pa.nodeOf(got) != node)
+            ++fallbacks;
+        live.emplace_back(got, order);
+        return got;
+    };
+    auto freeRandom = [&] {
+        const std::size_t i = rng.below(live.size());
+        const auto [pfn, order] = live[i];
+        live[i] = live.back();
+        live.pop_back();
+        pa.freePages(pfn, order);
+        ref.free(pfn, order);
+    };
+
+    // 1: a mixed churn of every order on both nodes.
+    for (std::size_t step = 0; step < 6000; ++step) {
+        if (live.empty() || rng.chance(0.6))
+            alloc(unsigned(rng.below(kMax + 1)), unsigned(rng.below(2)));
+        else
+            freeRandom();
+        check("churn", step);
+        if (HasFailure())
+            return;
+    }
+    // 2: free everything, so every carved block coalesces back to max
+    // order on free[kMaxOrder], below the zones' never-touched blocks.
+    for (std::size_t step = 0; !live.empty(); ++step) {
+        freeRandom();
+        check("drain", step);
+        if (HasFailure())
+            return;
+    }
+    ASSERT_EQ(pa.freeFrames(), pm.numFrames() - (1ull << kMax));
+    // 3: run node 0 to exhaustion, mostly in large blocks: freed
+    // max-order blocks must come before never-touched ones, and node 0
+    // must fall back to node 1 once its zone is drained.
+    for (std::size_t step = 0;; ++step) {
+        if (!live.empty() && rng.chance(0.1)) {
+            freeRandom();
+        } else {
+            const unsigned order = rng.chance(0.5)
+                ? kMax : unsigned(rng.below(kMax + 1));
+            if (alloc(order, 0) == kInvalidPfn && alloc(0, 0) == kInvalidPfn)
+                break;
+        }
+        check("exhaust", step);
+        if (HasFailure())
+            return;
+    }
+    EXPECT_EQ(pa.freeFrames(), 0u);
+    EXPECT_GT(fallbacks, 0u);
 }
 
 TEST_F(MemFixture, AllocatedFramesAccounting)
