@@ -59,12 +59,18 @@ Auditor::ledgerPages(iommu::DomainId d) const
 std::uint64_t
 Auditor::staleTlbEntries(iommu::DomainId d) const
 {
+    return countStale(d, mmu_.iotlb().validEntries(d));
+}
+
+std::uint64_t
+Auditor::countStale(iommu::DomainId d,
+                    const std::vector<iommu::TlbEntry> &tlb) const
+{
     // Cold audit path: validEntries() and the page walks below are
-    // linear scans charged no virtual time and no Tracer category —
-    // never call from a per-packet path.
+    // charged no virtual time and no Tracer category — never call
+    // from a per-packet path.
     std::uint64_t stale = 0;
-    for (const iommu::TlbEntry &e :
-         mmu_.iotlb().validEntries(d)) {
+    for (const iommu::TlbEntry &e : tlb) {
         const iommu::WalkResult w = mmu_.pageTable(d).walk(e.iovaPage);
         const std::uint64_t page_mask =
             (e.huge ? iommu::kHugePageSize : mem::kPageSize) - 1;
@@ -84,8 +90,9 @@ Auditor::verifyTeardown(iommu::DomainId d,
     r.domain = d;
     r.ledgerPages = ledgerPages(d);
     r.tablePages = mmu_.pageTable(d).mappedPages();
-    r.tlbEntries = mmu_.iotlb().validEntries(d).size();
-    r.staleTlbEntries = staleTlbEntries(d);
+    const std::vector<iommu::TlbEntry> tlb = mmu_.iotlb().validEntries(d);
+    r.tlbEntries = tlb.size();
+    r.staleTlbEntries = countStale(d, tlb);
     r.leakedIovas = outstanding_iovas;
     r.forceCleared = force_cleared;
 

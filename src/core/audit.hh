@@ -24,7 +24,7 @@
 #define DAMN_CORE_AUDIT_HH
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <string>
 #include <vector>
 
@@ -88,13 +88,25 @@ class Auditor
                                   std::uint64_t outstanding_iovas,
                                   std::uint64_t force_cleared) const;
 
-  private:
+    /**
+     * The map observer the constructor installs.  A Map replaces any
+     * entry at @p iova, an Unmap of an IOVA the ledger lacks is
+     * ignored, DetachClear empties @p d, and a domain id beyond the
+     * ledger grows it.  Public so tests can replay raw event streams.
+     */
     void onEvent(iommu::MapEvent ev, iommu::DomainId d, iommu::Iova iova,
                  unsigned pages);
 
+  private:
+    /** staleTlbEntries() over an already-taken validEntries(d). */
+    std::uint64_t countStale(iommu::DomainId d,
+                             const std::vector<iommu::TlbEntry> &tlb) const;
+
     iommu::Iommu &mmu_;
-    /** Per-domain: iova page -> pages mapped there (1 or 512). */
-    std::vector<std::map<iommu::Iova, unsigned>> ledger_;
+    /** Per-domain: iova page -> pages mapped there (1 or 512).  Only
+     *  point lookups and clear() touch it, never an ordered walk, so
+     *  a hash map serves. */
+    std::vector<std::unordered_map<iommu::Iova, unsigned>> ledger_;
     /** Per-domain running sum of ledger_[d]'s values, kept by onEvent. */
     std::vector<std::uint64_t> ledgerPages_;
     std::uint64_t mapEvents_ = 0;

@@ -37,6 +37,8 @@ AtsAgent::insert(Iova page, mem::Pa paPage, std::uint32_t perm)
         if (e.lastUse < victim->lastUse)
             victim = &e;
     }
+    if (!victim->valid)
+        ++live_;
     *victim = {true, page, paPage, perm, ++clock_};
     ++fills_;
 }
@@ -78,6 +80,19 @@ AtsAgent::translate(Iova iova, bool is_write)
     return r;
 }
 
+template <class Pred>
+void
+AtsAgent::dropIf(Pred pred)
+{
+    if (live_ == 0)
+        return;
+    for (Entry &e : atc_)
+        if (e.valid && pred(e)) {
+            e.valid = false;
+            --live_;
+        }
+}
+
 void
 AtsAgent::invalidateRange(Iova iova, std::uint64_t len)
 {
@@ -86,11 +101,15 @@ AtsAgent::invalidateRange(Iova iova, std::uint64_t len)
         return;
     }
     ++invalidations_;
+    // Same range rule as Iotlb::invalidateRange: the end saturates at
+    // 2^64 and an entry's inclusive last byte is compared against lo.
     const Iova lo = iova;
-    const Iova hi = iova + len;
-    for (Entry &e : atc_)
-        if (e.valid && e.page < hi && e.page + mem::kPageSize > lo)
-            e.valid = false;
+    const bool toTop = len > ~lo;
+    const Iova hi = lo + len;
+    dropIf([lo, hi, toTop](const Entry &e) {
+        return (toTop || e.page < hi) &&
+               e.page + (mem::kPageSize - 1) >= lo;
+    });
 }
 
 void
@@ -101,15 +120,13 @@ AtsAgent::invalidateAll()
         return;
     }
     ++invalidations_;
-    for (Entry &e : atc_)
-        e.valid = false;
+    dropIf([](const Entry &) { return true; });
 }
 
 void
 AtsAgent::reset()
 {
-    for (Entry &e : atc_)
-        e.valid = false;
+    dropIf([](const Entry &) { return true; });
     debugDropRemaining_ = 0;
 }
 
@@ -117,20 +134,12 @@ std::vector<Iova>
 AtsAgent::validEntries() const
 {
     std::vector<Iova> out;
+    if (live_ == 0)
+        return out;
     for (const Entry &e : atc_)
         if (e.valid)
             out.push_back(e.page);
     return out;
-}
-
-std::size_t
-AtsAgent::entries() const
-{
-    std::size_t n = 0;
-    for (const Entry &e : atc_)
-        if (e.valid)
-            ++n;
-    return n;
 }
 
 } // namespace damn::iommu

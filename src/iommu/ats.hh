@@ -58,7 +58,8 @@ class AtsAgent
 
     // ---- Hardware-side ATC maintenance (called by the backends) ----
 
-    /** Apply a device-TLB invalidation covering [iova, iova+len). */
+    /** Apply a device-TLB invalidation covering [iova, iova+len); the
+     *  end saturates at 2^64 (see Iotlb::invalidateRange). */
     void invalidateRange(Iova iova, std::uint64_t len);
 
     /** Apply a global device-TLB invalidation (the agent serves one
@@ -86,7 +87,8 @@ class AtsAgent
      *  valid — the same change signal as Iotlb::fills(). */
     std::uint64_t fills() const { return fills_; }
 
-    std::size_t entries() const;
+    /** Valid ATC entries (O(1): a running count). */
+    std::size_t entries() const { return live_; }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t invalidations() const { return invalidations_; }
@@ -110,11 +112,15 @@ class AtsAgent
 
     Entry *find(Iova page);
     void insert(Iova page, mem::Pa paPage, std::uint32_t perm);
+    /** Invalidate every valid entry @p pred accepts; returns at once
+     *  on an empty ATC. */
+    template <class Pred> void dropIf(Pred pred);
 
     sim::Context &ctx_;
     Iommu &mmu_;
     DomainId domain_;
     std::vector<Entry> atc_;
+    std::size_t live_ = 0; //!< valid entries in atc_
     sim::Stats::Counter hitsCtr_;
     sim::Stats::Counter missesCtr_;
     std::uint64_t clock_ = 0;

@@ -5,6 +5,8 @@
 
 #include "iommu/iotlb.hh"
 
+#include <algorithm>
+
 namespace damn::iommu {
 
 TlbEntry *
@@ -16,11 +18,46 @@ Iotlb::setBase(bool huge, DomainId domain, Iova page_tag)
     // rights, device fields) map the same offsets onto the same sets
     // and conflict, while densely recycled DMA-API IOVAs spread out.
     (void)domain;
-    auto &bank = huge ? bank2m_ : bank4k_;
+    const std::size_t base = huge ? base2m_ : 0;
     const unsigned sets = huge ? sets2m_ : sets4k_;
     const unsigned ways = waysOf(huge);
     const unsigned shift = huge ? 21 : 12;
-    return &bank[std::size_t((page_tag >> shift) % sets) * ways];
+    return &slots_[base + std::size_t((page_tag >> shift) % sets) * ways];
+}
+
+void
+Iotlb::markValid(TlbEntry &e)
+{
+    if (e.valid)
+        return;
+    e.valid = true;
+    const auto slot = std::uint32_t(&e - slots_.data());
+    livePos_[slot] = std::uint32_t(live_.size());
+    live_.push_back(slot);
+}
+
+void
+Iotlb::markInvalid(std::uint32_t slot)
+{
+    slots_[slot].valid = false;
+    const std::uint32_t pos = livePos_[slot];
+    const std::uint32_t moved = live_.back();
+    live_[pos] = moved;
+    livePos_[moved] = pos;
+    live_.pop_back();
+}
+
+template <class Pred>
+void
+Iotlb::dropLive(Pred pred)
+{
+    // Backwards, so the swap-remove only ever moves an entry already
+    // visited into the current position.
+    for (std::size_t i = live_.size(); i-- > 0;) {
+        const std::uint32_t slot = live_[i];
+        if (pred(slots_[slot]))
+            markInvalid(slot);
+    }
 }
 
 bool
@@ -109,7 +146,7 @@ Iotlb::insert(DomainId domain, Iova iova, const WalkResult &walk)
         if (victim->valid && e.lastUse < victim->lastUse)
             victim = &e;
     }
-    victim->valid = true;
+    markValid(*victim);
     victim->domain = domain;
     victim->iovaPage = tag;
     victim->paPage = walk.pa & ~page_mask;
@@ -127,39 +164,50 @@ Iotlb::invalidateRange(DomainId domain, Iova iova, std::uint64_t len)
         return;
     }
     ++invalidations_;
+    // [lo, hi), except that a range reaching 2^64 (toTop) saturates
+    // there instead of wrapping.  An entry overlaps when its tag is
+    // below the end and its inclusive last byte — which, unlike
+    // tag + size, cannot overflow on the top page — is at or above lo.
     const Iova lo = iova;
-    const Iova hi = iova + len;
-    const auto drop = [domain, lo, hi](TlbEntry &e) {
-        if (!e.valid || e.domain != domain)
-            return;
+    const bool toTop = len > ~lo;
+    const Iova hi = lo + len;
+    const auto covers = [domain, lo, hi, toTop](const TlbEntry &e) {
         const std::uint64_t sz = e.huge ? kHugePageSize : mem::kPageSize;
-        if (e.iovaPage < hi && e.iovaPage + sz > lo)
-            e.valid = false;
+        return e.domain == domain && (toTop || e.iovaPage < hi) &&
+               e.iovaPage + (sz - 1) >= lo;
     };
+    // Tags are page-aligned, so only pages first..first+pages-1 can
+    // overlap; consecutive pages index consecutive sets (setBase), so
+    // min(pages, sets) sets hold every candidate.  Probing them costs
+    // that many sets' ways; walking the live index costs its length.
+    // Both apply the same predicate, so the cheaper one is taken.
+    std::uint64_t pages[2];
+    std::uint64_t probes = 0;
     for (const bool huge : {false, true}) {
-        auto &bank = huge ? bank2m_ : bank4k_;
+        const unsigned shift = huge ? 21 : 12;
+        const Iova first = lo >> shift;
+        const std::uint64_t n =
+            toTop ? (~Iova(0) >> shift) - first + 1
+            : hi > (first << shift) ? ((hi - 1) >> shift) - first + 1
+                                    : 0;
+        pages[huge] = std::min<std::uint64_t>(n, huge ? sets2m_ : sets4k_);
+        probes += pages[huge] * waysOf(huge);
+    }
+    if (live_.size() <= probes) {
+        dropLive(covers);
+        return;
+    }
+    for (const bool huge : {false, true}) {
         const unsigned sets = huge ? sets2m_ : sets4k_;
         const unsigned ways = waysOf(huge);
         const unsigned shift = huge ? 21 : 12;
-        // Tags are page-aligned, so only pages first..first+pages-1 can
-        // overlap [lo, hi); consecutive pages index consecutive sets
-        // (setBase), so fewer than `sets` pages touch exactly that many
-        // sets.  A wrapped range or one spanning every set keeps the
-        // full scan — same predicate either way, so the same entries
-        // drop.
-        const Iova first = lo >> shift;
-        const std::uint64_t pages =
-            hi > (first << shift) ? ((hi - 1) >> shift) - first + 1 : 0;
-        if (hi < lo || pages >= sets) {
-            for (TlbEntry &e : bank)
-                drop(e);
-            continue;
-        }
-        std::size_t set = std::size_t(first % sets);
-        for (std::uint64_t p = 0; p < pages; ++p) {
-            TlbEntry *base = &bank[set * ways];
+        const std::size_t bank = huge ? base2m_ : 0;
+        std::size_t set = std::size_t((lo >> shift) % sets);
+        for (std::uint64_t p = 0; p < pages[huge]; ++p) {
+            const std::size_t base = bank + set * ways;
             for (unsigned w = 0; w < ways; ++w)
-                drop(base[w]);
+                if (slots_[base + w].valid && covers(slots_[base + w]))
+                    markInvalid(std::uint32_t(base + w));
             if (++set == sets)
                 set = 0;
         }
@@ -174,29 +222,28 @@ Iotlb::invalidateDomain(DomainId domain)
         return;
     }
     ++invalidations_;
-    for (auto *bank : {&bank4k_, &bank2m_})
-        for (TlbEntry &e : *bank)
-            if (e.domain == domain)
-                e.valid = false;
+    dropLive([domain](const TlbEntry &e) { return e.domain == domain; });
 }
 
 void
 Iotlb::invalidateAll()
 {
     ++invalidations_;
-    for (auto *bank : {&bank4k_, &bank2m_})
-        for (TlbEntry &e : *bank)
-            e.valid = false;
+    dropLive([](const TlbEntry &) { return true; });
 }
 
 std::vector<TlbEntry>
 Iotlb::validEntries(DomainId domain) const
 {
+    std::vector<std::uint32_t> mine;
+    for (const std::uint32_t slot : live_)
+        if (slots_[slot].domain == domain)
+            mine.push_back(slot);
+    std::sort(mine.begin(), mine.end());
     std::vector<TlbEntry> out;
-    for (const auto *bank : {&bank4k_, &bank2m_})
-        for (const TlbEntry &e : *bank)
-            if (e.valid && e.domain == domain)
-                out.push_back(e);
+    out.reserve(mine.size());
+    for (const std::uint32_t slot : mine)
+        out.push_back(slots_[slot]);
     return out;
 }
 

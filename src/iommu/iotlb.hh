@@ -24,7 +24,7 @@ using DomainId = std::uint32_t;
 /** One cached translation. */
 struct TlbEntry
 {
-    bool valid = false;
+    bool valid = false;         //!< written only by Iotlb::mark*
     DomainId domain = 0;
     Iova iovaPage = 0;          //!< page-aligned tag (4 KiB or 2 MiB)
     mem::Pa paPage = 0;
@@ -52,10 +52,13 @@ class Iotlb
           unsigned pwc_entries = 32)
         : sets4k_(sets4k), ways4k_(ways4k),
           sets2m_(sets2m), ways2m_(ways2m),
-          bank4k_(std::size_t(sets4k) * ways4k),
-          bank2m_(std::size_t(sets2m) * ways2m),
+          base2m_(std::size_t(sets4k) * ways4k),
+          slots_(base2m_ + std::size_t(sets2m) * ways2m),
+          livePos_(slots_.size()),
           pwc_(pwc_entries)
-    {}
+    {
+        live_.reserve(slots_.size());
+    }
 
     /** Look up @p iova for @p domain; returns nullptr on miss. */
     const TlbEntry *lookup(DomainId domain, Iova iova);
@@ -74,30 +77,36 @@ class Iotlb
     void insert(DomainId domain, Iova iova, const WalkResult &walk);
 
     /**
-     * Invalidate any entry covering [@p iova, @p iova + @p len).  Probes
-     * only the min(pages, sets) sets per bank the range maps to; a
+     * Invalidate any entry covering [@p iova, @p iova + @p len).  The
+     * end saturates at 2^64: a range whose end passes the top of the
+     * address space runs to it rather than wrapping to 0.  A
      * zero-length unaligned range still drops the page containing
-     * @p iova, and a range whose end wraps past 2^64 scans everything.
+     * @p iova.  Walks whichever is shorter: the live index, or the
+     * min(pages, sets) sets per bank the range maps to.
      */
     void invalidateRange(DomainId domain, Iova iova, std::uint64_t len);
 
-    /** Invalidate everything belonging to @p domain. */
+    /** Invalidate everything belonging to @p domain (walks the live
+     *  index only). */
     void invalidateDomain(DomainId domain);
 
-    /** Invalidate the whole IOTLB (global flush). */
+    /** Invalidate the whole IOTLB (global flush; walks the live index
+     *  only). */
     void invalidateAll();
 
     /**
-     * Snapshot of every valid entry cached for @p domain (both banks).
+     * Snapshot of every valid entry cached for @p domain, in bank
+     * order: the 4 KiB bank, then the 2 MiB bank, each by slot.
      *
      * COLD PATH ONLY: audit/teardown and oracle use, never per-packet.
-     * It scans both banks linearly, allocates the result vector,
-     * charges no virtual time and no sim::Tracer category, and — being
-     * const — cannot perturb the hot-path state (hit/miss counters,
-     * LRU clock, entry stamps), so calling it mid-run never changes
-     * simulated output.  After a domain invalidation this must be
-     * empty; anything else is a stale translation keeping freed memory
-     * device-reachable.
+     * It walks the live index (so its cost follows what is cached, not
+     * the capacity), sorts the matches back into bank order, allocates
+     * the result vector, charges no virtual time and no sim::Tracer
+     * category, and — being const — cannot perturb the hot-path state
+     * (hit/miss counters, LRU clock, entry stamps), so calling it
+     * mid-run never changes simulated output.  After a domain
+     * invalidation this must be empty; anything else is a stale
+     * translation keeping freed memory device-reachable.
      *
      * The fuzz stale-translation oracle calls it only after a change:
      * when fills() moved or the domain's must-not-translate set grew
@@ -150,6 +159,12 @@ class Iotlb
     TlbEntry *setBase(bool huge, DomainId domain, Iova page_tag);
     unsigned waysOf(bool huge) const { return huge ? ways2m_ : ways4k_; }
 
+    /** The only writers of TlbEntry::valid: they keep live_ exact. */
+    void markValid(TlbEntry &e);
+    void markInvalid(std::uint32_t slot);
+    /** Invalidate every live entry @p pred accepts. */
+    template <class Pred> void dropLive(Pred pred);
+
     /** Page-walk cache: fully associative LRU of 2 MiB region tags. */
     struct PwcEntry
     {
@@ -160,8 +175,14 @@ class Iotlb
     };
 
     unsigned sets4k_, ways4k_, sets2m_, ways2m_;
-    std::vector<TlbEntry> bank4k_;
-    std::vector<TlbEntry> bank2m_;
+    /** Both banks in one array, 4 KiB bank first (slots
+     *  [0, base2m_)), so slot order is bank order. */
+    std::size_t base2m_;
+    std::vector<TlbEntry> slots_;
+    /** Dense index of the valid slots, unordered (swap-remove), and
+     *  each valid slot's position in it. */
+    std::vector<std::uint32_t> live_;
+    std::vector<std::uint32_t> livePos_;
     std::vector<PwcEntry> pwc_;
     std::uint64_t clock_ = 0;
     unsigned debugDropRemaining_ = 0; //!< test-only; see above

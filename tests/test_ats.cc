@@ -154,6 +154,45 @@ TEST_P(AtsConformance, DroppedAtsInvalidationLeavesStaleAtc)
     EXPECT_EQ(ats.entries(), 0u);
 }
 
+TEST_P(AtsConformance, AtcRangeEndSaturatesAtTopOfAddressSpace)
+{
+    // Same regressions as the IOTLB's: no range could drop the top
+    // page (page + 4 KiB overflowed to 0), and a range wrapping past
+    // 2^64 dropped nothing.  The 48-bit page table aliases the top
+    // IOVA, which is enough to fill an ATC entry there.
+    const DomainId d = mmu.createDomain();
+    AtsAgent ats(ctx, mmu, d);
+    const Iova top = 0ull - mem::kPageSize;
+    ASSERT_TRUE(mmu.mapPage(d, top, 0x9000, PermRW));
+    ASSERT_TRUE(mmu.mapPage(d, 0x1000, 0xa000, PermRW));
+    ASSERT_TRUE(ats.translate(0x1000, true).ok);
+
+    ASSERT_TRUE(ats.translate(top, true).ok);
+    ats.invalidateRange(top + 0x10, 0x20);
+    EXPECT_EQ(ats.validEntries(), std::vector<Iova>{0x1000});
+
+    ASSERT_TRUE(ats.translate(top, true).ok);
+    ats.invalidateRange(top - 0x800, 0x4000); // wraps past 2^64
+    EXPECT_EQ(ats.validEntries(), std::vector<Iova>{0x1000});
+}
+
+TEST_P(AtsConformance, EmptyAtcStillCountsInvalidations)
+{
+    // An empty ATC skips its scans, but an invalidation message is
+    // still counted — or consumed by the planted drop.
+    const DomainId d = mmu.createDomain();
+    AtsAgent ats(ctx, mmu, d);
+    ats.invalidateRange(0x5000, 4096);
+    ats.invalidateAll();
+    EXPECT_EQ(ats.invalidations(), 2u);
+    ats.debugDropInvalidations(1);
+    ats.invalidateAll();
+    EXPECT_EQ(ats.invalidations(), 2u);
+    ats.reset();
+    EXPECT_EQ(ats.entries(), 0u);
+    EXPECT_TRUE(ats.validEntries().empty());
+}
+
 TEST_P(AtsConformance, FaultServiceResumeOrdering)
 {
     SvaDomain sva(ctx, mmu, alloc);

@@ -253,20 +253,27 @@ entryKeys(const std::vector<TlbEntry> &v)
     return out;
 }
 
+/** invalidateRange's coverage rule: [iova, iova+len) with its end
+ *  saturated at 2^64, compared against the entry's inclusive last
+ *  byte.  Computed in 128 bits so neither end can overflow. */
+bool
+rangeCovers(const TlbEntry &e, Iova iova, std::uint64_t len)
+{
+    using u128 = unsigned __int128;
+    const u128 sz = e.huge ? kHugePageSize : mem::kPageSize;
+    return e.iovaPage < u128(iova) + len && e.iovaPage + sz > iova;
+}
+
 /** Full-scan reference for invalidateRange: the entries of @p before
  *  that no byte of [iova, iova+len) touches, in the same order. */
 std::vector<TlbEntry>
 referenceSurvivors(const std::vector<TlbEntry> &before, Iova iova,
                    std::uint64_t len)
 {
-    const Iova lo = iova;
-    const Iova hi = iova + len;
     std::vector<TlbEntry> out;
-    for (const TlbEntry &e : before) {
-        const std::uint64_t sz = e.huge ? kHugePageSize : mem::kPageSize;
-        if (!(e.iovaPage < hi && e.iovaPage + sz > lo))
+    for (const TlbEntry &e : before)
+        if (!rangeCovers(e, iova, len))
             out.push_back(e);
-    }
     return out;
 }
 
@@ -346,6 +353,257 @@ TEST(Iotlb, SetProbedInvalidationMatchesFullScan)
             ASSERT_EQ(entryKeys(tlb.validEntries(1 - d)),
                       entryKeys(before1))
                 << "other domain touched in round " << round;
+        }
+    }
+}
+
+TEST(Iotlb, RangeEndSaturatesAtTopOfAddressSpace)
+{
+    // Regressions: tag + size overflowed to 0 on the last page, so no
+    // range could drop it, and a range whose end wrapped past 2^64
+    // dropped nothing in [iova, 2^64).  64 low fills keep the live
+    // index longer than a one-page probe, so both walks are covered.
+    const Iova top4k = 0ull - mem::kPageSize;
+    const Iova top2m = 0ull - kHugePageSize;
+    Iotlb tlb;
+    for (Iova p = 0; p < 64; ++p)
+        tlb.insert(0, p * mem::kPageSize, walkOf(0x1000, PermRW));
+    const auto has = [&tlb](Iova iova) {
+        for (const TlbEntry &e : tlb.validEntries(0))
+            if (e.iovaPage == iova)
+                return true;
+        return false;
+    };
+
+    // A range inside the top page, not reaching its end.
+    tlb.insert(0, top4k, walkOf(0x9000, PermRW));
+    tlb.invalidateRange(0, top4k + 0x10, 0x20);
+    EXPECT_FALSE(has(top4k));
+    // Zero-length, unaligned, on the top page.
+    tlb.insert(0, top4k, walkOf(0x9000, PermRW));
+    tlb.invalidateRange(0, top4k + 0x123, 0);
+    EXPECT_FALSE(has(top4k));
+    // A range ending exactly at 2^64 (iova + len == 0).
+    tlb.insert(0, top4k, walkOf(0x9000, PermRW));
+    tlb.invalidateRange(0, top4k, mem::kPageSize);
+    EXPECT_FALSE(has(top4k));
+    // A range wrapping past 2^64 drops the top 4 KiB and 2 MiB pages,
+    // but saturates: the low pages it would wrap onto survive.
+    tlb.insert(0, top4k, walkOf(0x9000, PermRW));
+    tlb.insert(0, top2m, walkOf(0x200000, PermRW, true));
+    tlb.invalidateRange(0, top4k + 0x800, 0x4000);
+    EXPECT_FALSE(has(top4k));
+    EXPECT_FALSE(has(top2m));
+    EXPECT_EQ(tlb.validEntries(0).size(), 64u);
+}
+
+namespace {
+
+/**
+ * The IOTLB as a plain full scan of both banks: the behaviour the
+ * live-index implementation must reproduce entry for entry, stamp for
+ * stamp and counter for counter.
+ */
+class ReferenceIotlb
+{
+  public:
+    ReferenceIotlb(unsigned sets4k, unsigned ways4k, unsigned sets2m,
+                   unsigned ways2m)
+        : sets_{sets4k, sets2m}, ways_{ways4k, ways2m},
+          bank_{std::vector<TlbEntry>(std::size_t(sets4k) * ways4k),
+                std::vector<TlbEntry>(std::size_t(sets2m) * ways2m)}
+    {}
+
+    const TlbEntry *
+    lookup(DomainId d, Iova iova)
+    {
+        for (const bool huge : {true, false}) {
+            const Iova tag = iova & ~(pageSize(huge) - 1);
+            TlbEntry *set = setOf(huge, tag);
+            for (unsigned w = 0; w < ways_[huge]; ++w)
+                if (set[w].valid && set[w].domain == d &&
+                    set[w].iovaPage == tag && set[w].huge == huge) {
+                    set[w].lastUse = ++clock_;
+                    ++hits;
+                    return &set[w];
+                }
+        }
+        ++misses;
+        return nullptr;
+    }
+
+    void
+    insert(DomainId d, Iova iova, const WalkResult &w)
+    {
+        const Iova tag = iova & ~(pageSize(w.huge) - 1);
+        TlbEntry *set = setOf(w.huge, tag);
+        TlbEntry *victim = &set[0];
+        for (unsigned i = 0; i < ways_[w.huge]; ++i) {
+            TlbEntry &e = set[i];
+            if (e.valid && e.domain == d && e.iovaPage == tag &&
+                e.huge == w.huge) {
+                victim = &e;
+                break;
+            }
+            if (!e.valid)
+                victim = &e;
+            else if (victim->valid && e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        *victim = {true, d, tag, w.pa & ~(pageSize(w.huge) - 1), w.perm,
+                   w.huge, ++clock_};
+        ++fills;
+    }
+
+    void
+    invalidateRange(DomainId d, Iova iova, std::uint64_t len)
+    {
+        if (consumeDrop())
+            return;
+        dropIf([&](const TlbEntry &e) {
+            return e.domain == d && rangeCovers(e, iova, len);
+        });
+    }
+
+    void
+    invalidateDomain(DomainId d)
+    {
+        if (consumeDrop())
+            return;
+        dropIf([d](const TlbEntry &e) { return e.domain == d; });
+    }
+
+    void
+    invalidateAll()
+    {
+        dropIf([](const TlbEntry &) { return true; });
+    }
+
+    std::vector<TlbEntry>
+    validEntries(DomainId d) const
+    {
+        std::vector<TlbEntry> out;
+        for (const auto &bank : bank_)
+            for (const TlbEntry &e : bank)
+                if (e.valid && e.domain == d)
+                    out.push_back(e);
+        return out;
+    }
+
+    unsigned dropRemaining = 0;
+    std::uint64_t hits = 0, misses = 0, fills = 0, invalidations = 0;
+
+  private:
+    static std::uint64_t
+    pageSize(bool huge)
+    {
+        return huge ? kHugePageSize : mem::kPageSize;
+    }
+
+    TlbEntry *
+    setOf(bool huge, Iova tag)
+    {
+        const unsigned shift = huge ? 21 : 12;
+        return &bank_[huge][std::size_t((tag >> shift) % sets_[huge]) *
+                            ways_[huge]];
+    }
+
+    bool
+    consumeDrop()
+    {
+        if (dropRemaining > 0) {
+            --dropRemaining;
+            return true;
+        }
+        return false;
+    }
+
+    template <class Pred>
+    void
+    dropIf(Pred pred)
+    {
+        ++invalidations;
+        for (auto &bank : bank_)
+            for (TlbEntry &e : bank)
+                if (e.valid && pred(e))
+                    e.valid = false;
+    }
+
+    unsigned sets_[2], ways_[2];
+    std::vector<TlbEntry> bank_[2];
+    std::uint64_t clock_ = 0;
+};
+
+} // namespace
+
+TEST(Iotlb, LiveIndexMatchesFullScanReference)
+{
+    const Iova bases[] = {0, 0x4000'0000'0000ull, 0ull - (16ull << 20)};
+    const Geometry geoms[] = {
+        {"vtd", 256, 4, 32, 4},
+        {"smmuv3", 128, 4, 16, 4},
+        {"one-set", 1, 4, 1, 2},
+    };
+    constexpr DomainId kDomains = 3;
+    for (const Geometry &g : geoms) {
+        SCOPED_TRACE(g.name);
+        Iotlb tlb(g.sets4k, g.ways4k, g.sets2m, g.ways2m);
+        ReferenceIotlb ref(g.sets4k, g.ways4k, g.sets2m, g.ways2m);
+        sim::Rng rng(0x1d3 + g.sets4k);
+        const auto randomIova = [&] {
+            const Iova base = bases[rng.below(3)];
+            return rng.chance(0.2)
+                       ? base + rng.below(8) * kHugePageSize
+                       : base + rng.below(4096) * mem::kPageSize +
+                             rng.below(mem::kPageSize);
+        };
+        for (unsigned op = 0; op < 20000; ++op) {
+            const DomainId d = DomainId(rng.below(kDomains));
+            const unsigned kind = unsigned(rng.below(100));
+            if (kind < 45) {
+                const bool huge = rng.chance(0.25);
+                const Iova iova = randomIova();
+                const WalkResult w =
+                    walkOf(rng.next() & ~0xfffull, PermRW, huge);
+                tlb.insert(d, iova, w);
+                ref.insert(d, iova, w);
+            } else if (kind < 75) {
+                const Iova iova = randomIova();
+                const TlbEntry *got = tlb.lookup(d, iova);
+                const TlbEntry *want = ref.lookup(d, iova);
+                ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+                if (got != nullptr) {
+                    ASSERT_EQ(entryKeys({*got}), entryKeys({*want}))
+                        << "op " << op;
+                }
+            } else if (kind < 90) {
+                const Iova iova = randomIova();
+                const std::uint64_t len =
+                    rng.chance(0.1) ? (0 - iova) + rng.below(1ull << 22)
+                    : rng.chance(0.2)
+                        ? rng.below(std::uint64_t(g.sets4k + 4) << 12)
+                        : rng.below(8 * mem::kPageSize);
+                tlb.invalidateRange(d, iova, len);
+                ref.invalidateRange(d, iova, len);
+            } else if (kind < 96) {
+                tlb.invalidateDomain(d);
+                ref.invalidateDomain(d);
+            } else if (kind < 98) {
+                tlb.invalidateAll();
+                ref.invalidateAll();
+            } else {
+                const unsigned n = unsigned(rng.below(3));
+                tlb.debugDropInvalidations(n);
+                ref.dropRemaining = n;
+            }
+            for (DomainId k = 0; k < kDomains; ++k)
+                ASSERT_EQ(entryKeys(tlb.validEntries(k)),
+                          entryKeys(ref.validEntries(k)))
+                    << "op " << op << " domain " << k;
+            ASSERT_EQ(tlb.hits(), ref.hits);
+            ASSERT_EQ(tlb.misses(), ref.misses);
+            ASSERT_EQ(tlb.fills(), ref.fills);
+            ASSERT_EQ(tlb.invalidations(), ref.invalidations);
         }
     }
 }

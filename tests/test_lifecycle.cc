@@ -14,6 +14,7 @@
 #include "core/audit.hh"
 #include "net/stream.hh"
 #include "nvme/nvme.hh"
+#include "sim/rng.hh"
 #include "workloads/netperf.hh"
 
 using namespace damn;
@@ -352,6 +353,46 @@ TEST_F(IommuLifecycle, AuditorLedgerRunningCountMatchesLedgerSum)
     ledger.clear();
     check("detach (DetachClear)");
     EXPECT_EQ(auditor.ledgerPages(other), 1u);
+}
+
+// The hashed ledger against a std::map reference, over raw observer
+// events the Iommu itself never emits: re-maps of a live IOVA, unmaps
+// of absent ones, and domain ids past the ledger's end.
+TEST_F(IommuLifecycle, AuditorLedgerMatchesOrderedMapReference)
+{
+    audit::Auditor auditor(mmu);
+    constexpr iommu::DomainId kDomains = 6; // mmu has none: all grow
+    std::vector<std::map<iommu::Iova, unsigned>> ref(kDomains);
+    sim::Rng rng(0x1ed9e7);
+    std::uint64_t maps = 0, unmaps = 0;
+    for (unsigned op = 0; op < 20000; ++op) {
+        const iommu::DomainId d = iommu::DomainId(rng.below(kDomains));
+        const iommu::Iova iova = rng.below(256) * mem::kPageSize;
+        const unsigned kind = unsigned(rng.below(100));
+        if (kind < 55) {
+            const unsigned pages = rng.chance(0.2) ? 512 : 1;
+            auditor.onEvent(iommu::MapEvent::Map, d, iova, pages);
+            ref[d][iova] = pages;
+            ++maps;
+        } else if (kind < 99) {
+            auditor.onEvent(iommu::MapEvent::Unmap, d, iova, 1);
+            ref[d].erase(iova);
+            ++unmaps;
+        } else {
+            auditor.onEvent(iommu::MapEvent::DetachClear, d, 0, 0);
+            ref[d].clear();
+        }
+        for (iommu::DomainId k = 0; k <= kDomains; ++k) {
+            std::uint64_t sum = 0;
+            if (k < kDomains)
+                for (const auto &[page, n] : ref[k])
+                    sum += n;
+            ASSERT_EQ(auditor.ledgerPages(k), sum)
+                << "op " << op << " domain " << k;
+        }
+    }
+    EXPECT_EQ(auditor.mapEvents(), maps);
+    EXPECT_EQ(auditor.unmapEvents(), unmaps);
 }
 
 TEST_F(IommuLifecycle, AuditorFlagsStaleTlbEntries)
