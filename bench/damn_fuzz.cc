@@ -17,17 +17,17 @@
  * replay's fresh verdict diverged from the recorded one.
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fuzz/corpus.hh"
 #include "fuzz/harness.hh"
 #include "fuzz/shrink.hh"
+#include "sim/parallel.hh"
 
 using namespace damn;
 
@@ -61,14 +61,24 @@ usage(const char *argv0)
         argv0);
 }
 
+/** A decimal uint64; rejects signs, junk and overflow. */
 bool
 parseU64Arg(const char *s, std::uint64_t *out)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s, &end, 10);
-    if (end == s || *end != '\0')
+    const char *end = s + std::strlen(s);
+    const auto res = std::from_chars(s, end, *out);
+    return s != end && res.ec == std::errc() && res.ptr == end;
+}
+
+/** A positive count that fits the unsigned it is stored in. */
+bool
+parseCountArg(const char *s, unsigned *out)
+{
+    std::uint64_t v = 0;
+    if (!parseU64Arg(s, &v) || v == 0 ||
+        v > std::numeric_limits<unsigned>::max())
         return false;
-    *out = v;
+    *out = unsigned(v);
     return true;
 }
 
@@ -82,18 +92,15 @@ parseArgs(int argc, char **argv, Options *opt)
             return arg.compare(0, n, pfx) == 0 ? arg.c_str() + n
                                                : nullptr;
         };
-        std::uint64_t u = 0;
         if (const char *v = val("--ops=")) {
-            if (!parseU64Arg(v, &u) || u == 0)
+            if (!parseCountArg(v, &opt->ops))
                 return false;
-            opt->ops = unsigned(u);
         } else if (const char *v2 = val("--seed=")) {
             if (!parseU64Arg(v2, &opt->seed))
                 return false;
         } else if (const char *v3 = val("--jobs=")) {
-            if (!parseU64Arg(v3, &u) || u == 0)
+            if (!parseCountArg(v3, &opt->jobs))
                 return false;
-            opt->jobs = unsigned(u);
         } else if (const char *v4 = val("--scheme=")) {
             if (std::string(v4) == "all") {
                 opt->schemes = fuzz::fuzzSchemes();
@@ -290,32 +297,9 @@ main(int argc, char **argv)
             cells.push_back({s, b});
 
     std::vector<CellReport> reports(cells.size());
-    std::size_t next = 0;
-    std::mutex mu;
-    const auto worker = [&] {
-        for (;;) {
-            std::size_t idx;
-            {
-                std::lock_guard<std::mutex> lk(mu);
-                if (next >= cells.size())
-                    return;
-                idx = next++;
-            }
-            reports[idx] =
-                runCell(opt, cells[idx].scheme, cells[idx].backend);
-        }
-    };
-    const unsigned nThreads =
-        unsigned(std::min<std::size_t>(opt.jobs, cells.size()));
-    if (nThreads <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        for (unsigned i = 0; i < nThreads; ++i)
-            pool.emplace_back(worker);
-        for (std::thread &th : pool)
-            th.join();
-    }
+    sim::parallelFor(cells.size(), opt.jobs, [&](std::size_t i) {
+        reports[i] = runCell(opt, cells[i].scheme, cells[i].backend);
+    });
 
     bool anyViolation = false;
     for (const CellReport &rep : reports) {

@@ -11,6 +11,8 @@
 #     catch what the IOTLB oracle cannot see, shrunk to <= 12 ops.
 #  4. Regression corpus: every committed tests/corpus/*.dfz replays to
 #     its recorded verdict.
+#  5. Usage errors: zero or out-of-range counts exit 2 instead of being
+#     truncated to a vacuous run.
 #
 # Invoked as:
 #   cmake -DFUZZ=<damn_fuzz> -DOUT=<dir> -DCORPUS=<tests/corpus> \
@@ -143,5 +145,18 @@ foreach(f ${corpus_files})
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR
                 "corpus replay diverged for ${f} (exit ${rc})")
+    endif()
+endforeach()
+
+# ---- 5. out-of-range counts are usage errors ------------------------
+
+foreach(arg --ops=0 --ops=4294967296 --jobs=0 --jobs=4294967296
+        --ops=18446744073709551616 --seed=18446744073709551616)
+    execute_process(
+        COMMAND ${FUZZ} ${arg}
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET ERROR_QUIET)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR "damn_fuzz ${arg}: exit ${rc}, want 2 (usage)")
     endif()
 endforeach()

@@ -5,13 +5,13 @@
 
 #include "exp/driver.hh"
 
-#include <atomic>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
-#include <exception>
-#include <stdexcept>
+#include <limits>
 #include <thread>
+
+#include "sim/parallel.hh"
 
 namespace damn::exp {
 
@@ -33,11 +33,6 @@ const char kUsage[] =
     "  --jobs=N           run (experiment, rep) units on N worker\n"
     "                     threads (default: one per hardware thread;\n"
     "                     results are byte-identical for any N)\n"
-    "  --intra-jobs=K     shard *inside* one experiment: its\n"
-    "                     independent configuration cells run on K\n"
-    "                     worker threads (default 1 = serial; results\n"
-    "                     are byte-identical for any K).  Composes\n"
-    "                     with --jobs: total core budget is N x K\n"
     "  --repeat=N         run each experiment N times, varying the seed\n"
     "                     (rows gain a rep=<i> parameter)\n"
     "  --warmup-ms=N      override every experiment's warmup window\n"
@@ -60,6 +55,22 @@ parseU64(const std::string &text, std::uint64_t *out)
     return res.ec == std::errc() &&
         res.ptr == text.data() + text.size();
 }
+
+/** parseU64 that also rejects values outside [@p lo, @p hi]. */
+bool
+parseU64In(const std::string &text, std::uint64_t lo, std::uint64_t hi,
+           std::uint64_t *out)
+{
+    return parseU64(text, out) && *out >= lo && *out <= hi;
+}
+
+/** Largest --jobs / --repeat value: they are held as unsigned. */
+constexpr std::uint64_t kMaxCount = std::numeric_limits<unsigned>::max();
+
+/** Largest --warmup-ms / --measure-ms value: both windows in ns must
+ *  fit one TimeNs together. */
+constexpr std::uint64_t kMaxWindowMs =
+    std::numeric_limits<sim::TimeNs>::max() / 2 / sim::kNsPerMs;
 
 /** Split "--key=value" arguments; value empty for bare flags. */
 bool
@@ -147,32 +158,30 @@ parseArgs(int argc, const char *const *argv, DriverOptions *opts,
             }
             opts->backends = std::move(selected);
         } else if (key == "jobs") {
-            if (!parseU64(value, &n) || n == 0) {
-                *err = "--jobs needs a positive integer";
+            if (!parseU64In(value, 1, kMaxCount, &n)) {
+                *err = "--jobs needs an integer in [1, " +
+                    std::to_string(kMaxCount) + "]";
                 return false;
             }
             opts->jobs = unsigned(n);
-        } else if (key == "intra-jobs") {
-            if (!parseU64(value, &n) || n == 0) {
-                *err = "--intra-jobs needs a positive integer";
-                return false;
-            }
-            opts->intraJobs = unsigned(n);
         } else if (key == "repeat") {
-            if (!parseU64(value, &n) || n == 0) {
-                *err = "--repeat needs a positive integer";
+            if (!parseU64In(value, 1, kMaxCount, &n)) {
+                *err = "--repeat needs an integer in [1, " +
+                    std::to_string(kMaxCount) + "]";
                 return false;
             }
             opts->repeat = unsigned(n);
         } else if (key == "warmup-ms") {
-            if (!parseU64(value, &n)) {
-                *err = "--warmup-ms needs an integer";
+            if (!parseU64In(value, 0, kMaxWindowMs, &n)) {
+                *err = "--warmup-ms needs an integer in [0, " +
+                    std::to_string(kMaxWindowMs) + "]";
                 return false;
             }
             opts->warmupNs = n * sim::kNsPerMs;
         } else if (key == "measure-ms") {
-            if (!parseU64(value, &n) || n == 0) {
-                *err = "--measure-ms needs a positive integer";
+            if (!parseU64In(value, 1, kMaxWindowMs, &n)) {
+                *err = "--measure-ms needs an integer in [1, " +
+                    std::to_string(kMaxWindowMs) + "]";
                 return false;
             }
             opts->measureNs = n * sim::kNsPerMs;
@@ -238,7 +247,6 @@ runUnit(const DriverOptions &opts, const Experiment &e, unsigned rep)
         out,
         !opts.tracePath.empty(),
         opts.backends,
-        opts.intraJobs,
     };
     e.run(ctx);
     std::vector<Run> runs = out.take();
@@ -284,40 +292,9 @@ runExperiments(const DriverOptions &opts)
             units.push_back({e, rep});
 
     std::vector<std::vector<Run>> results(units.size());
-    const std::size_t jobs =
-        std::min<std::size_t>(effectiveJobs(opts), units.size());
-    if (jobs <= 1) {
-        for (std::size_t i = 0; i < units.size(); ++i)
-            results[i] = runUnit(opts, *units[i].exp, units[i].rep);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors(units.size());
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (std::size_t w = 0; w < jobs; ++w) {
-            pool.emplace_back([&] {
-                for (;;) {
-                    const std::size_t i =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= units.size())
-                        return;
-                    try {
-                        results[i] = runUnit(opts, *units[i].exp,
-                                             units[i].rep);
-                    } catch (...) {
-                        errors[i] = std::current_exception();
-                    }
-                }
-            });
-        }
-        for (std::thread &t : pool)
-            t.join();
-        // Surface the first failure in unit order (deterministic even
-        // when several units threw).
-        for (std::exception_ptr &ep : errors)
-            if (ep)
-                std::rethrow_exception(ep);
-    }
+    sim::parallelFor(units.size(), effectiveJobs(opts), [&](std::size_t i) {
+        results[i] = runUnit(opts, *units[i].exp, units[i].rep);
+    });
 
     report.experiments.reserve(selected.size());
     std::size_t unit = 0;

@@ -36,11 +36,6 @@ struct DriverOptions
     /** Worker threads for (experiment, rep) units; 0 = one per
      *  hardware thread.  Output is byte-identical for every value. */
     unsigned jobs = 0;
-    /** Worker threads *inside* one experiment invocation
-     *  (RunCtx::runCells / sim::ShardedEngine); 1 = serial.  The
-     *  total core budget is jobs x intra-jobs; output is
-     *  byte-identical for every value. */
-    unsigned intraJobs = 1;
     unsigned repeat = 1;
     sim::TimeNs warmupNs = 0;   //!< 0 = per-experiment default
     sim::TimeNs measureNs = 0;  //!< 0 = per-experiment default
@@ -79,9 +74,11 @@ unsigned effectiveJobs(const DriverOptions &opts);
  * Run every selected experiment (repeat times each).
  *
  * Units of work are (experiment, rep) pairs; with jobs > 1 they
- * execute on a worker pool, each on a private deterministic simulated
- * machine, and merge back in registration order — the Report (and
- * everything serialized from it) is byte-identical to a serial run.
+ * execute on the sim::parallelFor worker pool, each on a private
+ * deterministic simulated machine, and merge back in registration
+ * order — the Report (and everything serialized from it) is
+ * byte-identical to a serial run.  A unit that throws fails the
+ * whole call with the first failing unit's exception.
  */
 Report runExperiments(const DriverOptions &opts);
 

@@ -175,29 +175,20 @@ DAMN_EXPERIMENT(netperf_stream)
     e.defaultWindow = work::RunWindow{10 * sim::kNsPerMs,
                                       50 * sim::kNsPerMs};
     e.run = [](RunCtx &ctx) {
-        // Every (backend, scheme) point is an independent machine:
-        // route them through the intra-run cell pool (--intra-jobs).
-        std::vector<Cell> cells;
         for (const iommu::BackendKind bk :
              ctx.backendsOr({iommu::BackendKind::Vtd})) {
             for (const dma::SchemeKind k : ctx.schemes) {
-                const std::string name =
-                    std::string(iommu::backendKindName(bk)) + "/" +
-                    dma::schemeKindName(k);
-                cells.push_back({name, [&ctx, bk, k](Collector &col) {
-                    work::NetperfOpts o =
-                        work::multiCoreOpts(k, work::NetMode::Rx);
-                    o.sysParams.backend = bk;
-                    o.runWindow = ctx.window;
-                    o.trace = ctx.traceEvents;
-                    const auto run = work::runNetperf(o);
-                    col.beginRun(dma::schemeKindName(k));
-                    ctx.backendParam(col, bk);
-                    col.common(run.common);
-                }});
+                work::NetperfOpts o =
+                    work::multiCoreOpts(k, work::NetMode::Rx);
+                o.sysParams.backend = bk;
+                o.runWindow = ctx.window;
+                o.trace = ctx.traceEvents;
+                const auto run = work::runNetperf(o);
+                ctx.out.beginRun(dma::schemeKindName(k));
+                ctx.backendParam(bk);
+                ctx.out.common(run.common);
             }
         }
-        ctx.runCells(std::move(cells));
     };
     return e;
 }

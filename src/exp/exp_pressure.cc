@@ -59,7 +59,7 @@ constexpr std::uint64_t kStallBudgetEvents = 200'000;
 constexpr sim::TimeNs kReliefNs = 5 * sim::kNsPerMs;
 
 void
-stormOne(const RunCtx &ctx, Collector &col, dma::SchemeKind kind,
+stormOne(const RunCtx &ctx, dma::SchemeKind kind,
          iommu::BackendKind backend, const StormSpec &spec)
 {
     work::NetperfOpts o;
@@ -153,41 +153,42 @@ stormOne(const RunCtx &ctx, Collector &col, dma::SchemeKind kind,
     sys.ctx.engine.runAll();
     sys.ctx.engine.disarmWatchdog();
 
-    Run &row = col.beginRun(dma::schemeKindName(kind));
-    ctx.backendParam(col, backend);
-    col.param("storm", std::string(spec.storm));
-    col.param("iova_kbytes", spec.iovaSpaceBytes / 1024);
-    col.param("phys_mbytes",
+    Collector &out = ctx.out;
+    Run &row = out.beginRun(dma::schemeKindName(kind));
+    ctx.backendParam(backend);
+    out.param("storm", std::string(spec.storm));
+    out.param("iova_kbytes", spec.iovaSpaceBytes / 1024);
+    out.param("phys_mbytes",
               (spec.physBytes ? spec.physBytes
                               : o.sysParams.physBytes) >>
                   20);
-    col.param("free_frames", spec.keepFreeFrames);
-    col.metric("gbps", res.totalGbps, "Gb/s");
-    col.metric("iova_exhausted",
+    out.param("free_frames", spec.keepFreeFrames);
+    out.metric("gbps", res.totalGbps, "Gb/s");
+    out.metric("iova_exhausted",
                double(st.get("iommu.iova_exhausted")), "count");
-    col.metric("forced_flushes",
+    out.metric("forced_flushes",
                double(st.get("iommu.iova_forced_flushes")), "count");
-    col.metric("flush_recoveries",
+    out.metric("flush_recoveries",
                double(st.get("iommu.iova_flush_recoveries") +
                       st.get("iommu.iova_reclaim_recoveries")),
                "count");
-    col.metric("map_fails", double(sys.dmaApi->mapFailures()),
+    out.metric("map_fails", double(sys.dmaApi->mapFailures()),
                "count");
-    col.metric("reclaim_events",
+    out.metric("reclaim_events",
                double(sys.ctx.pressure.reclaimEvents()), "count");
-    col.metric("reclaimed_units",
+    out.metric("reclaimed_units",
                double(sys.ctx.pressure.reclaimedUnits()), "units");
-    col.metric("tx_throttled", double(st.get("net.tx_throttled")),
+    out.metric("tx_throttled", double(st.get("net.tx_throttled")),
                "count");
-    col.metric("rx_refill_fails",
+    out.metric("rx_refill_fails",
                double(st.get("net.rx_refill_fails")), "count");
-    col.metric("drops", double(res.drops), "count");
-    col.metric("failed_flows", double(res.failedFlows), "count");
-    col.metric("drained_pages", double(drained), "pages");
-    col.metric("watchdog_stalls",
+    out.metric("drops", double(res.drops), "count");
+    out.metric("failed_flows", double(res.failedFlows), "count");
+    out.metric("drained_pages", double(drained), "pages");
+    out.metric("watchdog_stalls",
                double(sys.ctx.engine.stallsDetected()), "count");
-    col.metric("quiesced", quiesced ? 1.0 : 0.0, "bool");
-    col.metric("recovered", recovered ? 1.0 : 0.0, "bool");
+    out.metric("quiesced", quiesced ? 1.0 : 0.0, "bool");
+    out.metric("recovered", recovered ? 1.0 : 0.0, "bool");
     row.stats = sys.ctx.stats.snapshot();
 }
 
@@ -219,24 +220,12 @@ DAMN_EXPERIMENT(pressure_storm)
              dma::SchemeKind::Shadow, dma::SchemeKind::Damn});
         // Native backend axis is the baseline VT-d; --backend widens
         // the sweep (e.g. --backend=all exercises the SMMUv3 cmdq
-        // stall path under the same exhaustion storms).  Every storm
-        // point is a private machine: route them through the
-        // intra-run cell pool (--intra-jobs).
-        std::vector<Cell> cells;
+        // stall path under the same exhaustion storms).
         for (const iommu::BackendKind bk :
              ctx.backendsOr({iommu::BackendKind::Vtd}))
             for (const dma::SchemeKind k : schemes)
-                for (const StormSpec &spec : sweep) {
-                    const std::string name =
-                        std::string(iommu::backendKindName(bk)) +
-                        "/" + dma::schemeKindName(k) + "/" +
-                        spec.storm;
-                    cells.push_back(
-                        {name, [&ctx, bk, k, spec](Collector &col) {
-                             stormOne(ctx, col, k, bk, spec);
-                         }});
-                }
-        ctx.runCells(std::move(cells));
+                for (const StormSpec &spec : sweep)
+                    stormOne(ctx, k, bk, spec);
     };
     return e;
 }

@@ -33,10 +33,6 @@ DAMN_EXPERIMENT(rdma_pagefault)
     e.run = [](RunCtx &ctx) {
         constexpr std::uint64_t kFootprints[] = {
             1ull << 20, 4ull << 20, 16ull << 20};
-        // Every (backend, footprint, scheme) point builds a private
-        // machine: route them through the intra-run cell pool
-        // (--intra-jobs).
-        std::vector<Cell> cells;
         for (const iommu::BackendKind bk :
              ctx.backendsOr({iommu::BackendKind::Vtd,
                              iommu::BackendKind::SmmuV3})) {
@@ -46,41 +42,33 @@ DAMN_EXPERIMENT(rdma_pagefault)
                           dma::SchemeKind::Strict,
                           dma::SchemeKind::Deferred,
                           dma::SchemeKind::Shadow})) {
-                    const std::string name =
-                        std::string(iommu::backendKindName(bk)) +
-                        "/" + std::to_string(fp >> 10) + "kb/" +
-                        dma::schemeKindName(k);
-                    cells.push_back({name, [&ctx, bk, fp,
-                                            k](Collector &col) {
-                        work::RdmaOpts o;
-                        o.scheme = k;
-                        o.footprintBytes = fp;
-                        o.seed = ctx.seed;
-                        o.runWindow = ctx.window;
-                        o.trace = ctx.traceEvents;
-                        o.sysParams.backend = bk;
-                        const work::RdmaResult r = work::runRdma(o);
-                        col.beginRun(dma::schemeKindName(k));
-                        col.param("backend",
+                    work::RdmaOpts o;
+                    o.scheme = k;
+                    o.footprintBytes = fp;
+                    o.seed = ctx.seed;
+                    o.runWindow = ctx.window;
+                    o.trace = ctx.traceEvents;
+                    o.sysParams.backend = bk;
+                    const work::RdmaResult r = work::runRdma(o);
+                    ctx.out.beginRun(dma::schemeKindName(k));
+                    ctx.out.param("backend",
                                   iommu::backendKindName(bk));
-                        col.param("footprint_kb", fp >> 10);
-                        col.metric("faults_serviced",
+                    ctx.out.param("footprint_kb", fp >> 10);
+                    ctx.out.metric("faults_serviced",
                                    double(r.faultsServiced), "faults");
-                        col.metric("auto_responses",
+                    ctx.out.metric("auto_responses",
                                    double(r.autoResponses),
                                    "responses");
-                        col.metric("prq_max_depth",
+                    ctx.out.metric("prq_max_depth",
                                    double(r.prqMaxDepth), "entries");
-                        col.metric("devtlb_hit_rate",
+                    ctx.out.metric("devtlb_hit_rate",
                                    r.devTlbHitRate * 100.0, "%");
-                        col.metric("fault_service_avg_ns",
+                    ctx.out.metric("fault_service_avg_ns",
                                    r.avgFaultServiceNs, "ns");
-                        col.common(r.common, /*with_latency=*/true);
-                    }});
+                    ctx.out.common(r.common, /*with_latency=*/true);
                 }
             }
         }
-        ctx.runCells(std::move(cells));
     };
     return e;
 }

@@ -124,33 +124,11 @@ class Collector
     const std::vector<Run> &runs() const { return runs_; }
     std::vector<Run> take() { return std::move(runs_); }
 
-    /** Splice another collector's runs onto this one, preserving
-     *  their order.  RunCtx::runCells merges the per-cell collectors
-     *  back into the experiment's collector with this. */
-    void
-    append(std::vector<Run> runs)
-    {
-        for (Run &r : runs)
-            runs_.push_back(std::move(r));
-    }
-
   private:
     std::vector<Run> runs_;
 };
 
 struct Experiment;
-
-/**
- * One independent configuration point of an experiment, packaged for
- * intra-run parallel execution (RunCtx::runCells).  The function gets
- * a private Collector; each cell must be self-contained — it builds
- * its own System(s) and shares no mutable state with other cells.
- */
-struct Cell
-{
-    std::string name; //!< progress/debug label, e.g. "vtd/strict"
-    std::function<void(Collector &)> fn;
-};
 
 /** Resolved inputs of one experiment invocation. */
 struct RunCtx
@@ -217,34 +195,6 @@ struct RunCtx
         if (explicitBackendAxis())
             out.param("backend", iommu::backendKindName(bk));
     }
-
-    /** Cell-local flavor of backendParam(): writes into the cell's
-     *  private collector instead of ctx.out. */
-    void
-    backendParam(Collector &col, iommu::BackendKind bk) const
-    {
-        if (explicitBackendAxis())
-            col.param("backend", iommu::backendKindName(bk));
-    }
-
-    /**
-     * Intra-run worker budget (--intra-jobs): how many threads one
-     * experiment invocation may use to run its independent cells in
-     * parallel.  1 = serial.  Composes with the driver's --jobs pool:
-     * the core budget is jobs x intra-jobs.
-     */
-    unsigned intraJobs = 1;
-
-    /**
-     * Run independent configuration cells of this experiment, spread
-     * over @ref intraJobs workers via `sim::ShardedEngine` task
-     * shards, then merge their collectors into ctx.out **in cell
-     * order**.  Output is byte-identical to running the cells in a
-     * plain loop at any intraJobs value; a cell that throws aborts
-     * with that cell's exception after the pool drains (first failing
-     * cell in cell order wins, matching the serial loop).
-     */
-    void runCells(std::vector<Cell> cells);
 };
 
 /** One registered experiment. */

@@ -5,8 +5,6 @@
 
 #include "exp/experiment.hh"
 
-#include "sim/shard.hh"
-
 #include <algorithm>
 #include <stdexcept>
 #include <utility>
@@ -106,22 +104,6 @@ globMatch(const std::string &pattern, const std::string &text)
     while (p < pattern.size() && pattern[p] == '*')
         ++p;
     return p == pattern.size();
-}
-
-void
-RunCtx::runCells(std::vector<Cell> cells)
-{
-    // Each cell fills a private collector; the merge below splices
-    // them back in cell order, so the JSON/trace output is the same
-    // bytes as a serial loop no matter how many workers ran.
-    std::vector<Collector> parts(cells.size());
-    sim::ShardedEngine se;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        se.addTask(cells[i].name,
-                   [&cells, &parts, i] { cells[i].fn(parts[i]); });
-    se.runAll(intraJobs);
-    for (Collector &part : parts)
-        out.append(part.take());
 }
 
 void

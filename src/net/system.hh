@@ -45,39 +45,6 @@ struct SystemParams
     std::uint64_t iovaSpaceBytes = 0;
 };
 
-/**
- * Shard map of a scale-out partition: how one logical run splits into
- * K machine shards for `sim::ShardedEngine` (DESIGN.md §15).  Each
- * shard is a full System (its own Context/engine) standing in for one
- * server machine behind the ToR; shards exchange cross-machine
- * traffic over channels whose lookahead is the minimum modeled link
- * latency between two machines.
- */
-struct ShardPlan
-{
-    /** Number of machine shards (one System each). */
-    unsigned shards = 4;
-    /**
-     * Cross-shard channel lookahead; 0 derives the floor from the
-     * cost model (2 x NIC wire + one cut-through switch hop).
-     */
-    sim::TimeNs linkLatencyNs = 0;
-    /**
-     * Virtual period of the cross-shard telemetry heartbeat each
-     * shard sends its ring neighbor.  Senders promise silence until
-     * the next tick (promiseNoSendBefore), so this — not the raw link
-     * latency — bounds the conservative window width.
-     */
-    sim::TimeNs telemetryPeriodNs = 100 * sim::kNsPerUs;
-
-    sim::TimeNs
-    resolvedLinkNs(const sim::CostModel &cost) const
-    {
-        return linkLatencyNs != 0 ? linkLatencyNs
-                                  : cost.interMachineLinkNs();
-    }
-};
-
 /** Everything one experiment machine owns. */
 class System
 {

@@ -322,29 +322,6 @@ struct CostModel
      *  recovery is observable inside millisecond-scale runs. */
     TimeNs nicLinkFlapDownNs = 50 * kNsPerUs;
 
-    // ---- Inter-machine link latencies (sharding lookahead) ---------
-    // Minimum one-way latencies of the modeled physical links.  These
-    // are *floors*, not averages: nothing crosses the link faster, so
-    // they double as the conservative lookahead of cross-shard
-    // channels in sim::ShardedEngine (DESIGN.md §15) — the larger the
-    // floor, the wider the parallel window.
-    /** One PCIe hop (root port -> endpoint posted write), ns. */
-    TimeNs pcieHopNs = 150;
-    /** NIC MAC/PCS + serialization onto the wire for a minimal frame,
-     *  plus a few meters of fiber, one way, ns. */
-    TimeNs nicWireLatencyNs = 450;
-    /** Cut-through ToR switch forwarding latency, ns. */
-    TimeNs torSwitchHopNs = 300;
-
-    /** Minimum latency between two machines through the ToR: onto the
-     *  wire, one switch hop, off the wire.  The cross-shard lookahead
-     *  for machine-boundary partitions. */
-    TimeNs
-    interMachineLinkNs() const
-    {
-        return 2 * nicWireLatencyNs + torSwitchHopNs;
-    }
-
     // ---- NVMe -------------------------------------------------------
     /** Device IOPS ceiling (Intel DC P3700 400G: ~900k read IOPS). */
     double nvmeMaxIops = 900e3;

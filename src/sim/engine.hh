@@ -129,24 +129,6 @@ class Engine
     /** Run until the event queue is empty. */
     std::uint64_t runAll() { return run(~TimeNs{0}); }
 
-    /**
-     * Timestamp of the earliest live event, or kTimeNever when the
-     * queue is empty.  Prunes stale (cancelled) heap heads as a side
-     * effect so the answer is exact; never advances the clock or
-     * dispatches anything.  This is the peek primitive the sharded
-     * engine's lower-bound-on-timestamp computation is built on.
-     */
-    TimeNs
-    nextEventTime()
-    {
-        while (!heap_.empty()) {
-            if (slots_[heap_[0].slot].seq == heap_[0].seq)
-                return heap_[0].when;
-            heapPop();
-        }
-        return kTimeNever;
-    }
-
     /** Number of not-yet-dispatched (and not cancelled) events. */
     std::uint64_t pending() const { return live_; }
 

@@ -19,18 +19,6 @@ using CoreId = std::uint32_t;
 /** Identifier of a NUMA domain. */
 using NumaId = std::uint32_t;
 
-/** "Never": the largest representable virtual time.  Used as the
- *  empty-queue sentinel by Engine::nextEventTime() and as the
- *  no-constraint bound in the sharded engine's lookahead math. */
-constexpr TimeNs kTimeNever = ~TimeNs{0};
-
-/** Saturating virtual-time addition (kTimeNever is absorbing). */
-constexpr TimeNs
-timeSatAdd(TimeNs a, TimeNs b)
-{
-    return a > kTimeNever - b ? kTimeNever : a + b;
-}
-
 /** Handy time-unit literals (virtual time). */
 constexpr TimeNs kNsPerUs = 1000;
 constexpr TimeNs kNsPerMs = 1000 * 1000;

@@ -5,7 +5,8 @@
  * in-process at --jobs=1 and --jobs=8 over two seeds and asserts the
  * serialized JSON report and the Chrome trace are byte-identical; also
  * covers the unit decomposition/merge corners (repeat reps, glob
- * subsets, worker-pool exception propagation).
+ * subsets, worker-pool exception propagation), the pool itself
+ * (sim::parallelFor) and the numeric option bounds.
  *
  * Built into the verify-tsan tree as well: under -fsanitize=thread the
  * jobs=8 cases double as a data-race audit of the whole
@@ -14,10 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "exp/driver.hh"
+#include "sim/parallel.hh"
 
 using namespace damn;
 
@@ -111,11 +115,61 @@ TEST(Parallel, JobsFlagParses)
     ASSERT_TRUE(exp::parseArgs(2, argv, &o, &err)) << err;
     EXPECT_EQ(o.jobs, 8u);
 
-    exp::DriverOptions bad;
-    const char *argv0[] = {"damn_bench", "--jobs=0"};
-    EXPECT_FALSE(exp::parseArgs(2, argv0, &bad, &err));
-    const char *argvx[] = {"damn_bench", "--jobs=x"};
-    EXPECT_FALSE(exp::parseArgs(2, argvx, &bad, &err));
+    const char *argvMax[] = {"damn_bench", "--jobs=4294967295"};
+    ASSERT_TRUE(exp::parseArgs(2, argvMax, &o, &err)) << err;
+    EXPECT_EQ(o.jobs, 4294967295u);
+
+    // Zero, junk, and values that do not fit the option's type (the
+    // count options are unsigned; the windows are multiplied to ns)
+    // are usage errors, never silently truncated.
+    for (const char *arg :
+         {"--jobs=0", "--jobs=x", "--jobs=4294967296", "--repeat=0",
+          "--repeat=4294967296", "--measure-ms=0",
+          "--measure-ms=18446744073709552", "--warmup-ms=18446744073709552",
+          "--measure-ms=18446744073709551615"}) {
+        exp::DriverOptions bad;
+        const char *argv1[] = {"damn_bench", arg};
+        EXPECT_FALSE(exp::parseArgs(2, argv1, &bad, &err)) << arg;
+        EXPECT_EQ(exp::runDriver(2, argv1), 2) << arg;
+    }
+}
+
+TEST(Parallel, IntraJobsFlagIsRejected)
+{
+    // The only execution model is the --jobs pool; the retired
+    // --intra-jobs option is an unknown option like any other.
+    exp::DriverOptions o;
+    std::string err;
+    const char *argv[] = {"damn_bench", "--intra-jobs=4"};
+    EXPECT_FALSE(exp::parseArgs(2, argv, &o, &err));
+    EXPECT_EQ(err, "unknown option: --intra-jobs");
+    EXPECT_EQ(exp::runDriver(2, argv), 2);
+}
+
+TEST(Parallel, PoolRunsEveryItemAndRethrowsFirstFailureInIndexOrder)
+{
+    for (const unsigned workers : {1u, 4u}) {
+        std::vector<std::atomic<unsigned>> runs(16);
+        try {
+            sim::parallelFor(runs.size(), workers, [&](std::size_t i) {
+                ++runs[i];
+                if (i == 5)
+                    throw std::runtime_error("first failure");
+                if (i == 9)
+                    throw std::logic_error("second failure");
+            });
+            FAIL() << "expected a throw, workers=" << workers;
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "first failure");
+        }
+        // A failing item must not stop its siblings, and no item runs
+        // twice.
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            EXPECT_EQ(runs[i].load(), 1u)
+                << "item " << i << ", workers=" << workers;
+    }
+    // No items: nothing runs, nothing throws.
+    sim::parallelFor(0, 4, [](std::size_t) { FAIL(); });
 }
 
 TEST(Parallel, WorkerExceptionPropagates)
