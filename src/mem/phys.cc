@@ -71,7 +71,10 @@ PhysicalMemory::fill(Pa pa, std::uint8_t value, std::uint64_t len)
         const Pfn pfn = paToPfn(pa);
         const std::uint64_t off = pageOffset(pa);
         const std::uint64_t chunk = std::min(len, kPageSize - off);
-        std::memset(backing(pfn) + off, value, chunk);
+        // A frame never written already reads as zero: zeroing it
+        // writes nothing and leaves it unbacked.
+        if (value != 0 || frames_[pfn] != nullptr)
+            std::memset(backing(pfn) + off, value, chunk);
         pa += chunk;
         len -= chunk;
     }

@@ -167,7 +167,8 @@ class PhysicalMemory
     void write(Pa pa, const void *src, std::uint64_t len);
     /** Read @p len bytes at @p pa (may cross frames). */
     void read(Pa pa, void *dst, std::uint64_t len) const;
-    /** Fill @p len bytes at @p pa with @p value. */
+    /** Fill @p len bytes at @p pa with @p value.  Zero-filling a
+     *  frame that has no backing yet is a no-op. */
     void fill(Pa pa, std::uint8_t value, std::uint64_t len);
     /** Copy @p len bytes within physical memory. */
     void copy(Pa dst, Pa src, std::uint64_t len);

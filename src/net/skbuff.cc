@@ -10,6 +10,53 @@
 
 namespace damn::net {
 
+void
+SkbSegList::reserve(std::size_t n)
+{
+    if (n <= cap_)
+        return;
+    const std::size_t cap = std::max(cap_ * 2, n);
+    auto grown = std::make_unique<SkbSegment[]>(cap);
+    std::copy(begin(), end(), grown.get());
+    spill_ = std::move(grown);
+    cap_ = cap;
+}
+
+void
+SkbSegList::assign(const SkbSegList &o)
+{
+    reserve(o.size_);
+    std::copy(o.begin(), o.end(), data());
+    size_ = o.size_;
+}
+
+void
+SkbSegList::steal(SkbSegList &o) noexcept
+{
+    if (o.spill_) {
+        spill_ = std::move(o.spill_);
+        cap_ = o.cap_;
+    } else {
+        spill_.reset();
+        cap_ = kInline;
+        std::copy(o.inline_, o.inline_ + o.size_, inline_);
+    }
+    size_ = o.size_;
+    o.size_ = 0;
+    o.cap_ = kInline;
+}
+
+void
+SkbSegList::replace(std::size_t i, const SkbSegment *with, std::size_t n)
+{
+    assert(i < size_ && n > 0);
+    reserve(size_ + n - 1);
+    SkbSegment *d = data();
+    std::copy_backward(d + i + 1, d + size_, d + size_ + n - 1);
+    std::copy(with, with + n, d + i);
+    size_ += n - 1;
+}
+
 bool
 SkbAccessor::needsSecuring(const SkbSegment &seg) const
 {
@@ -90,17 +137,18 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
             pm_.copy(safe, seg.pa + lo, n);
 
         // Split the segment: [0,lo) raw | [lo,hi) secured | [hi,len).
-        std::vector<SkbSegment> repl;
+        SkbSegment pieces[4];
+        std::size_t k = 0;
         if (lo > 0) {
-            SkbSegment pre = seg;
+            SkbSegment &pre = pieces[k++];
+            pre = seg;
             pre.len = lo;
             // Only the *last* owned piece keeps ownership so the
             // backing buffer is freed exactly once.
             pre.owner = SegOwner::Borrowed;
             pre.dmaMapped = false;
-            repl.push_back(pre);
         }
-        SkbSegment sec;
+        SkbSegment &sec = pieces[k++];
         sec.pa = safe;
         sec.len = n;
         sec.owner = owner;
@@ -111,28 +159,26 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
                 ++order;
             sec.pageOrder = std::uint8_t(order);
         }
-        repl.push_back(sec);
         if (hi < seg.len) {
-            SkbSegment post = seg;
+            SkbSegment &post = pieces[k++];
+            post = seg;
             post.pa = seg.pa + hi;
             post.len = seg.len - hi;
             post.owner = SegOwner::Borrowed;
             post.dmaMapped = false;
-            repl.push_back(post);
         }
         // The original backing buffer stays alive until the skb is
         // freed: hand its ownership (and DMA-mapping state) to a
         // zero-visible-length bookkeeping piece appended at the end of
-        // the replacement list so freeSkb still releases it.
-        SkbSegment keeper = seg;
+        // the replacement pieces so freeSkb still releases it.
+        SkbSegment &keeper = pieces[k++];
+        keeper = seg;
         keeper.len = 0;
         keeper.secured = true;
-        repl.push_back(keeper);
 
-        skb.segs.erase(skb.segs.begin() + long(i));
-        skb.segs.insert(skb.segs.begin() + long(i), repl.begin(),
-                        repl.end());
-        i += repl.size() - 1;
+        // `seg` dangles from here on: the list may move to the heap.
+        skb.segs.replace(i, pieces, k);
+        i += k - 1;
 
         copied += n;
         // Rewind the walk cursor: the replacement pieces cover the

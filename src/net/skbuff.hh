@@ -14,8 +14,9 @@
 #ifndef DAMN_NET_SKBUFF_HH
 #define DAMN_NET_SKBUFF_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "core/damn_allocator.hh"
 #include "dma/dma_api.hh"
@@ -53,6 +54,82 @@ struct SkbSegment
 };
 
 /**
+ * An skbuff's ordered segment list.  The first kInline segments live
+ * inside the object, so building an RX skb (one segment, up to four
+ * once the TOCTTOU guard splits it) or a 64 KiB TX skb (head + four
+ * frags) allocates nothing; longer lists spill to one heap array.
+ */
+class SkbSegList
+{
+  public:
+    static constexpr std::size_t kInline = 6;
+
+    SkbSegList() = default;
+    SkbSegList(const SkbSegList &o) { assign(o); }
+    SkbSegList(SkbSegList &&o) noexcept { steal(o); }
+
+    SkbSegList &
+    operator=(const SkbSegList &o)
+    {
+        if (this != &o) {
+            size_ = 0;
+            assign(o);
+        }
+        return *this;
+    }
+
+    SkbSegList &
+    operator=(SkbSegList &&o) noexcept
+    {
+        if (this != &o)
+            steal(o);
+        return *this;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    SkbSegment *begin() { return data(); }
+    SkbSegment *end() { return data() + size_; }
+    const SkbSegment *begin() const { return data(); }
+    const SkbSegment *end() const { return data() + size_; }
+    SkbSegment &operator[](std::size_t i) { return data()[i]; }
+    const SkbSegment &operator[](std::size_t i) const
+    {
+        return data()[i];
+    }
+
+    void
+    push_back(const SkbSegment &seg)
+    {
+        reserve(size_ + 1);
+        data()[size_++] = seg;
+    }
+
+    void clear() { size_ = 0; }
+
+    /** Replace segment @p i by the @p n segments at @p with. */
+    void replace(std::size_t i, const SkbSegment *with, std::size_t n);
+
+  private:
+    SkbSegment *data() { return spill_ ? spill_.get() : inline_; }
+    const SkbSegment *
+    data() const
+    {
+        return spill_ ? spill_.get() : inline_;
+    }
+
+    /** Make room for @p n segments, keeping the current ones. */
+    void reserve(std::size_t n);
+    void assign(const SkbSegList &o);
+    void steal(SkbSegList &o) noexcept;
+
+    std::size_t size_ = 0;
+    std::size_t cap_ = kInline;
+    std::unique_ptr<SkbSegment[]> spill_;
+    SkbSegment inline_[kInline];
+};
+
+/**
  * A socket buffer: an ordered list of data segments plus packet
  * metadata.  (Linux's head+frags layout collapses to the same thing
  * for our purposes: an ordered set of contiguous byte ranges.)
@@ -60,7 +137,7 @@ struct SkbSegment
 class SkBuff
 {
   public:
-    std::vector<SkbSegment> segs;
+    SkbSegList segs;
     dma::Device *dev = nullptr;     //!< originating/target device
     std::uint32_t headerLen = 66;   //!< Ethernet+IP+TCP header bytes
     /** Build gave up under memory pressure; drop + retry, don't send. */

@@ -1,12 +1,23 @@
 /**
  * @file
- * Engine event loop: 4-ary heap maintenance and the batched dispatch
- * loop.
+ * Engine event loop: slot blocks, 4-ary heap maintenance and the
+ * chained dispatch loop.
  */
 
 #include "sim/engine.hh"
 
 namespace damn::sim {
+
+void
+Engine::growSlots()
+{
+    blocks_.push_back(std::make_unique<Slot[]>(kBlockSlots));
+    Slot *block = blocks_.back().get();
+    for (std::size_t i = kBlockSlots; i-- > 0;) {
+        block[i].next = free_;
+        free_ = &block[i];
+    }
+}
 
 void
 Engine::heapPush(HeapNode node)
@@ -15,19 +26,20 @@ Engine::heapPush(HeapNode node)
     heap_.push_back(node);
     while (i > 0) {
         const std::size_t parent = (i - 1) / kArity;
-        if (!before(heap_[i], heap_[parent]))
+        if (!before(node, heap_[parent]))
             break;
-        std::swap(heap_[i], heap_[parent]);
+        heap_[i] = heap_[parent];
         i = parent;
     }
+    heap_[i] = node;
 }
 
 void
 Engine::heapPop()
 {
-    const std::size_t n = heap_.size() - 1;
-    heap_[0] = heap_[n];
+    const HeapNode last = heap_.back();
     heap_.pop_back();
+    const std::size_t n = heap_.size();
     if (n == 0)
         return;
     std::size_t i = 0;
@@ -36,55 +48,66 @@ Engine::heapPop()
         if (first >= n)
             break;
         std::size_t best = first;
-        const std::size_t last = first + kArity < n ? first + kArity : n;
-        for (std::size_t c = first + 1; c < last; ++c)
+        const std::size_t end = first + kArity < n ? first + kArity : n;
+        for (std::size_t c = first + 1; c < end; ++c)
             if (before(heap_[c], heap_[best]))
                 best = c;
-        if (!before(heap_[best], heap_[i]))
+        if (!before(heap_[best], last))
             break;
-        std::swap(heap_[i], heap_[best]);
+        heap_[i] = heap_[best];
         i = best;
     }
+    heap_[i] = last;
 }
 
 std::uint64_t
 Engine::run(TimeNs until)
 {
+    // Frees the slot of the running callback however it exits.
+    struct Release
+    {
+        Engine &e;
+        Slot *s;
+        ~Release() { e.releaseSlot(s); }
+    };
+
     std::uint64_t n = 0;
-    // Batch buffer is local so a callback that re-enters run() (legal,
-    // if unusual) cannot clobber an in-flight batch.
-    std::vector<HeapNode> batch;
-    while (!heap_.empty()) {
-        if (heap_[0].when > until)
+    for (;;) {
+        // A batch is every event at time t scheduled before it began:
+        // an unfinished chain (t = now_) plus the nodes at t whose seq
+        // predates `batch`.  Same-instant events its callbacks schedule
+        // get higher seqs and form the next batch.
+        TimeNs t;
+        if (cur_ != nullptr)
+            t = now_;
+        else if (!heap_.empty())
+            t = heap_[0].when;
+        else
             break;
-        // Pop every event sharing the minimal timestamp before running
-        // any of them: one `until` comparison per timestamp, and events
-        // a callback schedules at the same instant sort after the batch
-        // (their seq is higher) so FIFO order is preserved.
-        const TimeNs t = heap_[0].when;
-        batch.clear();
-        do {
-            const HeapNode node = heap_[0];
-            heapPop();
-            // Stale node: its event was cancelled (slot freed, maybe
-            // since reused under a different seq).  Skip silently —
-            // cancel() already adjusted the live count.
-            if (slots_[node.slot].seq == node.seq)
-                batch.push_back(node);
-        } while (!heap_.empty() && heap_[0].when == t);
-        now_ = t;
-        for (const HeapNode &node : batch) {
-            Slot &s = slots_[node.slot];
-            // A batch member may be cancelled by an earlier member's
-            // callback; the slot check repeats at dispatch time.
-            if (s.seq != node.seq)
-                continue;
-            SmallFn cb = std::move(s.cb);
-            releaseSlot(node.slot);
+        if (t > until)
+            break;
+        const std::uint64_t batch = nextSeq_;
+        // Closing the open chain keeps every node with seq < batch free
+        // of events scheduled during the batch.  It also means no node
+        // popped below still accepts appends: a node pushed during the
+        // batch has seq >= batch and is not popped until a later one.
+        chainTail_ = nullptr;
+        for (;;) {
+            if (cur_ == nullptr) {
+                if (heap_.empty() || heap_[0].when != t ||
+                    heap_[0].seq >= batch)
+                    break;
+                cur_ = heap_[0].head;
+                heapPop();
+                now_ = t;
+            }
+            Slot *s = cur_;
+            cur_ = s->next;
             --live_;
             ++dispatched_;
             ++n;
-            cb();
+            Release release{*this, s};
+            s->cb();
         }
         // Cheap when unarmed: one branch per batch.
         if (wdArmed_ && dispatched_ - wdLastCheck_ >= wdStride_ &&

@@ -3,7 +3,8 @@
  * Discrete-event simulation engine with virtual nanosecond time.
  *
  * The engine is intentionally single-threaded and deterministic: events
- * scheduled at the same virtual time fire in scheduling order.  All
+ * fire in the total order (when, seq), where seq is the scheduling
+ * order, so events at the same virtual time fire FIFO.  All
  * "concurrency" in the simulated machine (28 cores, devices, interrupt
  * handlers) is expressed as interleaved events over virtual time.
  * Many engines can coexist in one process (one per worker thread in a
@@ -13,31 +14,34 @@
  * bottleneck:
  *
  *  - the ready queue is a flat 4-ary heap of 24-byte nodes
- *    (when/seq/slot) — shallower than a binary heap and sift paths
- *    touch four children per cache line instead of two per two;
- *  - callbacks live in a slab of generation-tagged slots as SmallFn
- *    values (48-byte inline buffer, see sim/small_fn.hh), so
- *    schedule() and dispatch are allocation-free for every callback
- *    in tree;
- *  - cancel() is O(1) and allocation-free: it frees the slot and bumps
- *    its generation, leaving a stale heap node that is recognized (by
- *    sequence mismatch) and skipped when it surfaces — no
- *    unordered_set, no per-pop hash lookup;
- *  - events sharing the minimal timestamp are popped as one batch
- *    before any of them runs, so the per-event loop does one heap
- *    operation and no repeated `until` comparisons.
+ *    (when/seq/head), sifted with a hole rather than swaps;
+ *  - one heap node serves every event of an instant that is scheduled
+ *    back to back: schedule() appends to the FIFO chain of the most
+ *    recently pushed node when its time matches and no batch (below)
+ *    has begun since.  Chain members therefore hold consecutive seqs,
+ *    so a node's seq (its first member's) still orders it exactly;
+ *  - callbacks live as SmallFn values (48-byte inline buffer, see
+ *    sim/small_fn.hh) in slots carved from fixed-size blocks that
+ *    never move, so schedule() is allocation-free for every callback
+ *    in tree and dispatch runs each callback in place;
+ *  - dispatch pops one node and runs its chain.  `until` and the stall
+ *    watchdog are checked between batches: a batch is the events at
+ *    the earliest time that were already scheduled when it began, so
+ *    same-instant work scheduled from a callback forms the next batch.
  *
- * Handles returned by schedule() encode (slot, generation); a handle
- * whose event already dispatched or was already cancelled is simply
- * stale — cancel() returns false and corrupts no bookkeeping, and
- * pending() is exact at all times.
+ * The unfinished chain of the node being dispatched is engine state,
+ * not run()-local: a run() nested in a callback continues it before
+ * popping anything else, and a callback that throws leaves the rest
+ * of its chain pending.  Dispatch order is (when, seq) in every case.
  */
 
 #ifndef DAMN_SIM_ENGINE_HH
 #define DAMN_SIM_ENGINE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/small_fn.hh"
@@ -74,49 +78,32 @@ class Engine
     /**
      * Schedule a callback at absolute virtual time @p when.
      * Scheduling in the past clamps to now().
-     * @return a handle usable with cancel().
      */
-    std::uint64_t
+    void
     schedule(TimeNs when, Callback cb)
     {
         if (when < now_)
             when = now_;
-        const std::uint32_t slot = acquireSlot();
-        Slot &s = slots_[slot];
-        s.cb = std::move(cb);
-        s.seq = nextSeq_++;
-        heapPush(HeapNode{when, s.seq, slot});
+        Slot *s = acquireSlot();
+        s->cb = std::move(cb);
+        s->next = nullptr;
         ++live_;
-        return handleOf(slot, s.gen);
+        const std::uint64_t seq = nextSeq_++;
+        if (chainTail_ != nullptr && when == chainWhen_) {
+            chainTail_->next = s;
+            chainTail_ = s;
+            return;
+        }
+        heapPush(HeapNode{when, seq, s});
+        chainWhen_ = when;
+        chainTail_ = s;
     }
 
     /** Schedule a callback @p delay ns from now. */
-    std::uint64_t
+    void
     scheduleIn(TimeNs delay, Callback cb)
     {
-        return schedule(now_ + delay, std::move(cb));
-    }
-
-    /**
-     * Cancel a previously scheduled event: O(1), allocation-free.  The
-     * callback is destroyed immediately; its heap node stays behind
-     * and is skipped (by generation/sequence mismatch) when popped.
-     * @return true if the handle was live; false for handles whose
-     * event already dispatched or was already cancelled (stale handles
-     * are recognized exactly — they never perturb bookkeeping).
-     */
-    bool
-    cancel(std::uint64_t id)
-    {
-        const std::uint32_t slot = slotOf(id);
-        if (slot >= slots_.size())
-            return false;
-        Slot &s = slots_[slot];
-        if (s.gen != genOf(id) || s.seq == 0)
-            return false;
-        releaseSlot(slot);
-        --live_;
-        return true;
+        schedule(now_ + delay, std::move(cb));
     }
 
     /**
@@ -129,7 +116,7 @@ class Engine
     /** Run until the event queue is empty. */
     std::uint64_t runAll() { return run(~TimeNs{0}); }
 
-    /** Number of not-yet-dispatched (and not cancelled) events. */
+    /** Number of not-yet-dispatched events. */
     std::uint64_t pending() const { return live_; }
 
     /** Total events dispatched over the engine's lifetime. */
@@ -178,62 +165,42 @@ class Engine
     const StallInfo &lastStall() const { return lastStall_; }
 
   private:
-    /** One ready-queue entry; `seq` both orders same-time events FIFO
-     *  and detects stale nodes whose slot was cancelled or reused. */
+    /** Callback storage cell; `next` links a chain or the freelist. */
+    struct Slot
+    {
+        SmallFn cb;
+        Slot *next = nullptr;
+    };
+
+    /** One ready-queue entry: the chain of events starting at `head`,
+     *  all at `when`, the first with sequence number `seq`. */
     struct HeapNode
     {
         TimeNs when;
         std::uint64_t seq;
-        std::uint32_t slot;
+        Slot *head;
     };
+    static_assert(sizeof(HeapNode) == 24, "heap nodes are 24 bytes");
 
-    /** Callback storage cell.  seq == 0 means free (on the freelist);
-     *  gen counts reuses so stale handles/nodes are recognized. */
-    struct Slot
-    {
-        SmallFn cb;
-        std::uint64_t seq = 0;
-        std::uint32_t gen = 0;
-        std::uint32_t nextFree = kNoSlot;
-    };
+    /** Slots per block; blocks never move once allocated. */
+    static constexpr std::size_t kBlockSlots = 256;
 
-    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-
-    static std::uint64_t
-    handleOf(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (std::uint64_t(gen) << 32) | slot;
-    }
-    static std::uint32_t slotOf(std::uint64_t id)
-    {
-        return std::uint32_t(id);
-    }
-    static std::uint32_t genOf(std::uint64_t id)
-    {
-        return std::uint32_t(id >> 32);
-    }
-
-    std::uint32_t
+    Slot *
     acquireSlot()
     {
-        if (freeHead_ != kNoSlot) {
-            const std::uint32_t slot = freeHead_;
-            freeHead_ = slots_[slot].nextFree;
-            return slot;
-        }
-        slots_.emplace_back();
-        return std::uint32_t(slots_.size() - 1);
+        if (free_ == nullptr)
+            growSlots();
+        Slot *s = free_;
+        free_ = s->next;
+        return s;
     }
 
     void
-    releaseSlot(std::uint32_t slot)
+    releaseSlot(Slot *s)
     {
-        Slot &s = slots_[slot];
-        s.cb.reset();
-        s.seq = 0;
-        ++s.gen;
-        s.nextFree = freeHead_;
-        freeHead_ = slot;
+        s->cb.reset();
+        s->next = free_;
+        free_ = s;
     }
 
     /** Earlier-fires-first: (when, seq) lexicographic. */
@@ -245,6 +212,7 @@ class Engine
         return a.seq < b.seq;
     }
 
+    void growSlots();
     void heapPush(HeapNode node);
     void heapPop();
 
@@ -258,8 +226,14 @@ class Engine
     std::uint64_t live_ = 0;
     std::uint64_t dispatched_ = 0;
     std::vector<HeapNode> heap_;
-    std::vector<Slot> slots_;
-    std::uint32_t freeHead_ = kNoSlot;
+    std::vector<std::unique_ptr<Slot[]>> blocks_;
+    Slot *free_ = nullptr;
+    /** Tail of the most recently pushed node's chain while it still
+     *  accepts same-instant appends (null from each batch's start). */
+    Slot *chainTail_ = nullptr;
+    TimeNs chainWhen_ = 0;
+    /** Next event of the popped node being dispatched, if any. */
+    Slot *cur_ = nullptr;
 
     // Stall-watchdog state.
     bool wdArmed_ = false;

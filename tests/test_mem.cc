@@ -486,6 +486,35 @@ TEST_F(MemFixture, ZeroedAllocation)
     pa.freePages(clean, 0);
 }
 
+// Zeroing never-written frames backs nothing: they already read as
+// zero.  A dirtied, backed frame is still zeroed (ZeroedAllocation).
+TEST_F(MemFixture, ZeroedAllocationOfUnwrittenFramesBacksNothing)
+{
+    const std::uint64_t backed = pm.backedFrames();
+    const Pfn p = pa.allocPages(3, 0, /*zero=*/true);
+    ASSERT_NE(p, kInvalidPfn);
+    EXPECT_EQ(pm.backedFrames(), backed);
+    std::vector<std::uint8_t> out(8 * kPageSize, 0xff);
+    pm.read(pfnToPa(p), out.data(), out.size());
+    for (const std::uint8_t b : out)
+        ASSERT_EQ(b, 0);
+    pa.freePages(p, 3);
+}
+
+TEST_F(MemFixture, ZeroFillKeepsBackedFramesAndZeroesThem)
+{
+    const Pfn p = pa.allocPages(1, 0);
+    pm.fill(pfnToPa(p), 0xdd, kPageSize); // back and dirty frame 0 only
+    const std::uint64_t backed = pm.backedFrames();
+    pm.fill(pfnToPa(p) + 100, 0, 2 * kPageSize - 200);
+    EXPECT_EQ(pm.backedFrames(), backed);
+    EXPECT_EQ(pm.readByte(pfnToPa(p) + 99), 0xdd);
+    EXPECT_EQ(pm.readByte(pfnToPa(p) + 100), 0);
+    EXPECT_EQ(pm.readByte(pfnToPa(p) + kPageSize - 1), 0);
+    EXPECT_EQ(pm.readByte(pfnToPa(p) + 2 * kPageSize - 100), 0);
+    pa.freePages(p, 1);
+}
+
 TEST_F(MemFixture, FreeClearsPageMetadata)
 {
     const Pfn p = pa.allocPages(1, 0);

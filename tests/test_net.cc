@@ -325,6 +325,175 @@ TEST_F(GuardFixture, FreeSkbReleasesBackingChunkOnce)
 }
 
 // ---------------------------------------------------------------------
+// SkBuff segment list: splits, spills, copies, moves
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+expectSameSegs(const SkBuff &a, const SkBuff &b)
+{
+    ASSERT_EQ(a.segs.size(), b.segs.size());
+    for (std::size_t i = 0; i < a.segs.size(); ++i) {
+        SCOPED_TRACE(i);
+        const SkbSegment &x = a.segs[i];
+        const SkbSegment &y = b.segs[i];
+        EXPECT_EQ(x.pa, y.pa);
+        EXPECT_EQ(x.len, y.len);
+        EXPECT_EQ(x.owner, y.owner);
+        EXPECT_EQ(x.pageOrder, y.pageOrder);
+        EXPECT_EQ(x.secured, y.secured);
+        EXPECT_EQ(x.dmaAddr, y.dmaAddr);
+        EXPECT_EQ(x.dmaLen, y.dmaLen);
+        EXPECT_EQ(x.dmaMapped, y.dmaMapped);
+        EXPECT_EQ(x.dmaDir, y.dmaDir);
+    }
+}
+
+std::uint8_t
+wireByte(std::uint32_t off)
+{
+    return std::uint8_t(off * 7 + 3);
+}
+
+struct SegListFixture : GuardFixture
+{
+    static constexpr std::uint32_t kSegBytes = 8192;
+
+    /** A received skb of @p n DAMN segments, byte o reading
+     *  wireByte(o). */
+    SkBuff
+    rxSkbOf(sim::CpuCursor &c, unsigned n)
+    {
+        SkBuff skb;
+        for (unsigned i = 0; i < n; ++i) {
+            RxBuffer buf = stack->driver.allocRxBuffer(c, kSegBytes);
+            std::vector<std::uint8_t> wire(kSegBytes);
+            for (std::uint32_t b = 0; b < kSegBytes; ++b)
+                wire[b] = wireByte(i * kSegBytes + b);
+            nic->dmaWrite(c.time, buf.seg.dmaAddr, wire.data(),
+                          kSegBytes);
+            skb.append(stack->driver.rxBuild(c, buf, kSegBytes).segs[0]);
+        }
+        return skb;
+    }
+
+    /**
+     * Secure [lo, hi) of each of @p n segments, then check the layout
+     * (@p pieces per segment), the bytes, and that freeSkb returns the
+     * kmalloc heap and the page allocator to their baselines.
+     */
+    void
+    splitEach(unsigned n, std::uint32_t lo, std::uint32_t hi,
+              std::size_t pieces)
+    {
+        auto c = cpu();
+        // One warm-up round fills slab and DAMN caches so the counters
+        // below move only by what this skb owns.
+        for (int round = 0; round < 2; ++round) {
+            const std::uint64_t objects = sys->heap.liveObjects();
+            const std::uint64_t frames = sys->pageAlloc.allocatedFrames();
+            SkBuff skb = rxSkbOf(c, n);
+            for (unsigned i = 0; i < n; ++i)
+                EXPECT_EQ(sys->accessor().secureRange(
+                              c, skb, i * kSegBytes + lo, hi - lo),
+                          hi - lo);
+            ASSERT_EQ(skb.segs.size(), n * pieces);
+            EXPECT_EQ(skb.len(), n * kSegBytes);
+            for (unsigned i = 0; i < n; ++i) {
+                const SkbSegment *seg = &skb.segs[i * pieces];
+                if (lo > 0) {
+                    EXPECT_EQ(seg->len, lo);
+                    EXPECT_EQ(seg->owner, SegOwner::Borrowed);
+                    ++seg;
+                }
+                EXPECT_EQ(seg->len, hi - lo);
+                EXPECT_TRUE(seg->secured);
+                EXPECT_EQ(seg->owner, hi - lo > 4096 ? SegOwner::Pages
+                                                     : SegOwner::Kmalloc);
+                ++seg;
+                if (hi < kSegBytes) {
+                    EXPECT_EQ(seg->len, kSegBytes - hi);
+                    EXPECT_EQ(seg->owner, SegOwner::Borrowed);
+                    EXPECT_FALSE(seg->secured);
+                    ++seg;
+                }
+                EXPECT_EQ(seg->len, 0u); // the owner of the DAMN buffer
+                EXPECT_EQ(seg->owner, SegOwner::Damn);
+            }
+            std::vector<std::uint8_t> out(n * kSegBytes);
+            sys->accessor().access(c, skb, 0, n * kSegBytes, out.data());
+            for (std::uint32_t o = 0; o < out.size(); ++o)
+                ASSERT_EQ(out[o], wireByte(o)) << o;
+            sys->accessor().freeSkb(c, skb);
+            EXPECT_TRUE(skb.segs.empty());
+            if (round > 0) {
+                EXPECT_EQ(sys->heap.liveObjects(), objects);
+                EXPECT_EQ(sys->pageAlloc.allocatedFrames(), frames);
+            }
+        }
+    }
+};
+
+} // namespace
+
+// One segment stays inline (at most 4 pieces); five segments spill.
+TEST_F(SegListFixture, SplitAtLoInlineAndSpilled)
+{
+    splitEach(1, 1000, kSegBytes, 3); // pre | sec | owner
+    splitEach(5, 1000, kSegBytes, 3);
+}
+
+TEST_F(SegListFixture, SplitAtHiInlineAndSpilled)
+{
+    splitEach(1, 0, 500, 3); // sec | post | owner
+    splitEach(5, 0, 500, 3);
+}
+
+TEST_F(SegListFixture, SplitAtBothInlineAndSpilled)
+{
+    splitEach(1, 1000, 1500, 4); // pre | sec | post | owner
+    splitEach(5, 1000, 1500, 4);
+}
+
+TEST_F(SegListFixture, CopyAndMovePreserveSegments)
+{
+    auto c = cpu();
+    SkBuff small = rxSkbOf(c, 1);
+    sys->accessor().secureRange(c, small, 100, 200);
+    SkBuff big = rxSkbOf(c, 5);
+    for (unsigned i = 0; i < 5; ++i)
+        sys->accessor().secureRange(c, big, i * kSegBytes + 100, 200);
+    ASSERT_EQ(small.segs.size(), 4u);
+    ASSERT_EQ(big.segs.size(), 20u);
+
+    for (const SkBuff *src : {&small, &big}) {
+        SkBuff copy(*src);
+        expectSameSegs(copy, *src);
+        SkBuff moved(std::move(copy));
+        expectSameSegs(moved, *src);
+        SkBuff assigned;
+        assigned = moved;
+        expectSameSegs(assigned, *src);
+        SkBuff moveAssigned;
+        moveAssigned = std::move(assigned);
+        expectSameSegs(moveAssigned, *src);
+    }
+    // Assignment across the inline/spilled boundary, both ways.
+    SkBuff x(big);
+    x = small;
+    expectSameSegs(x, small);
+    x = big;
+    expectSameSegs(x, big);
+    x = SkBuff(small);
+    expectSameSegs(x, small);
+
+    sys->accessor().freeSkb(c, small);
+    sys->accessor().freeSkb(c, big);
+    EXPECT_EQ(sys->heap.liveObjects(), 0u);
+}
+
+// ---------------------------------------------------------------------
 // NIC model
 // ---------------------------------------------------------------------
 

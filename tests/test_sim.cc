@@ -6,12 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sim/context.hh"
 #include "sim/cpu_cursor.hh"
+#include "sim/rng.hh"
 #include "sim/sim_mutex.hh"
 
 using namespace damn::sim;
@@ -92,26 +98,6 @@ TEST(Engine, PastSchedulingClampsToNow)
     EXPECT_EQ(when, 100u);
 }
 
-TEST(Engine, CancelPreventsDispatch)
-{
-    Engine e;
-    int fired = 0;
-    const auto id = e.schedule(10, [&] { ++fired; });
-    EXPECT_TRUE(e.cancel(id));
-    EXPECT_EQ(e.pending(), 0u);
-    e.runAll();
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(Engine, DoubleCancelReturnsFalse)
-{
-    Engine e;
-    const auto id = e.schedule(10, [] {});
-    EXPECT_TRUE(e.cancel(id));
-    EXPECT_FALSE(e.cancel(id));
-    e.runAll();
-}
-
 TEST(Engine, ScheduleInIsRelative)
 {
     Engine e;
@@ -145,78 +131,6 @@ TEST(Engine, DispatchedCounts)
     EXPECT_EQ(e.dispatched(), 5u);
 }
 
-// Regression: the seed engine recorded a cancel of an already-
-// dispatched id in its lazy-cancel set forever and decremented the
-// live count below the true number of pending events.  Stale handles
-// must be recognized exactly.
-TEST(Engine, CancelAfterDispatchIsRejected)
-{
-    Engine e;
-    int fired = 0;
-    const auto id = e.schedule(10, [&] { ++fired; });
-    e.schedule(50, [&] { ++fired; });
-    e.run(20);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(e.pending(), 1u);
-    EXPECT_FALSE(e.cancel(id)); // already dispatched: stale handle
-    EXPECT_EQ(e.pending(), 1u); // live count not corrupted
-    e.runAll();
-    EXPECT_EQ(fired, 2);        // the remaining event still fires
-    EXPECT_EQ(e.pending(), 0u);
-}
-
-// A stale handle must never cancel an unrelated newer event, even when
-// the newer event reuses the old event's internal storage slot.
-TEST(Engine, StaleHandleCannotCancelSlotReuse)
-{
-    Engine e;
-    int fired = 0;
-    const auto old_id = e.schedule(10, [&] { ++fired; });
-    e.run(10); // dispatches and frees the slot
-    EXPECT_EQ(fired, 1);
-    e.schedule(20, [&] { ++fired; }); // reuses the freed slot
-    EXPECT_FALSE(e.cancel(old_id));
-    EXPECT_EQ(e.pending(), 1u);
-    e.runAll();
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(Engine, CancelledThenReusedSlotKeepsPendingExact)
-{
-    Engine e;
-    int fired = 0;
-    std::vector<std::uint64_t> ids;
-    for (int i = 0; i < 16; ++i)
-        ids.push_back(e.schedule(TimeNs(100 + i), [&] { ++fired; }));
-    for (const auto id : ids)
-        EXPECT_TRUE(e.cancel(id));
-    EXPECT_EQ(e.pending(), 0u);
-    for (const auto id : ids)
-        EXPECT_FALSE(e.cancel(id)); // double-cancel of every handle
-    // Reuse the freed slots; old handles must stay dead.
-    for (int i = 0; i < 16; ++i)
-        e.schedule(TimeNs(200 + i), [&] { ++fired; });
-    EXPECT_EQ(e.pending(), 16u);
-    e.runAll();
-    EXPECT_EQ(fired, 16);
-    EXPECT_EQ(e.dispatched(), 16u);
-}
-
-// A same-timestamp batch member cancelled by an earlier member's
-// callback must not fire.
-TEST(Engine, CancelWithinSameTimestampBatch)
-{
-    Engine e;
-    int fired = 0;
-    std::uint64_t victim = 0;
-    e.schedule(10, [&] { e.cancel(victim); });
-    victim = e.schedule(10, [&] { ++fired; });
-    e.schedule(10, [&] { ++fired; });
-    e.runAll();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(e.pending(), 0u);
-}
-
 // Events scheduled *at the current instant* from inside a batch fire
 // after the whole batch, in scheduling order.
 TEST(Engine, SameInstantScheduleFromBatchRunsAfterBatch)
@@ -246,6 +160,298 @@ TEST(Engine, OversizedCallbackFallsBackToHeap)
     });
     e.runAll();
     EXPECT_EQ(sum, 16u * 7u);
+}
+
+namespace {
+
+/**
+ * Reference engine for the differential tests: a map keyed by
+ * (when, seq), dispatched in key order, with `until` and the watchdog
+ * checked at batch boundaries.  A batch is the events at the earliest
+ * time that were scheduled before it began.
+ */
+class RefEngine
+{
+  public:
+    TimeNs now() const { return now_; }
+    std::uint64_t pending() const { return q_.size(); }
+    std::uint64_t dispatched() const { return dispatched_; }
+    std::uint64_t stallsDetected() const { return stalls_; }
+    const StallInfo &lastStall() const { return lastStall_; }
+
+    void
+    schedule(TimeNs when, std::function<void()> cb)
+    {
+        q_.emplace(std::pair{std::max(when, now_), nextSeq_++},
+                   std::move(cb));
+    }
+
+    void
+    armWatchdog(std::uint64_t max, std::function<std::uint64_t()> probe)
+    {
+        wdArmed_ = true;
+        wdMax_ = max ? max : 1;
+        wdStride_ = wdMax_ / 2 < 1024 ? (wdMax_ / 2 ? wdMax_ / 2 : 1)
+                                      : 1024;
+        wdProbe_ = std::move(probe);
+        wdLastProgress_ = wdProbe_();
+        wdDispatchedAtProgress_ = dispatched_;
+        wdLastCheck_ = dispatched_;
+    }
+
+    std::uint64_t
+    run(TimeNs until)
+    {
+        std::uint64_t n = 0;
+        while (!q_.empty()) {
+            const TimeNs t = q_.begin()->first.first;
+            if (t > until)
+                break;
+            const std::uint64_t batch = nextSeq_;
+            while (!q_.empty() && q_.begin()->first.first == t &&
+                   q_.begin()->first.second < batch) {
+                std::function<void()> cb = std::move(q_.begin()->second);
+                q_.erase(q_.begin());
+                now_ = t;
+                ++dispatched_;
+                ++n;
+                cb();
+            }
+            if (wdArmed_ && dispatched_ - wdLastCheck_ >= wdStride_ &&
+                watchdogCheck())
+                break;
+        }
+        return n;
+    }
+
+  private:
+    bool
+    watchdogCheck()
+    {
+        wdLastCheck_ = dispatched_;
+        const std::uint64_t p = wdProbe_();
+        if (p != wdLastProgress_) {
+            wdLastProgress_ = p;
+            wdDispatchedAtProgress_ = dispatched_;
+            return false;
+        }
+        if (dispatched_ - wdDispatchedAtProgress_ < wdMax_)
+            return false;
+        ++stalls_;
+        lastStall_ = StallInfo{now_, dispatched_, q_.size(),
+                               dispatched_ - wdDispatchedAtProgress_, p};
+        wdDispatchedAtProgress_ = dispatched_;
+        return true;
+    }
+
+    TimeNs now_ = 0;
+    std::uint64_t nextSeq_ = 1;
+    std::uint64_t dispatched_ = 0;
+    std::map<std::pair<TimeNs, std::uint64_t>, std::function<void()>> q_;
+    bool wdArmed_ = false;
+    std::uint64_t wdMax_ = 0;
+    std::uint64_t wdStride_ = 1;
+    std::uint64_t wdLastProgress_ = 0;
+    std::uint64_t wdDispatchedAtProgress_ = 0;
+    std::uint64_t wdLastCheck_ = 0;
+    std::uint64_t stalls_ = 0;
+    StallInfo lastStall_{};
+    std::function<std::uint64_t()> wdProbe_;
+};
+
+/**
+ * A random event script run on engine type E.  Each event's actions
+ * derive from (seed, event id) alone, so two engines that dispatch in
+ * the same order run the same script.  Events schedule children at the
+ * same instant, in the past (clamped) or a few ns ahead, bump a
+ * progress counter, and now and then call run() from inside a
+ * callback.
+ */
+template <typename E>
+struct Script
+{
+    explicit Script(std::uint64_t s) : seed(s) {}
+
+    void
+    spawn(TimeNs when)
+    {
+        const std::uint64_t id = nextId++;
+        e.schedule(when, [this, id] { fire(id); });
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        order.push_back(id);
+        Rng r((seed << 20) ^ (id * 0x9e3779b97f4a7c15ull));
+        if (r.chance(0.1))
+            ++progress;
+        const std::uint64_t kids = r.below(4);
+        for (std::uint64_t k = 0; k < kids && budget > 0; ++k) {
+            --budget;
+            const TimeNs now = e.now();
+            switch (r.below(6)) {
+              case 0:
+              case 1:
+                spawn(now);
+                break;
+              case 2:
+                spawn(r.below(now + 1)); // past (or now): clamps
+                break;
+              default:
+                spawn(now + 1 + r.below(8));
+                break;
+            }
+        }
+        if (depth < 2 && r.chance(0.03)) {
+            ++depth;
+            const TimeNs until = e.now() + r.below(4);
+            const std::uint64_t n = e.run(until > 0 ? until - 1 : 0);
+            --depth;
+            nested.insert(nested.end(),
+                          {n, e.now(), e.pending(), e.dispatched()});
+        }
+    }
+
+    E e;
+    std::uint64_t seed;
+    std::uint64_t nextId = 0;
+    std::uint64_t budget = 2000;
+    std::uint64_t progress = 0;
+    unsigned depth = 0;
+    std::vector<std::uint64_t> order;  //!< event ids, dispatch order
+    std::vector<std::uint64_t> nested; //!< state after each nested run
+};
+
+void
+expectSameStall(const StallInfo &a, const StallInfo &b)
+{
+    EXPECT_EQ(a.now, b.now);
+    EXPECT_EQ(a.dispatched, b.dispatched);
+    EXPECT_EQ(a.pending, b.pending);
+    EXPECT_EQ(a.eventsSinceProgress, b.eventsSinceProgress);
+    EXPECT_EQ(a.progressValue, b.progressValue);
+}
+
+/** Run one script on Engine and RefEngine in lockstep; every run()
+ *  must agree on order, now(), pending() and dispatched(). */
+/** What a batch of scripts exercised, so the tests cannot pass
+ *  vacuously. */
+struct Coverage
+{
+    std::uint64_t events = 0;
+    std::uint64_t nestedRuns = 0;
+    std::uint64_t stalls = 0;
+};
+
+void
+runDifferential(std::uint64_t seed, bool watchdog, Coverage &cov)
+{
+    Script<Engine> a(seed);
+    Script<RefEngine> b(seed);
+    Rng top(seed);
+    if (watchdog) {
+        const std::uint64_t max = top.between(1, 64);
+        a.e.armWatchdog(max, [&a] { return a.progress; });
+        b.e.armWatchdog(max, [&b] { return b.progress; });
+    }
+    for (std::uint64_t i = top.between(1, 12); i > 0; --i) {
+        const TimeNs t = top.below(10);
+        a.spawn(t);
+        b.spawn(t);
+    }
+    for (unsigned step = 0; a.e.pending() > 0 || b.e.pending() > 0;
+         ++step) {
+        ASSERT_LT(step, 100000u);
+        // Coarse times: `until` often equals a chained instant.
+        const TimeNs until = top.chance(0.05)
+                                 ? ~TimeNs{0}
+                                 : a.e.now() + top.below(12);
+        ASSERT_EQ(a.e.run(until), b.e.run(until));
+        ASSERT_EQ(a.order, b.order);
+        ASSERT_EQ(a.nested, b.nested);
+        ASSERT_EQ(a.e.now(), b.e.now());
+        ASSERT_EQ(a.e.pending(), b.e.pending());
+        ASSERT_EQ(a.e.dispatched(), b.e.dispatched());
+        ASSERT_EQ(a.e.stallsDetected(), b.e.stallsDetected());
+        if (a.e.stallsDetected() > 0)
+            expectSameStall(a.e.lastStall(), b.e.lastStall());
+        if (top.chance(0.2)) {
+            const TimeNs t = top.below(a.e.now() + 10);
+            a.spawn(t);
+            b.spawn(t);
+        }
+    }
+    cov.events += a.order.size();
+    cov.nestedRuns += a.nested.size() / 4;
+    cov.stalls += a.e.stallsDetected();
+}
+
+} // namespace
+
+TEST(Engine, MatchesReferenceOrderOnRandomScripts)
+{
+    Coverage cov;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE(seed);
+        runDifferential(seed, false, cov);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(cov.events, 100000u);
+    EXPECT_GT(cov.nestedRuns, 1000u);
+}
+
+TEST(Engine, WatchdogMatchesBatchBoundaryReference)
+{
+    Coverage cov;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        SCOPED_TRACE(seed);
+        runDifferential(seed, true, cov);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(cov.stalls, 100u);
+}
+
+// A callback that throws leaves run() with the exception; the rest of
+// its same-instant chain stays pending, and tearing the engine down
+// destroys every remaining callback exactly once.
+TEST(Engine, ThrowingCallbackLeavesRestPendingAndDestroyedOnce)
+{
+    struct Tracked
+    {
+        explicit Tracked(std::shared_ptr<int> d) : destroyed(std::move(d))
+        {}
+        Tracked(Tracked &&) noexcept = default;
+        ~Tracked()
+        {
+            if (destroyed)
+                ++*destroyed;
+        }
+        std::shared_ptr<int> destroyed;
+    };
+    auto destroyed = std::make_shared<int>(0);
+    int fired = 0;
+    {
+        Engine e;
+        e.schedule(10, [t = Tracked(destroyed), &fired] { ++fired; });
+        e.schedule(10, [t = Tracked(destroyed)] {
+            throw std::runtime_error("callback failed");
+        });
+        e.schedule(10, [t = Tracked(destroyed), &fired] { ++fired; });
+        e.schedule(20, [t = Tracked(destroyed), &fired] { ++fired; });
+        EXPECT_THROW(e.runAll(), std::runtime_error);
+        EXPECT_EQ(fired, 1);
+        EXPECT_EQ(e.now(), 10u);
+        EXPECT_EQ(e.dispatched(), 2u);
+        EXPECT_EQ(e.pending(), 2u);
+        EXPECT_EQ(*destroyed, 2); // the two that ran
+        EXPECT_EQ(destroyed.use_count(), 3);
+    }
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(*destroyed, 4);
+    EXPECT_EQ(destroyed.use_count(), 1);
 }
 
 // ---------------------------------------------------------------------
