@@ -106,23 +106,12 @@ parseArgs(int argc, char **argv, Options *opt)
                 opt->schemes = fuzz::fuzzSchemes();
             } else {
                 opt->schemes.clear();
-                std::string names(v4);
-                std::size_t pos = 0;
-                while (pos <= names.size()) {
-                    const std::size_t comma = names.find(',', pos);
-                    const std::string name = names.substr(
-                        pos, comma == std::string::npos ? comma
-                                                        : comma - pos);
+                for (const std::string &name : dma::splitNameList(v4)) {
                     dma::SchemeKind k;
-                    if (!fuzz::fuzzSchemeFromName(name, &k))
+                    if (!dma::schemeFromName(name, &k))
                         return false;
                     opt->schemes.push_back(k);
-                    if (comma == std::string::npos)
-                        break;
-                    pos = comma + 1;
                 }
-                if (opt->schemes.empty())
-                    return false;
             }
         } else if (const char *v5 = val("--backend=")) {
             if (std::string(v5) == "all") {

@@ -46,9 +46,6 @@ class DamnAllocator
     DamnAllocator(const DamnAllocator &) = delete;
     DamnAllocator &operator=(const DamnAllocator &) = delete;
 
-    /** The backing IOMMU's IOVA address layout (tag bit, fields). */
-    iommu::AddressLayout layout() const { return iommu_.layout(); }
-
     // ---- Paper Table 2 -------------------------------------------
 
     /**
@@ -125,7 +122,6 @@ class DamnAllocator
         return caches_;
     }
 
-    mem::PageAllocator &pageAllocator() { return pageAlloc_; }
     mem::KmallocHeap &heap() { return heap_; }
 
   private:

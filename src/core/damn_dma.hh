@@ -58,7 +58,7 @@ class DamnDmaApi : public dma::DmaApi
                             "dma.unmap");
         span.bytes(len);
         cpu.charge(ctx_.cost.damnUnmapCheckNs);
-        if (isDamnIova(dma_addr, alloc_.layout())) {
+        if (isDamnIova(dma_addr)) {
             // Nothing to tear down; the buffer is freed later by the
             // networking subsystem through damn_free.
             ctx_.stats.add(unmapHitsCtr_);
@@ -74,7 +74,7 @@ class DamnDmaApi : public dma::DmaApi
         std::vector<UnmapReq> legacy;
         for (const UnmapReq &r : reqs) {
             cpu.charge(ctx_.cost.damnUnmapCheckNs);
-            if (isDamnIova(r.dmaAddr, alloc_.layout()))
+            if (isDamnIova(r.dmaAddr))
                 ctx_.stats.add(unmapHitsCtr_);
             else
                 legacy.push_back(r);

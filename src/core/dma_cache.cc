@@ -56,13 +56,12 @@ iommu::Iova
 DmaCache::allocChunkIova(sim::CoreId creating_core)
 {
     const std::uint64_t chunk_bytes = config_.chunkBytes();
-    const iommu::AddressLayout lay = iommu_.layout();
     if (config_.denseIova || config_.hugeIovaPages) {
         // Analysis-only variants (Table 3): IOVAs are packed densely in
         // a private 16 GiB region; no metadata is encoded.
         const iommu::Iova base =
-            lay.tagMask() |
-            (std::uint64_t(cacheId_) << lay.denseRegionShift());
+            iommu::kDamnIovaBit |
+            (std::uint64_t(cacheId_) << kDenseRegionShift);
         const iommu::Iova iova = base + denseNext_;
         denseNext_ += chunk_bytes;
         return iova;
@@ -77,15 +76,14 @@ DmaCache::allocChunkIova(sim::CoreId creating_core)
         // encoded IOVA has the tag bit set, so 0 is an unambiguous
         // invalid sentinel for the caller's OOM path.
         slot = nextSlot_;
-        if (slot * chunk_bytes > lay.offsetMask()) {
+        if (slot * chunk_bytes > kOffsetMask) {
             ctx_.stats.add(ctr_.iovaRegionExhausted);
             return 0;
         }
         ++nextSlot_;
     }
     const std::uint64_t offset = slot * chunk_bytes;
-    return encodeIova(creating_core, rights_, devIdx_, numa_, offset,
-                      lay);
+    return encodeIova(creating_core, rights_, devIdx_, numa_, offset);
 }
 
 void
@@ -243,7 +241,7 @@ DmaCache::releaseChunk(sim::CpuCursor &cpu, const Chunk &c)
             (void)ok;
         }
         if (!config_.denseIova) {
-            const IovaFields f = decodeIova(c.iova, iommu_.layout());
+            const IovaFields f = decodeIova(c.iova);
             freeSlots_.push_back(f.offset / config_.chunkBytes());
         }
     }

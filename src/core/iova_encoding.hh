@@ -2,16 +2,17 @@
  * @file
  * DAMN's metadata-carrying IOVA encoding (paper figure 3).
  *
- * The IOVA space is split on the MSB of the backend's implemented
- * input-address width (iommu::AddressLayout): tag bit == 1 marks a
- * DAMN-allocated buffer, letting dma_unmap decide in O(1) whether to do
- * nothing (DAMN) or fall back to the legacy path (section 5.3).  The
- * upper bits of a DAMN IOVA encode the allocating core, the access
- * rights, and the device, so the deallocation path can locate the
- * owning DMA cache (section 5.5).
+ * The 48-bit IOVA space is split on its MSB (bit 47,
+ * iommu::kDamnIovaBit): tag bit == 1 marks a DAMN-allocated buffer,
+ * letting dma_unmap decide in O(1) whether to do nothing (DAMN) or
+ * fall back to the legacy path (section 5.3).  The upper bits of a
+ * DAMN IOVA encode the allocating core, the access rights, and the
+ * device, so the deallocation path can locate the owning DMA cache
+ * (section 5.5).  Both modeled IOMMUs (VT-d, SMMUv3) implement 48-bit
+ * input addresses, so this one layout serves every backend.
  *
- * Field layout for the default 48-bit backends (the paper's figure is
- * schematic about exact widths; we document our concrete choice):
+ * Field layout (the paper's figure is schematic about exact widths; we
+ * document our concrete choice):
  *
  *   47    46..40   39..37    36..30   29      28..0
  *   [1]   cpu idx  rights    dev idx  numa    offset (512 MiB/region)
@@ -21,9 +22,7 @@
  * bit is our addition (the evaluation machine has 2 NUMA domains and
  * DAMN keeps one DMA cache per domain, section 5.4); it subdivides the
  * offset space so per-domain caches of the same (device, rights) pair
- * never collide.  A backend with a narrower input size shifts the
- * whole encoding down (fields keep their widths; only the offset space
- * shrinks) — encode/decode take the backend's AddressLayout.
+ * never collide.
  */
 
 #ifndef DAMN_CORE_IOVA_ENCODING_HH
@@ -33,7 +32,6 @@
 #include <cstdint>
 
 #include "dma/dma_types.hh"
-#include "iommu/backend.hh"
 #include "iommu/iova_alloc.hh"
 #include "sim/types.hh"
 
@@ -57,29 +55,24 @@ struct IovaFields
     std::uint64_t offset = 0;
 };
 
-// Legacy aliases: the concrete values of the default 48-bit layout.
+// The fields of the layout drawn above.
 constexpr unsigned kCpuShift = 40;
 constexpr unsigned kRightsShift = 37;
 constexpr unsigned kDevShift = 30;
 constexpr unsigned kNumaShift = 29;
 constexpr std::uint64_t kOffsetMask = (1ull << kNumaShift) - 1;
-
-static_assert(iommu::AddressLayout{}.cpuShift() == kCpuShift);
-static_assert(iommu::AddressLayout{}.rightsShift() == kRightsShift);
-static_assert(iommu::AddressLayout{}.devShift() == kDevShift);
-static_assert(iommu::AddressLayout{}.numaShift() == kNumaShift);
-static_assert(iommu::AddressLayout{}.offsetMask() == kOffsetMask);
-static_assert(iommu::AddressLayout{}.tagMask() == iommu::kDamnIovaBit);
+/** Region shift of the dense (non-encoded) DAMN IOVA mode (Table 3):
+ *  each DMA cache packs its IOVAs into a private 16 GiB region. */
+constexpr unsigned kDenseRegionShift = 34;
 
 constexpr unsigned kMaxCpus = 128;
 constexpr unsigned kMaxDevices = 128;
 
 /** True iff @p iova belongs to DAMN's half of the address space. */
 constexpr bool
-isDamnIova(iommu::Iova iova,
-           const iommu::AddressLayout &lay = iommu::AddressLayout{})
+isDamnIova(iommu::Iova iova)
 {
-    return (iova & lay.tagMask()) != 0;
+    return (iova & iommu::kDamnIovaBit) != 0;
 }
 
 /** One-hot rights field value. */
@@ -97,37 +90,35 @@ rightsField(Rights r)
     return 0;
 }
 
-/** Compose a DAMN IOVA in @p lay's address space. */
+/** Compose a DAMN IOVA. */
 inline iommu::Iova
 encodeIova(sim::CoreId cpu, Rights rights, std::uint32_t dev_idx,
-           sim::NumaId numa, std::uint64_t offset,
-           const iommu::AddressLayout &lay = iommu::AddressLayout{})
+           sim::NumaId numa, std::uint64_t offset)
 {
     assert(cpu < kMaxCpus);
     assert(dev_idx < kMaxDevices);
     assert(numa < 2);
-    assert(offset <= lay.offsetMask());
-    return lay.tagMask() |
-        (std::uint64_t(cpu) << lay.cpuShift()) |
-        (rightsField(rights) << lay.rightsShift()) |
-        (std::uint64_t(dev_idx) << lay.devShift()) |
-        (std::uint64_t(numa) << lay.numaShift()) |
+    assert(offset <= kOffsetMask);
+    return iommu::kDamnIovaBit |
+        (std::uint64_t(cpu) << kCpuShift) |
+        (rightsField(rights) << kRightsShift) |
+        (std::uint64_t(dev_idx) << kDevShift) |
+        (std::uint64_t(numa) << kNumaShift) |
         offset;
 }
 
 /** Decompose a DAMN IOVA; @p iova must have the tag bit set. */
 inline IovaFields
-decodeIova(iommu::Iova iova,
-           const iommu::AddressLayout &lay = iommu::AddressLayout{})
+decodeIova(iommu::Iova iova)
 {
-    assert(isDamnIova(iova, lay));
+    assert(isDamnIova(iova));
     IovaFields f;
-    f.cpu = sim::CoreId((iova >> lay.cpuShift()) & 0x7f);
-    const std::uint64_t r = (iova >> lay.rightsShift()) & 0x7;
+    f.cpu = sim::CoreId((iova >> kCpuShift) & 0x7f);
+    const std::uint64_t r = (iova >> kRightsShift) & 0x7;
     f.rights = r == 1 ? Rights::Read : r == 2 ? Rights::Write : Rights::RW;
-    f.devIdx = std::uint32_t((iova >> lay.devShift()) & 0x7f);
-    f.numa = sim::NumaId((iova >> lay.numaShift()) & 0x1);
-    f.offset = iova & lay.offsetMask();
+    f.devIdx = std::uint32_t((iova >> kDevShift) & 0x7f);
+    f.numa = sim::NumaId((iova >> kNumaShift) & 0x1);
+    f.offset = iova & kOffsetMask;
     return f;
 }
 

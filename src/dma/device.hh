@@ -142,6 +142,33 @@ class Device
     sim::Stats::Counter unpluggedAbortsCtr_;
     std::uint64_t faultedDmas_ = 0;
     bool attached_ = true;
+
+  private:
+    /** What walkPages() did; it stopped early iff bytesDone < len. */
+    struct PageWalk
+    {
+        std::uint64_t bytesDone = 0;
+        sim::TimeNs walkNs = 0;     //!< summed translation latency
+        sim::TimeNs completes = 0;
+    };
+
+    /**
+     * The surprise-unplug draw every DMA makes, then the bus
+     * master-abort of a detached device.
+     * @return true when the device is gone (the DMA aborts).
+     */
+    bool masterAbort();
+
+    /**
+     * Move @p len bytes page by page, each page translated by
+     * @p translate (an iommu::TranslateResult or AtsAgent::Result
+     * producer), stopping at the first page that does not translate;
+     * books the moved bytes' memory-controller traffic.
+     */
+    template <class Translate>
+    PageWalk walkPages(sim::TimeNs now, iommu::Iova addr, void *buf,
+                       std::uint64_t len, bool is_write,
+                       Translate translate);
 };
 
 } // namespace damn::dma

@@ -30,6 +30,34 @@ schemeKindName(SchemeKind k)
     return "?";
 }
 
+bool
+schemeFromName(const std::string &name, SchemeKind *out)
+{
+    for (const SchemeKind k :
+         {SchemeKind::IommuOff, SchemeKind::Strict, SchemeKind::Deferred,
+          SchemeKind::Shadow, SchemeKind::Damn}) {
+        if (name == schemeKindName(k)) {
+            *out = k;
+            return true;
+        }
+    }
+    return false;
+}
+
+std::vector<std::string>
+splitNameList(const std::string &list)
+{
+    std::vector<std::string> names;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = list.find(',', start);
+        names.push_back(list.substr(start, comma - start));
+        if (comma == std::string::npos)
+            return names;
+        start = comma + 1;
+    }
+}
+
 // ---------------------------------------------------------------------
 // MappedDmaApi (shared map path of strict/deferred)
 // ---------------------------------------------------------------------
@@ -287,9 +315,7 @@ bucketSize(unsigned b)
 ShadowDmaApi::ShadowDmaApi(sim::Context &ctx, iommu::Iommu &mmu,
                            mem::PageAllocator &pa)
     : ctx_(ctx), iommu_(mmu), pageAlloc_(pa), ctr_(ctx.stats)
-{
-    iovaAlloc_.setAddressLimit(mmu.layout().dmaApiLimit());
-}
+{}
 
 unsigned
 ShadowDmaApi::bucketFor(std::uint32_t len)

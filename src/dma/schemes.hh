@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +30,14 @@ enum class SchemeKind
 };
 
 const char *schemeKindName(SchemeKind k);
+
+/** Parse a scheme name as printed by schemeKindName(); false when
+ *  @p name is unknown. */
+bool schemeFromName(const std::string &name, SchemeKind *out);
+
+/** Split a command-line name list ("strict,damn") at its commas.
+ *  Empty names are kept, so "" and "a,,b" fail the name parser. */
+std::vector<std::string> splitNameList(const std::string &list);
 
 /**
  * iommu-off: no protection at all; DMA address == physical address.
@@ -101,9 +110,7 @@ class MappedDmaApi : public DmaApi
   public:
     MappedDmaApi(sim::Context &ctx, iommu::Iommu &mmu)
         : ctx_(ctx), iommu_(mmu), ctr_(ctx.stats)
-    {
-        iovaAlloc_.setAddressLimit(mmu.layout().dmaApiLimit());
-    }
+    {}
 
     iommu::Iova map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
                     std::uint32_t len, Dir dir) override;

@@ -123,38 +123,24 @@ parseArgs(int argc, const char *const *argv, DriverOptions *opts,
             opts->only = value;
         } else if (key == "schemes") {
             std::vector<dma::SchemeKind> selected;
-            std::size_t start = 0;
-            while (start <= value.size()) {
-                std::size_t comma = value.find(',', start);
-                if (comma == std::string::npos)
-                    comma = value.size();
-                const std::string name =
-                    value.substr(start, comma - start);
+            for (const std::string &name : dma::splitNameList(value)) {
                 dma::SchemeKind k;
-                if (!schemeFromName(name, &k)) {
+                if (!dma::schemeFromName(name, &k)) {
                     *err = "unknown scheme: '" + name + "'";
                     return false;
                 }
                 selected.push_back(k);
-                start = comma + 1;
             }
             opts->schemes = std::move(selected);
         } else if (key == "backend") {
             std::vector<iommu::BackendKind> selected;
-            std::size_t start = 0;
-            while (start <= value.size()) {
-                std::size_t comma = value.find(',', start);
-                if (comma == std::string::npos)
-                    comma = value.size();
-                const std::string name =
-                    value.substr(start, comma - start);
+            for (const std::string &name : dma::splitNameList(value)) {
                 iommu::BackendKind k;
                 if (!iommu::backendFromName(name, &k)) {
                     *err = "unknown backend: '" + name + "'";
                     return false;
                 }
                 selected.push_back(k);
-                start = comma + 1;
             }
             opts->backends = std::move(selected);
         } else if (key == "jobs") {

@@ -36,10 +36,6 @@ namespace damn::exp {
  *  compares (the one authoritative list). */
 const std::vector<dma::SchemeKind> &defaultSchemes();
 
-/** Parse a scheme name as printed by dma::schemeKindName().
- *  Returns false when @p name is unknown. */
-bool schemeFromName(const std::string &name, dma::SchemeKind *out);
-
 /** One metric of one run. */
 struct Metric
 {

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "sim/tracer.hh"
+
 namespace damn::exp {
 
 void
@@ -77,26 +79,10 @@ Json::asDouble() const
 namespace {
 
 void
-appendEscaped(std::string &out, const std::string &s)
+appendQuoted(std::string &out, const std::string &s)
 {
     out += '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    out += sim::jsonEscape(s);
     out += '"';
 }
 
@@ -142,7 +128,7 @@ Json::dumpTo(std::string &out, unsigned indent) const
         appendDouble(out, double_);
         break;
     case Kind::String:
-        appendEscaped(out, string_);
+        appendQuoted(out, string_);
         break;
     case Kind::Array:
         if (items_.empty()) {
@@ -168,7 +154,7 @@ Json::dumpTo(std::string &out, unsigned indent) const
         out += "{\n";
         for (std::size_t i = 0; i < members_.size(); ++i) {
             appendIndent(out, indent + 1);
-            appendEscaped(out, members_[i].first);
+            appendQuoted(out, members_[i].first);
             out += ": ";
             members_[i].second.dumpTo(out, indent + 1);
             if (i + 1 < members_.size())

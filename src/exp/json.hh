@@ -52,8 +52,6 @@ class Json
     static Json object() { Json j; j.kind_ = Kind::Object; return j; }
 
     Kind kind() const { return kind_; }
-    bool isObject() const { return kind_ == Kind::Object; }
-    bool isArray() const { return kind_ == Kind::Array; }
 
     /** Append to an array. */
     void

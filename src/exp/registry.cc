@@ -22,18 +22,6 @@ defaultSchemes()
     return k;
 }
 
-bool
-schemeFromName(const std::string &name, dma::SchemeKind *out)
-{
-    for (const dma::SchemeKind k : defaultSchemes()) {
-        if (name == dma::schemeKindName(k)) {
-            *out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 namespace {
 
 std::vector<Experiment> &

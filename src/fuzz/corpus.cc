@@ -124,7 +124,7 @@ parseCorpus(const std::string &text, CorpusFile *out, std::string *err)
         std::string val;
         ls >> val;
         if (key == "scheme") {
-            if (!fuzzSchemeFromName(val, &file.cfg.scheme))
+            if (!dma::schemeFromName(val, &file.cfg.scheme))
                 return bad("unknown scheme '" + val + "'");
         } else if (key == "backend") {
             if (!iommu::backendFromName(val, &file.cfg.backend))

@@ -198,21 +198,6 @@ fuzzBackends()
     return {iommu::BackendKind::Vtd, iommu::BackendKind::SmmuV3};
 }
 
-bool
-fuzzSchemeFromName(const std::string &name, dma::SchemeKind *out)
-{
-    for (const dma::SchemeKind k :
-         {dma::SchemeKind::IommuOff, dma::SchemeKind::Strict,
-          dma::SchemeKind::Deferred, dma::SchemeKind::Shadow,
-          dma::SchemeKind::Damn}) {
-        if (name == dma::schemeKindName(k)) {
-            *out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 Sequence
 generate(const FuzzConfig &cfg)
 {

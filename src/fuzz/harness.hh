@@ -124,9 +124,6 @@ std::vector<dma::SchemeKind> fuzzSchemes();
 /** Both hardware backends. */
 std::vector<iommu::BackendKind> fuzzBackends();
 
-/** Parse a scheme name ("strict", ...); false on unknown. */
-bool fuzzSchemeFromName(const std::string &name, dma::SchemeKind *out);
-
 } // namespace damn::fuzz
 
 #endif // DAMN_FUZZ_HARNESS_HH

@@ -101,14 +101,8 @@ AtsAgent::invalidateRange(Iova iova, std::uint64_t len)
         return;
     }
     ++invalidations_;
-    // Same range rule as Iotlb::invalidateRange: the end saturates at
-    // 2^64 and an entry's inclusive last byte is compared against lo.
-    const Iova lo = iova;
-    const bool toTop = len > ~lo;
-    const Iova hi = lo + len;
-    dropIf([lo, hi, toTop](const Entry &e) {
-        return (toTop || e.page < hi) &&
-               e.page + (mem::kPageSize - 1) >= lo;
+    dropIf([iova, len](const Entry &e) {
+        return rangeHitsPage(iova, len, e.page, mem::kPageSize);
     });
 }
 

@@ -58,8 +58,8 @@ class AtsAgent
 
     // ---- Hardware-side ATC maintenance (called by the backends) ----
 
-    /** Apply a device-TLB invalidation covering [iova, iova+len); the
-     *  end saturates at 2^64 (see Iotlb::invalidateRange). */
+    /** Apply a device-TLB invalidation covering [iova, iova+len), by
+     *  rangeHitsPage() (the IOTLB's rule). */
     void invalidateRange(Iova iova, std::uint64_t len);
 
     /** Apply a global device-TLB invalidation (the agent serves one

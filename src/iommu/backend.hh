@@ -15,8 +15,11 @@
  *  - the device attach/detach hooks (VT-d context entries vs SMMUv3
  *    stream-table entries),
  *  - the hardware-side fault reporting structure (VT-d fault recording
- *    registers vs the SMMUv3 event queue),
- *  - the IOVA address layout the allocators partition (AddressLayout).
+ *    registers vs the SMMUv3 event queue).
+ *
+ * Both models implement 48-bit input addresses, so the IOVA layout
+ * (iommu/iova_alloc.hh, core/iova_encoding.hh) is not a backend
+ * property.
  *
  * Concrete models: backend_vtd.hh (Intel VT-d, the paper's testbed)
  * and backend_smmu.hh (ARM SMMUv3).
@@ -72,47 +75,6 @@ struct FaultRecord
     sim::TimeNs time = 0;
 };
 
-/**
- * How a backend carves up its IOVA space.  Everything is derived from
- * the implemented input-address width: the top bit tags DAMN's encoded
- * half (paper section 5.4) and the DAMN metadata fields are packed
- * immediately below it (paper figure 3), so a backend with a narrower
- * input size shifts the whole encoding down rather than breaking it.
- *
- * For the default 48-bit layout the derived values reproduce the
- * paper's concrete split:
- *
- *   47    46..40   39..37    36..30   29      28..0
- *   [1]   cpu idx  rights    dev idx  numa    offset (512 MiB/region)
- */
-struct AddressLayout
-{
-    /** Implemented input-address width, bits. */
-    unsigned iovaBits = 48;
-
-    /** Bit tagging DAMN's half of the space (the MSB). */
-    constexpr unsigned tagBit() const { return iovaBits - 1; }
-    /** Mask of the tag bit (== the DAMN half's base address). */
-    constexpr Iova tagMask() const { return Iova{1} << tagBit(); }
-    /** Exclusive ceiling of the DMA-API half managed by IovaAllocator. */
-    constexpr Iova dmaApiLimit() const { return tagMask(); }
-
-    // DAMN metadata fields (core/iova_encoding.hh), packed below the tag.
-    constexpr unsigned cpuShift() const { return tagBit() - 7; }
-    constexpr unsigned rightsShift() const { return tagBit() - 10; }
-    constexpr unsigned devShift() const { return tagBit() - 17; }
-    constexpr unsigned numaShift() const { return tagBit() - 18; }
-    /** Per-(cpu, rights, dev, numa) region offset space. */
-    constexpr std::uint64_t offsetMask() const
-    {
-        return (std::uint64_t{1} << numaShift()) - 1;
-    }
-    /** Region shift of the dense (non-encoded) DAMN IOVA mode. */
-    constexpr unsigned denseRegionShift() const { return tagBit() - 13; }
-
-    constexpr bool operator==(const AddressLayout &) const = default;
-};
-
 /** IOTLB dimensions of a backend (see Iotlb's constructor). */
 struct TlbGeometry
 {
@@ -130,11 +92,14 @@ struct TlbGeometry
  *
  * Invalidation-ordering contract (what the schemes rely on):
  *
- *  - the three flush entry points return the *completion* time; when
- *    they return, the invalidated translations are gone from tlb()
- *    unless an injected `iommu.inval` fault dropped the operation
- *    (time spent, stale entries survive — the recovery tests poke
- *    exactly this hole);
+ *  - the flush entry points return the *completion* time; when they
+ *    return, the invalidated translations are gone from tlb() unless
+ *    an injected `iommu.inval` fault dropped the operation (time
+ *    spent, stale entries survive — the recovery tests poke exactly
+ *    this hole).  syncInvalidate, batchedFlush and batchedFlushAll
+ *    are droppable on both backends; syncInvalidateRanges is
+ *    droppable on SMMUv3 (its CMD_SYNC consults the injector) but
+ *    never on VT-d, which does not consult it there;
  *  - an entry stays visible (stale) until a flush covering it
  *    completes — this models the deferred-mode vulnerability window
  *    on every backend;
@@ -179,7 +144,6 @@ class IommuBackend
 
     virtual BackendKind kind() const = 0;
     const char *name() const { return backendKindName(kind()); }
-    virtual AddressLayout layout() const = 0;
 
     // ---- Device lifecycle ------------------------------------------
 

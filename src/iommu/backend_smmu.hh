@@ -58,7 +58,6 @@ class SmmuV3Backend : public IommuBackend
     BackendKind kind() const override { return BackendKind::SmmuV3; }
     /** SMMUv3 supports up to 52-bit IAS; we model the common 48-bit
      *  configuration so DAMN's encoding is directly comparable. */
-    AddressLayout layout() const override { return AddressLayout{48}; }
 
     void attachDevice(DomainId d) override;
     void detachDevice(DomainId d) override;

@@ -34,100 +34,11 @@
 namespace damn::iommu {
 
 /**
- * The VT-d invalidation queue: submissions serialize on a global lock,
- * and strict-mode callers hold it for the full invalidate + wait round
- * trip.
+ * Intel VT-d hardware model.  Every invalidation-queue descriptor
+ * (IOTLB, device-TLB, page-group response) serializes on one global
+ * lock, and strict-mode callers hold it for the full invalidate +
+ * wait round trip.
  */
-class InvalidationQueue
-{
-  public:
-    explicit InvalidationQueue(sim::Context &ctx)
-        : ctx_(ctx),
-          invalDroppedCtr_(ctx.stats.counter("iommu.inval_dropped"))
-    {}
-
-    /**
-     * Synchronously invalidate an IOVA range (strict mode): acquire the
-     * global queue lock, submit, wait for completion, release.  The
-     * caller's core burns the spin + wait time.  An injected
-     * `iommu.inval` fault drops the command: the time is spent but the
-     * stale entries survive.
-     * @return completion time.
-     */
-    sim::TimeNs
-    syncInvalidate(sim::Core &core, sim::TimeNs now, Iotlb &tlb,
-                   DomainId domain, Iova iova, std::uint64_t len)
-    {
-        const sim::TimeNs done = lock_.acquireAndHold(
-            core, now, ctx_.cost.strictInvalidateNs,
-            ctx_.cost.strictSpinBusyFraction, ctx_.engine.now());
-        if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add(invalDroppedCtr_);
-            return done;
-        }
-        tlb.invalidateRange(domain, iova, len);
-        ctx_.tracer.instant(core.id(), sim::TraceCat::Iotlb,
-                            "iotlb.invalidate_range", done, 0, len);
-        return done;
-    }
-
-    /**
-     * One batched flush covering many deferred unmaps: a single lock
-     * acquisition and a single (larger) hardware operation, scoped to
-     * the domains whose unmaps are being flushed so one device's
-     * deferred flush cannot evict every other domain's warm entries.
-     * @return completion time.
-     */
-    sim::TimeNs
-    batchedFlush(sim::Core &core, sim::TimeNs now, Iotlb &tlb,
-                 const std::vector<DomainId> &domains)
-    {
-        const sim::TimeNs done =
-            lock_.acquireAndHold(core, now, ctx_.cost.deferredFlushNs,
-                                 1.0, ctx_.engine.now());
-        if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add(invalDroppedCtr_);
-            return done;
-        }
-        for (const DomainId d : domains)
-            tlb.invalidateDomain(d);
-        ctx_.tracer.instant(core.id(), sim::TraceCat::Iotlb,
-                            "iotlb.invalidate_domains", done, 0,
-                            domains.size());
-        return done;
-    }
-
-    /**
-     * Global flush (VT-d global IOTLB invalidation).  Used when the
-     * released mappings span every domain at once, where one global
-     * command is cheaper than per-domain commands.
-     * @return completion time.
-     */
-    sim::TimeNs
-    batchedFlushAll(sim::Core &core, sim::TimeNs now, Iotlb &tlb)
-    {
-        const sim::TimeNs done =
-            lock_.acquireAndHold(core, now, ctx_.cost.deferredFlushNs,
-                                 1.0, ctx_.engine.now());
-        if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add(invalDroppedCtr_);
-            return done;
-        }
-        tlb.invalidateAll();
-        ctx_.tracer.instant(core.id(), sim::TraceCat::Iotlb,
-                            "iotlb.invalidate_all", done);
-        return done;
-    }
-
-    sim::SimMutex &lock() { return lock_; }
-
-  private:
-    sim::Context &ctx_;
-    sim::Stats::Counter invalDroppedCtr_;
-    sim::SimMutex lock_;
-};
-
-/** Intel VT-d hardware model. */
 class VtdBackend : public IommuBackend
 {
   public:
@@ -136,7 +47,7 @@ class VtdBackend : public IommuBackend
     static constexpr TlbGeometry kGeometry{256, 4, 32, 4, 32};
 
     explicit VtdBackend(sim::Context &ctx)
-        : IommuBackend(ctx, kGeometry), queue_(ctx),
+        : IommuBackend(ctx, kGeometry),
           prqAutoResponsesCtr_(
               ctx.stats.counter("vtd.prq_auto_responses")),
           prqPostsCtr_(ctx.stats.counter("vtd.prq_posts")),
@@ -145,7 +56,6 @@ class VtdBackend : public IommuBackend
     {}
 
     BackendKind kind() const override { return BackendKind::Vtd; }
-    AddressLayout layout() const override { return AddressLayout{48}; }
 
     // Context entries live in cacheable system memory and are written
     // directly by the CPU — install/drop is free at this resolution.
@@ -159,11 +69,21 @@ class VtdBackend : public IommuBackend
                                         : ctx_.cost.iotlbWalkNs;
     }
 
+    /** Strict mode: acquire the queue lock, submit, wait for
+     *  completion, release; the caller's core burns the spin + wait. */
     sim::TimeNs
     syncInvalidate(sim::Core &core, sim::TimeNs now, DomainId domain,
                    Iova iova, std::uint64_t len) override
     {
-        return queue_.syncInvalidate(core, now, tlb_, domain, iova, len);
+        const sim::TimeNs done = lock_.acquireAndHold(
+            core, now, ctx_.cost.strictInvalidateNs,
+            ctx_.cost.strictSpinBusyFraction, ctx_.engine.now());
+        if (dropped())
+            return done;
+        tlb_.invalidateRange(domain, iova, len);
+        ctx_.tracer.instant(core.id(), sim::TraceCat::Iotlb,
+                            "iotlb.invalidate_range", done, 0, len);
+        return done;
     }
 
     sim::TimeNs
@@ -172,8 +92,9 @@ class VtdBackend : public IommuBackend
     {
         // One invalidate + wait round trip covers the whole list (how
         // dma_unmap_sg prices on VT-d); the per-range hardware
-        // invalidations ride along for free.
-        const sim::TimeNs done = queue_.lock().acquireAndHold(
+        // invalidations ride along for free.  Never dropped: see the
+        // IommuBackend contract.
+        const sim::TimeNs done = lock_.acquireAndHold(
             core, now, ctx_.cost.strictInvalidateNs,
             ctx_.cost.strictSpinBusyFraction, ctx_.engine.now());
         for (const InvalRange &r : ranges)
@@ -181,17 +102,38 @@ class VtdBackend : public IommuBackend
         return done;
     }
 
+    /** One lock acquisition and one (larger) hardware operation for
+     *  many deferred unmaps, scoped to their domains. */
     sim::TimeNs
     batchedFlush(sim::Core &core, sim::TimeNs now,
                  const std::vector<DomainId> &domains) override
     {
-        return queue_.batchedFlush(core, now, tlb_, domains);
+        const sim::TimeNs done =
+            lock_.acquireAndHold(core, now, ctx_.cost.deferredFlushNs,
+                                 1.0, ctx_.engine.now());
+        if (dropped())
+            return done;
+        for (const DomainId d : domains)
+            tlb_.invalidateDomain(d);
+        ctx_.tracer.instant(core.id(), sim::TraceCat::Iotlb,
+                            "iotlb.invalidate_domains", done, 0,
+                            domains.size());
+        return done;
     }
 
+    /** VT-d global IOTLB invalidation. */
     sim::TimeNs
     batchedFlushAll(sim::Core &core, sim::TimeNs now) override
     {
-        return queue_.batchedFlushAll(core, now, tlb_);
+        const sim::TimeNs done =
+            lock_.acquireAndHold(core, now, ctx_.cost.deferredFlushNs,
+                                 1.0, ctx_.engine.now());
+        if (dropped())
+            return done;
+        tlb_.invalidateAll();
+        ctx_.tracer.instant(core.id(), sim::TraceCat::Iotlb,
+                            "iotlb.invalidate_all", done);
+        return done;
     }
 
     // ---- ATS / PRI -------------------------------------------------
@@ -227,7 +169,7 @@ class VtdBackend : public IommuBackend
     {
         (void)req;
         (void)success;
-        const sim::TimeNs done = queue_.lock().acquireAndHold(
+        const sim::TimeNs done = lock_.acquireAndHold(
             core, now, ctx_.cost.priResponseNs, 1.0, ctx_.engine.now());
         priNoteResponse();
         ctx_.stats.add(prqResponsesCtr_);
@@ -245,13 +187,11 @@ class VtdBackend : public IommuBackend
                   DomainId domain, Iova iova, std::uint64_t len) override
     {
         (void)domain;
-        const sim::TimeNs done = queue_.lock().acquireAndHold(
+        const sim::TimeNs done = lock_.acquireAndHold(
             core, now, ctx_.cost.atsInvalidateNs,
             ctx_.cost.strictSpinBusyFraction, ctx_.engine.now());
-        if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add(invalDroppedCtr_);
+        if (dropped())
             return done;
-        }
         agent.invalidateRange(iova, len);
         ctx_.stats.add(devtlbInvalsCtr_);
         return done;
@@ -262,13 +202,11 @@ class VtdBackend : public IommuBackend
                      DomainId domain) override
     {
         (void)domain;
-        const sim::TimeNs done = queue_.lock().acquireAndHold(
+        const sim::TimeNs done = lock_.acquireAndHold(
             core, now, ctx_.cost.atsInvalidateNs,
             ctx_.cost.strictSpinBusyFraction, ctx_.engine.now());
-        if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
-            ctx_.stats.add(invalDroppedCtr_);
+        if (dropped())
             return done;
-        }
         agent.invalidateAll();
         ctx_.stats.add(devtlbInvalsCtr_);
         return done;
@@ -287,11 +225,19 @@ class VtdBackend : public IommuBackend
     // The facade's bounded log *is* the VT-d fault-recording model.
     void deliverFault(const FaultRecord &) override {}
 
-    /** The global invalidation queue (tests poke its lock directly). */
-    InvalidationQueue &invalQueue() { return queue_; }
-
   private:
-    InvalidationQueue queue_;
+    /** An injected `iommu.inval` fault drops the descriptor: the time
+     *  is spent but the stale entries survive. */
+    bool
+    dropped()
+    {
+        if (!ctx_.faults.shouldFail(sim::FaultSite::IommuInval))
+            return false;
+        ctx_.stats.add(invalDroppedCtr_);
+        return true;
+    }
+
+    sim::SimMutex lock_; //!< the global invalidation-queue lock
     sim::Stats::Counter prqAutoResponsesCtr_;
     sim::Stats::Counter prqPostsCtr_;
     sim::Stats::Counter prqResponsesCtr_;

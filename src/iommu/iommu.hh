@@ -87,14 +87,11 @@ class Iommu
     Iommu &operator=(const Iommu &) = delete;
 
     bool enabled() const { return enabled_; }
-    void setEnabled(bool e) { enabled_ = e; }
 
     /** The hardware model (invalidation entry points live here). */
     IommuBackend &backend() { return *backend_; }
     const IommuBackend &backend() const { return *backend_; }
     BackendKind backendKind() const { return backend_->kind(); }
-    /** The backend's IOVA address layout (allocators partition on it). */
-    AddressLayout layout() const { return backend_->layout(); }
 
     /** Create a protection domain (one per attached device). */
     DomainId

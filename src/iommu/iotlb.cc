@@ -164,17 +164,14 @@ Iotlb::invalidateRange(DomainId domain, Iova iova, std::uint64_t len)
         return;
     }
     ++invalidations_;
-    // [lo, hi), except that a range reaching 2^64 (toTop) saturates
-    // there instead of wrapping.  An entry overlaps when its tag is
-    // below the end and its inclusive last byte — which, unlike
-    // tag + size, cannot overflow on the top page — is at or above lo.
+    // The end saturates at 2^64 (toTop) for the probe count too.
     const Iova lo = iova;
     const bool toTop = len > ~lo;
     const Iova hi = lo + len;
-    const auto covers = [domain, lo, hi, toTop](const TlbEntry &e) {
-        const std::uint64_t sz = e.huge ? kHugePageSize : mem::kPageSize;
-        return e.domain == domain && (toTop || e.iovaPage < hi) &&
-               e.iovaPage + (sz - 1) >= lo;
+    const auto covers = [domain, lo, len](const TlbEntry &e) {
+        return e.domain == domain &&
+               rangeHitsPage(lo, len, e.iovaPage,
+                             e.huge ? kHugePageSize : mem::kPageSize);
     };
     // Tags are page-aligned, so only pages first..first+pages-1 can
     // overlap; consecutive pages index consecutive sets (setBase), so

@@ -21,6 +21,21 @@ namespace damn::iommu {
 /** Identifier of an IOMMU domain (one per attached device here). */
 using DomainId = std::uint32_t;
 
+/**
+ * The invalidation range rule shared by the IOTLB and the ATC: does
+ * [@p lo, @p lo + @p len) touch the @p size -byte page tagged @p tag?
+ * The end saturates at 2^64: a range whose end passes the top of the
+ * address space runs to it rather than wrapping to 0.  The page's
+ * inclusive last byte, unlike tag + size, cannot overflow on the top
+ * page.  A zero-length unaligned range still hits the page containing
+ * @p lo.
+ */
+constexpr bool
+rangeHitsPage(Iova lo, std::uint64_t len, Iova tag, std::uint64_t size)
+{
+    return (len > ~lo || tag < lo + len) && tag + (size - 1) >= lo;
+}
+
 /** One cached translation. */
 struct TlbEntry
 {
@@ -77,12 +92,9 @@ class Iotlb
     void insert(DomainId domain, Iova iova, const WalkResult &walk);
 
     /**
-     * Invalidate any entry covering [@p iova, @p iova + @p len).  The
-     * end saturates at 2^64: a range whose end passes the top of the
-     * address space runs to it rather than wrapping to 0.  A
-     * zero-length unaligned range still drops the page containing
-     * @p iova.  Walks whichever is shorter: the live index, or the
-     * min(pages, sets) sets per bank the range maps to.
+     * Invalidate any entry covering [@p iova, @p iova + @p len), by
+     * rangeHitsPage().  Walks whichever is shorter: the live index, or
+     * the min(pages, sets) sets per bank the range maps to.
      */
     void invalidateRange(DomainId domain, Iova iova, std::uint64_t len);
 

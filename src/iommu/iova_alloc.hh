@@ -48,7 +48,7 @@ class IovaAllocator
     /**
      * Allocate a range of @p pages IOVA pages.
      * @return page-aligned IOVA below the DAMN bit, or kInvalidIova
-     *         when the (possibly limit()-constrained) space has no
+     *         when the (possibly setSpaceBytes()-shrunk) space has no
      *         fresh range left and no recycled range of this size.
      */
     Iova
@@ -93,19 +93,6 @@ class IovaAllocator
     }
 
     /**
-     * Bound the space by the backend's address layout: the DMA-API
-     * half ends where the DAMN tag bit begins.  Defaults to the
-     * 48-bit layout's kDamnIovaBit; schemes call this with
-     * Iommu::layout().dmaApiLimit() at construction.
-     */
-    void
-    setAddressLimit(Iova ceiling)
-    {
-        cap_ = ceiling;
-        limit_ = std::min(limit_, cap_);
-    }
-
-    /**
      * Constrain the allocatable space to @p bytes past kIovaBase
      * (experiments use small spaces to reach the exhaustion wall
      * quickly).  Defaults to the full DMA-API half.  Shrinking below
@@ -114,7 +101,7 @@ class IovaAllocator
     void
     setSpaceBytes(std::uint64_t bytes)
     {
-        limit_ = std::min(cap_, kIovaBase + bytes);
+        limit_ = std::min(kDamnIovaBit, kIovaBase + bytes);
     }
 
     /** Current ceiling of the allocatable space, bytes past base. */
@@ -150,7 +137,6 @@ class IovaAllocator
 
   private:
     Iova next_ = kIovaBase;
-    Iova cap_ = kDamnIovaBit;   //!< the backend layout's dmaApiLimit()
     Iova limit_ = kDamnIovaBit;
     std::map<unsigned, std::vector<Iova>> freeLists_;
     std::uint64_t recycled_ = 0;

@@ -4,7 +4,7 @@
  * netdev_alloc_frag mechanism that stock Linux uses for TX payload
  * buffers.
  *
- * A bump pointer carves an order-3 (32 KiB) block; each fragment takes
+ * A bump pointer carves an order-5 (128 KiB) block; each fragment takes
  * a reference on the block's head page, and the block returns to the
  * buddy allocator when the last fragment is freed.  The paper notes
  * (section 5.4) that DAMN's top-level allocator is essentially this
@@ -41,7 +41,7 @@ class PageFragAllocator
     PageFragAllocator &operator=(const PageFragAllocator &) = delete;
 
     /**
-     * Allocate @p size bytes (<= 32 KiB) from the calling core's
+     * Allocate @p size bytes (<= 128 KiB) from the calling core's
      * current block.
      * @return the fragment's address, or 0 when the buddy allocator
      *         cannot back a fresh block (memory pressure) — the caller

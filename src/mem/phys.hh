@@ -63,8 +63,8 @@ enum PageFlag : std::uint32_t
  *
  * DAMN-specific fields (iova, cacheId) live in the *tail* page structs
  * of a compound, exactly as the paper does to avoid growing the page
- * struct (section 5.5); helpers in core/compound.hh enforce that
- * placement.
+ * struct (section 5.5); core::DmaCache::initCompound/clearCompound
+ * enforce that placement.
  *
  * Every default is zero: the memmap relies on all-zero bytes being a
  * default-constructed Page.

@@ -44,8 +44,6 @@ class NicDevice : public dma::Device
           linkDownDropsCtr_(sys.ctx.stats.counter("nic.link_down_drops"))
     {}
 
-    unsigned numPorts() const { return unsigned(ports_.size()); }
-
     /**
      * Move one aggregate segment of @p seg_bytes through port @p port
      * in direction @p dir at time @p now, DMAing to/from @p dma_addr.
@@ -66,13 +64,6 @@ class NicDevice : public dma::Device
     dma::DmaOutcome transferSegmentSg(
         sim::TimeNs now, unsigned port, Traffic dir,
         const std::vector<std::pair<iommu::Iova, std::uint32_t>> &sg);
-
-    /** True while @p port 's link is down after an injected flap. */
-    bool
-    linkDown(unsigned port, sim::TimeNs now) const
-    {
-        return now < ports_[port].linkDownUntil;
-    }
 
     std::uint64_t linkFlaps() const { return linkFlaps_; }
 

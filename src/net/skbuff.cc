@@ -99,31 +99,12 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
         const std::uint32_t n = hi - lo;
 
         // Copy the accessed bytes into kernel memory the device cannot
-        // reach.  Data was just DMAed, so the source is LLC-warm.
-        mem::Pa safe;
-        SegOwner owner;
-        if (n <= 4096) {
-            safe = heap_.kmalloc(n);
-            if (safe == 0) {
-                ctx_.pressure.reclaim(cpu);
-                safe = heap_.kmalloc(n);
-            }
-            owner = SegOwner::Kmalloc;
-            cpu.charge(ctx_.cost.kmallocNs);
-        } else {
-            unsigned order = 0;
-            while ((mem::kPageSize << order) < n)
-                ++order;
-            mem::Pfn pfn = pageAlloc_.allocPages(order, cpu.numa());
-            if (pfn == mem::kInvalidPfn) {
-                ctx_.pressure.reclaim(cpu);
-                pfn = pageAlloc_.allocPages(order, cpu.numa());
-            }
-            safe = pfn == mem::kInvalidPfn ? 0 : mem::pfnToPa(pfn);
-            owner = SegOwner::Pages;
-            cpu.charge(ctx_.cost.pageAllocNs);
-        }
-        if (safe == 0) {
+        // reach (no device: a stock allocation).  Data was just DMAed,
+        // so the source is LLC-warm.
+        const SkbSegment safe = allocSeg(
+            cpu, nullptr, n <= 4096 ? SegOwner::Kmalloc : SegOwner::Pages,
+            core::Rights::Read, n);
+        if (safe.pa == 0) {
             // No kernel memory to copy into, even after reclaim: leave
             // the range in device-visible memory (degraded protection,
             // counted) instead of crashing the consumer.
@@ -134,7 +115,7 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
             cpu.time, n, ctx_.cost.warmCopyBytesPerNs,
             std::uint64_t(2.0 * n * ctx_.cost.copyMemTrafficFactor)));
         if (ctx_.functionalData)
-            pm_.copy(safe, seg.pa + lo, n);
+            pm_.copy(safe.pa, seg.pa + lo, n);
 
         // Split the segment: [0,lo) raw | [lo,hi) secured | [hi,len).
         SkbSegment pieces[4];
@@ -149,16 +130,8 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
             pre.dmaMapped = false;
         }
         SkbSegment &sec = pieces[k++];
-        sec.pa = safe;
-        sec.len = n;
-        sec.owner = owner;
+        sec = safe;
         sec.secured = true;
-        if (n > 4096) {
-            unsigned order = 0;
-            while ((mem::kPageSize << order) < n)
-                ++order;
-            sec.pageOrder = std::uint8_t(order);
-        }
         if (hi < seg.len) {
             SkbSegment &post = pieces[k++];
             post = seg;
@@ -221,6 +194,52 @@ SkbAccessor::access(sim::CpuCursor &cpu, SkBuff &skb, std::uint32_t off,
         }
         assert(remaining == 0);
     }
+}
+
+SkbSegment
+SkbAccessor::allocSeg(sim::CpuCursor &cpu, dma::Device *dev,
+                      SegOwner stock, core::Rights rights,
+                      std::uint32_t bytes, core::AllocCtx actx)
+{
+    assert(stock == SegOwner::Kmalloc || stock == SegOwner::Pages ||
+           stock == SegOwner::PageFrag);
+    SkbSegment seg;
+    seg.len = bytes;
+    seg.owner = alloc_ != nullptr && dev != nullptr ? SegOwner::Damn
+                                                    : stock;
+    unsigned order = 0;
+    if (stock == SegOwner::Pages)
+        while ((mem::kPageSize << order) < bytes)
+            ++order;
+    if (seg.owner == SegOwner::Kmalloc)
+        cpu.charge(ctx_.cost.kmallocNs);
+    else if (seg.owner == SegOwner::Pages)
+        cpu.charge(ctx_.cost.pageAllocNs);
+
+    for (bool retried = false;; retried = true) {
+        if (seg.owner == SegOwner::Damn && stock != SegOwner::Pages) {
+            seg.pa = alloc_->damnAlloc(cpu, dev, rights, bytes, actx);
+        } else if (seg.owner == SegOwner::Kmalloc) {
+            seg.pa = heap_.kmalloc(bytes);
+        } else if (seg.owner == SegOwner::PageFrag) {
+            seg.pa = frag_.alloc(cpu, bytes);
+        } else {
+            const mem::Pfn pfn = seg.owner == SegOwner::Damn
+                ? alloc_->damnAllocPages(cpu, dev, rights, order, actx)
+                : pageAlloc_.allocPages(order, cpu.numa());
+            seg.pa = pfn == mem::kInvalidPfn ? 0 : mem::pfnToPa(pfn);
+        }
+        if (seg.pa != 0) {
+            if (seg.owner == SegOwner::Pages)
+                seg.pageOrder = std::uint8_t(order);
+            return seg;
+        }
+        if (retried)
+            break;
+        ctx_.pressure.reclaim(cpu);
+    }
+    seg.owner = SegOwner::Borrowed;
+    return seg;
 }
 
 void

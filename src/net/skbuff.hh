@@ -203,6 +203,24 @@ class SkbAccessor
     std::uint64_t secureRange(sim::CpuCursor &cpu, SkBuff &skb,
                               std::uint32_t off, std::uint32_t len);
 
+    /**
+     * Allocate one @p bytes -byte data segment: the mirror of
+     * freeSkb(), and the one place a buffer's memory source is
+     * decided (section 5.7's dma_alloc_skb: callers pass the device
+     * and never branch on the scheme).  On a DAMN system with a device
+     * the buffer comes from DAMN with @p rights (damnAllocPages when
+     * @p stock is Pages, else damnAlloc); otherwise from the stock
+     * allocator @p stock names (Kmalloc, Pages or PageFrag), charged
+     * before allocating as freeSkb charges before freeing.  A failed
+     * allocation runs one forced reclaim and retries once; if that
+     * fails too the segment has pa == 0 and owner Borrowed, so
+     * freeSkb ignores it.
+     */
+    SkbSegment allocSeg(sim::CpuCursor &cpu, dma::Device *dev,
+                        SegOwner stock, core::Rights rights,
+                        std::uint32_t bytes,
+                        core::AllocCtx actx = core::AllocCtx::Standard);
+
     /** Free all owned segments of @p skb. */
     void freeSkb(sim::CpuCursor &cpu, SkBuff &skb,
                  core::AllocCtx actx = core::AllocCtx::Standard);

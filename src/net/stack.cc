@@ -40,37 +40,12 @@ NicDriver::allocRxBuffer(sim::CpuCursor &cpu, std::uint32_t bytes,
     sim::TraceSpan span(sys_.ctx.tracer, cpu, sim::TraceCat::NetDriver,
                         "driver.rx_alloc");
 
-    unsigned order = 0;
-    while ((mem::kPageSize << order) < bytes)
-        ++order;
-
-    if (sys_.damnMode()) {
-        // dma_alloc_skb flavor: buffer comes from DAMN, device-writable.
-        mem::Pfn pfn = sys_.damn->damnAllocPages(
-            cpu, &nic_, core::Rights::Write, order, actx);
-        if (pfn == mem::kInvalidPfn) {
-            sys_.ctx.pressure.reclaim(cpu);
-            pfn = sys_.damn->damnAllocPages(cpu, &nic_,
-                                            core::Rights::Write, order,
-                                            actx);
-        }
-        if (pfn == mem::kInvalidPfn)
-            return buf;
-        buf.seg.pa = mem::pfnToPa(pfn);
-        buf.seg.owner = SegOwner::Damn;
-    } else {
-        cpu.charge(sys_.ctx.cost.pageAllocNs);
-        mem::Pfn pfn = sys_.pageAlloc.allocPages(order, cpu.numa());
-        if (pfn == mem::kInvalidPfn) {
-            sys_.ctx.pressure.reclaim(cpu);
-            pfn = sys_.pageAlloc.allocPages(order, cpu.numa());
-        }
-        if (pfn == mem::kInvalidPfn)
-            return buf;
-        buf.seg.pa = mem::pfnToPa(pfn);
-        buf.seg.owner = SegOwner::Pages;
-        buf.seg.pageOrder = std::uint8_t(order);
-    }
+    // dma_alloc_skb flavor: under DAMN the buffer is device-writable
+    // DAMN memory; otherwise stock pages.
+    buf.seg = sys_.accessor().allocSeg(cpu, &nic_, SegOwner::Pages,
+                                       core::Rights::Write, bytes, actx);
+    if (buf.seg.pa == 0)
+        return buf;
 
     // Unmodified driver: always goes through the DMA API.  For DAMN
     // buffers the interposition returns the permanent IOVA.
@@ -253,27 +228,9 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
     skb.dev = &nic_;
 
     // Head buffer (protocol headers + a little data).
-    SkbSegment head;
-    head.len = kTxHeadBytes;
-    if (sys_.damnMode()) {
-        head.pa = sys_.damn->damnAlloc(cpu, &nic_, core::Rights::Read,
-                                       kTxHeadBytes, actx);
-        if (head.pa == 0) {
-            sys_.ctx.pressure.reclaim(cpu);
-            head.pa = sys_.damn->damnAlloc(cpu, &nic_,
-                                           core::Rights::Read,
-                                           kTxHeadBytes, actx);
-        }
-        head.owner = SegOwner::Damn;
-    } else {
-        cpu.charge(c.kmallocNs);
-        head.pa = sys_.heap.kmalloc(kTxHeadBytes);
-        if (head.pa == 0) {
-            sys_.ctx.pressure.reclaim(cpu);
-            head.pa = sys_.heap.kmalloc(kTxHeadBytes);
-        }
-        head.owner = SegOwner::Kmalloc;
-    }
+    const SkbSegment head = sys_.accessor().allocSeg(
+        cpu, &nic_, SegOwner::Kmalloc, core::Rights::Read, kTxHeadBytes,
+        actx);
     if (head.pa == 0) {
         skb.allocFailed = true;
         sys_.ctx.stats.add(ctr_.txAllocFails);
@@ -285,27 +242,10 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
     std::uint32_t remaining = seg_bytes;
     while (remaining > 0) {
         const std::uint32_t n = std::min(remaining, kTxFragBytes);
-        SkbSegment frag;
-        frag.len = n;
-        if (sys_.damnMode()) {
-            frag.pa = sys_.damn->damnAlloc(cpu, &nic_,
-                                           core::Rights::Read, n, actx);
-            if (frag.pa == 0) {
-                sys_.ctx.pressure.reclaim(cpu);
-                frag.pa = sys_.damn->damnAlloc(
-                    cpu, &nic_, core::Rights::Read, n, actx);
-            }
-            frag.owner = SegOwner::Damn;
-        } else {
-            // Stock kernel: TX payload comes from the per-core
-            // sk_page_frag bump allocator.
-            frag.pa = sys_.pageFrag.alloc(cpu, n);
-            if (frag.pa == 0) {
-                sys_.ctx.pressure.reclaim(cpu);
-                frag.pa = sys_.pageFrag.alloc(cpu, n);
-            }
-            frag.owner = SegOwner::PageFrag;
-        }
+        // Device-readable DAMN memory, or on a stock kernel the
+        // per-core sk_page_frag bump allocator.
+        const SkbSegment frag = sys_.accessor().allocSeg(
+            cpu, &nic_, SegOwner::PageFrag, core::Rights::Read, n, actx);
         if (frag.pa == 0) {
             skb.allocFailed = true;
             break;
@@ -352,27 +292,9 @@ TcpStack::txBuildZeroCopy(sim::CpuCursor &cpu,
     skb.dev = &nic_;
 
     // Headers still need a (tiny) kernel buffer.
-    SkbSegment head;
-    head.len = kTxHeadBytes;
-    if (sys_.damnMode()) {
-        head.pa = sys_.damn->damnAlloc(cpu, &nic_, core::Rights::Read,
-                                       kTxHeadBytes, actx);
-        if (head.pa == 0) {
-            sys_.ctx.pressure.reclaim(cpu);
-            head.pa = sys_.damn->damnAlloc(cpu, &nic_,
-                                           core::Rights::Read,
-                                           kTxHeadBytes, actx);
-        }
-        head.owner = SegOwner::Damn;
-    } else {
-        cpu.charge(c.kmallocNs);
-        head.pa = sys_.heap.kmalloc(kTxHeadBytes);
-        if (head.pa == 0) {
-            sys_.ctx.pressure.reclaim(cpu);
-            head.pa = sys_.heap.kmalloc(kTxHeadBytes);
-        }
-        head.owner = SegOwner::Kmalloc;
-    }
+    const SkbSegment head = sys_.accessor().allocSeg(
+        cpu, &nic_, SegOwner::Kmalloc, core::Rights::Read, kTxHeadBytes,
+        actx);
     if (head.pa == 0) {
         skb.allocFailed = true;
         sys_.ctx.stats.add(ctr_.txAllocFails);

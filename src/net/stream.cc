@@ -172,14 +172,6 @@ StreamEngine::rxProcess(std::size_t fi, RxBuffer buf,
     }
 
     stack_.rxSegment(cpu, skb, config_.costFactor);
-    if (f.spec.extraCpuNs != 0 || f.spec.perSegment) {
-        sim::TraceSpan span(sys_.ctx.tracer, cpu, sim::TraceCat::App,
-                            "app.segment");
-        if (f.spec.extraCpuNs)
-            cpu.charge(f.spec.extraCpuNs);
-        if (f.spec.perSegment)
-            f.spec.perSegment(cpu, skb);
-    }
     stack_.appRead(cpu, skb, config_.costFactor,
                    core::AllocCtx::Interrupt);
 
@@ -223,11 +215,6 @@ StreamEngine::pumpTx(std::size_t fi)
         return;
     }
     f.txAllocRetries = 0;
-    if (f.spec.extraCpuNs) {
-        sim::TraceSpan span(sys_.ctx.tracer, cpu, sim::TraceCat::App,
-                            "app.segment");
-        cpu.charge(f.spec.extraCpuNs);
-    }
     ++f.txInflight;
 
     txSend(fi, skb, cpu.time, sys_.ctx.now(), /*attempt=*/1);

@@ -17,7 +17,6 @@
 #define DAMN_NET_STREAM_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -34,9 +33,6 @@ struct FlowSpec
     unsigned port = 0;
     std::uint32_t segBytes = 64 * 1024; //!< effective TSO/LRO aggregate
     unsigned window = 32;               //!< ring credit (outstanding segs)
-    sim::TimeNs extraCpuNs = 0;         //!< app-level work per segment
-    /** Optional per-segment callback (RX only), e.g. memcached logic. */
-    std::function<void(sim::CpuCursor &, SkBuff &)> perSegment;
     /**
      * TCP-lite loss recovery: a segment whose DMA faults (IOMMU fault
      * or injected drop) is retransmitted after an exponentially
@@ -146,15 +142,6 @@ class StreamEngine
         std::uint64_t n = 0;
         for (const State &f : flows_)
             n += f.drops;
-        return n;
-    }
-
-    std::uint64_t
-    totalSegments() const
-    {
-        std::uint64_t n = 0;
-        for (const State &f : flows_)
-            n += f.segments;
         return n;
     }
 

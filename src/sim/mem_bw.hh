@@ -120,22 +120,8 @@ class MemBwServer
         return memoUtil_;
     }
 
-    /**
-     * Account bytes without queueing delay (cache-resident traffic that
-     * still shows up at the memory controller with probability < 1 is
-     * pre-scaled by the caller).
-     */
-    void accountOnly(std::uint64_t bytes) { totalBytes_ += bytes; }
-
     /** True when the server is backlogged at time @p now. */
     bool congested(TimeNs now) const { return freeAt_ > now; }
-
-    /** Backlog depth at time @p now (how far behind the server is). */
-    TimeNs
-    backlogNs(TimeNs now) const
-    {
-        return freeAt_ > now ? freeAt_ - now : 0;
-    }
 
     double bytesPerNs() const { return bytesPerNs_; }
     std::uint64_t totalBytes() const { return totalBytes_; }

@@ -183,8 +183,7 @@ class PressureController
                 break;
         }
         reclaimedUnits_ += total;
-        lastReclaimNs_ = cpu.time - t0;
-        stats_.add(reclaimNsCtr_, std::uint64_t(lastReclaimNs_));
+        stats_.add(reclaimNsCtr_, std::uint64_t(cpu.time - t0));
         if (total == 0)
             stats_.add(reclaimFutileCtr_);
         reclaiming_ = false;
@@ -193,8 +192,6 @@ class PressureController
 
     std::uint64_t reclaimEvents() const { return reclaimEvents_; }
     std::uint64_t reclaimedUnits() const { return reclaimedUnits_; }
-    /** Virtual-time cost of the most recent reclaim() pass. */
-    TimeNs lastReclaimNs() const { return lastReclaimNs_; }
     std::size_t numResources() const { return resources_.size(); }
     std::size_t numReclaimers() const { return reclaimers_.size(); }
 
@@ -237,7 +234,6 @@ class PressureController
     bool reclaiming_ = false;
     std::uint64_t reclaimEvents_ = 0;
     std::uint64_t reclaimedUnits_ = 0;
-    TimeNs lastReclaimNs_ = 0;
 };
 
 } // namespace damn::sim

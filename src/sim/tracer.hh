@@ -145,7 +145,6 @@ class Tracer final : public BusyObserver
 
     /** Start appending events (bounded ring of @p capacity per core). */
     void startRecording(std::size_t capacity = kDefaultRingCapacity);
-    void stopRecording() { recording_ = false; }
     bool recording() const { return recording_; }
 
     // --- category scopes (used by TraceSpan) -----------------------

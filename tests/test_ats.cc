@@ -167,12 +167,29 @@ TEST_P(AtsConformance, AtcRangeEndSaturatesAtTopOfAddressSpace)
     ASSERT_TRUE(mmu.mapPage(d, 0x1000, 0xa000, PermRW));
     ASSERT_TRUE(ats.translate(0x1000, true).ok);
 
-    ASSERT_TRUE(ats.translate(top, true).ok);
-    ats.invalidateRange(top + 0x10, 0x20);
-    EXPECT_EQ(ats.validEntries(), std::vector<Iova>{0x1000});
+    // The inputs of Iotlb.RangeEndSaturatesAtTopOfAddressSpace: each
+    // drops the top page and nothing it would wrap onto.
+    const std::pair<Iova, std::uint64_t> ranges[] = {
+        {top + 0x10, 0x20},          // inside the top page
+        {top + 0x123, 0},            // zero-length, unaligned
+        {top, mem::kPageSize},       // ends exactly at 2^64
+        {top + 0x800, 0x4000},       // wraps past 2^64
+        {top - 0x800, 0x4000},       // starts below, wraps past 2^64
+    };
+    for (const auto &[iova, len] : ranges) {
+        ASSERT_TRUE(ats.translate(top, true).ok);
+        ats.invalidateRange(iova, len);
+        EXPECT_EQ(ats.validEntries(), std::vector<Iova>{0x1000})
+            << iova << "+" << len;
+    }
 
-    ASSERT_TRUE(ats.translate(top, true).ok);
-    ats.invalidateRange(top - 0x800, 0x4000); // wraps past 2^64
+    // Iotlb.ZeroLengthRangeDropsContainingPage's inputs: an aligned
+    // zero-length range covers nothing, an unaligned one its own page.
+    ASSERT_TRUE(mmu.mapPage(d, 0x5000, 0xb000, PermRW));
+    ASSERT_TRUE(ats.translate(0x5000, true).ok);
+    ats.invalidateRange(0x1000, 0);
+    EXPECT_EQ(ats.validEntries().size(), 2u);
+    ats.invalidateRange(0x5123, 0);
     EXPECT_EQ(ats.validEntries(), std::vector<Iova>{0x1000});
 }
 

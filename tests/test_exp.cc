@@ -47,11 +47,11 @@ TEST(Registry, LookupAndSchemeNames)
 
     EXPECT_EQ(exp::defaultSchemes().size(), 5u);
     dma::SchemeKind k;
-    ASSERT_TRUE(exp::schemeFromName("damn", &k));
+    ASSERT_TRUE(dma::schemeFromName("damn", &k));
     EXPECT_EQ(k, dma::SchemeKind::Damn);
-    ASSERT_TRUE(exp::schemeFromName("iommu-off", &k));
+    ASSERT_TRUE(dma::schemeFromName("iommu-off", &k));
     EXPECT_EQ(k, dma::SchemeKind::IommuOff);
-    EXPECT_FALSE(exp::schemeFromName("passthrough", &k));
+    EXPECT_FALSE(dma::schemeFromName("passthrough", &k));
 }
 
 TEST(Registry, GlobMatch)
@@ -126,6 +126,7 @@ TEST(JsonValue, BuildDumpParseRoundTrip)
     doc.set("uint", std::uint64_t(18446744073709551615ull));
     doc.set("double", 0.1);
     doc.set("string", "a \"quoted\"\n\tstring");
+    doc.set("controls", "\b\f\r\x01");
     doc.set("bool", true);
     doc.set("null", Json());
     Json arr = Json::array();
@@ -143,6 +144,7 @@ TEST(JsonValue, BuildDumpParseRoundTrip)
     EXPECT_EQ(back.find("uint")->asUint(), 18446744073709551615ull);
     EXPECT_DOUBLE_EQ(back.find("double")->asDouble(), 0.1);
     EXPECT_EQ(back.find("string")->str(), "a \"quoted\"\n\tstring");
+    EXPECT_EQ(back.find("controls")->str(), "\b\f\r\x01");
     EXPECT_TRUE(back.find("bool")->boolean());
     EXPECT_EQ(back.find("arr")->items().size(), 2u);
     EXPECT_THROW(Json::parse("{\"unterminated\": "),

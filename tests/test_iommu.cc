@@ -990,61 +990,22 @@ TEST_P(BackendConformance, DetachStopsTranslation)
     EXPECT_EQ(mmu.faultLog().back().reason, FaultReason::Detached);
 }
 
-TEST_P(BackendConformance, LayoutPartitionsAt48Bits)
+TEST(IovaAllocator, DmaApiHalfEndsAtTheDamnTagBit)
 {
-    // Both modeled configurations implement 48 input bits, so DAMN's
-    // encoding and the DMA-API allocator ceiling are identical.
-    const AddressLayout lay = mmu.layout();
-    EXPECT_EQ(lay.iovaBits, 48u);
-    EXPECT_EQ(lay.dmaApiLimit(), Iova{1} << 47);
-}
-
-// ---------------------------------------------------------------------
-// AddressLayout derivations
-// ---------------------------------------------------------------------
-
-TEST(AddressLayout, Default48BitMatchesPaperSplit)
-{
-    constexpr AddressLayout lay{};
-    EXPECT_EQ(lay.tagBit(), 47u);
-    EXPECT_EQ(lay.tagMask(), 1ull << 47);
-    EXPECT_EQ(lay.cpuShift(), 40u);
-    EXPECT_EQ(lay.rightsShift(), 37u);
-    EXPECT_EQ(lay.devShift(), 30u);
-    EXPECT_EQ(lay.numaShift(), 29u);
-    EXPECT_EQ(lay.offsetMask(), (1ull << 29) - 1);
-    EXPECT_EQ(lay.denseRegionShift(), 34u);
-}
-
-TEST(AddressLayout, NarrowLayoutShiftsWholeEncodingDown)
-{
-    constexpr AddressLayout lay{40};
-    EXPECT_EQ(lay.tagBit(), 39u);
-    EXPECT_EQ(lay.dmaApiLimit(), 1ull << 39);
-    EXPECT_EQ(lay.cpuShift(), 32u);
-    EXPECT_EQ(lay.numaShift(), 21u);
-    EXPECT_EQ(lay.offsetMask(), (1ull << 21) - 1);
-}
-
-TEST(IovaAllocator, AddressLimitCapsFreshSpace)
-{
+    // Both backends implement 48 input bits: the DMA-API half is
+    // [kIovaBase, 2^47), and no space setting reaches DAMN's half.
+    static_assert(kDamnIovaBit == Iova{1} << 47);
     IovaAllocator a;
-    a.setAddressLimit(kIovaBase + 2 * mem::kPageSize);
+    EXPECT_EQ(a.spaceBytes(), kDamnIovaBit - kIovaBase);
+    a.setSpaceBytes(1ull << 60); // experiment knob above the ceiling
+    EXPECT_EQ(a.spaceBytes(), kDamnIovaBit - kIovaBase);
+    a.setSpaceBytes(2 * mem::kPageSize);
     const Iova first = a.alloc(1);
-    const Iova second = a.alloc(1);
-    EXPECT_NE(first, kInvalidIova);
-    EXPECT_NE(second, kInvalidIova);
-    EXPECT_EQ(a.alloc(1), kInvalidIova) << "past the backend ceiling";
+    EXPECT_EQ(first, kIovaBase);
+    EXPECT_NE(a.alloc(1), kInvalidIova);
+    EXPECT_EQ(a.alloc(1), kInvalidIova) << "past the space ceiling";
     a.free(first, 1);
     EXPECT_EQ(a.alloc(1), first) << "recycling still works at the cap";
-}
-
-TEST(IovaAllocator, SpaceBytesClampedToAddressLimit)
-{
-    IovaAllocator a;
-    a.setAddressLimit(kIovaBase + (1ull << 20));
-    a.setSpaceBytes(1ull << 40); // experiment knob above the ceiling
-    EXPECT_EQ(a.spaceBytes(), 1ull << 20);
 }
 
 // ---------------------------------------------------------------------

@@ -160,12 +160,100 @@ TEST_P(NetFixture, NetfilterHooksRunInOrder)
     stack->clearHooks();
 }
 
+TEST_P(NetFixture, AllocSegThenFreeSkbReturnsToBaseline)
+{
+    auto c = cpu();
+    const bool damn = sys->damnMode();
+    for (const SegOwner stock :
+         {SegOwner::Kmalloc, SegOwner::Pages, SegOwner::PageFrag}) {
+        for (dma::Device *dev : {static_cast<dma::Device *>(nic.get()),
+                                 static_cast<dma::Device *>(nullptr)}) {
+            // One warm-up round fills slab, frag and DAMN caches so the
+            // counters below move only by what the skb owns.
+            for (int round = 0; round < 2; ++round) {
+                const std::uint64_t objects = sys->heap.liveObjects();
+                const std::uint64_t frames =
+                    sys->pageAlloc.allocatedFrames();
+                const std::uint64_t owned =
+                    damn ? sys->damn->ownedBytes() : 0;
+                SkBuff skb;
+                skb.dev = nic.get();
+                // kmalloc serves at most 4 KiB.
+                std::vector<std::uint32_t> sizes = {100, 4096};
+                if (stock != SegOwner::Kmalloc)
+                    sizes.push_back(9000);
+                for (const std::uint32_t bytes : sizes) {
+                    const SkbSegment seg = sys->accessor().allocSeg(
+                        c, dev, stock, core::Rights::Write, bytes);
+                    ASSERT_NE(seg.pa, 0u);
+                    EXPECT_EQ(seg.len, bytes);
+                    const SegOwner want =
+                        damn && dev != nullptr ? SegOwner::Damn : stock;
+                    EXPECT_EQ(seg.owner, want);
+                    EXPECT_EQ(seg.pageOrder,
+                              want == SegOwner::Pages && bytes == 9000u
+                                  ? 2u
+                                  : 0u);
+                    skb.append(seg);
+                }
+                sys->accessor().freeSkb(c, skb);
+                if (round > 0) {
+                    EXPECT_EQ(sys->heap.liveObjects(), objects);
+                    EXPECT_EQ(sys->pageAlloc.allocatedFrames(), frames);
+                    EXPECT_EQ(damn ? sys->damn->ownedBytes() : 0, owned);
+                }
+            }
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, NetFixture,
     ::testing::Values(dma::SchemeKind::IommuOff, dma::SchemeKind::Strict,
                       dma::SchemeKind::Deferred, dma::SchemeKind::Shadow,
                       dma::SchemeKind::Damn),
     schemeName);
+
+// A failed allocation runs exactly one forced reclaim, then gives up
+// with a segment freeSkb ignores.
+class AllocSegExhausted : public ::testing::TestWithParam<dma::SchemeKind>
+{};
+
+TEST_P(AllocSegExhausted, FailsAfterOneReclaimWithBorrowedSegment)
+{
+    SystemParams p;
+    p.scheme = GetParam();
+    p.sockets = 1;
+    p.coresPerSocket = 2;
+    p.physBytes = 16 << 20;
+    System sys(p);
+    NicDevice nic(sys, "mlx5_0");
+    sim::CpuCursor c(sys.ctx.machine.core(0), 0);
+    for (unsigned order = mem::PageAllocator::kMaxOrder + 1; order-- > 0;)
+        while (sys.pageAlloc.allocPages(order, 0) != mem::kInvalidPfn) {
+        }
+
+    for (const SegOwner stock :
+         {SegOwner::Kmalloc, SegOwner::Pages, SegOwner::PageFrag}) {
+        const std::uint64_t reclaims =
+            sys.ctx.stats.get("pressure.reclaims");
+        const std::uint64_t objects = sys.heap.liveObjects();
+        SkBuff skb;
+        skb.dev = &nic;
+        skb.append(sys.accessor().allocSeg(c, &nic, stock,
+                                           core::Rights::Read, 2000));
+        EXPECT_EQ(sys.ctx.stats.get("pressure.reclaims"), reclaims + 1);
+        EXPECT_EQ(skb.segs[0].pa, 0u);
+        EXPECT_EQ(skb.segs[0].owner, SegOwner::Borrowed);
+        sys.accessor().freeSkb(c, skb);
+        EXPECT_EQ(sys.heap.liveObjects(), objects);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(DamnAndStock, AllocSegExhausted,
+                         ::testing::Values(dma::SchemeKind::Strict,
+                                           dma::SchemeKind::Damn),
+                         schemeName);
 
 // ---------------------------------------------------------------------
 // TOCTTOU guard specifics (DAMN system)
