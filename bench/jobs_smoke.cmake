@@ -5,7 +5,8 @@
 # Invoked as:
 #   cmake -DBENCH=<damn_bench> -DOUT=<dir> -P jobs_smoke.cmake
 
-set(args --only=fig4* --warmup-ms=1 --measure-ms=3 --repeat=2)
+set(args --only=fig4* --backend=vtd,smmuv3 --warmup-ms=1 --measure-ms=3
+         --repeat=2)
 
 foreach(jobs 1 8)
     execute_process(

@@ -49,7 +49,7 @@ main(int argc, char **argv)
           dma::SchemeKind::Strict, dma::SchemeKind::Shadow,
           dma::SchemeKind::Damn}) {
         work::NetperfOpts o;
-        o.scheme = scheme;
+        o.sysParams.scheme = scheme;
         o.mode = mode;
         o.instances = instances;
         o.segBytes = seg_kib * 1024;

@@ -25,7 +25,7 @@ rightsName(Rights r)
 
 DamnAllocator::DamnAllocator(sim::Context &ctx, mem::PageAllocator &pa,
                              mem::KmallocHeap &heap, iommu::Iommu &mmu,
-                             DamnConfig config)
+                             DmaCacheConfig config)
     : ctx_(ctx), pageAlloc_(pa), heap_(heap), iommu_(mmu),
       config_(config), freesCtr_(ctx.stats.counter("damn.frees"))
 {}
@@ -47,7 +47,7 @@ DamnAllocator::cacheFor(dma::Device &dev, Rights rights, sim::NumaId numa)
     const auto id = std::uint32_t(caches_.size());
     caches_.push_back(std::make_unique<DmaCache>(
         ctx_, pageAlloc_, iommu_, dev.domain(), id, dit->second, rights,
-        numa, config_.cache));
+        numa, config_));
     cacheIndex_.emplace(key, id);
     return *caches_[id];
 }
@@ -205,7 +205,7 @@ DamnAllocator::shrink(sim::CpuCursor &cpu)
         // the freed pages may be handed out by the OS only after this.
         cpu.time = iommu_.backend().batchedFlushAll(*cpu.core, cpu.time);
     }
-    return chunks * config_.cache.chunkBytes();
+    return chunks * config_.chunkBytes();
 }
 
 std::uint64_t
@@ -220,7 +220,7 @@ DamnAllocator::drainDomain(sim::CpuCursor &cpu, iommu::DomainId d)
         // need to die, and other devices' warm entries must survive.
         cpu.time = iommu_.backend().batchedFlush(*cpu.core, cpu.time, {d});
     }
-    return chunks * config_.cache.chunkBytes();
+    return chunks * config_.chunkBytes();
 }
 
 std::uint64_t

@@ -27,12 +27,6 @@
 
 namespace damn::core {
 
-/** Top-level DAMN configuration. */
-struct DamnConfig
-{
-    DmaCacheConfig cache;
-};
-
 /**
  * The DMA-Aware Malloc for Networking.
  */
@@ -41,7 +35,7 @@ class DamnAllocator
   public:
     DamnAllocator(sim::Context &ctx, mem::PageAllocator &pa,
                   mem::KmallocHeap &heap, iommu::Iommu &mmu,
-                  DamnConfig config = {});
+                  DmaCacheConfig config = {});
 
     DamnAllocator(const DamnAllocator &) = delete;
     DamnAllocator &operator=(const DamnAllocator &) = delete;
@@ -150,7 +144,7 @@ class DamnAllocator
     mem::PageAllocator &pageAlloc_;
     mem::KmallocHeap &heap_;
     iommu::Iommu &iommu_;
-    DamnConfig config_;
+    DmaCacheConfig config_;
     sim::Stats::Counter freesCtr_;
 
     std::map<CacheKey, std::uint32_t> cacheIndex_;

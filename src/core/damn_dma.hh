@@ -127,9 +127,6 @@ class DamnDmaApi : public dma::DmaApi
     }
 
     const char *name() const override { return "damn"; }
-    bool subpage() const override { return true; }
-    bool windowFree() const override { return true; }
-    bool zeroCopy() const override { return true; }
 
     DamnAllocator &allocator() { return alloc_; }
     dma::DmaApi &fallback() { return *fallback_; }

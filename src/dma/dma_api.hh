@@ -79,14 +79,6 @@ class DmaApi
     /** Scheme name as used in the paper's figures. */
     virtual const char *name() const = 0;
 
-    // ---- Table 1 properties ----------------------------------------
-    /** Protects at sub-page (byte) granularity. */
-    virtual bool subpage() const = 0;
-    /** No post-unmap vulnerability window. */
-    virtual bool windowFree() const = 0;
-    /** Compatible with zero-copy I/O paths. */
-    virtual bool zeroCopy() const = 0;
-
     /** Force any batched invalidations out now (deferred scheme). */
     virtual void flushPending(sim::CpuCursor &) {}
 

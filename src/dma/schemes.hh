@@ -63,9 +63,6 @@ class PassthroughDmaApi : public DmaApi
     {}
 
     const char *name() const override { return "iommu-off"; }
-    bool subpage() const override { return false; }
-    bool windowFree() const override { return false; }
-    bool zeroCopy() const override { return true; }
 };
 
 /** Interned handles of the counters the DMA-API schemes book. */
@@ -114,9 +111,6 @@ class MappedDmaApi : public DmaApi
 
     iommu::Iova map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
                     std::uint32_t len, Dir dir) override;
-
-    bool subpage() const override { return false; }
-    bool zeroCopy() const override { return true; }
 
     std::uint64_t
     outstandingIovas() const override
@@ -189,7 +183,6 @@ class StrictDmaApi : public MappedDmaApi
                     const std::vector<UnmapReq> &reqs) override;
 
     const char *name() const override { return "strict"; }
-    bool windowFree() const override { return true; }
 };
 
 /**
@@ -209,7 +202,6 @@ class DeferredDmaApi : public MappedDmaApi
     void flushPending(sim::CpuCursor &cpu) override;
 
     const char *name() const override { return "deferred"; }
-    bool windowFree() const override { return false; }
 
     unsigned pendingFlushes() const { return unsigned(flushQueue_.size()); }
 
@@ -245,9 +237,6 @@ class ShadowDmaApi : public DmaApi
                std::uint32_t len, Dir dir) override;
 
     const char *name() const override { return "shadow"; }
-    bool subpage() const override { return true; }
-    bool windowFree() const override { return true; }
-    bool zeroCopy() const override { return false; }
 
     /** Frames pinned by shadow pools (all devices). */
     std::uint64_t poolFrames() const { return poolFrames_; }

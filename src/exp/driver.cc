@@ -210,36 +210,53 @@ selectExperiments(const DriverOptions &opts)
 namespace {
 
 /**
- * Execute one (experiment, rep) unit on a private simulated machine.
- * Thread-confined by construction: every piece of mutable simulation
- * state (Engine, Machine, Stats, Tracer, FaultInjector, RNG streams)
- * lives in Contexts the experiment's run function creates itself; the
- * only cross-thread data are the read-only registry/options and this
+ * True when @p axis is the baseline {vtd}.  Output stays
+ * byte-compatible with pre-backend versions: runs carry a "backend"
+ * param, and the report header a "backends" key, only when their axis
+ * is anything else.
+ */
+bool
+isVtdOnly(const std::vector<iommu::BackendKind> &axis)
+{
+    return axis.size() == 1 && axis[0] == iommu::BackendKind::Vtd;
+}
+
+/**
+ * Execute one (experiment, rep) unit on a private simulated machine:
+ * the run function once per backend of the effective axis (--backend,
+ * else the experiment's native list).  Thread-confined by
+ * construction: every piece of mutable simulation state (Engine,
+ * Machine, Stats, Tracer, FaultInjector, RNG streams) lives in
+ * Contexts the experiment's run function creates itself; the only
+ * cross-thread data are the read-only registry/options and this
  * unit's own result vector.
  */
 std::vector<Run>
 runUnit(const DriverOptions &opts, const Experiment &e, unsigned rep)
 {
-    Collector out;
-    RunCtx ctx{
-        e,
-        work::RunWindow{
-            opts.warmupNs ? opts.warmupNs : e.defaultWindow.warmupNs,
-            opts.measureNs ? opts.measureNs
-                           : e.defaultWindow.measureNs,
-        },
-        opts.schemes,
-        opts.seed + rep,
-        out,
-        !opts.tracePath.empty(),
-        opts.backends,
+    const std::vector<iommu::BackendKind> &axis =
+        opts.backends.empty() ? e.backends : opts.backends;
+    const bool label_backend = !isVtdOnly(axis);
+    const work::RunWindow window{
+        opts.warmupNs ? opts.warmupNs : e.defaultWindow.warmupNs,
+        opts.measureNs ? opts.measureNs : e.defaultWindow.measureNs,
     };
-    e.run(ctx);
-    std::vector<Run> runs = out.take();
-    if (opts.repeat > 1)
-        for (Run &run : runs)
-            run.params.insert(run.params.begin(),
-                              {"rep", std::to_string(rep)});
+    Collector out;
+    std::vector<Run> runs;
+    for (const iommu::BackendKind bk : axis) {
+        RunCtx ctx{e, window, opts.schemes, opts.seed + rep, out,
+                   !opts.tracePath.empty(), bk};
+        e.run(ctx);
+        for (Run &run : out.take()) {
+            if (label_backend)
+                run.params.insert(run.params.begin(),
+                                  {"backend", iommu::backendKindName(bk)});
+            if (opts.repeat > 1)
+                run.params.insert(run.params.begin(),
+                                  {"rep", std::to_string(rep)});
+            runs.push_back(std::move(run));
+        }
+    }
     return runs;
 }
 
@@ -299,33 +316,6 @@ runExperiments(const DriverOptions &opts)
     return report;
 }
 
-std::vector<ResultRow>
-flatten(const Report &report)
-{
-    std::vector<ResultRow> rows;
-    std::size_t total = 0;
-    for (const ExperimentResult &er : report.experiments)
-        for (const Run &run : er.runs)
-            total += run.metrics.size();
-    rows.reserve(total);
-    for (const ExperimentResult &er : report.experiments) {
-        for (const Run &run : er.runs) {
-            for (const Metric &m : run.metrics) {
-                ResultRow row;
-                row.experiment = er.exp->name;
-                row.scheme = run.scheme;
-                row.params = run.params;
-                row.metric = m.name;
-                row.value = m.value;
-                row.unit = m.unit;
-                row.stats = &run.stats;
-                rows.push_back(std::move(row));
-            }
-        }
-    }
-    return rows;
-}
-
 Json
 reportJson(const Report &report)
 {
@@ -338,14 +328,10 @@ reportJson(const Report &report)
     for (const dma::SchemeKind k : report.opts.schemes)
         schemes.push(dma::schemeKindName(k));
     doc.set("schemes", std::move(schemes));
-    // Backward-compatible v2 extension: the backend axis appears in
-    // the header (and as a per-run "backend" param) only when it
-    // differs from the pre-backend baseline {vtd}, so default and
-    // --backend=vtd invocations serialize byte-identically to older
-    // versions.
-    if (!(report.opts.backends.empty() ||
-          (report.opts.backends.size() == 1 &&
-           report.opts.backends[0] == iommu::BackendKind::Vtd))) {
+    // Backward-compatible v2 extension: an explicit --backend axis
+    // appears in the header unless it is the baseline {vtd}.
+    if (!report.opts.backends.empty() &&
+        !isVtdOnly(report.opts.backends)) {
         Json backends = Json::array();
         for (const iommu::BackendKind k : report.opts.backends)
             backends.push(iommu::backendKindName(k));

@@ -30,8 +30,8 @@ struct DriverOptions
     bool help = false;
     std::string only;  //!< glob over experiment names; empty = all
     std::vector<dma::SchemeKind> schemes = defaultSchemes();
-    /** The --backend selection; empty keeps each experiment's default
-     *  backend axis (vtd for everything but backend_matrix). */
+    /** The --backend selection; empty keeps each experiment's native
+     *  backend axis (Experiment::backends). */
     std::vector<iommu::BackendKind> backends;
     /** Worker threads for (experiment, rep) units; 0 = one per
      *  hardware thread.  Output is byte-identical for every value. */
@@ -73,7 +73,8 @@ unsigned effectiveJobs(const DriverOptions &opts);
 /**
  * Run every selected experiment (repeat times each).
  *
- * Units of work are (experiment, rep) pairs; with jobs > 1 they
+ * Units of work are (experiment, rep) pairs, each running the
+ * experiment once per backend of its axis; with jobs > 1 they
  * execute on the sim::parallelFor worker pool, each on a private
  * deterministic simulated machine, and merge back in registration
  * order — the Report (and everything serialized from it) is
@@ -81,9 +82,6 @@ unsigned effectiveJobs(const DriverOptions &opts);
  * whole call with the first failing unit's exception.
  */
 Report runExperiments(const DriverOptions &opts);
-
-/** Flatten into experiment/scheme/metric-keyed rows. */
-std::vector<ResultRow> flatten(const Report &report);
 
 /** Build the documented JSON document for a report. */
 Json reportJson(const Report &report);

@@ -20,18 +20,14 @@ DAMN_EXPERIMENT(fig7_memcached)
     e.paper = "Figure 7";
     e.axes = {"scheme"};
     e.run = [](RunCtx &ctx) {
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd})) {
-            for (const dma::SchemeKind k : ctx.schemes) {
-                work::MemcachedOpts o;
-                o.scheme = k;
-                o.backend = bk;
-                o.runWindow = ctx.window;
-                const work::MemcachedResult r = work::runMemcached(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.backendParam(bk);
-                ctx.out.common(r.common);
-            }
+        for (const dma::SchemeKind k : ctx.schemes) {
+            work::MemcachedOpts o;
+            o.scheme = k;
+            o.backend = ctx.backend;
+            o.runWindow = ctx.window;
+            const work::MemcachedResult r = work::runMemcached(o);
+            ctx.out.beginRun(dma::schemeKindName(k));
+            ctx.out.common(r.common);
         }
     };
     return e;
@@ -50,20 +46,17 @@ DAMN_EXPERIMENT(fig11_nvme)
         const auto schemes = ctx.schemesAmong(
             {dma::SchemeKind::IommuOff, dma::SchemeKind::Deferred,
              dma::SchemeKind::Strict, dma::SchemeKind::Shadow});
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd}))
         for (const std::uint32_t bs :
              {512u, 1024u, 2048u, 4096u, 8192u, 16384u, 65536u,
               131072u}) {
             for (const dma::SchemeKind k : schemes) {
                 work::FioOpts o;
                 o.scheme = k;
-                o.backend = bk;
+                o.backend = ctx.backend;
                 o.blockBytes = bs;
                 o.runWindow = ctx.window;
                 const work::FioResult r = work::runFio(o);
                 ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.backendParam(bk);
                 ctx.out.param("block_bytes", std::uint64_t(bs));
                 ctx.out.common(r.common);
                 ctx.out.metric("gbytes_per_sec", r.throughputGBps,

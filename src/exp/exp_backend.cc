@@ -8,8 +8,9 @@
  *
  * Unlike the paper-figure experiments (whose native backend axis is
  * the evaluated VT-d testbed), this experiment's native axis is *both*
- * backends, and every run is labeled with its backend — the question
- * here is how much of each scheme's cost is hardware-model-specific.
+ * backends, so the driver labels every run with its backend — the
+ * question here is how much of each scheme's cost is
+ * hardware-model-specific.
  */
 
 #include "exp/experiment.hh"
@@ -29,45 +30,37 @@ DAMN_EXPERIMENT(backend_matrix)
     e.axes = {"scheme", "backend", "workload"};
     e.defaultWindow = work::RunWindow{5 * sim::kNsPerMs,
                                       25 * sim::kNsPerMs};
+    e.backends = {iommu::BackendKind::Vtd, iommu::BackendKind::SmmuV3};
     e.run = [](RunCtx &ctx) {
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd,
-                             iommu::BackendKind::SmmuV3})) {
-            // Bidirectional netperf: the figure-1 configuration, where
-            // strict's unmap path hammers the invalidation interface.
-            for (const dma::SchemeKind k : ctx.schemes) {
-                work::NetperfOpts o = work::bidirectionalOpts(k);
-                o.sysParams.backend = bk;
-                o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                const auto run = work::runNetperf(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.out.param("backend", iommu::backendKindName(bk));
-                ctx.out.param("workload", "netperf");
-                ctx.out.common(run.common);
-            }
+        // Bidirectional netperf: the figure-1 configuration, where
+        // strict's unmap path hammers the invalidation interface.
+        for (const dma::SchemeKind k : ctx.schemes) {
+            work::NetperfOpts o = work::bidirectionalOpts(k);
+            o.sysParams.backend = ctx.backend;
+            o.runWindow = ctx.window;
+            o.trace = ctx.traceEvents;
+            const auto run = work::runNetperf(o);
+            ctx.out.beginRun(dma::schemeKindName(k));
+            ctx.out.param("workload", "netperf");
+            ctx.out.common(run.common);
+        }
 
-            // fio direct reads (DAMN does not apply to storage); one
-            // mid-size block where unmap cost is still visible.
-            for (const dma::SchemeKind k : ctx.schemesAmong(
-                     {dma::SchemeKind::IommuOff,
-                      dma::SchemeKind::Deferred,
-                      dma::SchemeKind::Strict,
-                      dma::SchemeKind::Shadow})) {
-                work::FioOpts o;
-                o.scheme = k;
-                o.backend = bk;
-                o.blockBytes = 4096;
-                o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                const work::FioResult r = work::runFio(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.out.param("backend", iommu::backendKindName(bk));
-                ctx.out.param("workload", "fio");
-                ctx.out.common(r.common);
-                ctx.out.metric("gbytes_per_sec", r.throughputGBps,
-                               "GB/s");
-            }
+        // fio direct reads (DAMN does not apply to storage); one
+        // mid-size block where unmap cost is still visible.
+        for (const dma::SchemeKind k : ctx.schemesAmong(
+                 {dma::SchemeKind::IommuOff, dma::SchemeKind::Deferred,
+                  dma::SchemeKind::Strict, dma::SchemeKind::Shadow})) {
+            work::FioOpts o;
+            o.scheme = k;
+            o.backend = ctx.backend;
+            o.blockBytes = 4096;
+            o.runWindow = ctx.window;
+            o.trace = ctx.traceEvents;
+            const work::FioResult r = work::runFio(o);
+            ctx.out.beginRun(dma::schemeKindName(k));
+            ctx.out.param("workload", "fio");
+            ctx.out.common(r.common);
+            ctx.out.metric("gbytes_per_sec", r.throughputGBps, "GB/s");
         }
     };
     return e;

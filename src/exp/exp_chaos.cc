@@ -80,7 +80,7 @@ soakOneScheme(dma::SchemeKind kind, iommu::BackendKind backend,
               std::map<std::string, std::uint64_t> *stats_out)
 {
     work::NetperfOpts o;
-    o.scheme = kind;
+    o.sysParams.scheme = kind;
     o.mode = work::NetMode::Bidi;
     o.instances = 4;
     o.coreLimit = 2;
@@ -240,17 +240,11 @@ DAMN_EXPERIMENT(chaos_soak)
         const std::vector<dma::SchemeKind> schemes = ctx.schemesAmong(
             {dma::SchemeKind::Strict, dma::SchemeKind::Deferred,
              dma::SchemeKind::Shadow, dma::SchemeKind::Damn});
-        // Native backend axis is the baseline VT-d; --backend widens
-        // the soak (e.g. --backend=all runs the same storm against
-        // the SMMUv3 model's cmdq/event-queue machinery).
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd}))
         for (const dma::SchemeKind k : schemes) {
             std::map<std::string, std::uint64_t> stats;
             const CycleTotals t =
-                soakOneScheme(k, bk, ctx.seed, cycles, &stats);
+                soakOneScheme(k, ctx.backend, ctx.seed, cycles, &stats);
             Run &row = ctx.out.beginRun(dma::schemeKindName(k));
-            ctx.backendParam(bk);
             ctx.out.metric("cycles", double(t.cycles), "count");
             ctx.out.metric("hangs", double(t.hangs), "count");
             ctx.out.metric("audit_violations",
@@ -271,7 +265,7 @@ DAMN_EXPERIMENT(chaos_soak)
             ctx.out.metric("nvme_ok_cmds", double(t.nvmeOk), "count");
             ctx.out.metric("nvme_aborted_cmds", double(t.nvmeAborted),
                            "count");
-            if (bk == iommu::BackendKind::SmmuV3) {
+            if (ctx.backend == iommu::BackendKind::SmmuV3) {
                 // Event-queue conservation, visible in the artifact:
                 // faults == in-ring + drained + overflowed.
                 ctx.out.metric("iommu_faults", double(t.iommuFaults),

@@ -23,6 +23,7 @@ DAMN_EXPERIMENT(fig2_graph500)
         for (const dma::SchemeKind k : ctx.schemes) {
             work::CorunOpts o;
             o.scheme = k;
+            o.backend = ctx.backend;
             o.runWindow = ctx.window;
             const work::CorunResult r = work::runNetGraphCorun(o);
             ctx.out.beginRun(dma::schemeKindName(k));
@@ -38,6 +39,7 @@ DAMN_EXPERIMENT(fig2_graph500)
             return;
         {
             work::CorunOpts o;
+            o.backend = ctx.backend;
             o.withGraph = false;
             o.runWindow = ctx.window;
             const work::CorunResult r = work::runNetGraphCorun(o);
@@ -47,6 +49,7 @@ DAMN_EXPERIMENT(fig2_graph500)
         }
         {
             work::CorunOpts o;
+            o.backend = ctx.backend;
             o.withNet = false;
             o.runWindow = ctx.window;
             const work::CorunResult r = work::runNetGraphCorun(o);

@@ -32,7 +32,8 @@ DAMN_EXPERIMENT(fig9_stock_pages)
             return;
 
         work::NetperfOpts o;
-        o.scheme = dma::SchemeKind::Deferred;
+        o.sysParams.scheme = dma::SchemeKind::Deferred;
+        o.sysParams.backend = ctx.backend;
         o.mode = work::NetMode::Rx;
         o.instances = 4;
         o.coreLimit = 4;
@@ -90,7 +91,8 @@ DAMN_EXPERIMENT(fig10_memory)
             for (const unsigned instances : {4u, 8u, 16u, 28u, 56u}) {
                 for (const dma::SchemeKind k : schemes) {
                     work::NetperfOpts o;
-                    o.scheme = k;
+                    o.sysParams.scheme = k;
+                    o.sysParams.backend = ctx.backend;
                     o.mode = mode;
                     o.instances = instances;
                     o.segBytes = 16 * 1024;

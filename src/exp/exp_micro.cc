@@ -17,10 +17,12 @@ namespace damn::exp {
 namespace {
 
 net::System
-makeDamnSystem(core::DmaCacheConfig cache = {})
+makeDamnSystem(iommu::BackendKind backend,
+               core::DmaCacheConfig cache = {})
 {
     net::SystemParams p;
     p.scheme = dma::SchemeKind::Damn;
+    p.backend = backend;
     p.damnCache = cache;
     return net::System(p);
 }
@@ -41,7 +43,7 @@ DAMN_EXPERIMENT(micro_allocator)
         // Fast path per size class.
         for (const std::uint32_t size :
              {256u, 4096u, 16384u, 65536u}) {
-            net::System sys = makeDamnSystem();
+            net::System sys = makeDamnSystem(ctx.backend);
             net::NicDevice nic(sys, "mlx5_bench");
             sim::CpuCursor cpu(sys.ctx.machine.core(0), 0);
             constexpr unsigned kPairs = 4096;
@@ -61,7 +63,7 @@ DAMN_EXPERIMENT(micro_allocator)
         // Ablation (design decision 2): two DMA-cache copies per
         // context vs one cache paying irq disable/enable per op.
         for (const bool split : {false, true}) {
-            net::System sys = makeDamnSystem();
+            net::System sys = makeDamnSystem(ctx.backend);
             net::NicDevice nic(sys, "nic");
             sim::CpuCursor cpu(sys.ctx.machine.core(0), 0);
             const core::AllocCtx alloc_ctx = split
@@ -89,7 +91,7 @@ DAMN_EXPERIMENT(micro_allocator)
         for (const bool magazines : {false, true}) {
             core::DmaCacheConfig cache;
             cache.magazineCapacity = magazines ? 16 : 1;
-            net::System sys = makeDamnSystem(cache);
+            net::System sys = makeDamnSystem(ctx.backend, cache);
             net::NicDevice nic(sys, "nic");
             sim::CpuCursor cpu(sys.ctx.machine.core(0), 0);
             constexpr unsigned kBatches = 64;

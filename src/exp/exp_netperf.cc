@@ -15,6 +15,26 @@ namespace {
 /** Paper reference points, per figure, live in the old per-figure
  *  headers' comments; the registry keeps only the methodology. */
 
+constexpr std::pair<work::NetMode, const char *> kRxTx[] = {
+    {work::NetMode::Rx, "rx"},
+    {work::NetMode::Tx, "tx"},
+};
+
+/** Run @p o on @p ctx's backend, window and trace setting, and open
+ *  its run (with a "mode" param when @p mode is given). */
+work::NetperfRun
+streamRun(RunCtx &ctx, work::NetperfOpts o, const char *mode = nullptr)
+{
+    o.sysParams.backend = ctx.backend;
+    o.runWindow = ctx.window;
+    o.trace = ctx.traceEvents;
+    work::NetperfRun run = work::runNetperf(o);
+    ctx.out.beginRun(dma::schemeKindName(o.sysParams.scheme));
+    if (mode)
+        ctx.out.param("mode", mode);
+    return run;
+}
+
 DAMN_EXPERIMENT(fig1_tradeoffs)
 {
     Experiment e;
@@ -24,19 +44,9 @@ DAMN_EXPERIMENT(fig1_tradeoffs)
     e.paper = "Figure 1";
     e.axes = {"scheme"};
     e.run = [](RunCtx &ctx) {
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd})) {
-            for (const dma::SchemeKind k : ctx.schemes) {
-                work::NetperfOpts o = work::bidirectionalOpts(k);
-                o.sysParams.backend = bk;
-                o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                const auto run = work::runNetperf(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.backendParam(bk);
-                ctx.out.common(run.common);
-            }
-        }
+        for (const dma::SchemeKind k : ctx.schemes)
+            ctx.out.common(
+                streamRun(ctx, work::bidirectionalOpts(k)).common);
     };
     return e;
 }
@@ -50,20 +60,10 @@ DAMN_EXPERIMENT(fig4_singlecore)
     e.paper = "Figure 4";
     e.axes = {"scheme", "mode"};
     e.run = [](RunCtx &ctx) {
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd}))
-        for (const auto &[mode, label] :
-             {std::pair{work::NetMode::Rx, "rx"},
-              std::pair{work::NetMode::Tx, "tx"}}) {
+        for (const auto &[mode, label] : kRxTx) {
             for (const dma::SchemeKind k : ctx.schemes) {
-                work::NetperfOpts o = work::singleCoreOpts(k, mode);
-                o.sysParams.backend = bk;
-                o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                const auto run = work::runNetperf(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.backendParam(bk);
-                ctx.out.param("mode", label);
+                const auto run =
+                    streamRun(ctx, work::singleCoreOpts(k, mode), label);
                 ctx.out.metric("gbps", run.res.totalGbps, "Gb/s");
                 // Everything is pinned to core 0; machine-wide CPU%
                 // would divide by 28 idle cores.
@@ -88,23 +88,11 @@ DAMN_EXPERIMENT(fig5_multicore)
     e.paper = "Figure 5";
     e.axes = {"scheme", "mode"};
     e.run = [](RunCtx &ctx) {
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd}))
-        for (const auto &[mode, label] :
-             {std::pair{work::NetMode::Rx, "rx"},
-              std::pair{work::NetMode::Tx, "tx"}}) {
-            for (const dma::SchemeKind k : ctx.schemes) {
-                work::NetperfOpts o = work::multiCoreOpts(k, mode);
-                o.sysParams.backend = bk;
-                o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                const auto run = work::runNetperf(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.backendParam(bk);
-                ctx.out.param("mode", label);
-                ctx.out.common(run.common);
-            }
-        }
+        for (const auto &[mode, label] : kRxTx)
+            for (const dma::SchemeKind k : ctx.schemes)
+                ctx.out.common(
+                    streamRun(ctx, work::multiCoreOpts(k, mode), label)
+                        .common);
     };
     return e;
 }
@@ -118,19 +106,9 @@ DAMN_EXPERIMENT(fig6_membw)
     e.paper = "Figure 6";
     e.axes = {"scheme"};
     e.run = [](RunCtx &ctx) {
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd})) {
-            for (const dma::SchemeKind k : ctx.schemes) {
-                work::NetperfOpts o = work::bidirectionalOpts(k);
-                o.sysParams.backend = bk;
-                o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                const auto run = work::runNetperf(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.backendParam(bk);
-                ctx.out.common(run.common);
-            }
-        }
+        for (const dma::SchemeKind k : ctx.schemes)
+            ctx.out.common(
+                streamRun(ctx, work::bidirectionalOpts(k)).common);
     };
     return e;
 }
@@ -144,20 +122,11 @@ DAMN_EXPERIMENT(latency_profile)
     e.paper = "extension";
     e.axes = {"scheme"};
     e.run = [](RunCtx &ctx) {
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd})) {
-            for (const dma::SchemeKind k : ctx.schemes) {
-                work::NetperfOpts o =
-                    work::multiCoreOpts(k, work::NetMode::Rx);
-                o.sysParams.backend = bk;
-                o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                const auto run = work::runNetperf(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.backendParam(bk);
-                ctx.out.common(run.common, /*with_latency=*/true);
-            }
-        }
+        for (const dma::SchemeKind k : ctx.schemes)
+            ctx.out.common(
+                streamRun(ctx, work::multiCoreOpts(k, work::NetMode::Rx))
+                    .common,
+                /*with_latency=*/true);
     };
     return e;
 }
@@ -175,20 +144,10 @@ DAMN_EXPERIMENT(netperf_stream)
     e.defaultWindow = work::RunWindow{10 * sim::kNsPerMs,
                                       50 * sim::kNsPerMs};
     e.run = [](RunCtx &ctx) {
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd})) {
-            for (const dma::SchemeKind k : ctx.schemes) {
-                work::NetperfOpts o =
-                    work::multiCoreOpts(k, work::NetMode::Rx);
-                o.sysParams.backend = bk;
-                o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                const auto run = work::runNetperf(o);
-                ctx.out.beginRun(dma::schemeKindName(k));
-                ctx.backendParam(bk);
-                ctx.out.common(run.common);
-            }
-        }
+        for (const dma::SchemeKind k : ctx.schemes)
+            ctx.out.common(
+                streamRun(ctx, work::multiCoreOpts(k, work::NetMode::Rx))
+                    .common);
     };
     return e;
 }

@@ -59,18 +59,17 @@ constexpr std::uint64_t kStallBudgetEvents = 200'000;
 constexpr sim::TimeNs kReliefNs = 5 * sim::kNsPerMs;
 
 void
-stormOne(const RunCtx &ctx, dma::SchemeKind kind,
-         iommu::BackendKind backend, const StormSpec &spec)
+stormOne(const RunCtx &ctx, dma::SchemeKind kind, const StormSpec &spec)
 {
     work::NetperfOpts o;
-    o.scheme = kind;
+    o.sysParams.scheme = kind;
     o.mode = work::NetMode::Bidi;
     o.instances = 4;
     o.coreLimit = 2;
     o.segBytes = 16 * 1024;
     o.window = 32;
     o.runWindow = ctx.window;
-    o.sysParams.backend = backend;
+    o.sysParams.backend = ctx.backend;
     o.sysParams.iovaSpaceBytes = spec.iovaSpaceBytes;
     if (spec.physBytes != 0)
         o.sysParams.physBytes = spec.physBytes;
@@ -155,7 +154,6 @@ stormOne(const RunCtx &ctx, dma::SchemeKind kind,
 
     Collector &out = ctx.out;
     Run &row = out.beginRun(dma::schemeKindName(kind));
-    ctx.backendParam(backend);
     out.param("storm", std::string(spec.storm));
     out.param("iova_kbytes", spec.iovaSpaceBytes / 1024);
     out.param("phys_mbytes",
@@ -218,14 +216,9 @@ DAMN_EXPERIMENT(pressure_storm)
         const std::vector<dma::SchemeKind> schemes = ctx.schemesAmong(
             {dma::SchemeKind::Strict, dma::SchemeKind::Deferred,
              dma::SchemeKind::Shadow, dma::SchemeKind::Damn});
-        // Native backend axis is the baseline VT-d; --backend widens
-        // the sweep (e.g. --backend=all exercises the SMMUv3 cmdq
-        // stall path under the same exhaustion storms).
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd}))
-            for (const dma::SchemeKind k : schemes)
-                for (const StormSpec &spec : sweep)
-                    stormOne(ctx, k, bk, spec);
+        for (const dma::SchemeKind k : schemes)
+            for (const StormSpec &spec : sweep)
+                stormOne(ctx, k, spec);
     };
     return e;
 }

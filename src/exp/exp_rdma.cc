@@ -30,43 +30,36 @@ DAMN_EXPERIMENT(rdma_pagefault)
     e.axes = {"scheme", "backend", "footprint_kb"};
     e.defaultWindow = work::RunWindow{2 * sim::kNsPerMs,
                                       10 * sim::kNsPerMs};
+    e.backends = {iommu::BackendKind::Vtd, iommu::BackendKind::SmmuV3};
     e.run = [](RunCtx &ctx) {
         constexpr std::uint64_t kFootprints[] = {
             1ull << 20, 4ull << 20, 16ull << 20};
-        for (const iommu::BackendKind bk :
-             ctx.backendsOr({iommu::BackendKind::Vtd,
-                             iommu::BackendKind::SmmuV3})) {
-            for (const std::uint64_t fp : kFootprints) {
-                for (const dma::SchemeKind k : ctx.schemesAmong(
-                         {dma::SchemeKind::IommuOff,
-                          dma::SchemeKind::Strict,
-                          dma::SchemeKind::Deferred,
-                          dma::SchemeKind::Shadow})) {
-                    work::RdmaOpts o;
-                    o.scheme = k;
-                    o.footprintBytes = fp;
-                    o.seed = ctx.seed;
-                    o.runWindow = ctx.window;
-                    o.trace = ctx.traceEvents;
-                    o.sysParams.backend = bk;
-                    const work::RdmaResult r = work::runRdma(o);
-                    ctx.out.beginRun(dma::schemeKindName(k));
-                    ctx.out.param("backend",
-                                  iommu::backendKindName(bk));
-                    ctx.out.param("footprint_kb", fp >> 10);
-                    ctx.out.metric("faults_serviced",
-                                   double(r.faultsServiced), "faults");
-                    ctx.out.metric("auto_responses",
-                                   double(r.autoResponses),
-                                   "responses");
-                    ctx.out.metric("prq_max_depth",
-                                   double(r.prqMaxDepth), "entries");
-                    ctx.out.metric("devtlb_hit_rate",
-                                   r.devTlbHitRate * 100.0, "%");
-                    ctx.out.metric("fault_service_avg_ns",
-                                   r.avgFaultServiceNs, "ns");
-                    ctx.out.common(r.common, /*with_latency=*/true);
-                }
+        for (const std::uint64_t fp : kFootprints) {
+            for (const dma::SchemeKind k : ctx.schemesAmong(
+                     {dma::SchemeKind::IommuOff, dma::SchemeKind::Strict,
+                      dma::SchemeKind::Deferred,
+                      dma::SchemeKind::Shadow})) {
+                work::RdmaOpts o;
+                o.footprintBytes = fp;
+                o.seed = ctx.seed;
+                o.runWindow = ctx.window;
+                o.trace = ctx.traceEvents;
+                o.sysParams.scheme = k;
+                o.sysParams.backend = ctx.backend;
+                const work::RdmaResult r = work::runRdma(o);
+                ctx.out.beginRun(dma::schemeKindName(k));
+                ctx.out.param("footprint_kb", fp >> 10);
+                ctx.out.metric("faults_serviced",
+                               double(r.faultsServiced), "faults");
+                ctx.out.metric("auto_responses", double(r.autoResponses),
+                               "responses");
+                ctx.out.metric("prq_max_depth", double(r.prqMaxDepth),
+                               "entries");
+                ctx.out.metric("devtlb_hit_rate", r.devTlbHitRate * 100.0,
+                               "%");
+                ctx.out.metric("fault_service_avg_ns",
+                               r.avgFaultServiceNs, "ns");
+                ctx.out.common(r.common, /*with_latency=*/true);
             }
         }
     };

@@ -30,7 +30,8 @@ DAMN_EXPERIMENT(fig8_tocttou)
              {0u, 64u, 256u, 1024u, 4096u, 16384u, 65536u}) {
             for (const dma::SchemeKind k : schemes) {
                 work::NetperfOpts o;
-                o.scheme = k;
+                o.sysParams.scheme = k;
+                o.sysParams.backend = ctx.backend;
                 o.mode = work::NetMode::Rx;
                 o.instances = 14;
                 o.coreLimit = 14;

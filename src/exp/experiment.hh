@@ -13,8 +13,7 @@
  * Results are uniform: each run (one scheme/configuration point) holds
  * an ordered set of metrics (name, value, unit), the parameter values
  * that produced it, and a snapshot of the System's sim::Stats
- * counters.  A flattened ResultRow view keys every value by
- * experiment/scheme/metric for programmatic consumers.
+ * counters.
  */
 
 #ifndef DAMN_EXP_EXPERIMENT_HH
@@ -58,19 +57,6 @@ struct Run
     /** Cost attribution (+ events when recording); empty when the
      *  workload does not report one. */
     sim::TraceBundle trace;
-};
-
-/** Flattened result view: one value keyed by experiment/scheme/metric. */
-struct ResultRow
-{
-    std::string experiment;
-    std::string scheme;
-    std::vector<std::pair<std::string, std::string>> params;
-    std::string metric;
-    double value = 0.0;
-    std::string unit;
-    /** Stats snapshot of the run this row came from. */
-    const std::map<std::string, std::uint64_t> *stats = nullptr;
 };
 
 /** Collects the runs of one experiment while it executes. */
@@ -117,8 +103,8 @@ class Collector
      *  workload reported no such quantity). */
     void common(const work::CommonResult &c, bool with_latency = false);
 
-    const std::vector<Run> &runs() const { return runs_; }
-    std::vector<Run> take() { return std::move(runs_); }
+    /** Hand over the collected runs, leaving the collector empty. */
+    std::vector<Run> take() { return std::exchange(runs_, {}); }
 
   private:
     std::vector<Run> runs_;
@@ -142,6 +128,10 @@ struct RunCtx
     /** True when the driver wants trace-event recording (--trace):
      *  workloads should enable their tracer rings. */
     bool traceEvents = false;
+    /** The IOMMU backend of this invocation.  The driver calls the
+     *  run function once per backend of the axis and labels the runs
+     *  itself. */
+    iommu::BackendKind backend = iommu::BackendKind::Vtd;
 
     /** An experiment with a native scheme subset intersects it with
      *  the user's --schemes selection (native order preserved). */
@@ -157,40 +147,6 @@ struct RunCtx
                 }
         return out_v;
     }
-
-    /** The --backend selection; empty means "experiment default". */
-    std::vector<iommu::BackendKind> backends;
-
-    /** The backend axis this invocation sweeps: the user's --backend
-     *  list when given, else the experiment's @p native default. */
-    std::vector<iommu::BackendKind>
-    backendsOr(const std::vector<iommu::BackendKind> &native) const
-    {
-        return backends.empty() ? native : backends;
-    }
-
-    /**
-     * True when the invocation's backend axis differs from the
-     * baseline {vtd}.  Output stays byte-compatible with pre-backend
-     * versions: the "backend" run parameter (and the driver's
-     * "backends" header key) is emitted only when this holds.
-     */
-    bool
-    explicitBackendAxis() const
-    {
-        return !(backends.empty() ||
-                 (backends.size() == 1 &&
-                  backends[0] == iommu::BackendKind::Vtd));
-    }
-
-    /** Record the backend axis value of the current run (only when
-     *  the axis was explicitly swept; see explicitBackendAxis()). */
-    void
-    backendParam(iommu::BackendKind bk) const
-    {
-        if (explicitBackendAxis())
-            out.param("backend", iommu::backendKindName(bk));
-    }
 };
 
 /** One registered experiment. */
@@ -202,6 +158,8 @@ struct Experiment
     /** Parameter axes the run function sweeps (documentation). */
     std::vector<std::string> axes;
     work::RunWindow defaultWindow{};
+    /** The native backend axis, swept when --backend is not given. */
+    std::vector<iommu::BackendKind> backends{iommu::BackendKind::Vtd};
     std::function<void(RunCtx &)> run;
 };
 

@@ -54,8 +54,6 @@ enum PageFlag : std::uint32_t
     PG_reserved = 1u << 3,      //!< not available to the allocator
     PG_damn = 1u << 4,          //!< DAMN's F flag (set on the *third*
                                 //!< page of a DAMN compound, section 5.5)
-    PG_dma_mapped = 1u << 5,    //!< currently mapped in the IOMMU
-    PG_ever_dma = 1u << 6,      //!< was mapped for DMA at least once
 };
 
 /**

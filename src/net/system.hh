@@ -61,8 +61,7 @@ class System
     {
         if (p.scheme == dma::SchemeKind::Damn) {
             damn = std::make_unique<core::DamnAllocator>(
-                ctx, pageAlloc, heap, mmu,
-                core::DamnConfig{p.damnCache});
+                ctx, pageAlloc, heap, mmu, p.damnCache);
             // Non-DAMN buffers still get DMA-API protection through
             // the fallback scheme ("damn without iommu" pairs with the
             // passthrough fallback since the IOMMU is off entirely).

@@ -207,7 +207,8 @@ CorunResult
 runNetGraphCorun(const CorunOpts &opts)
 {
     NetperfOpts o;
-    o.scheme = opts.scheme;
+    o.sysParams.scheme = opts.scheme;
+    o.sysParams.backend = opts.backend;
     o.mode = NetMode::Bidi;
     o.instances = 8; // 4 RX + 4 TX over 4 cores, 2 per CPU
     o.coreLimit = 4;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "dma/schemes.hh"
+#include "iommu/backend.hh"
 #include "sim/context.hh"
 #include "sim/cpu_cursor.hh"
 #include "sim/rng.hh"
@@ -147,6 +148,7 @@ class BfsCorunner
 struct CorunOpts
 {
     dma::SchemeKind scheme = dma::SchemeKind::IommuOff;
+    iommu::BackendKind backend = iommu::BackendKind::Vtd;
     bool withNet = true;
     bool withGraph = true;
     RunWindow runWindow{30 * sim::kNsPerMs, 300 * sim::kNsPerMs};

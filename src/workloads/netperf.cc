@@ -11,9 +11,7 @@ NetperfRun
 makeNetperfSystem(const NetperfOpts &opts)
 {
     NetperfRun run;
-    net::SystemParams p = opts.sysParams;
-    p.scheme = opts.scheme;
-    run.sys = std::make_unique<net::System>(p);
+    run.sys = std::make_unique<net::System>(opts.sysParams);
     // Throughput experiments skip payload byte movement (timing and
     // translation behaviour are unchanged; see Context::functionalData).
     run.sys->ctx.functionalData = false;
@@ -36,13 +34,7 @@ addNetperfFlows(NetperfRun &run, net::StreamEngine &eng,
         } else {
             f.kind = i % 2 == 0 ? net::Traffic::Rx : net::Traffic::Tx;
         }
-        if (opts.singleCore) {
-            f.core = 0;
-        } else if (opts.coreLimit > 0) {
-            f.core = i % opts.coreLimit;
-        } else {
-            f.core = i % ncores;
-        }
+        f.core = i % (opts.coreLimit > 0 ? opts.coreLimit : ncores);
         f.port = i % 2;
         f.segBytes = opts.segBytes;
         f.window = opts.window;
@@ -94,10 +86,10 @@ NetperfOpts
 singleCoreOpts(dma::SchemeKind scheme, NetMode mode)
 {
     NetperfOpts o;
-    o.scheme = scheme;
+    o.sysParams.scheme = scheme;
     o.mode = mode;
     o.instances = 4;
-    o.singleCore = true;
+    o.coreLimit = 1;
     o.segBytes = 64 * 1024;
     o.costFactor = 1.0;
     return o;
@@ -107,7 +99,7 @@ NetperfOpts
 multiCoreOpts(dma::SchemeKind scheme, NetMode mode)
 {
     NetperfOpts o;
-    o.scheme = scheme;
+    o.sysParams.scheme = scheme;
     o.mode = mode;
     o.instances = 28;
     o.segBytes = 16 * 1024;
@@ -119,7 +111,7 @@ NetperfOpts
 bidirectionalOpts(dma::SchemeKind scheme)
 {
     NetperfOpts o;
-    o.scheme = scheme;
+    o.sysParams.scheme = scheme;
     o.mode = NetMode::Bidi;
     o.instances = 56; // 28 receiving + 28 transmitting, one pair/core
     o.segBytes = 16 * 1024;

@@ -29,17 +29,15 @@ enum class NetMode
 /** Full configuration of one netperf experiment. */
 struct NetperfOpts
 {
-    dma::SchemeKind scheme = dma::SchemeKind::IommuOff;
     NetMode mode = NetMode::Rx;
     unsigned instances = 28;
-    bool singleCore = false;        //!< pin everything to core 0
     unsigned coreLimit = 0;         //!< >0: round-robin over first N cores
     std::uint32_t segBytes = 16 * 1024;
     unsigned window = 32;
     double costFactor = 1.0;
     bool trace = false;             //!< record trace events (rings on)
     RunWindow runWindow{};
-    net::SystemParams sysParams{};  //!< scheme field is overwritten
+    net::SystemParams sysParams{};  //!< scheme, backend, machine shape
 };
 
 /** A completed run: results plus the machine for post-inspection. */

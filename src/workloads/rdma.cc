@@ -45,9 +45,7 @@ constexpr unsigned kMaxFaultsPerWqe = 16;
 RdmaResult
 runRdma(const RdmaOpts &opts)
 {
-    net::SystemParams p = opts.sysParams;
-    p.scheme = opts.scheme;
-    net::System sys(p);
+    net::System sys(opts.sysParams);
     sim::Context &ctx = sys.ctx;
     ctx.functionalData = false;
     if (opts.trace)
@@ -162,7 +160,7 @@ runRdma(const RdmaOpts &opts)
         ctx.memBw.achievedGBps(opts.runWindow.measureNs);
     res.common.latency = faultLat;
     res.common.stats = ctx.stats.snapshot();
-    res.common.trace = ctx.tracer.bundle(ctx.machine, p.cost.cpuGhz);
+    res.common.trace = ctx.tracer.bundle(ctx.machine, ctx.cost.cpuGhz);
 
     res.faultsServiced =
         ctx.stats.get("sva.faults_serviced") - faultsBase;

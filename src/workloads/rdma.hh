@@ -25,7 +25,6 @@ namespace damn::work {
 
 struct RdmaOpts
 {
-    dma::SchemeKind scheme = dma::SchemeKind::Strict;
     /** Registered (touchable) memory footprint, bytes. */
     std::uint64_t footprintBytes = 4ull << 20;
     /** Resident-set bound, pages; faults appear once the footprint
@@ -36,7 +35,7 @@ struct RdmaOpts
     std::uint64_t seed = 42;
     bool trace = false;
     RunWindow runWindow{};
-    net::SystemParams sysParams{};
+    net::SystemParams sysParams{};  //!< scheme, backend, machine shape
 };
 
 struct RdmaResult

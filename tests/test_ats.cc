@@ -327,7 +327,7 @@ TEST_P(AtsConformance, FaultableDmaFaultsInAndCompletes)
 TEST_P(AtsConformance, RdmaWorkloadServicesFaultsDeterministically)
 {
     work::RdmaOpts o;
-    o.scheme = dma::SchemeKind::Strict;
+    o.sysParams.scheme = dma::SchemeKind::Strict;
     o.footprintBytes = 1ull << 20;
     o.seed = 42;
     o.runWindow = {sim::kNsPerMs, 2 * sim::kNsPerMs};

@@ -381,13 +381,4 @@ TEST_F(SchemeFixture, SchemeNamesAndProperties)
     EXPECT_STREQ(strict.name(), "strict");
     EXPECT_STREQ(deferred.name(), "deferred");
     EXPECT_STREQ(shadow.name(), "shadow");
-
-    // Table 1 property bits.
-    EXPECT_FALSE(strict.subpage());
-    EXPECT_TRUE(strict.windowFree());
-    EXPECT_TRUE(strict.zeroCopy());
-    EXPECT_FALSE(deferred.windowFree());
-    EXPECT_TRUE(shadow.subpage());
-    EXPECT_TRUE(shadow.windowFree());
-    EXPECT_FALSE(shadow.zeroCopy());
 }

@@ -181,18 +181,6 @@ TEST(EndToEnd, EveryExperimentRunsAndJsonIsDeterministic)
         }
     }
 
-    // The flattened view keys every metric value.
-    const auto rows = exp::flatten(r1);
-    std::size_t metric_count = 0;
-    for (const exp::ExperimentResult &er : r1.experiments)
-        for (const exp::Run &run : er.runs)
-            metric_count += run.metrics.size();
-    EXPECT_EQ(rows.size(), metric_count);
-    for (const exp::ResultRow &row : rows) {
-        EXPECT_FALSE(row.experiment.empty());
-        EXPECT_NE(row.stats, nullptr);
-    }
-
     // Schema round-trip: parse the emitted JSON and check the
     // documented keys, then reserialize byte-identically.
     const Json doc = Json::parse(json1);
@@ -263,6 +251,68 @@ TEST(EndToEnd, SchemeFilterAndRepeatShapeTheReport)
     EXPECT_EQ(r.experiments[0].runs[0].scheme, "iommu-off");
     EXPECT_EQ(r.experiments[0].runs[1].scheme, "damn");
     EXPECT_EQ(r.experiments[0].runs[2].params[0].second, "1");
+}
+
+/** Find a run param by key (nullptr when absent). */
+const std::string *
+paramOf(const exp::Run &run, const std::string &key)
+{
+    for (const auto &[k, v] : run.params)
+        if (k == key)
+            return &v;
+    return nullptr;
+}
+
+/**
+ * --backend reaches experiments whose native axis is VT-d only: every
+ * micro_allocator run is labeled smmuv3 and carries SMMUv3 counters.
+ */
+TEST(BackendAxis, ExplicitBackendReachesVtdNativeExperiment)
+{
+    exp::DriverOptions o;
+    o.only = "micro_allocator";
+    o.backends = {iommu::BackendKind::SmmuV3};
+
+    const exp::Report r = exp::runExperiments(o);
+    ASSERT_EQ(r.experiments.size(), 1u);
+    ASSERT_FALSE(r.experiments[0].runs.empty());
+    for (const exp::Run &run : r.experiments[0].runs) {
+        ASSERT_FALSE(run.params.empty());
+        EXPECT_EQ(run.params[0].first, "backend");
+        EXPECT_EQ(run.params[0].second, "smmuv3");
+        bool smmu_counter = false;
+        for (const auto &[name, value] : run.stats)
+            smmu_counter |= name.rfind("smmu.", 0) == 0;
+        EXPECT_TRUE(smmu_counter) << "no smmu.* counter in the stats";
+    }
+}
+
+/**
+ * The label rule: runs carry a "backend" param exactly when their
+ * effective axis is not {vtd}, and the header names an explicit axis
+ * only.
+ */
+TEST(BackendAxis, LabelOnlyWhenAxisIsNotVtd)
+{
+    exp::DriverOptions o;
+    o.only = "backend_matrix";
+    o.warmupNs = 1 * sim::kNsPerMs;
+    o.measureNs = 2 * sim::kNsPerMs;
+
+    // Native axis {vtd, smmuv3}: every run labeled, no header key.
+    const exp::Report native = exp::runExperiments(o);
+    ASSERT_FALSE(native.experiments[0].runs.empty());
+    for (const exp::Run &run : native.experiments[0].runs)
+        EXPECT_NE(paramOf(run, "backend"), nullptr);
+    const Json doc = Json::parse(exp::reportJson(native).dump());
+    EXPECT_EQ(doc.find("backends"), nullptr);
+
+    // --backend=vtd: the baseline axis, no labels.
+    o.backends = {iommu::BackendKind::Vtd};
+    const exp::Report vtd = exp::runExperiments(o);
+    ASSERT_FALSE(vtd.experiments[0].runs.empty());
+    for (const exp::Run &run : vtd.experiments[0].runs)
+        EXPECT_EQ(paramOf(run, "backend"), nullptr);
 }
 
 } // namespace

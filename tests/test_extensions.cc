@@ -80,7 +80,7 @@ TEST(StreamLatency, StrictHasFatterTailThanDamn)
 {
     const auto run = [](dma::SchemeKind k) {
         work::NetperfOpts o;
-        o.scheme = k;
+        o.sysParams.scheme = k;
         o.mode = work::NetMode::Rx;
         o.instances = 28;
         o.segBytes = 16 * 1024;
@@ -100,7 +100,7 @@ TEST(StreamLatency, StrictHasFatterTailThanDamn)
 TEST(StreamLatency, RecordsEverySegmentInWindow)
 {
     work::NetperfOpts o;
-    o.scheme = dma::SchemeKind::IommuOff;
+    o.sysParams.scheme = dma::SchemeKind::IommuOff;
     o.instances = 2;
     o.coreLimit = 2;
     o.runWindow.warmupNs = 2 * sim::kNsPerMs;

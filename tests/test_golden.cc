@@ -3,10 +3,11 @@
  * SMMUv3 behaviour fingerprint (ctest label `golden`).
  *
  * perfbench's sweep_short fingerprint runs each experiment on its
- * native backend axis, which is VT-d everywhere but backend_matrix.
- * This test closes that gap: it runs every registered experiment with
- * `--backend=smmuv3 --warmup-ms=1 --measure-ms=2` at seed 42 on two
- * workers, flattens the report the way perfbench does
+ * native backend axis, which is VT-d everywhere but backend_matrix and
+ * rdma_pagefault.  This test closes that gap: it runs every registered
+ * experiment with `--backend=smmuv3 --warmup-ms=1 --measure-ms=2` at
+ * seed 42 on two workers, checks that every run is labeled
+ * backend=smmuv3, flattens the report the way perfbench does
  * (`exp#i/scheme/params/metric = %.17g unit`, plus each run's
  * `stats/<counter> = N count`), and compares the entries with
  * tests/golden/sweep_smmuv3.json, printing every key that moved.
@@ -92,7 +93,16 @@ TEST(Golden, SweepSmmuV3MatchesCommittedFingerprint)
     o.measureNs = 2 * sim::kNsPerMs;
     o.seed = 42;
     o.jobs = 2;
-    const Entries got = entriesOf(exp::runExperiments(o));
+    const exp::Report rep = exp::runExperiments(o);
+    // --backend reaches every experiment: each run is labeled.
+    for (const exp::ExperimentResult &er : rep.experiments) {
+        for (const exp::Run &r : er.runs) {
+            ASSERT_FALSE(r.params.empty()) << er.exp->name;
+            EXPECT_EQ(r.params[0].first, "backend") << er.exp->name;
+            EXPECT_EQ(r.params[0].second, "smmuv3") << er.exp->name;
+        }
+    }
+    const Entries got = entriesOf(rep);
     const std::string got_digest = digestOf(got);
 
     std::map<std::string, std::string> want;

@@ -100,7 +100,7 @@ TEST_P(E2E, SoakTrafficKeepsMemoryBounded)
     // Sustained traffic must not leak pages: the allocated-frame count
     // at the end is close to where it started.
     work::NetperfOpts o;
-    o.scheme = GetParam();
+    o.sysParams.scheme = GetParam();
     o.mode = work::NetMode::Bidi;
     o.instances = 4;
     o.coreLimit = 4;

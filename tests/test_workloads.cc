@@ -175,7 +175,7 @@ NetperfOpts
 smokeOpts(dma::SchemeKind k, NetMode mode)
 {
     NetperfOpts o;
-    o.scheme = k;
+    o.sysParams.scheme = k;
     o.mode = mode;
     o.instances = 4;
     o.coreLimit = 4;
@@ -213,10 +213,10 @@ TEST(Netperf, ShadowSlowerThanDamnSingleCore)
 {
     NetperfOpts shadow_opts = smokeOpts(dma::SchemeKind::Shadow,
                                         NetMode::Rx);
-    shadow_opts.singleCore = true;
+    shadow_opts.coreLimit = 1;
     NetperfOpts damn_opts = smokeOpts(dma::SchemeKind::Damn,
                                       NetMode::Rx);
-    damn_opts.singleCore = true;
+    damn_opts.coreLimit = 1;
     const auto shadow = runNetperf(shadow_opts);
     const auto dam = runNetperf(damn_opts);
     EXPECT_GT(dam.res.rxGbps, shadow.res.rxGbps * 1.5);
@@ -357,7 +357,7 @@ TEST(Kbuild, ChurnForcesDmaPageDiversity)
     // The figure-9 mechanism: with churn, the set of pages ever used
     // for RX DMA grows well beyond the working set.
     NetperfOpts o;
-    o.scheme = dma::SchemeKind::Deferred;
+    o.sysParams.scheme = dma::SchemeKind::Deferred;
     o.mode = NetMode::Rx;
     o.instances = 2;
     o.coreLimit = 2;
