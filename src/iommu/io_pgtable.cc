@@ -12,10 +12,18 @@ namespace damn::iommu {
 
 struct IoPageTable::Node
 {
-    std::array<Entry, 512> slots;
+    std::array<std::uint64_t, 512> slots{};
 };
 
 namespace {
+
+// Entry encoding: 0 is empty; a leaf is pa | perm | kPresent, plus
+// kHugeBit at level 2; anything else is the child Node's address.
+constexpr std::uint64_t kPresent = 1ull << 0;
+constexpr std::uint64_t kReadBit = 1ull << 1;
+constexpr std::uint64_t kWriteBit = 1ull << 2;
+constexpr std::uint64_t kHugeBit = 1ull << 3;
+constexpr std::uint64_t kAddrMask = ~0xfffull;
 
 /** Index of @p iova at radix @p level (level 1 = leaf for 4 KiB). */
 constexpr unsigned
@@ -28,46 +36,38 @@ levelIndex(Iova iova, unsigned level)
 constexpr std::uint64_t
 permBits(std::uint32_t perm)
 {
-    std::uint64_t b = 0;
-    if (perm & PermRead)
-        b |= 1ull << 1;
-    if (perm & PermWrite)
-        b |= 1ull << 2;
-    return b;
+    return ((perm & PermRead) ? kReadBit : 0) |
+        ((perm & PermWrite) ? kWriteBit : 0);
 }
 
 } // namespace
 
-IoPageTable::IoPageTable() : root_(std::make_unique<Node>()) {}
-IoPageTable::~IoPageTable() = default;
-
-IoPageTable::Entry *
-IoPageTable::lookupEntry(Iova iova, unsigned leaf_level, bool create)
+IoPageTable::IoPageTable()
 {
-    Node *node = root_.get();
-    for (unsigned level = 4; level > leaf_level; --level) {
-        Entry &e = node->slots[levelIndex(iova, level)];
-        if (!e.child) {
-            if (!create)
-                return nullptr;
-            // Refuse to descend through a huge leaf.
-            assert(!(e.val & kPresent) && "descending through a leaf");
-            e.child = std::make_unique<Node>();
-        }
-        node = e.child.get();
-    }
-    return &node->slots[levelIndex(iova, leaf_level)];
+    static_assert(sizeof(Node) == 4096, "one page per node");
+    static_assert(kPresent < alignof(Node),
+                  "a child address must leave kPresent clear");
+    nodes_.reserve(4); // the root plus one path to a 4 KiB leaf
+    nodes_.push_back(std::make_unique<Node>());
 }
 
-const IoPageTable::Entry *
-IoPageTable::peekEntry(Iova iova, unsigned leaf_level) const
+IoPageTable::~IoPageTable() = default;
+
+std::uint64_t *
+IoPageTable::lookupEntry(Iova iova, unsigned leaf_level, bool create)
 {
-    const Node *node = root_.get();
+    Node *node = nodes_.front().get();
     for (unsigned level = 4; level > leaf_level; --level) {
-        const Entry &e = node->slots[levelIndex(iova, level)];
-        if (!e.child)
-            return nullptr;
-        node = e.child.get();
+        std::uint64_t &e = node->slots[levelIndex(iova, level)];
+        if (e & kPresent)
+            return nullptr; // never descend through a leaf
+        if (e == 0) {
+            if (!create)
+                return nullptr;
+            nodes_.push_back(std::make_unique<Node>());
+            e = reinterpret_cast<std::uintptr_t>(nodes_.back().get());
+        }
+        node = reinterpret_cast<Node *>(e);
     }
     return &node->slots[levelIndex(iova, leaf_level)];
 }
@@ -77,10 +77,10 @@ IoPageTable::map(Iova iova, mem::Pa pa, std::uint32_t perm)
 {
     assert((iova & (mem::kPageSize - 1)) == 0);
     assert((pa & (mem::kPageSize - 1)) == 0);
-    Entry *e = lookupEntry(iova, 1, /*create=*/true);
-    if (e->val & kPresent)
+    std::uint64_t *e = lookupEntry(iova, 1, /*create=*/true);
+    if (!e || *e != 0)
         return false;
-    e->val = (pa & kAddrMask) | permBits(perm) | kPresent;
+    *e = (pa & kAddrMask) | permBits(perm) | kPresent;
     ++mapped4k_;
     return true;
 }
@@ -90,10 +90,10 @@ IoPageTable::mapHuge(Iova iova, mem::Pa pa, std::uint32_t perm)
 {
     assert((iova & (kHugePageSize - 1)) == 0);
     assert((pa & (kHugePageSize - 1)) == 0);
-    Entry *e = lookupEntry(iova, 2, /*create=*/true);
-    if ((e->val & kPresent) || e->child)
+    std::uint64_t *e = lookupEntry(iova, 2, /*create=*/true);
+    if (!e || *e != 0) // a leaf, or a 4 KiB table that outlived its pages
         return false;
-    e->val = (pa & kAddrMask) | permBits(perm) | kPresent | kHugeBit;
+    *e = (pa & kAddrMask) | permBits(perm) | kPresent | kHugeBit;
     ++mapped2m_;
     return true;
 }
@@ -101,10 +101,10 @@ IoPageTable::mapHuge(Iova iova, mem::Pa pa, std::uint32_t perm)
 bool
 IoPageTable::unmap(Iova iova)
 {
-    Entry *e = lookupEntry(iova, 1, /*create=*/false);
-    if (!e || !(e->val & kPresent))
+    std::uint64_t *e = lookupEntry(iova, 1, /*create=*/false);
+    if (!e || !(*e & kPresent))
         return false;
-    e->val = 0;
+    *e = 0;
     assert(mapped4k_ > 0);
     --mapped4k_;
     return true;
@@ -113,10 +113,10 @@ IoPageTable::unmap(Iova iova)
 bool
 IoPageTable::unmapHuge(Iova iova)
 {
-    Entry *e = lookupEntry(iova, 2, /*create=*/false);
-    if (!e || !(e->val & kPresent) || !(e->val & kHugeBit))
+    std::uint64_t *e = lookupEntry(iova, 2, /*create=*/false);
+    if (!e || !(*e & kPresent))
         return false;
-    e->val = 0;
+    *e = 0;
     assert(mapped2m_ > 0);
     --mapped2m_;
     return true;
@@ -125,31 +125,21 @@ IoPageTable::unmapHuge(Iova iova)
 WalkResult
 IoPageTable::walk(Iova iova) const
 {
-    WalkResult r;
-    // Check for a huge leaf at level 2 first.
-    if (const Entry *e2 = peekEntry(iova, 2)) {
-        if (e2->val & kPresent) {
-            if (e2->val & kHugeBit) {
-                r.present = true;
-                r.huge = true;
-                r.pa = (e2->val & kAddrMask) |
-                    (iova & (kHugePageSize - 1));
-                r.perm = (((e2->val >> 1) & 1) ? std::uint32_t(PermRead) : 0u) |
-                    (((e2->val >> 2) & 1) ? std::uint32_t(PermWrite) : 0u);
-                return r;
-            }
-        }
-        if (e2->child) {
-            const Entry &e1 = e2->child->slots[levelIndex(iova, 1)];
-            if (e1.val & kPresent) {
-                r.present = true;
-                r.pa = (e1.val & kAddrMask) | (iova & (mem::kPageSize - 1));
-                r.perm = (((e1.val >> 1) & 1) ? std::uint32_t(PermRead) : 0u) |
-                    (((e1.val >> 2) & 1) ? std::uint32_t(PermWrite) : 0u);
-                return r;
-            }
-        }
+    unsigned level = 4;
+    std::uint64_t e = nodes_.front()->slots[levelIndex(iova, level)];
+    while (e != 0 && !(e & kPresent)) {
+        const Node *child = reinterpret_cast<const Node *>(e);
+        e = child->slots[levelIndex(iova, --level)];
     }
+    WalkResult r;
+    if (!(e & kPresent))
+        return r;
+    const std::uint64_t size = (e & kHugeBit) ? kHugePageSize : mem::kPageSize;
+    r.present = true;
+    r.huge = (e & kHugeBit) != 0;
+    r.pa = (e & kAddrMask) | (iova & (size - 1));
+    r.perm = ((e & kReadBit) ? std::uint32_t(PermRead) : 0u) |
+        ((e & kWriteBit) ? std::uint32_t(PermWrite) : 0u);
     return r;
 }
 

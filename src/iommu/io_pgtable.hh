@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "mem/phys.hh"
 
@@ -46,7 +47,10 @@ struct WalkResult
 /**
  * Radix page table: 4 levels x 9 bits + 12-bit page offset = 48 bits.
  * Level 1 is the leaf level for 4 KiB pages; level 2 entries may be
- * leaves for 2 MiB pages.
+ * leaves for 2 MiB pages.  As in hardware, an entry is one 8-byte
+ * word: empty, a leaf, or the next level's address.  Interior nodes
+ * live until the table does, so a 2 MiB region that once held a 4 KiB
+ * table can no longer take a huge leaf.
  */
 class IoPageTable
 {
@@ -59,7 +63,8 @@ class IoPageTable
 
     /**
      * Map one 4 KiB page: @p iova -> @p pa with @p perm.
-     * @return false if already mapped (callers treat as a bug).
+     * @return false if already mapped or inside a 2 MiB leaf (callers
+     *         treat as a bug).
      */
     bool map(Iova iova, mem::Pa pa, std::uint32_t perm);
 
@@ -84,24 +89,12 @@ class IoPageTable
     std::uint64_t mapped2mEntries() const { return mapped2m_; }
 
   private:
-    struct Node; // 512-ary radix node
+    struct Node; // 512-ary radix node of 8-byte entries
 
-    struct Entry
-    {
-        std::uint64_t val = 0;          //!< leaf: pa | perm bits | flags
-        std::unique_ptr<Node> child;    //!< interior: next level
-    };
+    std::uint64_t *lookupEntry(Iova iova, unsigned leaf_level, bool create);
 
-    static constexpr std::uint64_t kPresent = 1ull << 0;
-    static constexpr std::uint64_t kReadBit = 1ull << 1;
-    static constexpr std::uint64_t kWriteBit = 1ull << 2;
-    static constexpr std::uint64_t kHugeBit = 1ull << 3;
-    static constexpr std::uint64_t kAddrMask = ~0xfffull;
-
-    Entry *lookupEntry(Iova iova, unsigned leaf_level, bool create);
-    const Entry *peekEntry(Iova iova, unsigned leaf_level) const;
-
-    std::unique_ptr<Node> root_;
+    /** Every node, root first; the table owns them all until it dies. */
+    std::vector<std::unique_ptr<Node>> nodes_;
     std::uint64_t mapped4k_ = 0;
     std::uint64_t mapped2m_ = 0;
 };

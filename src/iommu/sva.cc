@@ -49,12 +49,12 @@ SvaDomain::handleFault(sim::CpuCursor &cpu, Iova va, bool is_write,
     const Iova page = va & ~Iova(mem::kPageSize - 1);
     if (const auto it = resident_.find(page); it != resident_.end()) {
         // Spurious fault: another request already brought it in.
-        it->second.lastUse = ++useClock_;
+        lru_.splice(lru_.end(), lru_, it->second.lru);
         ctx_.stats.add(spuriousFaultsCtr_);
         return true;
     }
     if (residentLimit_ != 0 && resident_.size() >= residentLimit_)
-        evictLru(cpu, ats);
+        evict(cpu, lru_.front(), ats); // the least recently used page
     if (ctx_.faults.shouldFail(sim::FaultSite::PageAlloc)) {
         ctx_.stats.add(faultAllocFailsCtr_);
         ++failedFaults_;
@@ -69,7 +69,7 @@ SvaDomain::handleFault(sim::CpuCursor &cpu, Iova va, bool is_write,
     }
     cpu.charge(ctx_.cost.pageAllocNs + ctx_.cost.ptePerPageNs);
     mmu_.mapPage(domain_, page, mem::pfnToPa(pfn), PermRW);
-    resident_.emplace(page, Resident{pfn, ++useClock_});
+    resident_.emplace(page, Resident{pfn, lru_.insert(lru_.end(), page)});
     ++faultsServiced_;
     ctx_.stats.add(faultsServicedCtr_);
     return true;
@@ -105,21 +105,11 @@ SvaDomain::evict(sim::CpuCursor &cpu, Iova va, AtsAgent *ats)
         cpu.waitUntil(mmu_.backend().atsInvalidate(
             *cpu.core, cpu.time, *ats, domain_, page, mem::kPageSize));
     alloc_.freePages(pfn, 0);
+    lru_.erase(it->second.lru);
     resident_.erase(it);
     ++evictions_;
     ctx_.stats.add(evictionsCtr_);
     return true;
-}
-
-void
-SvaDomain::evictLru(sim::CpuCursor &cpu, AtsAgent *ats)
-{
-    auto lru = resident_.begin();
-    for (auto it = resident_.begin(); it != resident_.end(); ++it)
-        if (it->second.lastUse < lru->second.lastUse)
-            lru = it;
-    if (lru != resident_.end())
-        evict(cpu, lru->first, ats);
 }
 
 } // namespace damn::iommu

@@ -18,6 +18,7 @@
 #define DAMN_IOMMU_SVA_HH
 
 #include <cstdint>
+#include <list>
 #include <map>
 
 #include "iommu/ats.hh"
@@ -87,10 +88,8 @@ class SvaDomain
     struct Resident
     {
         mem::Pfn pfn;
-        std::uint64_t lastUse;
+        std::list<Iova>::iterator lru; //!< this page's place in lru_
     };
-
-    void evictLru(sim::CpuCursor &cpu, AtsAgent *ats);
 
     sim::Context &ctx_;
     Iommu &mmu_;
@@ -101,8 +100,9 @@ class SvaDomain
     sim::Stats::Counter faultAllocFailsCtr_;
     sim::Stats::Counter faultsServicedCtr_;
     sim::Stats::Counter evictionsCtr_;
+    /** Ordered so the destructor frees frames in VA order. */
     std::map<Iova, Resident> resident_;
-    std::uint64_t useClock_ = 0;
+    std::list<Iova> lru_; //!< resident pages, least recently used first
     std::uint64_t faultsServiced_ = 0;
     std::uint64_t failedFaults_ = 0;
     std::uint64_t evictions_ = 0;

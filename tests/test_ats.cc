@@ -296,6 +296,25 @@ TEST_P(AtsConformance, SvaResidentLimitEvictsLru)
     EXPECT_FALSE(ats.translate(base, true).ok);
 }
 
+TEST_P(AtsConformance, SvaSpuriousFaultRefreshesLru)
+{
+    SvaDomain sva(ctx, mmu, alloc, /*residentLimitPages=*/2);
+    AtsAgent ats(ctx, mmu, sva.domain());
+    sim::CpuCursor cpu(core(), 0);
+    const Iova p0 = 0x7f0000000000ull, p1 = p0 + 0x1000, p2 = p0 + 0x2000;
+
+    EXPECT_TRUE(sva.handleFault(cpu, p0, true, &ats));
+    EXPECT_TRUE(sva.handleFault(cpu, p1, true, &ats));
+    EXPECT_TRUE(sva.handleFault(cpu, p0, true, &ats)); // spurious
+    EXPECT_TRUE(sva.handleFault(cpu, p2, true, &ats));
+    // The re-fault made p0 most recently used, so p1 is the victim.
+    EXPECT_EQ(sva.evictions(), 1u);
+    EXPECT_FALSE(sva.resident(p1));
+    EXPECT_TRUE(sva.resident(p0));
+    EXPECT_TRUE(sva.resident(p2));
+    EXPECT_EQ(ctx.stats.get("sva.spurious_faults"), 1u);
+}
+
 TEST_P(AtsConformance, FaultableDmaFaultsInAndCompletes)
 {
     SvaDomain sva(ctx, mmu, alloc);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <set>
 #include <unordered_map>
 
 #include "exp/json.hh"
@@ -64,6 +65,83 @@ TEST(FuzzPageTable, MatchesReferenceModel)
         }
     }
     ASSERT_EQ(pt.mapped4kEntries(), ref.size());
+}
+
+TEST(FuzzPageTable, MatchesReferenceModelWithHugePages)
+{
+    using Leaf = std::pair<mem::Pa, std::uint32_t>;
+    constexpr iommu::Iova kHugeMask = iommu::kHugePageSize - 1;
+    fuzz::Rng rng(202);
+    int huge_maps = 0, refused_inside_huge = 0;
+
+    // Short epochs on a fresh table: interior nodes never die, so a
+    // long run would leave no region free for a 2 MiB leaf.
+    for (int epoch = 0; epoch < 40; ++epoch) {
+        iommu::IoPageTable pt;
+        std::map<iommu::Iova, Leaf> ref4k, ref2m;
+        std::set<iommu::Iova> tabled; // regions that ever held a 4 KiB table
+
+        for (int step = 0; step < 500; ++step) {
+            const iommu::Iova region =
+                (rng.below(16) << 21) | (rng.below(2) << 39);
+            const iommu::Iova page = region | (rng.below(64) << 12);
+            const std::uint32_t perm = std::uint32_t(rng.between(1, 3));
+            switch (rng.below(5)) {
+            case 0: {
+                const mem::Pa pa = rng.below(1 << 20) << 12;
+                const bool ok = pt.map(page, pa, perm);
+                bool ref_ok = false;
+                if (ref2m.count(region) == 0) {
+                    tabled.insert(region);
+                    ref_ok = ref4k.emplace(page, Leaf{pa, perm}).second;
+                } else {
+                    ++refused_inside_huge;
+                }
+                ASSERT_EQ(ok, ref_ok) << epoch << "/" << step;
+                break;
+            }
+            case 1:
+                ASSERT_EQ(pt.unmap(page), ref4k.erase(page) == 1)
+                    << epoch << "/" << step;
+                break;
+            case 2: {
+                const mem::Pa pa = rng.below(1 << 10) << 21;
+                const bool ok = pt.mapHuge(region, pa, perm);
+                const bool ref_ok = tabled.count(region) == 0 &&
+                    ref2m.emplace(region, Leaf{pa, perm}).second;
+                ASSERT_EQ(ok, ref_ok) << epoch << "/" << step;
+                huge_maps += ok;
+                break;
+            }
+            case 3:
+                ASSERT_EQ(pt.unmapHuge(region), ref2m.erase(region) == 1)
+                    << epoch << "/" << step;
+                break;
+            default: {
+                const iommu::Iova iova = page | rng.below(4096);
+                const iommu::WalkResult w = pt.walk(iova);
+                const auto h = ref2m.find(region);
+                const auto p = ref4k.find(page);
+                if (h != ref2m.end()) {
+                    ASSERT_TRUE(w.present && w.huge) << epoch << "/" << step;
+                    ASSERT_EQ(w.pa, h->second.first | (iova & kHugeMask));
+                    ASSERT_EQ(w.perm, h->second.second);
+                } else if (p != ref4k.end()) {
+                    ASSERT_TRUE(w.present && !w.huge) << epoch << "/" << step;
+                    ASSERT_EQ(w.pa, p->second.first | (iova & 0xfff));
+                    ASSERT_EQ(w.perm, p->second.second);
+                } else {
+                    ASSERT_FALSE(w.present) << epoch << "/" << step;
+                }
+            }
+            }
+            ASSERT_EQ(pt.mapped4kEntries(), ref4k.size());
+            ASSERT_EQ(pt.mapped2mEntries(), ref2m.size());
+        }
+    }
+    // Both 2 MiB paths were exercised, not just the 4 KiB one.
+    EXPECT_GT(huge_maps, 100);
+    EXPECT_GT(refused_inside_huge, 100);
 }
 
 // ---------------------------------------------------------------------

@@ -108,6 +108,32 @@ TEST(IoPageTable, HugeDoubleMapRefused)
     EXPECT_FALSE(pt.mapHuge(0, 0x400000, PermRW));
 }
 
+TEST(IoPageTable, FourKInsideHugeLeafRefused)
+{
+    IoPageTable pt;
+    ASSERT_TRUE(pt.mapHuge(0x200000, 0x400000, PermRW));
+    // The 2 MiB entry is a leaf; a 4 KiB table cannot hang beside it.
+    EXPECT_FALSE(pt.map(0x201000, 0x9000, PermRead));
+    const WalkResult w = pt.walk(0x201000);
+    EXPECT_TRUE(w.present);
+    EXPECT_TRUE(w.huge);
+    EXPECT_EQ(w.pa, 0x401000u);
+    EXPECT_EQ(pt.mappedPages(), 512u);
+    EXPECT_EQ(pt.mapped4kEntries(), 0u);
+    EXPECT_FALSE(pt.unmap(0x201000));
+}
+
+TEST(IoPageTable, HugeRefusedWhereA4kTableOnceLived)
+{
+    IoPageTable pt;
+    ASSERT_TRUE(pt.map(0x201000, 0x9000, PermRead));
+    EXPECT_FALSE(pt.mapHuge(0x200000, 0x400000, PermRW));
+    ASSERT_TRUE(pt.unmap(0x201000));
+    // Interior nodes outlive their last leaf.
+    EXPECT_FALSE(pt.mapHuge(0x200000, 0x400000, PermRW));
+    EXPECT_EQ(pt.mappedPages(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Iotlb
 // ---------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "dma/schemes.hh"
+#include "iommu/io_pgtable.hh"
 #include "iommu/iova_alloc.hh"
 #include "net/system.hh"
 
@@ -79,6 +80,20 @@ TEST(Release, StrictMapExhaustionFailsSoft)
     EXPECT_NE(api->map(c, dev, mem::pfnToPa(pfn), mem::kPageSize,
                        dma::Dir::ToDevice),
               dma::kMapFailed);
+}
+
+TEST(Release, FourKInsideHugeLeafRefused)
+{
+    // With asserts compiled out, the page table itself must refuse to
+    // hang a 4 KiB table beside a 2 MiB leaf.
+    iommu::IoPageTable pt;
+    ASSERT_TRUE(pt.mapHuge(0x200000, 0x400000, iommu::PermRW));
+    EXPECT_FALSE(pt.map(0x201000, 0x9000, iommu::PermRead));
+    const iommu::WalkResult w = pt.walk(0x201000);
+    EXPECT_TRUE(w.present);
+    EXPECT_TRUE(w.huge);
+    EXPECT_EQ(w.pa, 0x401000u);
+    EXPECT_EQ(pt.mappedPages(), 512u);
 }
 
 TEST(Release, WatchdogTripsWithoutAsserts)
