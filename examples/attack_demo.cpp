@@ -33,7 +33,7 @@ main()
          {dma::SchemeKind::IommuOff, dma::SchemeKind::Deferred,
           dma::SchemeKind::Strict, dma::SchemeKind::Shadow,
           dma::SchemeKind::Damn}) {
-        const work::AttackReport r = work::runAttacks(scheme);
+        const work::AttackReport r = work::runAttacks({.scheme = scheme});
         const auto verdict = [](bool succeeded) {
             return succeeded ? "STOLEN/FORGED" : "blocked";
         };

@@ -5,6 +5,7 @@
 
 #include "exp/driver.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
@@ -27,7 +28,9 @@ const char kUsage[] =
     "  --only=GLOB        run only experiments whose name matches GLOB\n"
     "                     (shell-style * and ?, e.g. --only='fig4*')\n"
     "  --schemes=a,b,...  restrict the scheme axis (names as printed:\n"
-    "                     iommu-off, deferred, strict, shadow, damn)\n"
+    "                     iommu-off, deferred, strict, shadow, damn);\n"
+    "                     each experiment runs the selected schemes it\n"
+    "                     supports, in its own order\n"
     "  --backend=a,b,...  set the IOMMU backend axis (vtd, smmuv3);\n"
     "                     default: each experiment's native axis\n"
     "  --jobs=N           run (experiment, rep) units on N worker\n"
@@ -129,6 +132,10 @@ parseArgs(int argc, const char *const *argv, DriverOptions *opts,
                     *err = "unknown scheme: '" + name + "'";
                     return false;
                 }
+                if (std::ranges::find(selected, k) != selected.end()) {
+                    *err = "scheme given twice: '" + name + "'";
+                    return false;
+                }
                 selected.push_back(k);
             }
             opts->schemes = std::move(selected);
@@ -138,6 +145,10 @@ parseArgs(int argc, const char *const *argv, DriverOptions *opts,
                 iommu::BackendKind k;
                 if (!iommu::backendFromName(name, &k)) {
                     *err = "unknown backend: '" + name + "'";
+                    return false;
+                }
+                if (std::ranges::find(selected, k) != selected.end()) {
+                    *err = "backend given twice: '" + name + "'";
                     return false;
                 }
                 selected.push_back(k);
@@ -224,7 +235,8 @@ isVtdOnly(const std::vector<iommu::BackendKind> &axis)
 /**
  * Execute one (experiment, rep) unit on a private simulated machine:
  * the run function once per backend of the effective axis (--backend,
- * else the experiment's native list).  Thread-confined by
+ * else the experiment's native list), over the experiment's native
+ * schemes that --schemes selects (none: no call).  Thread-confined by
  * construction: every piece of mutable simulation state (Engine,
  * Machine, Stats, Tracer, FaultInjector, RNG streams) lives in
  * Contexts the experiment's run function creates itself; the only
@@ -234,6 +246,12 @@ isVtdOnly(const std::vector<iommu::BackendKind> &axis)
 std::vector<Run>
 runUnit(const DriverOptions &opts, const Experiment &e, unsigned rep)
 {
+    std::vector<dma::SchemeKind> schemes;
+    for (const dma::SchemeKind k : e.schemes)
+        if (std::ranges::find(opts.schemes, k) != opts.schemes.end())
+            schemes.push_back(k);
+    if (schemes.empty())
+        return {};
     const std::vector<iommu::BackendKind> &axis =
         opts.backends.empty() ? e.backends : opts.backends;
     const bool label_backend = !isVtdOnly(axis);
@@ -244,8 +262,8 @@ runUnit(const DriverOptions &opts, const Experiment &e, unsigned rep)
     Collector out;
     std::vector<Run> runs;
     for (const iommu::BackendKind bk : axis) {
-        RunCtx ctx{e, window, opts.schemes, opts.seed + rep, out,
-                   !opts.tracePath.empty(), bk};
+        RunCtx ctx{e, window, schemes, opts.seed + rep, out,
+                   {.backend = bk, .recordTrace = !opts.tracePath.empty()}};
         e.run(ctx);
         for (Run &run : out.take()) {
             if (label_backend)

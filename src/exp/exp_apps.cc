@@ -22,8 +22,7 @@ DAMN_EXPERIMENT(fig7_memcached)
     e.run = [](RunCtx &ctx) {
         for (const dma::SchemeKind k : ctx.schemes) {
             work::MemcachedOpts o;
-            o.scheme = k;
-            o.backend = ctx.backend;
+            o.sysParams = ctx.sysParams(k);
             o.runWindow = ctx.window;
             const work::MemcachedResult r = work::runMemcached(o);
             ctx.out.beginRun(dma::schemeKindName(k));
@@ -42,17 +41,15 @@ DAMN_EXPERIMENT(fig11_nvme)
     e.paper = "Figure 11";
     e.axes = {"scheme", "block_bytes"};
     e.defaultWindow = {20 * sim::kNsPerMs, 150 * sim::kNsPerMs};
+    e.schemes = {dma::SchemeKind::IommuOff, dma::SchemeKind::Deferred,
+                 dma::SchemeKind::Strict, dma::SchemeKind::Shadow};
     e.run = [](RunCtx &ctx) {
-        const auto schemes = ctx.schemesAmong(
-            {dma::SchemeKind::IommuOff, dma::SchemeKind::Deferred,
-             dma::SchemeKind::Strict, dma::SchemeKind::Shadow});
         for (const std::uint32_t bs :
              {512u, 1024u, 2048u, 4096u, 8192u, 16384u, 65536u,
               131072u}) {
-            for (const dma::SchemeKind k : schemes) {
+            for (const dma::SchemeKind k : ctx.schemes) {
                 work::FioOpts o;
-                o.scheme = k;
-                o.backend = ctx.backend;
+                o.sysParams = ctx.sysParams(k);
                 o.blockBytes = bs;
                 o.runWindow = ctx.window;
                 const work::FioResult r = work::runFio(o);

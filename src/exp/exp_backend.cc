@@ -36,9 +36,8 @@ DAMN_EXPERIMENT(backend_matrix)
         // strict's unmap path hammers the invalidation interface.
         for (const dma::SchemeKind k : ctx.schemes) {
             work::NetperfOpts o = work::bidirectionalOpts(k);
-            o.sysParams.backend = ctx.backend;
+            o.sysParams = ctx.sysParams(k);
             o.runWindow = ctx.window;
-            o.trace = ctx.traceEvents;
             const auto run = work::runNetperf(o);
             ctx.out.beginRun(dma::schemeKindName(k));
             ctx.out.param("workload", "netperf");
@@ -47,15 +46,13 @@ DAMN_EXPERIMENT(backend_matrix)
 
         // fio direct reads (DAMN does not apply to storage); one
         // mid-size block where unmap cost is still visible.
-        for (const dma::SchemeKind k : ctx.schemesAmong(
-                 {dma::SchemeKind::IommuOff, dma::SchemeKind::Deferred,
-                  dma::SchemeKind::Strict, dma::SchemeKind::Shadow})) {
+        for (const dma::SchemeKind k : ctx.schemes) {
+            if (k == dma::SchemeKind::Damn)
+                continue;
             work::FioOpts o;
-            o.scheme = k;
-            o.backend = ctx.backend;
+            o.sysParams = ctx.sysParams(k);
             o.blockBytes = 4096;
             o.runWindow = ctx.window;
-            o.trace = ctx.traceEvents;
             const work::FioResult r = work::runFio(o);
             ctx.out.beginRun(dma::schemeKindName(k));
             ctx.out.param("workload", "fio");

@@ -26,9 +26,7 @@
 #include "workloads/netperf.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace damn::exp {
@@ -74,19 +72,19 @@ outstandingIovasOf(net::System &sys, iommu::DomainId d)
     return n;
 }
 
+/** Soak one machine built from @p params; its stats and trace land in
+ *  @p out's current run. */
 CycleTotals
-soakOneScheme(dma::SchemeKind kind, iommu::BackendKind backend,
-              std::uint64_t seed, std::uint64_t cycles,
-              std::map<std::string, std::uint64_t> *stats_out)
+soakOneScheme(const net::SystemParams &params, std::uint64_t seed,
+              std::uint64_t cycles, Collector &out)
 {
     work::NetperfOpts o;
-    o.sysParams.scheme = kind;
+    o.sysParams = params;
     o.mode = work::NetMode::Bidi;
     o.instances = 4;
     o.coreLimit = 2;
     o.segBytes = 16 * 1024;
     o.window = 8;
-    o.sysParams.backend = backend;
     work::NetperfRun run = work::makeNetperfSystem(o);
     net::System &sys = *run.sys;
     auto *smmu =
@@ -220,7 +218,7 @@ soakOneScheme(dma::SchemeKind kind, iommu::BackendKind backend,
         t.evtqOverflows = smmu->eventQueueOverflows();
     }
     sys.pageAlloc.freePages(io_pfn, 0);
-    *stats_out = sys.ctx.stats.snapshot();
+    out.capture(sys.ctx);
     return t;
 }
 
@@ -234,17 +232,15 @@ DAMN_EXPERIMENT(chaos_soak)
     e.axes = {"scheme", "backend"};
     // 20 ms of measurement == 50 unplug/replug cycles per scheme.
     e.defaultWindow = {0, 20 * sim::kNsPerMs};
+    e.schemes = {dma::SchemeKind::Strict, dma::SchemeKind::Deferred,
+                 dma::SchemeKind::Shadow, dma::SchemeKind::Damn};
     e.run = [](RunCtx &ctx) {
         const std::uint64_t cycles = std::max<std::uint64_t>(
             1, ctx.window.measureNs / kCycleQuantumNs);
-        const std::vector<dma::SchemeKind> schemes = ctx.schemesAmong(
-            {dma::SchemeKind::Strict, dma::SchemeKind::Deferred,
-             dma::SchemeKind::Shadow, dma::SchemeKind::Damn});
-        for (const dma::SchemeKind k : schemes) {
-            std::map<std::string, std::uint64_t> stats;
+        for (const dma::SchemeKind k : ctx.schemes) {
+            ctx.out.beginRun(dma::schemeKindName(k));
             const CycleTotals t =
-                soakOneScheme(k, ctx.backend, ctx.seed, cycles, &stats);
-            Run &row = ctx.out.beginRun(dma::schemeKindName(k));
+                soakOneScheme(ctx.sysParams(k), ctx.seed, cycles, ctx.out);
             ctx.out.metric("cycles", double(t.cycles), "count");
             ctx.out.metric("hangs", double(t.hangs), "count");
             ctx.out.metric("audit_violations",
@@ -265,7 +261,7 @@ DAMN_EXPERIMENT(chaos_soak)
             ctx.out.metric("nvme_ok_cmds", double(t.nvmeOk), "count");
             ctx.out.metric("nvme_aborted_cmds", double(t.nvmeAborted),
                            "count");
-            if (ctx.backend == iommu::BackendKind::SmmuV3) {
+            if (ctx.machine.backend == iommu::BackendKind::SmmuV3) {
                 // Event-queue conservation, visible in the artifact:
                 // faults == in-ring + drained + overflowed.
                 ctx.out.metric("iommu_faults", double(t.iommuFaults),
@@ -277,7 +273,6 @@ DAMN_EXPERIMENT(chaos_soak)
                 ctx.out.metric("evtq_overflows",
                                double(t.evtqOverflows), "count");
             }
-            row.stats = std::move(stats);
         }
     };
     return e;

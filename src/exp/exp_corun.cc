@@ -4,6 +4,8 @@
  * Graph500 BFS teams, plus the two solo baselines.
  */
 
+#include <algorithm>
+
 #include "exp/experiment.hh"
 #include "workloads/graph500.hh"
 
@@ -22,8 +24,7 @@ DAMN_EXPERIMENT(fig2_graph500)
     e.run = [](RunCtx &ctx) {
         for (const dma::SchemeKind k : ctx.schemes) {
             work::CorunOpts o;
-            o.scheme = k;
-            o.backend = ctx.backend;
+            o.sysParams = ctx.sysParams(k);
             o.runWindow = ctx.window;
             const work::CorunResult r = work::runNetGraphCorun(o);
             ctx.out.beginRun(dma::schemeKindName(k));
@@ -34,29 +35,28 @@ DAMN_EXPERIMENT(fig2_graph500)
 
         // Solo baselines (the paper's "as if the other were absent"
         // reference), under the unprotected configuration.
-        const auto base = ctx.schemesAmong({dma::SchemeKind::IommuOff});
-        if (base.empty())
+        constexpr dma::SchemeKind kBase = dma::SchemeKind::IommuOff;
+        if (std::ranges::find(ctx.schemes, kBase) == ctx.schemes.end())
             return;
         {
             work::CorunOpts o;
-            o.backend = ctx.backend;
+            o.sysParams = ctx.sysParams(kBase);
             o.withGraph = false;
             o.runWindow = ctx.window;
             const work::CorunResult r = work::runNetGraphCorun(o);
-            ctx.out.beginRun(dma::schemeKindName(base[0]));
+            ctx.out.beginRun(dma::schemeKindName(kBase));
             ctx.out.param("config", "net-only");
             ctx.out.common(r.net);
         }
         {
             work::CorunOpts o;
-            o.backend = ctx.backend;
+            o.sysParams = ctx.sysParams(kBase);
             o.withNet = false;
             o.runWindow = ctx.window;
             const work::CorunResult r = work::runNetGraphCorun(o);
-            Run &run = ctx.out.beginRun(dma::schemeKindName(base[0]));
+            ctx.out.beginRun(dma::schemeKindName(kBase));
             ctx.out.param("config", "graph-only");
-            for (const auto &[name, value] : r.net.stats)
-                run.stats[name] += value;
+            ctx.out.common(r.net); // only its stats and trace
             ctx.out.metric("bfs_iter_seconds", r.iterSeconds, "s");
         }
     };

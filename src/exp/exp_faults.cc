@@ -33,7 +33,7 @@ DAMN_EXPERIMENT(fault_storm)
             for (const auto &[rate, label] : rates) {
                 work::NetperfOpts o =
                     work::multiCoreOpts(k, work::NetMode::Rx);
-                o.sysParams.backend = ctx.backend;
+                o.sysParams = ctx.sysParams(k);
                 o.runWindow = ctx.window;
                 const auto run = work::runNetperf(
                     o, [&](work::NetperfRun &r) {

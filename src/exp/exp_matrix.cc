@@ -22,7 +22,7 @@ DAMN_EXPERIMENT(table1_matrix)
     e.run = [](RunCtx &ctx) {
         for (const dma::SchemeKind k : ctx.schemes) {
             const work::AttackReport rep =
-                work::runAttacks(k, ctx.backend);
+                work::runAttacks(ctx.sysParams(k));
             Run &run = ctx.out.beginRun(dma::schemeKindName(k));
             ctx.out.metric("subpage_protected",
                            rep.colocationTheft ? 0.0 : 1.0, "bool");
@@ -59,10 +59,8 @@ DAMN_EXPERIMENT(table3_variants)
               "(bidirectional netperf, DMA-cache variants)";
     e.paper = "Table 3";
     e.axes = {"variant"};
+    e.schemes = {dma::SchemeKind::Damn};
     e.run = [](RunCtx &ctx) {
-        if (ctx.schemesAmong({dma::SchemeKind::Damn}).empty())
-            return;
-
         struct Variant
         {
             const char *name;
@@ -90,7 +88,7 @@ DAMN_EXPERIMENT(table3_variants)
         std::vector<Done> done;
         for (const Variant &v : variants) {
             work::NetperfOpts o = work::bidirectionalOpts(v.scheme);
-            o.sysParams.backend = ctx.backend;
+            o.sysParams = ctx.sysParams(v.scheme);
             o.sysParams.damnCache = v.cache;
             o.runWindow = ctx.window;
             done.push_back({&v, work::runNetperf(o).common});

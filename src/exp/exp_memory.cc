@@ -27,13 +27,10 @@ DAMN_EXPERIMENT(fig9_stock_pages)
     // The measure window is the sampling horizon (the paper runs 30
     // wall-clock minutes; we run a scaled-down window, no warmup).
     e.defaultWindow = {0, 3 * sim::kNsPerSec};
+    e.schemes = {dma::SchemeKind::Deferred};
     e.run = [](RunCtx &ctx) {
-        if (ctx.schemesAmong({dma::SchemeKind::Deferred}).empty())
-            return;
-
         work::NetperfOpts o;
-        o.sysParams.scheme = dma::SchemeKind::Deferred;
-        o.sysParams.backend = ctx.backend;
+        o.sysParams = ctx.sysParams(dma::SchemeKind::Deferred);
         o.mode = work::NetMode::Rx;
         o.instances = 4;
         o.coreLimit = 4;
@@ -66,8 +63,8 @@ DAMN_EXPERIMENT(fig9_stock_pages)
                                kMiBPerFrame,
                            "MiB");
         }
-        // One stats snapshot for the whole timeline (cumulative).
-        ctx.out.snapshotStats(sys.ctx.stats);
+        // One capture for the whole timeline (cumulative).
+        ctx.out.capture(sys.ctx);
     };
     return e;
 }
@@ -81,18 +78,16 @@ DAMN_EXPERIMENT(fig10_memory)
     e.paper = "Figure 10";
     e.axes = {"scheme", "mode", "instances"};
     e.defaultWindow = {30 * sim::kNsPerMs, 100 * sim::kNsPerMs};
+    e.schemes = {dma::SchemeKind::IommuOff, dma::SchemeKind::Damn};
     e.run = [](RunCtx &ctx) {
-        const auto schemes = ctx.schemesAmong(
-            {dma::SchemeKind::IommuOff, dma::SchemeKind::Damn});
         for (const auto &[mode, label] :
              {std::pair{work::NetMode::Rx, "rx"},
               std::pair{work::NetMode::Tx, "tx"},
               std::pair{work::NetMode::Bidi, "bidi"}}) {
             for (const unsigned instances : {4u, 8u, 16u, 28u, 56u}) {
-                for (const dma::SchemeKind k : schemes) {
+                for (const dma::SchemeKind k : ctx.schemes) {
                     work::NetperfOpts o;
-                    o.sysParams.scheme = k;
-                    o.sysParams.backend = ctx.backend;
+                    o.sysParams = ctx.sysParams(k);
                     o.mode = mode;
                     o.instances = instances;
                     o.segBytes = 16 * 1024;
@@ -109,7 +104,7 @@ DAMN_EXPERIMENT(fig10_memory)
                             kMiBPerFrame,
                         "MiB");
                     ctx.out.metric("gbps", run.res.totalGbps, "Gb/s");
-                    ctx.out.snapshotStats(run.sys->ctx.stats);
+                    ctx.out.capture(run.sys->ctx);
                 }
             }
         }

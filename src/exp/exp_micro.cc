@@ -17,12 +17,9 @@ namespace damn::exp {
 namespace {
 
 net::System
-makeDamnSystem(iommu::BackendKind backend,
-               core::DmaCacheConfig cache = {})
+makeDamnSystem(const RunCtx &ctx, core::DmaCacheConfig cache = {})
 {
-    net::SystemParams p;
-    p.scheme = dma::SchemeKind::Damn;
-    p.backend = backend;
+    net::SystemParams p = ctx.sysParams(dma::SchemeKind::Damn);
     p.damnCache = cache;
     return net::System(p);
 }
@@ -35,15 +32,14 @@ DAMN_EXPERIMENT(micro_allocator)
               "class and DESIGN.md ablation";
     e.paper = "extension";
     e.axes = {"path", "size", "context_split", "magazines"};
+    e.schemes = {dma::SchemeKind::Damn};
     e.run = [](RunCtx &ctx) {
-        if (ctx.schemesAmong({dma::SchemeKind::Damn}).empty())
-            return;
         const char *damn = dma::schemeKindName(dma::SchemeKind::Damn);
 
         // Fast path per size class.
         for (const std::uint32_t size :
              {256u, 4096u, 16384u, 65536u}) {
-            net::System sys = makeDamnSystem(ctx.backend);
+            net::System sys = makeDamnSystem(ctx);
             net::NicDevice nic(sys, "mlx5_bench");
             sim::CpuCursor cpu(sys.ctx.machine.core(0), 0);
             constexpr unsigned kPairs = 4096;
@@ -57,13 +53,13 @@ DAMN_EXPERIMENT(micro_allocator)
             ctx.out.param("size", std::uint64_t(size));
             ctx.out.metric("virtual_ns_per_op",
                            double(cpu.time) / kPairs, "ns");
-            ctx.out.snapshotStats(sys.ctx.stats);
+            ctx.out.capture(sys.ctx);
         }
 
         // Ablation (design decision 2): two DMA-cache copies per
         // context vs one cache paying irq disable/enable per op.
         for (const bool split : {false, true}) {
-            net::System sys = makeDamnSystem(ctx.backend);
+            net::System sys = makeDamnSystem(ctx);
             net::NicDevice nic(sys, "nic");
             sim::CpuCursor cpu(sys.ctx.machine.core(0), 0);
             const core::AllocCtx alloc_ctx = split
@@ -82,7 +78,7 @@ DAMN_EXPERIMENT(micro_allocator)
             ctx.out.param("context_split", split ? "1" : "0");
             ctx.out.metric("virtual_ns_per_op",
                            double(cpu.time) / kPairs, "ns");
-            ctx.out.snapshotStats(sys.ctx.stats);
+            ctx.out.capture(sys.ctx);
         }
 
         // Ablation (design decision 4): magazine layer vs hitting the
@@ -91,7 +87,7 @@ DAMN_EXPERIMENT(micro_allocator)
         for (const bool magazines : {false, true}) {
             core::DmaCacheConfig cache;
             cache.magazineCapacity = magazines ? 16 : 1;
-            net::System sys = makeDamnSystem(ctx.backend, cache);
+            net::System sys = makeDamnSystem(ctx, cache);
             net::NicDevice nic(sys, "nic");
             sim::CpuCursor cpu(sys.ctx.machine.core(0), 0);
             constexpr unsigned kBatches = 64;
@@ -112,7 +108,7 @@ DAMN_EXPERIMENT(micro_allocator)
             ctx.out.param("magazines", magazines ? "1" : "0");
             ctx.out.metric("virtual_ns_per_op",
                            double(cpu.time) / double(ops), "ns");
-            ctx.out.snapshotStats(sys.ctx.stats);
+            ctx.out.capture(sys.ctx);
         }
     };
     return e;

@@ -20,14 +20,13 @@ constexpr std::pair<work::NetMode, const char *> kRxTx[] = {
     {work::NetMode::Tx, "tx"},
 };
 
-/** Run @p o on @p ctx's backend, window and trace setting, and open
- *  its run (with a "mode" param when @p mode is given). */
+/** Run @p o on @p ctx's machine and window, and open its run (with a
+ *  "mode" param when @p mode is given). */
 work::NetperfRun
 streamRun(RunCtx &ctx, work::NetperfOpts o, const char *mode = nullptr)
 {
-    o.sysParams.backend = ctx.backend;
+    o.sysParams = ctx.sysParams(o.sysParams.scheme);
     o.runWindow = ctx.window;
-    o.trace = ctx.traceEvents;
     work::NetperfRun run = work::runNetperf(o);
     ctx.out.beginRun(dma::schemeKindName(o.sysParams.scheme));
     if (mode)
@@ -72,7 +71,7 @@ DAMN_EXPERIMENT(fig4_singlecore)
                     run.sys->ctx.machine.coreUtilizationPct(
                         0, ctx.window.measureNs),
                     "%");
-                ctx.out.snapshotStats(run.sys->ctx.stats);
+                ctx.out.capture(run.sys->ctx);
             }
         }
     };

@@ -62,14 +62,13 @@ void
 stormOne(const RunCtx &ctx, dma::SchemeKind kind, const StormSpec &spec)
 {
     work::NetperfOpts o;
-    o.sysParams.scheme = kind;
+    o.sysParams = ctx.sysParams(kind);
     o.mode = work::NetMode::Bidi;
     o.instances = 4;
     o.coreLimit = 2;
     o.segBytes = 16 * 1024;
     o.window = 32;
     o.runWindow = ctx.window;
-    o.sysParams.backend = ctx.backend;
     o.sysParams.iovaSpaceBytes = spec.iovaSpaceBytes;
     if (spec.physBytes != 0)
         o.sysParams.physBytes = spec.physBytes;
@@ -153,7 +152,7 @@ stormOne(const RunCtx &ctx, dma::SchemeKind kind, const StormSpec &spec)
     sys.ctx.engine.disarmWatchdog();
 
     Collector &out = ctx.out;
-    Run &row = out.beginRun(dma::schemeKindName(kind));
+    out.beginRun(dma::schemeKindName(kind));
     out.param("storm", std::string(spec.storm));
     out.param("iova_kbytes", spec.iovaSpaceBytes / 1024);
     out.param("phys_mbytes",
@@ -187,7 +186,7 @@ stormOne(const RunCtx &ctx, dma::SchemeKind kind, const StormSpec &spec)
                double(sys.ctx.engine.stallsDetected()), "count");
     out.metric("quiesced", quiesced ? 1.0 : 0.0, "bool");
     out.metric("recovered", recovered ? 1.0 : 0.0, "bool");
-    row.stats = sys.ctx.stats.snapshot();
+    out.capture(sys.ctx);
 }
 
 DAMN_EXPERIMENT(pressure_storm)
@@ -200,6 +199,8 @@ DAMN_EXPERIMENT(pressure_storm)
     e.axes = {"scheme", "backend", "storm", "iova_kbytes",
               "phys_mbytes", "free_frames"};
     e.defaultWindow = {5 * sim::kNsPerMs, 20 * sim::kNsPerMs};
+    e.schemes = {dma::SchemeKind::Strict, dma::SchemeKind::Deferred,
+                 dma::SchemeKind::Shadow, dma::SchemeKind::Damn};
     e.run = [](RunCtx &ctx) {
         // IOVA storms: 512 KiB starves even the posted RX rings;
         // 2 MiB fits the rings but not the deferred scheme's pinned
@@ -213,10 +214,7 @@ DAMN_EXPERIMENT(pressure_storm)
             {"mem", 0, 8ull << 20, 192},
             {"mem", 0, 8ull << 20, 768},
         };
-        const std::vector<dma::SchemeKind> schemes = ctx.schemesAmong(
-            {dma::SchemeKind::Strict, dma::SchemeKind::Deferred,
-             dma::SchemeKind::Shadow, dma::SchemeKind::Damn});
-        for (const dma::SchemeKind k : schemes)
+        for (const dma::SchemeKind k : ctx.schemes)
             for (const StormSpec &spec : sweep)
                 stormOne(ctx, k, spec);
     };

@@ -31,21 +31,18 @@ DAMN_EXPERIMENT(rdma_pagefault)
     e.defaultWindow = work::RunWindow{2 * sim::kNsPerMs,
                                       10 * sim::kNsPerMs};
     e.backends = {iommu::BackendKind::Vtd, iommu::BackendKind::SmmuV3};
+    e.schemes = {dma::SchemeKind::IommuOff, dma::SchemeKind::Strict,
+                 dma::SchemeKind::Deferred, dma::SchemeKind::Shadow};
     e.run = [](RunCtx &ctx) {
         constexpr std::uint64_t kFootprints[] = {
             1ull << 20, 4ull << 20, 16ull << 20};
         for (const std::uint64_t fp : kFootprints) {
-            for (const dma::SchemeKind k : ctx.schemesAmong(
-                     {dma::SchemeKind::IommuOff, dma::SchemeKind::Strict,
-                      dma::SchemeKind::Deferred,
-                      dma::SchemeKind::Shadow})) {
+            for (const dma::SchemeKind k : ctx.schemes) {
                 work::RdmaOpts o;
                 o.footprintBytes = fp;
                 o.seed = ctx.seed;
                 o.runWindow = ctx.window;
-                o.trace = ctx.traceEvents;
-                o.sysParams.scheme = k;
-                o.sysParams.backend = ctx.backend;
+                o.sysParams = ctx.sysParams(k);
                 const work::RdmaResult r = work::runRdma(o);
                 ctx.out.beginRun(dma::schemeKindName(k));
                 ctx.out.param("footprint_kb", fp >> 10);

@@ -22,16 +22,14 @@ DAMN_EXPERIMENT(fig8_tocttou)
               "(XOR netfilter, 14-core RX)";
     e.paper = "Figure 8";
     e.axes = {"scheme", "touch_bytes"};
+    e.schemes = {dma::SchemeKind::IommuOff, dma::SchemeKind::Shadow,
+                 dma::SchemeKind::Damn};
     e.run = [](RunCtx &ctx) {
-        const auto schemes = ctx.schemesAmong(
-            {dma::SchemeKind::IommuOff, dma::SchemeKind::Shadow,
-             dma::SchemeKind::Damn});
         for (const std::uint32_t touch :
              {0u, 64u, 256u, 1024u, 4096u, 16384u, 65536u}) {
-            for (const dma::SchemeKind k : schemes) {
+            for (const dma::SchemeKind k : ctx.schemes) {
                 work::NetperfOpts o;
-                o.sysParams.scheme = k;
-                o.sysParams.backend = ctx.backend;
+                o.sysParams = ctx.sysParams(k);
                 o.mode = work::NetMode::Rx;
                 o.instances = 14;
                 o.coreLimit = 14;

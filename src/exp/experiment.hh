@@ -12,21 +12,24 @@
  *
  * Results are uniform: each run (one scheme/configuration point) holds
  * an ordered set of metrics (name, value, unit), the parameter values
- * that produced it, and a snapshot of the System's sim::Stats
- * counters.
+ * that produced it, and the sim::RunRecord of the System that ran it
+ * (stats snapshot and trace bundle).
+ *
+ * The driver owns the scheme, backend and trace axes: it intersects
+ * the experiment's native scheme list with --schemes, calls the run
+ * function once per backend, and hands out each machine's
+ * net::SystemParams through RunCtx::sysParams.
  */
 
 #ifndef DAMN_EXP_EXPERIMENT_HH
 #define DAMN_EXP_EXPERIMENT_HH
 
 #include <functional>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dma/schemes.hh"
-#include "iommu/backend.hh"
+#include "net/system.hh"
 #include "workloads/run_window.hh"
 
 namespace damn::exp {
@@ -46,17 +49,14 @@ struct Metric
 /**
  * One configuration point of an experiment: a scheme (or config
  * label), the parameter axis values that produced it, its metrics,
- * and the stats snapshot of the System(s) that ran it.
+ * and the stats snapshot and trace bundle of the System that ran it
+ * (both empty when the run captured none).
  */
-struct Run
+struct Run : sim::RunRecord
 {
     std::string scheme;
     std::vector<std::pair<std::string, std::string>> params;
     std::vector<Metric> metrics;
-    std::map<std::string, std::uint64_t> stats;
-    /** Cost attribution (+ events when recording); empty when the
-     *  workload does not report one. */
-    sim::TraceBundle trace;
 };
 
 /** Collects the runs of one experiment while it executes. */
@@ -93,14 +93,13 @@ class Collector
             {std::move(name), value, std::move(unit)});
     }
 
-    /** Attach a stats snapshot (optionally namespaced by @p prefix)
-     *  to the current run; repeated calls merge. */
-    void snapshotStats(const sim::Stats &stats,
-                       const std::string &prefix = "");
+    /** Capture @p ctx's stats snapshot and trace bundle into the
+     *  current run, at the end of its simulation. */
+    void capture(const sim::Context &ctx) { runs_.back().capture(ctx); }
 
-    /** Record the common workload fields as metrics and absorb the
-     *  run's stats snapshot.  Zero-valued fields are skipped (the
-     *  workload reported no such quantity). */
+    /** Record the common workload fields as metrics and take the
+     *  workload's captured stats and trace.  Zero-valued fields are
+     *  skipped (the workload reported no such quantity). */
     void common(const work::CommonResult &c, bool with_latency = false);
 
     /** Hand over the collected runs, leaving the collector empty. */
@@ -119,33 +118,25 @@ struct RunCtx
     /** The run window: the experiment's defaults, or the driver's
      *  --warmup-ms/--measure-ms overrides. */
     work::RunWindow window;
-    /** The default scheme axis after --schemes filtering. */
+    /** The experiment's native scheme list filtered by --schemes, in
+     *  native order; never empty. */
     std::vector<dma::SchemeKind> schemes;
-    /** Base seed for anything stochastic (fault injection, graph
-     *  generation).  Varies per --repeat repetition. */
+    /** Base seed for anything stochastic (fault injection).  Varies
+     *  per --repeat repetition. */
     std::uint64_t seed = 42;
     Collector &out;
-    /** True when the driver wants trace-event recording (--trace):
-     *  workloads should enable their tracer rings. */
-    bool traceEvents = false;
-    /** The IOMMU backend of this invocation.  The driver calls the
-     *  run function once per backend of the axis and labels the runs
-     *  itself. */
-    iommu::BackendKind backend = iommu::BackendKind::Vtd;
+    /** The invocation's machine: the backend of this call (the driver
+     *  calls the run function once per backend of the axis and labels
+     *  the runs itself) and the --trace recording setting. */
+    net::SystemParams machine;
 
-    /** An experiment with a native scheme subset intersects it with
-     *  the user's --schemes selection (native order preserved). */
-    std::vector<dma::SchemeKind>
-    schemesAmong(const std::vector<dma::SchemeKind> &native) const
+    /** The machine description for a run under scheme @p k. */
+    net::SystemParams
+    sysParams(dma::SchemeKind k) const
     {
-        std::vector<dma::SchemeKind> out_v;
-        for (const dma::SchemeKind k : native)
-            for (const dma::SchemeKind want : schemes)
-                if (k == want) {
-                    out_v.push_back(k);
-                    break;
-                }
-        return out_v;
+        net::SystemParams p = machine;
+        p.scheme = k;
+        return p;
     }
 };
 
@@ -158,6 +149,10 @@ struct Experiment
     /** Parameter axes the run function sweeps (documentation). */
     std::vector<std::string> axes;
     work::RunWindow defaultWindow{};
+    /** The native scheme axis, in run order.  The driver passes the
+     *  schemes of it that --schemes selects as RunCtx::schemes, and
+     *  does not call run when it selects none. */
+    std::vector<dma::SchemeKind> schemes = defaultSchemes();
     /** The native backend axis, swept when --backend is not given. */
     std::vector<iommu::BackendKind> backends{iommu::BackendKind::Vtd};
     std::function<void(RunCtx &)> run;

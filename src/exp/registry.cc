@@ -95,18 +95,6 @@ globMatch(const std::string &pattern, const std::string &text)
 }
 
 void
-Collector::snapshotStats(const sim::Stats &stats,
-                         const std::string &prefix)
-{
-    Run &run = runs_.back();
-    for (const auto &[name, value] : stats.snapshot()) {
-        const std::string key =
-            prefix.empty() ? name : prefix + "." + name;
-        run.stats[key] += value;
-    }
-}
-
-void
 Collector::common(const work::CommonResult &c, bool with_latency)
 {
     if (c.gbps != 0.0)
@@ -123,10 +111,9 @@ Collector::common(const work::CommonResult &c, bool with_latency)
         metric("latency.p99_us", double(c.latency.p99()) / 1e3, "us");
         metric("latency.max_us", double(c.latency.maxNs()) / 1e3, "us");
     }
-    for (const auto &[name, value] : c.stats)
-        runs_.back().stats[name] += value;
-    if (c.trace.hasData())
-        runs_.back().trace = c.trace;
+    // The workload's capture: its stats snapshot and trace bundle.
+    sim::RunRecord &record = runs_.back();
+    record = c;
 }
 
 } // namespace damn::exp

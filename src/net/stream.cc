@@ -333,9 +333,7 @@ StreamEngine::run()
     sys_.ctx.engine.run(config_.warmupNs);
     windowStart_ = config_.warmupNs;
     windowEnd_ = config_.warmupNs + config_.measureNs;
-    sys_.ctx.machine.resetAccounting();
-    sys_.ctx.memBw.resetAccounting();
-    sys_.ctx.tracer.resetWindow();
+    sys_.ctx.resetAccounting();
 
     sys_.ctx.engine.run(windowEnd_);
 

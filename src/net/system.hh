@@ -27,6 +27,9 @@ struct SystemParams
     dma::SchemeKind scheme = dma::SchemeKind::IommuOff;
     /** Hardware IOMMU model the machine deploys (VT-d or SMMUv3). */
     iommu::BackendKind backend = iommu::BackendKind::Vtd;
+    /** Record trace events (the tracer's per-core rings) from
+     *  construction on.  Cost attribution is always on. */
+    bool recordTrace = false;
     std::uint64_t physBytes = 1ull << 32;   //!< 4 GiB (sparsely backed)
     sim::CostModel cost{};
     unsigned sockets = 2;
@@ -79,6 +82,8 @@ class System
         if (p.iovaSpaceBytes != 0)
             dmaApi->setIovaSpaceBytes(p.iovaSpaceBytes);
         wirePressure();
+        if (p.recordTrace)
+            ctx.tracer.startRecording();
     }
 
     /** True when the scheme programs the IOMMU at all. */

@@ -76,14 +76,37 @@ struct Context
             TimeNs(double(bytes) / bytes_per_ns * mult);
     }
 
-    /** Reset all measurement windows (busy time, bytes, counters). */
+    /**
+     * Open a new measurement window: busy time, memory-bandwidth bytes
+     * and cost attribution restart together, so the attribution window
+     * always equals the busy-time window.  Stats counters keep counting:
+     * they describe the whole run.
+     */
     void
     resetAccounting()
     {
         machine.resetAccounting();
         memBw.resetAccounting();
-        stats.clear();
         tracer.resetWindow();
+    }
+};
+
+/**
+ * What a finished run reads off its machine: the stats snapshot and
+ * the trace bundle (attribution, plus the event log when recording).
+ * Workload results and report runs both carry one.
+ */
+struct RunRecord
+{
+    std::map<std::string, std::uint64_t> stats;
+    TraceBundle trace;
+
+    /** Take both from @p ctx at the end of the run. */
+    void
+    capture(const Context &ctx)
+    {
+        stats = ctx.stats.snapshot();
+        trace = ctx.tracer.bundle(ctx.machine, ctx.cost.cpuGhz);
     }
 };
 

@@ -90,7 +90,7 @@ class Stats
         return it == index_.end() ? 0 : slots_[it->second].value;
     }
 
-    /** True once counter @p name has been touched since clear(). */
+    /** True once counter @p name has been touched. */
     bool
     has(const std::string &name) const
     {
@@ -111,14 +111,6 @@ class Stats
             if (slots_[i].touched)
                 out.emplace(names_[i], slots_[i].value);
         return out;
-    }
-
-    /** Zero and untouch every counter; interned handles stay valid. */
-    void
-    clear()
-    {
-        for (Slot &s : slots_)
-            s = Slot{};
     }
 
   private:

@@ -181,12 +181,9 @@ faultsSince(const iommu::Iommu &mmu, std::size_t mark, iommu::DomainId d)
 } // namespace
 
 AttackReport
-runAttacks(dma::SchemeKind scheme, iommu::BackendKind backend)
+runAttacks(const net::SystemParams &p)
 {
     AttackReport rep;
-    net::SystemParams p;
-    p.scheme = scheme;
-    p.backend = backend;
     net::System sys(p);
     net::NicDevice nic(sys, "mlx5_evil");
     net::TcpStack stack(sys, nic);

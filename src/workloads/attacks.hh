@@ -82,11 +82,9 @@ class AttackerDevice : public dma::Device
     std::size_t faultMark_ = 0;
 };
 
-/** Run all three attacks against a fresh System under @p scheme,
- *  deployed on @p backend's IOMMU model. */
-AttackReport runAttacks(dma::SchemeKind scheme,
-                        iommu::BackendKind backend =
-                            iommu::BackendKind::Vtd);
+/** Run all three attacks against a fresh System built from @p p
+ *  (its scheme on its backend's IOMMU model). */
+AttackReport runAttacks(const net::SystemParams &p);
 
 } // namespace damn::work
 

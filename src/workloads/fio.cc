@@ -168,15 +168,13 @@ class FioJob
 FioResult
 runFio(const FioOpts &opts)
 {
-    assert(opts.scheme != dma::SchemeKind::Damn &&
+    assert(opts.sysParams.scheme != dma::SchemeKind::Damn &&
            "DAMN does not apply to storage (paper section 2.2)");
 
     // The NVMe testbed is the Dell R430: 2 x 12-core Haswell at
     // 2.4 GHz; its (newer-stepping) IOMMU completes invalidations
     // faster than the Broadwell server's.
-    net::SystemParams p;
-    p.scheme = opts.scheme;
-    p.backend = opts.backend;
+    net::SystemParams p = opts.sysParams;
     p.sockets = 2;
     p.coresPerSocket = 12;
     p.cost.cpuGhz = 2.4;
@@ -187,8 +185,6 @@ runFio(const FioOpts &opts)
     p.cost.strictPostWaitNs = 1200;
     net::System sys(p);
     sys.ctx.functionalData = false;
-    if (opts.trace)
-        sys.ctx.tracer.startRecording();
 
     nvme::NvmeDevice dev(sys.ctx, "nvme0", sys.mmu, sys.phys);
 
@@ -215,9 +211,7 @@ runFio(const FioOpts &opts)
     r.common.cpuPct = opts.runWindow.cpuPct(sys.ctx);
     r.common.memGBps =
         sys.ctx.memBw.achievedGBps(opts.runWindow.measureNs);
-    r.common.stats = sys.ctx.stats.snapshot();
-    r.common.trace =
-        sys.ctx.tracer.bundle(sys.ctx.machine, p.cost.cpuGhz);
+    r.common.capture(sys.ctx);
     r.throughputGBps = r.common.opsPerSec * opts.blockBytes / 1e9;
     return r;
 }

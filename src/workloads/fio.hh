@@ -22,13 +22,13 @@ namespace damn::work {
 
 struct FioOpts
 {
-    dma::SchemeKind scheme = dma::SchemeKind::IommuOff;
-    iommu::BackendKind backend = iommu::BackendKind::Vtd;
     unsigned jobs = 12;
     unsigned queueDepth = 32;
     std::uint32_t blockBytes = 512;
-    bool trace = false; //!< record trace events (rings on)
     RunWindow runWindow{20 * sim::kNsPerMs, 150 * sim::kNsPerMs};
+    /** Scheme, backend and trace recording; runFio sets the machine
+     *  shape to the NVMe testbed's. */
+    net::SystemParams sysParams{};
 };
 
 /** Uniform result: opsPerSec is the IO completion rate. */

@@ -2,87 +2,23 @@
  * @file
  * Graph500 BFS workload (paper sections 4.2, 6.4 / figure 2).
  *
- * Two pieces:
- *  - a *real* CSR graph + BFS kernel (`Graph`, `bfs`) used by tests and
- *    examples, faithful to the Graph500 reference: Kronecker-style
- *    random edges, top-down level-synchronous BFS with a validation
- *    pass;
- *  - a DES co-runner (`BfsCorunner`) that reproduces the benchmark's
- *    *resource footprint* on the simulated machine: each BFS iteration
- *    streams the edge array through the memory controllers from a team
- *    of cores, so its iteration time stretches when something else
- *    (shadow buffers' extra copies) cannibalizes memory bandwidth.
+ * A DES co-runner (`BfsCorunner`) reproduces the benchmark's *resource
+ * footprint* on the simulated machine: each BFS iteration streams the
+ * edge array through the memory controllers from a team of cores, so
+ * its iteration time stretches when something else (shadow buffers'
+ * extra copies) cannibalizes memory bandwidth.
  */
 
 #ifndef DAMN_WORK_GRAPH500_HH
 #define DAMN_WORK_GRAPH500_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "dma/schemes.hh"
-#include "iommu/backend.hh"
+#include "net/system.hh"
 #include "sim/context.hh"
-#include "sim/cpu_cursor.hh"
-#include "sim/rng.hh"
 #include "workloads/run_window.hh"
 
 namespace damn::work {
-
-/** Compressed-sparse-row undirected graph. */
-class Graph
-{
-  public:
-    /**
-     * Generate a random graph with 2^scale vertices and roughly
-     * edgefactor * 2^scale undirected edges (Graph500 terminology).
-     */
-    static Graph generate(unsigned scale, unsigned edgefactor,
-                          std::uint64_t seed);
-
-    std::uint64_t numVertices() const { return offsets_.size() - 1; }
-    std::uint64_t numEdges() const { return targets_.size(); }
-
-    /** Neighbors of @p v. */
-    const std::uint32_t *
-    neighborsBegin(std::uint32_t v) const
-    {
-        return targets_.data() + offsets_[v];
-    }
-    const std::uint32_t *
-    neighborsEnd(std::uint32_t v) const
-    {
-        return targets_.data() + offsets_[v + 1];
-    }
-
-    std::uint32_t
-    degree(std::uint32_t v) const
-    {
-        return std::uint32_t(offsets_[v + 1] - offsets_[v]);
-    }
-
-  private:
-    std::vector<std::uint64_t> offsets_; //!< size V+1
-    std::vector<std::uint32_t> targets_;
-};
-
-/** BFS result: parent array (-1 == unreached). */
-struct BfsResult
-{
-    std::vector<std::int64_t> parent;
-    std::uint64_t verticesVisited = 0;
-    std::uint64_t edgesTraversed = 0;
-};
-
-/** Level-synchronous top-down BFS from @p root. */
-BfsResult bfs(const Graph &g, std::uint32_t root);
-
-/**
- * Validate a BFS tree per the Graph500 rules: the root is its own
- * parent, every tree edge exists in the graph, and levels differ by
- * exactly one along tree edges.
- */
-bool validateBfs(const Graph &g, std::uint32_t root, const BfsResult &r);
 
 /**
  * The figure-2 co-runner: @p teams teams of @p cores_per_team cores
@@ -147,8 +83,7 @@ class BfsCorunner
  */
 struct CorunOpts
 {
-    dma::SchemeKind scheme = dma::SchemeKind::IommuOff;
-    iommu::BackendKind backend = iommu::BackendKind::Vtd;
+    net::SystemParams sysParams{};  //!< scheme, backend, trace, shape
     bool withNet = true;
     bool withGraph = true;
     RunWindow runWindow{30 * sim::kNsPerMs, 300 * sim::kNsPerMs};

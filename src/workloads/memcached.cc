@@ -145,10 +145,7 @@ class Instance
 MemcachedResult
 runMemcached(const MemcachedOpts &opts)
 {
-    net::SystemParams p;
-    p.scheme = opts.scheme;
-    p.backend = opts.backend;
-    net::System sys(p);
+    net::System sys(opts.sysParams);
     sys.ctx.functionalData = false;
     net::NicDevice nic(sys, "mlx5_0");
     net::TcpStack stack(sys, nic);
@@ -176,7 +173,7 @@ runMemcached(const MemcachedOpts &opts)
         8.0 / 1e9;
     r.common.memGBps =
         sys.ctx.memBw.achievedGBps(opts.runWindow.measureNs);
-    r.common.stats = sys.ctx.stats.snapshot();
+    r.common.capture(sys.ctx);
     return r;
 }
 

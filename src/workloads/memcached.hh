@@ -18,8 +18,6 @@ namespace damn::work {
 
 struct MemcachedOpts
 {
-    dma::SchemeKind scheme = dma::SchemeKind::IommuOff;
-    iommu::BackendKind backend = iommu::BackendKind::Vtd;
     unsigned instances = 28;
     std::uint32_t valueBytes = 512 * 1024;
     /** Socket-write flush granularity of the server's event loop (no
@@ -32,6 +30,7 @@ struct MemcachedOpts
      *  (client parse + build + RTT), ns. */
     sim::TimeNs clientTurnaroundNs = 700 * sim::kNsPerUs;
     RunWindow runWindow{};
+    net::SystemParams sysParams{};  //!< scheme, backend, trace, shape
 };
 
 /** Uniform result: opsPerSec is the memcached TPS. */

@@ -64,8 +64,6 @@ runNetperf(const NetperfOpts &opts,
     NetperfRun run = makeNetperfSystem(opts);
     if (customize)
         customize(run);
-    if (opts.trace)
-        run.sys->ctx.tracer.startRecording();
 
     net::StreamConfig sc;
     sc.warmupNs = opts.runWindow.warmupNs;
@@ -76,9 +74,7 @@ runNetperf(const NetperfOpts &opts,
     run.res = eng.run();
 
     run.common = toCommon(run.res, opts.runWindow);
-    run.common.stats = run.sys->ctx.stats.snapshot();
-    run.common.trace = run.sys->ctx.tracer.bundle(
-        run.sys->ctx.machine, run.sys->ctx.cost.cpuGhz);
+    run.common.capture(run.sys->ctx);
     return run;
 }
 

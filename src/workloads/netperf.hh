@@ -35,9 +35,8 @@ struct NetperfOpts
     std::uint32_t segBytes = 16 * 1024;
     unsigned window = 32;
     double costFactor = 1.0;
-    bool trace = false;             //!< record trace events (rings on)
     RunWindow runWindow{};
-    net::SystemParams sysParams{};  //!< scheme, backend, machine shape
+    net::SystemParams sysParams{};  //!< scheme, backend, trace, shape
 };
 
 /** A completed run: results plus the machine for post-inspection. */

@@ -48,8 +48,6 @@ runRdma(const RdmaOpts &opts)
     net::System sys(opts.sysParams);
     sim::Context &ctx = sys.ctx;
     ctx.functionalData = false;
-    if (opts.trace)
-        ctx.tracer.startRecording();
 
     dma::Device rnic(ctx, "rnic0", sys.mmu, sys.phys);
     iommu::SvaDomain sva(ctx, sys.mmu, sys.pageAlloc,
@@ -159,8 +157,7 @@ runRdma(const RdmaOpts &opts)
     res.common.memGBps =
         ctx.memBw.achievedGBps(opts.runWindow.measureNs);
     res.common.latency = faultLat;
-    res.common.stats = ctx.stats.snapshot();
-    res.common.trace = ctx.tracer.bundle(ctx.machine, ctx.cost.cpuGhz);
+    res.common.capture(ctx);
 
     res.faultsServiced =
         ctx.stats.get("sva.faults_serviced") - faultsBase;

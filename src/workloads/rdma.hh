@@ -33,9 +33,8 @@ struct RdmaOpts
     /** RDMA message size, bytes. */
     std::uint32_t messageBytes = 16384;
     std::uint64_t seed = 42;
-    bool trace = false;
     RunWindow runWindow{};
-    net::SystemParams sysParams{};  //!< scheme, backend, machine shape
+    net::SystemParams sysParams{};  //!< scheme, backend, trace, shape
 };
 
 struct RdmaResult

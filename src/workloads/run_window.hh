@@ -43,21 +43,15 @@ struct RunWindow
     }
 
     /**
-     * Run @p ctx to the end of warmup and reset the busy-time /
-     * bandwidth accounting, so that everything booked afterwards
-     * belongs to the measurement window.  (Stats counters are *not*
-     * cleared: they describe the whole run and experiments snapshot
-     * them at the end.)
+     * Run @p ctx to the end of warmup and open the measurement window
+     * (Context::resetAccounting), so that everything booked afterwards
+     * belongs to it.
      */
     void
     settle(sim::Context &ctx) const
     {
         ctx.engine.run(warmupNs);
-        ctx.machine.resetAccounting();
-        ctx.memBw.resetAccounting();
-        // Keep the trace/attribution window equal to the busy-time
-        // window: warmup events are discarded, measurement retained.
-        ctx.tracer.resetWindow();
+        ctx.resetAccounting();
     }
 
     /** Run @p ctx to the end of the measurement window. */
@@ -78,9 +72,11 @@ struct RunWindow
 /**
  * The result fields every workload has in common.  A workload that has
  * no meaningful value for a field leaves it at zero (e.g. fio has no
- * network Gb/s; the co-runner baselines have no ops rate).
+ * network Gb/s; the co-runner baselines have no ops rate).  The stats
+ * snapshot and trace bundle come from RunRecord::capture at the end of
+ * the run.
  */
-struct CommonResult
+struct CommonResult : sim::RunRecord
 {
     double gbps = 0.0;      //!< network throughput moved
     double cpuPct = 0.0;    //!< machine-wide (100% == all cores busy)
@@ -88,10 +84,6 @@ struct CommonResult
     double memGBps = 0.0;   //!< achieved memory-controller bandwidth
     /** Per-operation latency distribution (empty when not tracked). */
     sim::LatencyHistogram latency;
-    /** Snapshot of the System's stats counters at the end of the run. */
-    std::map<std::string, std::uint64_t> stats;
-    /** Cost-attribution table + (when recording) the event log. */
-    sim::TraceBundle trace;
 };
 
 } // namespace damn::work

@@ -472,7 +472,8 @@ TEST(Differential, SecurityOutcomesMatchTable1)
     for (const iommu::BackendKind bk :
          {iommu::BackendKind::Vtd, iommu::BackendKind::SmmuV3}) {
         for (const Expect &e : table) {
-            const work::AttackReport r = work::runAttacks(e.kind, bk);
+            const work::AttackReport r =
+                work::runAttacks({.scheme = e.kind, .backend = bk});
             EXPECT_EQ(r.colocationTheft, e.colocation)
                 << dma::schemeKindName(e.kind) << " on "
                 << iommu::backendKindName(bk);

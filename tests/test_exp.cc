@@ -101,6 +101,8 @@ TEST(Driver, ParseArgsRejectsBadInput)
         return !ok;
     };
     EXPECT_TRUE(bad({"--schemes=bogus"}));
+    EXPECT_TRUE(bad({"--schemes=damn,damn"}));
+    EXPECT_TRUE(bad({"--backend=vtd,vtd"}));
     EXPECT_TRUE(bad({"--repeat=0"}));
     EXPECT_TRUE(bad({"--repeat=x"}));
     EXPECT_TRUE(bad({"--measure-ms=0"}));
@@ -251,6 +253,54 @@ TEST(EndToEnd, SchemeFilterAndRepeatShapeTheReport)
     EXPECT_EQ(r.experiments[0].runs[0].scheme, "iommu-off");
     EXPECT_EQ(r.experiments[0].runs[1].scheme, "damn");
     EXPECT_EQ(r.experiments[0].runs[2].params[0].second, "1");
+}
+
+/** The scheme names of @p r's runs of its one experiment, in order. */
+std::vector<std::string>
+runSchemes(const exp::Report &r)
+{
+    std::vector<std::string> out;
+    for (const exp::Run &run : r.experiments.at(0).runs)
+        out.push_back(run.scheme);
+    return out;
+}
+
+/**
+ * --schemes filters each experiment's native scheme list; the native
+ * order decides the run order, whatever order --schemes names them in.
+ */
+TEST(SchemeAxis, NativeOrderDecidesRunOrder)
+{
+    exp::DriverOptions o;
+    o.warmupNs = 1 * sim::kNsPerMs;
+    o.measureNs = 1 * sim::kNsPerMs;
+
+    o.only = "fig1_tradeoffs";
+    o.schemes = {dma::SchemeKind::Damn, dma::SchemeKind::Strict};
+    EXPECT_EQ(runSchemes(exp::runExperiments(o)),
+              (std::vector<std::string>{"strict", "damn"}));
+
+    // chaos_soak's native list puts strict before deferred, unlike
+    // defaultSchemes(); iommu-off is not on it.
+    o.only = "chaos_soak";
+    o.schemes = exp::defaultSchemes();
+    EXPECT_EQ(runSchemes(exp::runExperiments(o)),
+              (std::vector<std::string>{"strict", "deferred", "shadow",
+                                        "damn"}));
+}
+
+/** A selection that misses the native list runs nothing, and the
+ *  report still names the experiment. */
+TEST(SchemeAxis, EmptyIntersectionReportsZeroRuns)
+{
+    exp::DriverOptions o;
+    o.only = "fig9_stock_pages";
+    o.schemes = {dma::SchemeKind::Damn};
+
+    const exp::Report r = exp::runExperiments(o);
+    ASSERT_EQ(r.experiments.size(), 1u);
+    EXPECT_EQ(r.experiments[0].exp->name, "fig9_stock_pages");
+    EXPECT_TRUE(r.experiments[0].runs.empty());
 }
 
 /** Find a run param by key (nullptr when absent). */

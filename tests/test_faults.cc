@@ -563,7 +563,7 @@ TEST_F(NvmeFaultFixture, RetryExhaustionSurfacesErrorInsteadOfHanging)
 TEST(AttackAttribution, StrictBlocksStaleWindowWithMatchingRecords)
 {
     const work::AttackReport rep =
-        work::runAttacks(dma::SchemeKind::Strict);
+        work::runAttacks({.scheme = dma::SchemeKind::Strict});
     EXPECT_FALSE(rep.staleWindowTheft);
     ASSERT_FALSE(rep.staleWindowFaults.empty());
     for (const iommu::FaultRecord &r : rep.staleWindowFaults) {
@@ -576,7 +576,7 @@ TEST(AttackAttribution, StrictBlocksStaleWindowWithMatchingRecords)
 TEST(AttackAttribution, DeferredStaleWindowTheftLeavesNoFaultTrail)
 {
     const work::AttackReport rep =
-        work::runAttacks(dma::SchemeKind::Deferred);
+        work::runAttacks({.scheme = dma::SchemeKind::Deferred});
     // The vulnerability window: the theft succeeds and, because the
     // stale IOTLB entry translated "successfully", no fault records it.
     EXPECT_TRUE(rep.staleWindowTheft);

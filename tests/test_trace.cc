@@ -183,7 +183,7 @@ traceDriverOpts()
     o.schemes = {dma::SchemeKind::Strict, dma::SchemeKind::Damn};
     o.warmupNs = 1 * sim::kNsPerMs;
     o.measureNs = 4 * sim::kNsPerMs;
-    o.tracePath = "unused"; // non-empty => RunCtx.traceEvents
+    o.tracePath = "unused"; // non-empty => machines record events
     return o;
 }
 
@@ -230,9 +230,9 @@ TEST(GoldenTrace, RecordingDoesNotChangeMetrics)
         work::multiCoreOpts(dma::SchemeKind::Strict, work::NetMode::Rx);
     o.runWindow = work::RunWindow{1 * sim::kNsPerMs, 4 * sim::kNsPerMs};
 
-    o.trace = false;
+    o.sysParams.recordTrace = false;
     const work::NetperfRun off = work::runNetperf(o);
-    o.trace = true;
+    o.sysParams.recordTrace = true;
     const work::NetperfRun on = work::runNetperf(o);
 
     EXPECT_EQ(off.res.totalGbps, on.res.totalGbps);
@@ -249,6 +249,36 @@ TEST(GoldenTrace, RecordingDoesNotChangeMetrics)
                   on.common.trace.categories[i].name);
         EXPECT_EQ(off.common.trace.categories[i].ns,
                   on.common.trace.categories[i].ns);
+    }
+}
+
+/**
+ * The driver owns trace recording, so --trace reaches the experiments
+ * that never forwarded a trace flag themselves, and every run's
+ * attribution covers all of its busy time.
+ */
+TEST(GoldenTrace, TraceReachesEveryWorkload)
+{
+    exp::DriverOptions o;
+    o.schemes = {dma::SchemeKind::Strict};
+    o.warmupNs = 1 * sim::kNsPerMs;
+    o.measureNs = 1 * sim::kNsPerMs;
+    o.tracePath = "unused"; // non-empty => machines record events
+    for (const char *name :
+         {"fig7_memcached", "fig2_graph500", "fig4_singlecore",
+          "fig11_nvme", "fault_storm", "chaos_soak", "pressure_storm"}) {
+        o.only = name;
+        const exp::Report r = exp::runExperiments(o);
+        const Json doc = Json::parse(exp::chromeTraceForReport(r));
+        unsigned procs = 0;
+        for (const Json &ev : doc.find("traceEvents")->items())
+            procs += ev.find("ph")->str() == "M";
+        EXPECT_GE(procs, 1u) << name;
+        for (const exp::Run &run : r.experiments.at(0).runs) {
+            if (run.trace.hasData()) {
+                EXPECT_EQ(run.trace.coveragePct(), 100.0) << name;
+            }
+        }
     }
 }
 
@@ -272,7 +302,7 @@ TEST(GoldenTrace, RdmaPagefaultRunIsByteIdenticalAndServicesFaults)
     o.schemes = {dma::SchemeKind::Strict, dma::SchemeKind::Deferred};
     o.warmupNs = 1 * sim::kNsPerMs;
     o.measureNs = 2 * sim::kNsPerMs;
-    o.tracePath = "unused"; // non-empty => RunCtx.traceEvents
+    o.tracePath = "unused"; // non-empty => machines record events
 
     const exp::Report r1 = exp::runExperiments(o);
     const exp::Report r2 = exp::runExperiments(o);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the workload library: Graph500 kernel, netperf/memcached/
- * fio runners (smoke-level invariants), kbuild churn, and the full DMA
- * attack suite — the paper's Table 1 security claims as assertions.
+ * Tests for the workload library: the Graph500 co-runner, netperf/
+ * memcached/fio runners (smoke-level invariants), kbuild churn, and the
+ * full DMA attack suite — the paper's Table 1 security claims as
+ * assertions.
  */
 
 #include <gtest/gtest.h>
@@ -18,73 +19,8 @@ using namespace damn;
 using namespace damn::work;
 
 // ---------------------------------------------------------------------
-// Graph500 kernel (real BFS, not the co-runner)
+// Graph500 co-runner
 // ---------------------------------------------------------------------
-
-TEST(Graph500, GeneratorShape)
-{
-    const Graph g = Graph::generate(10, 8, 42);
-    EXPECT_EQ(g.numVertices(), 1024u);
-    EXPECT_EQ(g.numEdges(), 2u * 1024 * 8); // symmetric CSR
-    // Degree sum equals edge-entry count.
-    std::uint64_t deg = 0;
-    for (std::uint32_t v = 0; v < g.numVertices(); ++v)
-        deg += g.degree(v);
-    EXPECT_EQ(deg, g.numEdges());
-}
-
-TEST(Graph500, GeneratorDeterministic)
-{
-    const Graph a = Graph::generate(8, 4, 7);
-    const Graph b = Graph::generate(8, 4, 7);
-    for (std::uint32_t v = 0; v < a.numVertices(); ++v)
-        ASSERT_EQ(a.degree(v), b.degree(v));
-}
-
-TEST(Graph500, BfsCoversConnectedComponent)
-{
-    const Graph g = Graph::generate(10, 16, 1);
-    const BfsResult r = bfs(g, 0);
-    EXPECT_GT(r.verticesVisited, g.numVertices() / 2)
-        << "R-MAT graphs have a giant component";
-    EXPECT_EQ(r.parent[0], 0);
-    EXPECT_GT(r.edgesTraversed, 0u);
-}
-
-TEST(Graph500, BfsValidates)
-{
-    const Graph g = Graph::generate(10, 16, 3);
-    const BfsResult r = bfs(g, 5);
-    EXPECT_TRUE(validateBfs(g, 5, r));
-}
-
-TEST(Graph500, ValidationCatchesTampering)
-{
-    const Graph g = Graph::generate(10, 16, 3);
-    BfsResult r = bfs(g, 5);
-    // Find a reached non-root vertex and corrupt its parent.
-    for (std::uint32_t v = 0; v < g.numVertices(); ++v) {
-        if (v != 5 && r.parent[v] >= 0) {
-            r.parent[v] = std::int64_t(v); // self-parent != root
-            break;
-        }
-    }
-    EXPECT_FALSE(validateBfs(g, 5, r));
-}
-
-TEST(Graph500, BfsFromDifferentRootsConsistentReach)
-{
-    const Graph g = Graph::generate(9, 8, 11);
-    const BfsResult a = bfs(g, 1);
-    // Any vertex reached from 1 reaches 1 as well (undirected).
-    for (std::uint32_t v = 0; v < g.numVertices() && v < 32; ++v) {
-        if (a.parent[v] >= 0 && g.degree(v) > 0) {
-            const BfsResult b = bfs(g, v);
-            EXPECT_GE(b.verticesVisited, 1u);
-            EXPECT_TRUE(b.parent[1] >= 0);
-        }
-    }
-}
 
 TEST(Graph500, CorunnerMakesProgress)
 {
@@ -126,7 +62,7 @@ TEST(Graph500, CorunnerSlowsUnderMemoryPressure)
 
 TEST(Attacks, IommuOffIsDefenseless)
 {
-    const AttackReport r = runAttacks(dma::SchemeKind::IommuOff);
+    const AttackReport r = runAttacks({.scheme = dma::SchemeKind::IommuOff});
     EXPECT_TRUE(r.colocationTheft);
     EXPECT_TRUE(r.staleWindowTheft);
     EXPECT_TRUE(r.tocttou);
@@ -134,7 +70,7 @@ TEST(Attacks, IommuOffIsDefenseless)
 
 TEST(Attacks, StrictStopsWindowsButNotColocation)
 {
-    const AttackReport r = runAttacks(dma::SchemeKind::Strict);
+    const AttackReport r = runAttacks({.scheme = dma::SchemeKind::Strict});
     EXPECT_TRUE(r.colocationTheft) << "page granularity: partial only";
     EXPECT_FALSE(r.staleWindowTheft);
     EXPECT_FALSE(r.tocttou);
@@ -142,7 +78,7 @@ TEST(Attacks, StrictStopsWindowsButNotColocation)
 
 TEST(Attacks, DeferredHasTheWindow)
 {
-    const AttackReport r = runAttacks(dma::SchemeKind::Deferred);
+    const AttackReport r = runAttacks({.scheme = dma::SchemeKind::Deferred});
     EXPECT_TRUE(r.colocationTheft);
     EXPECT_TRUE(r.staleWindowTheft) << "the batched-flush window";
     EXPECT_TRUE(r.tocttou);
@@ -150,7 +86,7 @@ TEST(Attacks, DeferredHasTheWindow)
 
 TEST(Attacks, ShadowBuffersBlockEverything)
 {
-    const AttackReport r = runAttacks(dma::SchemeKind::Shadow);
+    const AttackReport r = runAttacks({.scheme = dma::SchemeKind::Shadow});
     EXPECT_FALSE(r.colocationTheft);
     EXPECT_FALSE(r.staleWindowTheft);
     EXPECT_FALSE(r.tocttou);
@@ -158,7 +94,7 @@ TEST(Attacks, ShadowBuffersBlockEverything)
 
 TEST(Attacks, DamnBlocksEverything)
 {
-    const AttackReport r = runAttacks(dma::SchemeKind::Damn);
+    const AttackReport r = runAttacks({.scheme = dma::SchemeKind::Damn});
     EXPECT_FALSE(r.colocationTheft) << "byte granularity by separation";
     EXPECT_FALSE(r.staleWindowTheft) << "secrets never land in chunks";
     EXPECT_FALSE(r.tocttou) << "copy-on-access defense";
@@ -264,7 +200,7 @@ TEST(Netperf, DamnMemoryStaysBounded)
 TEST(Memcached, MovesOperations)
 {
     MemcachedOpts o;
-    o.scheme = dma::SchemeKind::IommuOff;
+    o.sysParams.scheme = dma::SchemeKind::IommuOff;
     o.instances = 4;
     o.runWindow.warmupNs = 5 * sim::kNsPerMs;
     o.runWindow.measureNs = 20 * sim::kNsPerMs;
@@ -279,9 +215,9 @@ TEST(Memcached, StrictWellBelowOthers)
     o.instances = 8;
     o.runWindow.warmupNs = 5 * sim::kNsPerMs;
     o.runWindow.measureNs = 25 * sim::kNsPerMs;
-    o.scheme = dma::SchemeKind::Damn;
+    o.sysParams.scheme = dma::SchemeKind::Damn;
     const double damn_tps = runMemcached(o).common.opsPerSec;
-    o.scheme = dma::SchemeKind::Strict;
+    o.sysParams.scheme = dma::SchemeKind::Strict;
     const double strict_tps = runMemcached(o).common.opsPerSec;
     EXPECT_LT(strict_tps, damn_tps * 0.8);
 }
@@ -289,7 +225,7 @@ TEST(Memcached, StrictWellBelowOthers)
 TEST(Fio, DeviceBoundAt512B)
 {
     FioOpts o;
-    o.scheme = dma::SchemeKind::IommuOff;
+    o.sysParams.scheme = dma::SchemeKind::IommuOff;
     o.blockBytes = 512;
     o.runWindow.warmupNs = 5 * sim::kNsPerMs;
     o.runWindow.measureNs = 30 * sim::kNsPerMs;
@@ -300,7 +236,7 @@ TEST(Fio, DeviceBoundAt512B)
 TEST(Fio, ThroughputBoundAtLargeBlocks)
 {
     FioOpts o;
-    o.scheme = dma::SchemeKind::Deferred;
+    o.sysParams.scheme = dma::SchemeKind::Deferred;
     o.blockBytes = 65536;
     o.runWindow.warmupNs = 5 * sim::kNsPerMs;
     o.runWindow.measureNs = 30 * sim::kNsPerMs;
@@ -319,7 +255,7 @@ TEST(Fio, NoSchemeThrottlesTheDevice)
     for (const auto k :
          {dma::SchemeKind::IommuOff, dma::SchemeKind::Deferred,
           dma::SchemeKind::Strict, dma::SchemeKind::Shadow}) {
-        o.scheme = k;
+        o.sysParams.scheme = k;
         iops[i++] = runFio(o).kiops();
     }
     for (unsigned j = 1; j < 4; ++j)
@@ -332,9 +268,9 @@ TEST(Fio, StrictBurnsMoreCpuAtSmallBlocks)
     o.blockBytes = 512;
     o.runWindow.warmupNs = 5 * sim::kNsPerMs;
     o.runWindow.measureNs = 30 * sim::kNsPerMs;
-    o.scheme = dma::SchemeKind::Deferred;
+    o.sysParams.scheme = dma::SchemeKind::Deferred;
     const double deferred_cpu = runFio(o).common.cpuPct;
-    o.scheme = dma::SchemeKind::Strict;
+    o.sysParams.scheme = dma::SchemeKind::Strict;
     const double strict_cpu = runFio(o).common.cpuPct;
     EXPECT_GT(strict_cpu, deferred_cpu * 1.5);
 }
