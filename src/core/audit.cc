@@ -35,9 +35,9 @@ Auditor::onEvent(iommu::MapEvent ev, iommu::DomainId d, iommu::Iova iova,
       } break;
       case iommu::MapEvent::Unmap:
         ++unmapEvents_;
-        if (const auto it = dom.find(iova); it != dom.end()) {
-            count -= it->second;
-            dom.erase(it);
+        if (const unsigned *pages_there = dom.find(iova)) {
+            count -= *pages_there;
+            dom.erase(iova);
         }
         break;
       case iommu::MapEvent::DetachClear:
@@ -56,31 +56,6 @@ Auditor::ledgerPages(iommu::DomainId d) const
     return d < ledgerPages_.size() ? ledgerPages_[d] : 0;
 }
 
-std::uint64_t
-Auditor::staleTlbEntries(iommu::DomainId d) const
-{
-    return countStale(d, mmu_.iotlb().validEntries(d));
-}
-
-std::uint64_t
-Auditor::countStale(iommu::DomainId d,
-                    const std::vector<iommu::TlbEntry> &tlb) const
-{
-    // Cold audit path: validEntries() and the page walks below are
-    // charged no virtual time and no Tracer category — never call
-    // from a per-packet path.
-    std::uint64_t stale = 0;
-    for (const iommu::TlbEntry &e : tlb) {
-        const iommu::WalkResult w = mmu_.pageTable(d).walk(e.iovaPage);
-        const std::uint64_t page_mask =
-            (e.huge ? iommu::kHugePageSize : mem::kPageSize) - 1;
-        if (!w.present || w.huge != e.huge ||
-            (w.pa & ~page_mask) != e.paPage)
-            ++stale;
-    }
-    return stale;
-}
-
 TeardownReport
 Auditor::verifyTeardown(iommu::DomainId d,
                         std::uint64_t outstanding_iovas,
@@ -92,7 +67,16 @@ Auditor::verifyTeardown(iommu::DomainId d,
     r.tablePages = mmu_.pageTable(d).mappedPages();
     const std::vector<iommu::TlbEntry> tlb = mmu_.iotlb().validEntries(d);
     r.tlbEntries = tlb.size();
-    r.staleTlbEntries = countStale(d, tlb);
+    // Cold path, charged no virtual time.  An entry is stale when the
+    // table no longer backs it (missing, other frame or page size).
+    for (const iommu::TlbEntry &e : tlb) {
+        const iommu::WalkResult w = mmu_.pageTable(d).walk(e.iovaPage);
+        const std::uint64_t page_mask =
+            (e.huge ? iommu::kHugePageSize : mem::kPageSize) - 1;
+        if (!w.present || w.huge != e.huge ||
+            (w.pa & ~page_mask) != e.paPage)
+            ++r.staleTlbEntries;
+    }
     r.leakedIovas = outstanding_iovas;
     r.forceCleared = force_cleared;
 

@@ -24,11 +24,11 @@
 #define DAMN_CORE_AUDIT_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <string>
 #include <vector>
 
 #include "iommu/iommu.hh"
+#include "sim/flat_map.hh"
 
 namespace damn::audit {
 
@@ -70,13 +70,6 @@ class Auditor
     std::uint64_t unmapEvents() const { return unmapEvents_; }
 
     /**
-     * IOTLB entries for @p d whose translation the page table no
-     * longer backs (missing, different frame, or different page size):
-     * each one keeps freed memory device-reachable.
-     */
-    std::uint64_t staleTlbEntries(iommu::DomainId d) const;
-
-    /**
      * Run the full invariant battery for a domain that should now be
      * completely torn down.
      *
@@ -98,15 +91,11 @@ class Auditor
                  unsigned pages);
 
   private:
-    /** staleTlbEntries() over an already-taken validEntries(d). */
-    std::uint64_t countStale(iommu::DomainId d,
-                             const std::vector<iommu::TlbEntry> &tlb) const;
-
     iommu::Iommu &mmu_;
     /** Per-domain: iova page -> pages mapped there (1 or 512).  Only
      *  point lookups and clear() touch it, never an ordered walk, so
-     *  a hash map serves. */
-    std::vector<std::unordered_map<iommu::Iova, unsigned>> ledger_;
+     *  a flat hash map serves without a heap node per mapping. */
+    std::vector<sim::FlatMap<unsigned>> ledger_;
     /** Per-domain running sum of ledger_[d]'s values, kept by onEvent. */
     std::vector<std::uint64_t> ledgerPages_;
     std::uint64_t mapEvents_ = 0;

@@ -5,6 +5,10 @@
 
 #include "iommu/sva.hh"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "iommu/iommu.hh"
 #include "sim/tracer.hh"
 
@@ -23,22 +27,46 @@ SvaDomain::SvaDomain(sim::Context &ctx, Iommu &mmu,
 
 SvaDomain::~SvaDomain()
 {
-    for (const auto &[va, r] : resident_)
-        alloc_.freePages(r.pfn, 0);
+    // Free in VA order, as an ordered map did: never in hash order.
+    std::vector<std::pair<Iova, mem::Pfn>> frames;
+    for (Iova va = lruOldest_; va != kNoPage; va = resident_.find(va)->newer)
+        frames.emplace_back(va, resident_.find(va)->pfn);
+    std::sort(frames.begin(), frames.end());
+    for (const auto &[va, pfn] : frames)
+        alloc_.freePages(pfn, 0);
 }
 
 bool
 SvaDomain::resident(Iova va) const
 {
-    return resident_.count(va & ~Iova(mem::kPageSize - 1)) != 0;
+    return resident_.find(va & ~Iova(mem::kPageSize - 1)) != nullptr;
 }
 
 mem::Pa
 SvaDomain::paOf(Iova va) const
 {
-    const Iova page = va & ~Iova(mem::kPageSize - 1);
-    const auto it = resident_.find(page);
-    return it == resident_.end() ? 0 : mem::pfnToPa(it->second.pfn);
+    const Resident *r = resident_.find(va & ~Iova(mem::kPageSize - 1));
+    return r == nullptr ? 0 : mem::pfnToPa(r->pfn);
+}
+
+void
+SvaDomain::lruUnlink(const Resident &r)
+{
+    (r.older == kNoPage ? lruOldest_ : resident_.find(r.older)->newer) =
+        r.newer;
+    (r.newer == kNoPage ? lruNewest_ : resident_.find(r.newer)->older) =
+        r.older;
+}
+
+void
+SvaDomain::lruAppend(Iova page)
+{
+    Resident &r = *resident_.find(page);
+    r.older = lruNewest_;
+    r.newer = kNoPage;
+    (lruNewest_ == kNoPage ? lruOldest_ : resident_.find(lruNewest_)->newer) =
+        page;
+    lruNewest_ = page;
 }
 
 bool
@@ -47,14 +75,15 @@ SvaDomain::handleFault(sim::CpuCursor &cpu, Iova va, bool is_write,
 {
     (void)is_write; // pages are installed RW; rights don't split here
     const Iova page = va & ~Iova(mem::kPageSize - 1);
-    if (const auto it = resident_.find(page); it != resident_.end()) {
+    if (Resident *r = resident_.find(page)) {
         // Spurious fault: another request already brought it in.
-        lru_.splice(lru_.end(), lru_, it->second.lru);
+        lruUnlink(*r);
+        lruAppend(page);
         ctx_.stats.add(spuriousFaultsCtr_);
         return true;
     }
     if (residentLimit_ != 0 && resident_.size() >= residentLimit_)
-        evict(cpu, lru_.front(), ats); // the least recently used page
+        evict(cpu, lruOldest_, ats); // the least recently used page
     if (ctx_.faults.shouldFail(sim::FaultSite::PageAlloc)) {
         ctx_.stats.add(faultAllocFailsCtr_);
         ++failedFaults_;
@@ -69,7 +98,8 @@ SvaDomain::handleFault(sim::CpuCursor &cpu, Iova va, bool is_write,
     }
     cpu.charge(ctx_.cost.pageAllocNs + ctx_.cost.ptePerPageNs);
     mmu_.mapPage(domain_, page, mem::pfnToPa(pfn), PermRW);
-    resident_.emplace(page, Resident{pfn, lru_.insert(lru_.end(), page)});
+    resident_[page].pfn = pfn;
+    lruAppend(page);
     ++faultsServiced_;
     ctx_.stats.add(faultsServicedCtr_);
     return true;
@@ -94,19 +124,18 @@ bool
 SvaDomain::evict(sim::CpuCursor &cpu, Iova va, AtsAgent *ats)
 {
     const Iova page = va & ~Iova(mem::kPageSize - 1);
-    const auto it = resident_.find(page);
-    if (it == resident_.end())
+    const Resident *r = resident_.find(page);
+    if (r == nullptr)
         return false;
-    const mem::Pfn pfn = it->second.pfn;
     mmu_.unmapPage(domain_, page);
     cpu.waitUntil(mmu_.backend().syncInvalidate(
         *cpu.core, cpu.time, domain_, page, mem::kPageSize));
     if (ats != nullptr)
         cpu.waitUntil(mmu_.backend().atsInvalidate(
             *cpu.core, cpu.time, *ats, domain_, page, mem::kPageSize));
-    alloc_.freePages(pfn, 0);
-    lru_.erase(it->second.lru);
-    resident_.erase(it);
+    alloc_.freePages(r->pfn, 0);
+    lruUnlink(*r);
+    resident_.erase(page);
     ++evictions_;
     ctx_.stats.add(evictionsCtr_);
     return true;

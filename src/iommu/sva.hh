@@ -18,14 +18,13 @@
 #define DAMN_IOMMU_SVA_HH
 
 #include <cstdint>
-#include <list>
-#include <map>
 
 #include "iommu/ats.hh"
 #include "iommu/backend.hh"
 #include "mem/page_alloc.hh"
 #include "sim/context.hh"
 #include "sim/cpu_cursor.hh"
+#include "sim/flat_map.hh"
 
 namespace damn::iommu {
 
@@ -85,11 +84,17 @@ class SvaDomain
     std::uint64_t evictions() const { return evictions_; }
 
   private:
+    /** A resident frame; the LRU list is threaded through the map by
+     *  the VAs of each page's neighbours (kNoPage ends it). */
     struct Resident
     {
         mem::Pfn pfn;
-        std::list<Iova>::iterator lru; //!< this page's place in lru_
+        Iova older, newer;
     };
+    static constexpr Iova kNoPage = ~Iova{0};
+
+    void lruUnlink(const Resident &r);
+    void lruAppend(Iova page); //!< resident @p page becomes the newest
 
     sim::Context &ctx_;
     Iommu &mmu_;
@@ -100,9 +105,8 @@ class SvaDomain
     sim::Stats::Counter faultAllocFailsCtr_;
     sim::Stats::Counter faultsServicedCtr_;
     sim::Stats::Counter evictionsCtr_;
-    /** Ordered so the destructor frees frames in VA order. */
-    std::map<Iova, Resident> resident_;
-    std::list<Iova> lru_; //!< resident pages, least recently used first
+    sim::FlatMap<Resident> resident_; //!< keyed by page VA
+    Iova lruOldest_ = kNoPage, lruNewest_ = kNoPage; //!< oldest = victim
     std::uint64_t faultsServiced_ = 0;
     std::uint64_t failedFaults_ = 0;
     std::uint64_t evictions_ = 0;

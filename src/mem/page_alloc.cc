@@ -5,7 +5,10 @@
 
 #include "mem/page_alloc.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 namespace damn::mem {
 
@@ -14,50 +17,97 @@ namespace {
 /** Marks a free buddy block: head page carries order + this flag. */
 constexpr std::uint32_t kBuddyFree = 1u << 31;
 
+constexpr std::size_t kWordBits = 64;
+
+constexpr std::size_t
+wordsFor(std::uint64_t bits)
+{
+    return std::size_t((bits + kWordBits - 1) / kWordBits);
+}
+
+/** Frames per zone, refusing a zone the buddy rules cannot serve. */
+Pfn
+zoneFrames(const PhysicalMemory &pm, unsigned zones)
+{
+    const Pfn per_zone = zones == 0 ? 0 : pm.numFrames() / zones;
+    if (per_zone == 0 || per_zone % (1ull << PageAllocator::kMaxOrder))
+        throw std::invalid_argument(
+            "PageAllocator: zones must be whole max-order blocks");
+    return per_zone;
+}
+
+/** Words of one zone's free bitmaps, every order's words and summary. */
+std::size_t
+zoneBitmapWords(Pfn per_zone)
+{
+    std::size_t n = 0;
+    for (unsigned o = 0; o <= PageAllocator::kMaxOrder; ++o)
+        n += wordsFor(per_zone >> o) + wordsFor(wordsFor(per_zone >> o));
+    return n;
+}
+
 } // namespace
 
-PageAllocator::PageAllocator(PhysicalMemory &pm, unsigned zones)
-    : pm_(pm)
+bool
+PageAllocator::FreeList::mark(std::uint64_t i, bool free)
 {
-    assert(zones >= 1);
-    const Pfn per_zone = pm.numFrames() / zones;
-    assert(per_zone >= (1ull << kMaxOrder));
+    const std::size_t w = i / kWordBits, sw = w / kWordBits;
+    const std::uint64_t bit = 1ull << (i % kWordBits);
+    if (bool(words[w] & bit) == free)
+        return false;
+    words[w] ^= bit;
+    const std::uint64_t sbit = 1ull << (w % kWordBits);
+    summary[sw] = words[w] != 0 ? summary[sw] | sbit : summary[sw] & ~sbit;
+    count = free ? count + 1 : count - 1;
+    first = std::min(first, sw);
+    return true;
+}
+
+std::uint64_t
+PageAllocator::FreeList::popLowest()
+{
+    assert(count != 0);
+    while (summary[first] == 0)
+        ++first;
+    const std::size_t w = first * kWordBits + std::countr_zero(summary[first]);
+    const std::uint64_t i = w * kWordBits + std::countr_zero(words[w]);
+    mark(i, false);
+    return i;
+}
+
+PageAllocator::PageAllocator(PhysicalMemory &pm, unsigned zones)
+    : pm_(pm),
+      bitmaps_(zones * zoneBitmapWords(zoneFrames(pm, zones)))
+{
+    const Pfn per_zone = zoneFrames(pm, zones);
     zones_.resize(zones);
+    std::uint64_t *bits = &bitmaps_[0];
     for (unsigned zi = 0; zi < zones; ++zi) {
         Zone &z = zones_[zi];
         z.base = per_zone * zi;
         z.frames = per_zone;
-        z.free.resize(kMaxOrder + 1);
+        for (unsigned o = 0; o <= kMaxOrder; ++o) {
+            z.free[o].words = bits;
+            z.free[o].summary = bits += wordsFor(per_zone >> o);
+            bits += wordsFor(wordsFor(per_zone >> o));
+        }
         // Frame 0 stays reserved so Pa 0 can serve as null; the whole
         // first max-order block of zone 0 is reserved with it.  Every
         // other full max-order block starts above the mark, free but
         // never written (see Zone).
-        z.untouched = z.base;
-        if (zi == 0) {
+        if (zi == 0)
             for (Pfn p = 0; p < (1ull << kMaxOrder); ++p)
                 pm_.page(p).set(PG_reserved);
-            z.untouched += 1ull << kMaxOrder;
-        }
-        const Pfn blocks = (z.base + z.frames - z.untouched) >> kMaxOrder;
-        z.freeFrames = blocks << kMaxOrder;
+        z.untouched = z.base + (zi == 0 ? 1ull << kMaxOrder : 0);
+        z.freeFrames = z.base + z.frames - z.untouched;
     }
 }
 
 sim::NumaId
 PageAllocator::nodeOf(Pfn pfn) const
 {
-    for (unsigned zi = 0; zi < zones_.size(); ++zi) {
-        const Zone &z = zones_[zi];
-        if (pfn >= z.base && pfn < z.base + z.frames)
-            return sim::NumaId(zi);
-    }
-    return 0;
-}
-
-PageAllocator::Zone &
-PageAllocator::zoneOf(Pfn pfn)
-{
-    return zones_[nodeOf(pfn)];
+    const Pfn zi = pfn / zones_[0].frames; // zones are equal and tile
+    return zi < zones_.size() ? sim::NumaId(zi) : 0;
 }
 
 Pfn
@@ -67,20 +117,16 @@ PageAllocator::allocFromZone(Zone &z, unsigned order, bool zero)
     unsigned o = order;
     while (o <= kMaxOrder && z.free[o].empty())
         ++o;
-    Pfn pfn;
-    if (o <= kMaxOrder) {
-        pfn = *z.free[o].begin();
-        z.free[o].erase(z.free[o].begin());
-        pm_.page(pfn).flags &= ~kBuddyFree;
-    } else {
-        // Every free list is empty, so the block at the mark is the
-        // lowest free max-order block: carve it.
-        if (z.untouched + (1ull << kMaxOrder) > z.base + z.frames)
+    if (o > kMaxOrder) {
+        // Every list is empty: carve the never-used block at the mark.
+        if (z.untouched == z.base + z.frames)
             return kInvalidPfn;
-        pfn = z.untouched;
-        z.untouched += 1ull << kMaxOrder;
         o = kMaxOrder;
+        z.free[o].mark((z.untouched - z.base) >> o, true);
+        z.untouched += 1ull << o;
     }
+    const Pfn pfn = z.base + (z.free[o].popLowest() << o);
+    pm_.page(pfn).flags &= ~kBuddyFree;
 
     // Split down to the requested order, returning the upper halves
     // to the free lists.
@@ -90,7 +136,7 @@ PageAllocator::allocFromZone(Zone &z, unsigned order, bool zero)
         Page &bpg = pm_.page(buddy);
         bpg.order = std::uint8_t(o);
         bpg.flags |= kBuddyFree;
-        z.free[o].insert(buddy);
+        z.free[o].mark((buddy - z.base) >> o, true);
     }
 
     Page &pg = pm_.page(pfn);
@@ -124,15 +170,13 @@ PageAllocator::allocPages(unsigned order, sim::NumaId node, bool zero)
 void
 PageAllocator::freeToZone(Zone &z, Pfn pfn, unsigned order)
 {
-    // Coalesce with free buddies as far as possible.
+    // Coalesce with free buddies as far as possible.  Zones are whole
+    // max-order blocks, so a buddy below max order is in the zone.
     while (order < kMaxOrder) {
         const Pfn buddy = pfn ^ (1ull << order);
-        if (buddy < z.base || buddy + (1ull << order) > z.base + z.frames)
+        if (!z.free[order].mark((buddy - z.base) >> order, false))
             break;
         Page &bpg = pm_.page(buddy);
-        if (!(bpg.flags & kBuddyFree) || bpg.order != order)
-            break;
-        z.free[order].erase(buddy);
         bpg.flags &= ~kBuddyFree;
         pfn = pfn < buddy ? pfn : buddy;
         ++order;
@@ -140,7 +184,7 @@ PageAllocator::freeToZone(Zone &z, Pfn pfn, unsigned order)
     Page &pg = pm_.page(pfn);
     pg.order = std::uint8_t(order);
     pg.flags |= kBuddyFree;
-    z.free[order].insert(pfn);
+    z.free[order].mark((pfn - z.base) >> order, true);
 }
 
 void
@@ -160,7 +204,7 @@ PageAllocator::freePages(Pfn pfn, unsigned order)
         tp.slabClass = 0;
     }
 
-    Zone &z = zoneOf(pfn);
+    Zone &z = zones_[nodeOf(pfn)];
     const Pfn frames = 1ull << order;
     z.freeFrames += frames;
     assert(allocatedFrames_ >= frames);

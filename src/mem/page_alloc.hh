@@ -12,8 +12,8 @@
 #ifndef DAMN_MEM_PAGE_ALLOC_HH
 #define DAMN_MEM_PAGE_ALLOC_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "mem/phys.hh"
@@ -35,6 +35,8 @@ class PageAllocator
      *               Pa 0 can serve as a null pointer.
      * @param zones  number of NUMA zones; the frame space is split
      *               equally among them.
+     * @throws std::invalid_argument unless a zone is a whole, non-zero
+     *         number of max-order blocks (so buddies share a zone).
      */
     PageAllocator(PhysicalMemory &pm, unsigned zones = 2);
 
@@ -69,30 +71,41 @@ class PageAllocator
 
   private:
     /**
-     * One NUMA zone.  Max-order blocks at or above the high-water mark
-     * `untouched` are free and have never been handed out: they are in
-     * no free list and their Page structs are still all-zero, so a
-     * zone costs nothing to build.  Invariant: every entry of
-     * free[kMaxOrder] lies below `untouched`, so the lowest free
-     * max-order block is free[kMaxOrder].begin() when that list is
-     * non-empty and the block at the mark otherwise.
+     * The free blocks of one (zone, order) in bitmaps_: bit i of
+     * `words` is block i (pfn = zone base + (i << order)), bit w of
+     * `summary` says words[w] is non-zero.
      */
+    struct FreeList
+    {
+        std::uint64_t *words = nullptr;
+        std::uint64_t *summary = nullptr;
+        std::uint64_t count = 0; //!< set bits
+        std::size_t first = 0;   //!< no summary word below it is set
+
+        bool empty() const { return count == 0; }
+        /** Test-and-set (@p free) or test-and-clear block @p i, so a
+         *  double free cannot make `count` drift; false if unchanged. */
+        bool mark(std::uint64_t i, bool free);
+        std::uint64_t popLowest(); //!< take the lowest free block
+    };
+
+    /** One NUMA zone.  Max-order blocks from `untouched` up are free,
+     *  in no list and never written, so a zone costs nothing to build;
+     *  every block on free[kMaxOrder] lies below the mark. */
     struct Zone
     {
         Pfn base;
         Pfn frames;
-        // Free blocks per order; ordered sets make splits/merges
-        // deterministic and allow O(log n) removal of a specific buddy.
-        std::vector<std::set<Pfn>> free;
+        FreeList free[kMaxOrder + 1]; //!< lowest block first, per order
         std::uint64_t freeFrames = 0;
         Pfn untouched = 0; //!< first never-allocated max-order block
     };
 
     Pfn allocFromZone(Zone &z, unsigned order, bool zero);
     void freeToZone(Zone &z, Pfn pfn, unsigned order);
-    Zone &zoneOf(Pfn pfn);
 
     PhysicalMemory &pm_;
+    ZeroFilledArray<std::uint64_t> bitmaps_; //!< every FreeList's bits
     std::vector<Zone> zones_;
     std::uint64_t allocatedFrames_ = 0;
     std::uint64_t allocCalls_ = 0;

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+
 #include "dma/device.hh"
 #include "dma/faultable.hh"
 #include "iommu/ats.hh"
@@ -18,6 +21,7 @@
 #include "iommu/iommu.hh"
 #include "iommu/sva.hh"
 #include "sim/fault_injector.hh"
+#include "sim/rng.hh"
 #include "workloads/rdma.hh"
 
 using namespace damn;
@@ -313,6 +317,76 @@ TEST_P(AtsConformance, SvaSpuriousFaultRefreshesLru)
     EXPECT_TRUE(sva.resident(p0));
     EXPECT_TRUE(sva.resident(p2));
     EXPECT_EQ(ctx.stats.get("sva.spurious_faults"), 1u);
+}
+
+// The resident set and its LRU against an ordered-map + list model:
+// random new, spurious and evicting faults plus explicit evictions.
+// A reference allocator mirrors every frame the domain takes and
+// returns, so each fault's frame, each victim and every paOf() answer
+// are checked.  Teardown must give back exactly the resident frames:
+// the frames drawn next match a reference that freed them in VA order.
+TEST_P(AtsConformance, SvaResidentSetMatchesOrderedReference)
+{
+    constexpr unsigned kLimit = 24, kPages = 64;
+    const Iova base = 0x7f0000000000ull;
+    mem::PhysicalMemory ref_pm(64ull << 20);
+    mem::PageAllocator ref_alloc(ref_pm, 1);
+    std::map<Iova, mem::Pfn> ref;
+    std::list<Iova> lru; // least recently used first
+    sim::Rng rng(0x5fa);
+    sim::CpuCursor cpu(core(), 0);
+    {
+        SvaDomain sva(ctx, mmu, alloc, kLimit);
+        AtsAgent ats(ctx, mmu, sva.domain());
+        std::uint64_t evictions = 0;
+        for (unsigned step = 0; step < 4000; ++step) {
+            const Iova page = base + rng.below(kPages) * mem::kPageSize;
+            const Iova va = page + rng.below(mem::kPageSize);
+            if (rng.chance(0.1)) {
+                // Reclaim a page from anywhere in the LRU order.
+                const bool was = ref.count(page) != 0;
+                ASSERT_EQ(sva.evict(cpu, va, &ats), was) << "step " << step;
+                if (was) {
+                    ref_alloc.freePages(ref[page], 0);
+                    ref.erase(page);
+                    lru.remove(page);
+                    ++evictions;
+                }
+            } else if (ref.count(page) != 0) {
+                ASSERT_TRUE(sva.handleFault(cpu, va, true, &ats));
+                lru.remove(page);
+                lru.push_back(page);
+            } else {
+                if (ref.size() >= kLimit) {
+                    const Iova victim = lru.front();
+                    lru.pop_front();
+                    ref_alloc.freePages(ref[victim], 0);
+                    ref.erase(victim);
+                    ++evictions;
+                }
+                ASSERT_TRUE(sva.handleFault(cpu, va, true, &ats));
+                ref[page] = ref_alloc.allocPages(0, 0);
+                lru.push_back(page);
+            }
+            ASSERT_EQ(sva.evictions(), evictions) << "step " << step;
+            ASSERT_EQ(sva.residentPages(), ref.size()) << "step " << step;
+            for (unsigned i = 0; i < kPages; ++i) {
+                const Iova p = base + i * mem::kPageSize;
+                const auto it = ref.find(p);
+                ASSERT_EQ(sva.paOf(p + 5),
+                          it == ref.end() ? 0 : mem::pfnToPa(it->second))
+                    << "step " << step << " page " << i;
+            }
+        }
+        EXPECT_GT(evictions, 500u);
+        EXPECT_GT(ctx.stats.get("sva.spurious_faults"), 500u);
+    }
+    for (const auto &[page, pfn] : ref)
+        ref_alloc.freePages(pfn, 0);
+    EXPECT_EQ(alloc.freeFrames(), ref_alloc.freeFrames());
+    for (unsigned i = 0; i < 2 * kLimit; ++i)
+        ASSERT_EQ(alloc.allocPages(0), ref_alloc.allocPages(0))
+            << "draw " << i;
 }
 
 TEST_P(AtsConformance, FaultableDmaFaultsInAndCompletes)

@@ -401,14 +401,14 @@ TEST_F(IommuLifecycle, AuditorFlagsStaleTlbEntries)
     const iommu::DomainId d = mmu.createDomain();
     ASSERT_TRUE(mmu.mapPage(d, 0x1000, 0x5000, iommu::PermRW));
     ASSERT_TRUE(mmu.translate(d, 0x1000, false).ok);
-    EXPECT_EQ(auditor.staleTlbEntries(d), 0u);
+    EXPECT_EQ(auditor.verifyTeardown(d, 0, 0).staleTlbEntries, 0u);
 
     // PTE gone, entry cached: one stale translation.
     ASSERT_TRUE(mmu.unmapPage(d, 0x1000));
-    EXPECT_EQ(auditor.staleTlbEntries(d), 1u);
+    EXPECT_EQ(auditor.verifyTeardown(d, 0, 0).staleTlbEntries, 1u);
 
     mmu.iotlb().invalidateRange(d, 0x1000, 4096);
-    EXPECT_EQ(auditor.staleTlbEntries(d), 0u);
+    EXPECT_EQ(auditor.verifyTeardown(d, 0, 0).staleTlbEntries, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "mem/kmalloc.hh"
@@ -463,6 +464,22 @@ TEST(PageAllocator, LazySeedingMatchesEagerReference)
     }
     EXPECT_EQ(pa.freeFrames(), 0u);
     EXPECT_GT(fallbacks, 0u);
+}
+
+// The buddy of any block below max order must lie in its zone, so a
+// zone must be a whole, non-zero number of max-order (4 MiB) blocks.
+TEST(PageAllocator, RefusesZonesThatAreNotWholeMaxOrderBlocks)
+{
+    constexpr std::uint64_t kBlock = kPageSize << PageAllocator::kMaxOrder;
+    PhysicalMemory odd(kBlock + kPageSize), small(kBlock / 2),
+        even(8 * kBlock);
+    EXPECT_THROW(PageAllocator(odd, 1), std::invalid_argument);
+    EXPECT_THROW(PageAllocator(small, 1), std::invalid_argument);
+    EXPECT_THROW(PageAllocator(even, 0), std::invalid_argument);
+    EXPECT_THROW(PageAllocator(even, 3), std::invalid_argument);
+    EXPECT_THROW(PageAllocator(even, 16), std::invalid_argument);
+    PageAllocator pa(even, 4);
+    EXPECT_EQ(pa.freeFrames(), 7u << PageAllocator::kMaxOrder);
 }
 
 TEST_F(MemFixture, AllocatedFramesAccounting)

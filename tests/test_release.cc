@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "dma/schemes.hh"
@@ -35,6 +37,38 @@ TEST(Release, IovaExhaustionFailsSoft)
         EXPECT_NE(a.alloc(1), iommu::kInvalidIova);
     EXPECT_EQ(a.alloc(1), iommu::kInvalidIova);
     EXPECT_EQ(a.failures(), 1u);
+}
+
+TEST(Release, MisalignedZoneRefused)
+{
+    // Not asserts: the refusal holds with NDEBUG too.
+    mem::PhysicalMemory pm(8 * kMiB + mem::kPageSize);
+    EXPECT_THROW(mem::PageAllocator(pm, 1), std::invalid_argument);
+    EXPECT_THROW(mem::PageAllocator(pm, 0), std::invalid_argument);
+}
+
+TEST(Release, BuddyDoubleFreeLeavesFreeListsBounded)
+{
+    // With the double-free assert compiled out, freeing a block that
+    // is already on its free list must not corrupt the list: the
+    // allocator goes on handing out distinct frames until it is dry.
+    mem::PhysicalMemory pm(8 * kMiB);
+    mem::PageAllocator pa(pm, 1);
+    const mem::Pfn a = pa.allocPages(0, 0);
+    const mem::Pfn b = pa.allocPages(0, 0);
+    ASSERT_EQ(b, a + 1); // buddies, so freeing a cannot coalesce
+    pa.freePages(a, 0);
+    pa.freePages(a, 0);
+    EXPECT_EQ(pa.allocPages(0, 0), a);
+    EXPECT_EQ(pa.allocPages(0, 0), a + 2);
+    std::set<mem::Pfn> seen{a, b, a + 2};
+    for (;;) {
+        const mem::Pfn pfn = pa.allocPages(0, 0);
+        if (pfn == mem::kInvalidPfn)
+            break;
+        ASSERT_TRUE(seen.insert(pfn).second) << "pfn " << pfn;
+    }
+    EXPECT_EQ(seen.size(), 1u << mem::PageAllocator::kMaxOrder);
 }
 
 TEST(Release, KmallocExhaustionReturnsZero)

@@ -12,11 +12,13 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sim/context.hh"
 #include "sim/cpu_cursor.hh"
+#include "sim/flat_map.hh"
 #include "sim/rng.hh"
 #include "sim/sim_mutex.hh"
 
@@ -798,4 +800,125 @@ TEST(Stats, AddSetMaxGet)
     EXPECT_EQ(s.get("task.runs"), 4u);
     EXPECT_EQ(scoped.counter("runs").index, t.index);
     EXPECT_EQ(s.snapshot().count("task.runs"), 1u);
+}
+
+namespace {
+
+/** Keys whose FlatMap home slot is @p slot while the table holds 16
+ *  slots: the map's multiplicative hash, top four bits. */
+std::vector<std::uint64_t>
+keysHomedAt(unsigned slot, unsigned n, std::uint64_t from)
+{
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = from; keys.size() < n; ++k)
+        if (((k * 0x9e3779b97f4a7c15ull) >> 60) == slot)
+            keys.push_back(k);
+    return keys;
+}
+
+/** @p m holds exactly the entries of @p ref. */
+void
+expectSameContents(const FlatMap<std::uint32_t> &m,
+                   const std::unordered_map<std::uint64_t, std::uint32_t> &ref)
+{
+    // Equal sizes plus every reference entry found make the maps equal.
+    ASSERT_EQ(m.size(), ref.size());
+    for (const auto &[k, v] : ref) {
+        const std::uint32_t *got = m.find(k);
+        ASSERT_NE(got, nullptr) << "lost key " << k;
+        EXPECT_EQ(*got, v) << "key " << k;
+    }
+}
+
+} // namespace
+
+// A run that starts in the last slots of a 16-slot table wraps to the
+// first ones; erasing inside it must keep every later key reachable.
+TEST(FlatMap, EraseInsideAWrappingRunKeepsTheRestReachable)
+{
+    FlatMap<std::uint32_t> m;
+    std::unordered_map<std::uint64_t, std::uint32_t> ref;
+    // Slots 14, 15, 0, 1, 2, 3, 4: three keys homed at 14, two at 15,
+    // two at 0 — seven entries, under the 50% load bound of 16 slots.
+    std::vector<std::uint64_t> run;
+    for (const auto &[slot, n] : {std::pair{14u, 3u}, {15u, 2u}, {0u, 2u}})
+        for (std::uint64_t k : keysHomedAt(slot, n, 1))
+            run.push_back(k);
+    for (std::uint32_t i = 0; i < run.size(); ++i)
+        ref[run[i]] = m[run[i]] = 100 + i;
+    expectSameContents(m, ref);
+
+    // The middle of the run, then the entry just before the wrap
+    // point, then the first entry of the run.
+    for (const std::size_t i : {std::size_t{3}, std::size_t{1},
+                                std::size_t{0}}) {
+        EXPECT_TRUE(m.erase(run[i]));
+        EXPECT_FALSE(m.erase(run[i]));
+        ref.erase(run[i]);
+        expectSameContents(m, ref);
+    }
+    // Re-insert into the holes the shifts left.
+    for (const std::size_t i : {std::size_t{0}, std::size_t{3}}) {
+        m[run[i]] = 7;
+        ref[run[i]] = 7;
+        expectSameContents(m, ref);
+    }
+    // Growth while populated: the ninth entry doubles the table and
+    // rehashes every key, colliding ones included.
+    for (std::uint64_t k : keysHomedAt(15, 6, run.back() + 1)) {
+        m[k] = std::uint32_t(k);
+        ref[k] = std::uint32_t(k);
+        expectSameContents(m, ref);
+    }
+    m.clear();
+    ref.clear();
+    expectSameContents(m, ref);
+    EXPECT_EQ(m.find(run[2]), nullptr);
+}
+
+// ~100k random operations against std::unordered_map: small key pools
+// make hits, re-inserts and long runs common; the map grows from empty
+// and is cleared now and then.
+TEST(FlatMap, MatchesUnorderedMapOnRandomOperations)
+{
+    FlatMap<std::uint32_t> m;
+    std::unordered_map<std::uint64_t, std::uint32_t> ref;
+    Rng rng(0xf1a7);
+    std::vector<std::uint64_t> pool;
+    for (unsigned i = 0; i < 600; ++i)
+        pool.push_back(i < 300 ? i * 4096 // page-aligned, like IOVAs
+                               : rng.next() >> 1);
+    pool.push_back(0);
+    pool.push_back(FlatMap<std::uint32_t>::kEmptyKey - 1);
+    for (unsigned op = 0; op < 100000; ++op) {
+        // Vary the live key range so the map both grows and drains.
+        const std::size_t span =
+            op % 20000 < 10000 ? pool.size() : pool.size() / 8;
+        const std::uint64_t k = pool[rng.below(span)];
+        const unsigned kind = unsigned(rng.below(1000));
+        if (kind < 450) {
+            const std::uint32_t v = std::uint32_t(rng.next());
+            m[k] = v;
+            ref[k] = v;
+        } else if (kind < 750) {
+            ASSERT_EQ(m.erase(k), ref.erase(k) == 1) << "op " << op;
+        } else if (kind < 999) {
+            const std::uint32_t *got = m.find(k);
+            const auto it = ref.find(k);
+            ASSERT_EQ(got != nullptr, it != ref.end()) << "op " << op;
+            if (got != nullptr) {
+                ASSERT_EQ(*got, it->second) << "op " << op;
+            }
+        } else {
+            m.clear();
+            ref.clear();
+        }
+        ASSERT_EQ(m.size(), ref.size()) << "op " << op;
+        if (op % 5000 == 0) {
+            expectSameContents(m, ref);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    expectSameContents(m, ref);
 }
