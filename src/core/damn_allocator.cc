@@ -133,14 +133,6 @@ DamnAllocator::rightsOf(mem::Pa addr) const
     return cacheOf(addr).rights();
 }
 
-iommu::DomainId
-DamnAllocator::domainOf(mem::Pa addr) const
-{
-    [[maybe_unused]] const mem::Pfn head = headOf(addr);
-    assert(head != mem::kInvalidPfn);
-    return cacheOf(addr).domain();
-}
-
 void
 DamnAllocator::damnFree(sim::CpuCursor &cpu, mem::Pa addr, AllocCtx actx)
 {

@@ -80,9 +80,6 @@ class DamnAllocator
      *  the TOCTTOU guard). */
     Rights rightsOf(mem::Pa addr) const;
 
-    /** Device (domain) allowed to access @p addr. */
-    iommu::DomainId domainOf(mem::Pa addr) const;
-
     // ---- Memory pressure / accounting -------------------------------
 
     /**

@@ -13,6 +13,7 @@
 #include "core/audit.hh"
 #include "dma/device.hh"
 #include "dma/faultable.hh"
+#include "fuzz/interval_set.hh"
 #include "fuzz/rng.hh"
 #include "iommu/ats.hh"
 #include "iommu/backend_smmu.hh"
@@ -32,91 +33,6 @@ constexpr std::size_t kMaxLive = 400;
 
 /** Watchdog budget: engine dispatches allowed without op progress. */
 constexpr std::uint64_t kWatchdogBudget = 200000;
-
-/**
- * Ordered set of disjoint [lo, hi) byte ranges with coalescing insert,
- * splitting erase, and O(log n) overlap query — the representation for
- * the per-domain pending / must-not-translate IOVA range tracking.
- * growth() counts the inserts, so an oracle can tell whether the set
- * may have gained coverage since it last looked.
- */
-class IntervalSet
-{
-  public:
-    void
-    insert(std::uint64_t lo, std::uint64_t hi)
-    {
-        if (lo >= hi)
-            return;
-        ++growth_;
-        auto it = m_.lower_bound(lo);
-        if (it != m_.begin()) {
-            auto prev = std::prev(it);
-            if (prev->second >= lo)
-                it = prev;
-        }
-        while (it != m_.end() && it->first <= hi) {
-            lo = std::min(lo, it->first);
-            hi = std::max(hi, it->second);
-            it = m_.erase(it);
-        }
-        m_[lo] = hi;
-    }
-
-    void
-    erase(std::uint64_t lo, std::uint64_t hi)
-    {
-        if (lo >= hi)
-            return;
-        auto it = m_.lower_bound(lo);
-        if (it != m_.begin()) {
-            auto prev = std::prev(it);
-            if (prev->second > lo)
-                it = prev;
-        }
-        while (it != m_.end() && it->first < hi) {
-            const std::uint64_t l = it->first;
-            const std::uint64_t h = it->second;
-            it = m_.erase(it);
-            if (l < lo)
-                m_[l] = lo;
-            if (h > hi) {
-                m_[hi] = h;
-                break;
-            }
-        }
-    }
-
-    bool
-    overlaps(std::uint64_t lo, std::uint64_t hi) const
-    {
-        auto it = m_.lower_bound(lo);
-        if (it != m_.end() && it->first < hi)
-            return true;
-        if (it != m_.begin() && std::prev(it)->second > lo)
-            return true;
-        return false;
-    }
-
-    /** Move every range of @p o into this set (promotion). */
-    void
-    absorb(IntervalSet &o)
-    {
-        for (const auto &[l, h] : o.m_)
-            insert(l, h);
-        o.m_.clear();
-    }
-
-    bool empty() const { return m_.empty(); }
-    void clear() { m_.clear(); }
-
-    /** Monotone count of inserts (erase/clear never move it). */
-    std::uint64_t growth() const { return growth_; }
-
-  private:
-    std::map<std::uint64_t, std::uint64_t> m_;
-    std::uint64_t growth_ = 0;
-};
 
 /**
  * The change stamps of one cache's last clean stale scan for one
@@ -326,6 +242,15 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
     sim::TimeNs t = 0;
     std::vector<Mapping> live;
+    // The live mappings' [iova, end) ranges sorted by iova.  No map
+    // has clashed yet (a clash ends the run), so they are disjoint
+    // and their ends ascend too.
+    std::vector<std::pair<iommu::Iova, iommu::Iova>> liveByIova;
+    const auto forgetIova = [&liveByIova](const Mapping &m) {
+        liveByIova.erase(std::lower_bound(
+            liveByIova.begin(), liveByIova.end(),
+            std::pair<iommu::Iova, iommu::Iova>{m.iova, 0}));
+    };
     IntervalSet pending[2]; //!< unmapped, invalidation not yet certain
     IntervalSet mustNot[2]; //!< unmapped AND certainly invalidated
     // Same two-phase tracking for the per-device ATCs.  IOTLB flushes
@@ -483,6 +408,15 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                      std::to_string(eng.stallsDetected()) + " stalls");
     };
 
+    // Per-op scratch, cleared where each op starts using it.
+    // Ranges unmapped this op, awaiting classification.
+    std::vector<std::pair<unsigned, std::pair<std::uint64_t,
+                                              std::uint64_t>>>
+        unmappedNow;
+    std::vector<std::size_t> idxs;  //!< BatchUnmap's picked live slots
+    std::vector<Mapping> picked;
+    std::vector<dma::DmaApi::UnmapReq> reqs;
+
     for (std::size_t i = 0; i < seq.size() && !res.violated; ++i) {
         const Op &op = seq[i];
         sim::CpuCursor cpu(ctx.machine.core(op.c % ncores), t);
@@ -492,10 +426,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
             ctx.stats.get(deferredFlushesCtr);
         bool promoteAll = false;   //!< global sync completed this op
         bool skipTracking = false; //!< op manages the sets itself
-        // Ranges unmapped this op, awaiting classification.
-        std::vector<std::pair<unsigned, std::pair<std::uint64_t,
-                                                  std::uint64_t>>>
-            unmappedNow;
+        unmappedNow.clear();
 
         const auto doUnmap = [&](const Mapping &m) {
             sys.dmaApi->unmap(cpu, *devs[m.dev], m.iova, m.len, m.dir);
@@ -530,15 +461,23 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                 ctx.stats.add(mapFailedCtr);
                 break;
             }
-            for (const Mapping &m : live) {
-                if (iova < m.iova + m.len && m.iova < iova + len) {
-                    fail(i, "iova-overlap",
-                         "map at " + std::to_string(iova) + "+" +
-                             std::to_string(len) +
-                             " overlaps live mapping at " +
-                             std::to_string(m.iova) + "+" +
-                             std::to_string(m.len));
-                    break;
+            // The first live range ending past iova is the only one
+            // that can clash; on a clash the scan in live order names
+            // the mapping the report has always named.
+            const auto next = std::partition_point(
+                liveByIova.begin(), liveByIova.end(),
+                [iova](const auto &r) { return r.second <= iova; });
+            if (next != liveByIova.end() && next->first < iova + len) {
+                for (const Mapping &m : live) {
+                    if (iova < m.iova + m.len && m.iova < iova + len) {
+                        fail(i, "iova-overlap",
+                             "map at " + std::to_string(iova) + "+" +
+                                 std::to_string(len) +
+                                 " overlaps live mapping at " +
+                                 std::to_string(m.iova) + "+" +
+                                 std::to_string(m.len));
+                        break;
+                    }
                 }
             }
             if (trackStale) {
@@ -554,6 +493,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                 atsMustNot[devIdx].erase(lo, hi);
             }
             live.push_back({devIdx, iova, pfn, order, len, dir});
+            liveByIova.insert(next, {iova, iova + len});
           } break;
 
           case OpKind::Unmap: {
@@ -564,6 +504,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
             const std::size_t idx = liveAt(op.a);
             const Mapping m = live[idx];
             live.erase(live.begin() + std::ptrdiff_t(idx));
+            forgetIova(m);
             doUnmap(m);
           } break;
 
@@ -574,7 +515,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
             }
             const unsigned want = 1 + op.b % 4;
             const unsigned devIdx = live[liveAt(op.a)].dev;
-            std::vector<std::size_t> idxs;
+            idxs.clear();
             for (std::size_t k = 0;
                  k < live.size() && idxs.size() < want; ++k) {
                 const std::size_t idx =
@@ -583,16 +524,18 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                 if (live[idx].dev == devIdx)
                     idxs.push_back(idx);
             }
-            std::vector<Mapping> picked;
+            picked.clear();
             for (const std::size_t idx : idxs)
                 picked.push_back(live[idx]);
             std::sort(idxs.begin(), idxs.end(),
                       std::greater<std::size_t>());
             for (const std::size_t idx : idxs)
                 live.erase(live.begin() + std::ptrdiff_t(idx));
-            std::vector<dma::DmaApi::UnmapReq> reqs;
-            for (const Mapping &m : picked)
+            reqs.clear();
+            for (const Mapping &m : picked) {
+                forgetIova(m);
                 reqs.push_back({m.iova, m.len, m.dir});
+            }
             sys.dmaApi->unmapBatch(cpu, *devs[devIdx], reqs);
             for (const Mapping &m : picked) {
                 sys.pageAlloc.freePages(m.pfn, m.order);
@@ -665,6 +608,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::Teardown: {
             skipTracking = true;
+            liveByIova.clear();
             while (!live.empty()) {
                 const Mapping m = live.back();
                 live.pop_back();

@@ -25,12 +25,24 @@
 
 #include "iommu/iotlb.hh"
 #include "sim/context.hh"
+#include "sim/flat_map.hh"
 
 namespace damn::iommu {
 
 class Iommu;
 
-/** One device's ATS state: its ATC plus request/hit accounting. */
+/**
+ * One device's ATS state: its ATC plus request/hit accounting.
+ *
+ * The ATC is a fixed array of slots.  A fill takes the lowest invalid
+ * slot, else the least recently used valid one (a fill or a hit is a
+ * use).  One page can sit in several slots: after a re-map grants a
+ * right, a stale entry lacking it stays until it is invalidated or
+ * evicted, and each miss on it fills a fresh copy.  A lookup sees
+ * the lowest slot holding the page.  A page-tag index, a free-slot
+ * bitmap and an LRU list threaded through the slots spare lookup,
+ * victim choice and per-page invalidation a scan of the slots.
+ */
 class AtsAgent
 {
   public:
@@ -59,7 +71,9 @@ class AtsAgent
     // ---- Hardware-side ATC maintenance (called by the backends) ----
 
     /** Apply a device-TLB invalidation covering [iova, iova+len), by
-     *  rangeHitsPage() (the IOTLB's rule). */
+     *  rangeHitsPage() (the IOTLB's rule).  Probes the index once per
+     *  page the range hits when that is no more than the valid
+     *  entries; otherwise scans the slots. */
     void invalidateRange(Iova iova, std::uint64_t len);
 
     /** Apply a global device-TLB invalidation (the agent serves one
@@ -79,7 +93,8 @@ class AtsAgent
      */
     void debugDropInvalidations(unsigned n) { debugDropRemaining_ = n; }
 
-    /** Page-aligned IOVAs of all valid ATC entries (oracle probe). */
+    /** Page-aligned IOVAs of all valid ATC entries, in slot order
+     *  (oracle probe). */
     std::vector<Iova> validEntries() const;
 
     /** ATC entries written over the agent's lifetime (monotone, kept
@@ -101,29 +116,41 @@ class AtsAgent
     }
 
   private:
+    /** One ATC slot; the LRU list is threaded through the valid slots
+     *  by their neighbours' indices (kNoSlot ends it). */
     struct Entry
     {
         bool valid = false;
         Iova page = 0;
         mem::Pa paPage = 0;
         std::uint32_t perm = 0;
-        std::uint64_t lastUse = 0;
+        std::uint32_t older = 0, newer = 0;
     };
+    /** Index value of one cached page: its lowest valid slot, and how
+     *  many valid slots hold it. */
+    struct PageSlots
+    {
+        std::uint32_t lowest;
+        std::uint32_t count;
+    };
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-    Entry *find(Iova page);
     void insert(Iova page, mem::Pa paPage, std::uint32_t perm);
-    /** Invalidate every valid entry @p pred accepts; returns at once
-     *  on an empty ATC. */
-    template <class Pred> void dropIf(Pred pred);
+    void drop(std::uint32_t slot); //!< invalidate one valid slot
+    void dropAll();
+    void lruUnlink(const Entry &e);
+    void lruAppend(std::uint32_t slot); //!< @p slot becomes the newest
 
     sim::Context &ctx_;
     Iommu &mmu_;
     DomainId domain_;
     std::vector<Entry> atc_;
+    sim::FlatMap<PageSlots> index_;   //!< keyed by page tag
+    std::vector<std::uint64_t> free_; //!< bit set = slot invalid
+    std::uint32_t lruOldest_ = kNoSlot, lruNewest_ = kNoSlot;
     std::size_t live_ = 0; //!< valid entries in atc_
     sim::Stats::Counter hitsCtr_;
     sim::Stats::Counter missesCtr_;
-    std::uint64_t clock_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t invalidations_ = 0;

@@ -105,15 +105,6 @@ SmmuV3Backend::submitTlbiRange(sim::Core &core, sim::TimeNs now,
 }
 
 sim::TimeNs
-SmmuV3Backend::submitTlbiDomain(sim::Core &core, sim::TimeNs now,
-                                DomainId domain)
-{
-    const sim::TimeNs t = produce(core, now, 1);
-    pending_.push_back({PendingInval::Kind::Domain, domain, 0, 0});
-    return t;
-}
-
-sim::TimeNs
 SmmuV3Backend::submitTlbiAll(sim::Core &core, sim::TimeNs now)
 {
     const sim::TimeNs t = produce(core, now, 1);

@@ -88,10 +88,6 @@ class SmmuV3Backend : public IommuBackend
                                 DomainId domain, Iova iova,
                                 std::uint64_t len);
 
-    /** Produce a CMD_TLBI_NH_ASID (whole-domain) without a CMD_SYNC. */
-    sim::TimeNs submitTlbiDomain(sim::Core &core, sim::TimeNs now,
-                                 DomainId domain);
-
     /** Produce a CMD_TLBI_NH_ALL (global) without a CMD_SYNC. */
     sim::TimeNs submitTlbiAll(sim::Core &core, sim::TimeNs now);
 

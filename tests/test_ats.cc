@@ -12,6 +12,7 @@
 
 #include <list>
 #include <map>
+#include <set>
 
 #include "dma/device.hh"
 #include "dma/faultable.hh"
@@ -494,4 +495,284 @@ TEST_F(SmmuAtsFixture, ResumeIsFireAndForget)
     EXPECT_GT(done, 50u);
     EXPECT_EQ(ctx.stats.get("smmu.cmd_resumes"), 1u);
     EXPECT_EQ(smmu.pageRequestsResponded(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// The indexed ATC against the linear one it replaced.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The ATC as a plain slot array: find() and the victim search scan
+ * every slot, LRU is a use stamp, invalidation scans too.  Walks the
+ * same page table as the agent under test.
+ */
+class LinearAtc
+{
+  public:
+    LinearAtc(Iommu &mmu, DomainId d, unsigned slots)
+        : mmu_(mmu), d_(d), atc_(slots)
+    {}
+
+    AtsAgent::Result
+    translate(Iova iova, bool is_write)
+    {
+        AtsAgent::Result r;
+        const Iova page = iova & ~Iova(mem::kPageSize - 1);
+        const std::uint32_t need = is_write ? PermWrite : PermRead;
+        if (Entry *e = find(page); e != nullptr && (e->perm & need) == need) {
+            e->lastUse = ++clock_;
+            ++hits;
+            r.ok = r.hit = true;
+            r.pa = e->paPage + (iova - page);
+            return r;
+        }
+        ++misses;
+        const WalkResult w = mmu_.pageTable(d_).walk(iova);
+        if (!w.present || (w.perm & need) != need)
+            return r;
+        insert(page, w.pa & ~mem::Pa(mem::kPageSize - 1), w.perm);
+        r.ok = true;
+        r.pa = w.pa;
+        return r;
+    }
+
+    void
+    invalidateRange(Iova iova, std::uint64_t len)
+    {
+        if (dropRemaining > 0) {
+            --dropRemaining;
+            return;
+        }
+        ++invalidations;
+        for (Entry &e : atc_)
+            if (e.valid && rangeHitsPage(iova, len, e.page, mem::kPageSize))
+                e.valid = false;
+    }
+
+    void
+    invalidateAll()
+    {
+        if (dropRemaining > 0) {
+            --dropRemaining;
+            return;
+        }
+        ++invalidations;
+        reset();
+    }
+
+    void
+    reset()
+    {
+        for (Entry &e : atc_)
+            e.valid = false;
+    }
+
+    std::vector<Iova>
+    validEntries() const
+    {
+        std::vector<Iova> out;
+        for (const Entry &e : atc_)
+            if (e.valid)
+                out.push_back(e.page);
+        return out;
+    }
+
+    std::uint64_t hits = 0, misses = 0, invalidations = 0, fills = 0;
+    unsigned dropRemaining = 0;
+
+  private:
+    struct Entry
+    {
+        bool valid = false;
+        Iova page = 0;
+        mem::Pa paPage = 0;
+        std::uint32_t perm = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    Entry *
+    find(Iova page)
+    {
+        for (Entry &e : atc_)
+            if (e.valid && e.page == page)
+                return &e;
+        return nullptr;
+    }
+
+    void
+    insert(Iova page, mem::Pa paPage, std::uint32_t perm)
+    {
+        Entry *victim = &atc_[0];
+        for (Entry &e : atc_) {
+            if (!e.valid) {
+                victim = &e;
+                break;
+            }
+            if (e.lastUse < victim->lastUse)
+                victim = &e;
+        }
+        *victim = {true, page, paPage, perm, ++clock_};
+        ++fills;
+    }
+
+    Iommu &mmu_;
+    DomainId d_;
+    std::vector<Entry> atc_;
+    std::uint64_t clock_ = 0;
+};
+
+class AtcDifferential : public ::testing::TestWithParam<unsigned>
+{
+  protected:
+    static sim::CostModel
+    sized()
+    {
+        sim::CostModel cm;
+        cm.atsDevTlbEntries = GetParam();
+        return cm;
+    }
+
+    AtcDifferential() : ctx(sized(), 1, 2), mmu(ctx, true, BackendKind::Vtd)
+    {}
+
+    sim::Context ctx;
+    Iommu mmu;
+};
+
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(Sizes, AtcDifferential, ::testing::Values(64u, 100u),
+                         [](const ::testing::TestParamInfo<unsigned> &p) {
+                             return "slots" + std::to_string(p.param);
+                         });
+
+// Random translates over more pages than the ATC holds, re-maps that
+// change a page's rights behind the ATC's back (so one page comes to
+// sit in several slots), every invalidation shape (zero-length,
+// unaligned, wider than the live entries, ending at or wrapping past
+// 2^64), global invalidations, resets and planted drops.  After each
+// op the agent must match the linear ATC: the translation, the valid
+// entries in slot order, and every counter.
+TEST_P(AtcDifferential, MatchesLinearReference)
+{
+    const DomainId d = mmu.createDomain();
+    AtsAgent ats(ctx, mmu, d);
+    LinearAtc ref(mmu, d, GetParam());
+
+    // 300 low pages plus the top 8 of the address space (the 48-bit
+    // page table aliases those, which is enough to fill the ATC).
+    std::vector<Iova> pages;
+    for (unsigned i = 0; i < 300; ++i)
+        pages.push_back(0x100000 + Iova(i) * mem::kPageSize);
+    for (unsigned i = 1; i <= 8; ++i)
+        pages.push_back(0 - Iova(i) * mem::kPageSize);
+    const std::uint32_t kPerms[] = {PermRead, PermWrite, PermRW};
+    for (std::size_t i = 0; i < pages.size(); ++i)
+        ASSERT_TRUE(mmu.mapPage(d, pages[i], 0x40000000 + i * 0x1000,
+                                kPerms[i % 3]));
+
+    sim::Rng rng(0xa7c);
+    std::uint64_t nextPa = 0x80000000;
+    unsigned duplicates = 0, probes = 0, scans = 0, evictions = 0;
+    for (unsigned step = 0; step < 20000; ++step) {
+        // A hot set keeps hits common.  Each 1000 steps open with
+        // translates only, over every page, to fill the ATC and evict.
+        const bool fillPhase = step % 1000 < 300;
+        const Iova page = pages[!fillPhase && rng.chance(0.6)
+                                    ? rng.below(24)
+                                    : rng.below(pages.size())];
+        const unsigned op = fillPhase ? 0 : unsigned(rng.below(1000));
+        if (op < 800) {
+            const Iova iova = page + rng.below(mem::kPageSize);
+            const bool isw = rng.chance(0.5);
+            const bool full = ats.entries() == GetParam();
+            const std::uint64_t fills = ref.fills;
+            const AtsAgent::Result got = ats.translate(iova, isw);
+            const AtsAgent::Result want = ref.translate(iova, isw);
+            ASSERT_EQ(got.ok, want.ok) << "step " << step;
+            ASSERT_EQ(got.hit, want.hit) << "step " << step;
+            ASSERT_EQ(got.pa, want.pa) << "step " << step;
+            ASSERT_EQ(got.latencyNs == ctx.cost.atsDevTlbHitNs, got.hit)
+                << "step " << step;
+            evictions += full && ref.fills > fills;
+        } else if (op < 880) {
+            // Re-map with other rights (or unmap) and no ATS
+            // invalidation: the ATC keeps the old entry.
+            mmu.unmapPage(d, page);
+            if (!rng.chance(0.2)) {
+                ASSERT_TRUE(mmu.mapPage(d, page, nextPa,
+                                        kPerms[rng.below(3)]));
+                nextPa += mem::kPageSize;
+            }
+        } else if (op < 990) {
+            Iova lo = 0;
+            std::uint64_t len = 0;
+            switch (rng.below(40)) {
+              default: // one page
+                lo = page;
+                len = mem::kPageSize;
+                break;
+              case 0: case 1: // unaligned, up to three pages
+                lo = page + rng.below(mem::kPageSize);
+                len = 1 + rng.below(3 * mem::kPageSize);
+                break;
+              case 2: // zero length, aligned or not
+                lo = page + (rng.chance(0.5) ? 0 : rng.below(mem::kPageSize));
+                break;
+              case 3: // more pages than the ATC can hold
+                lo = page - rng.below(64) * mem::kPageSize;
+                len = (65 + rng.below(200)) * mem::kPageSize;
+                break;
+              case 4: // ends exactly at 2^64
+                lo = (0 - (1 + rng.below(10)) * mem::kPageSize) +
+                     rng.below(mem::kPageSize);
+                len = 0 - lo;
+                break;
+              case 5: // wraps past 2^64
+                lo = 0 - (1 + rng.below(10)) * mem::kPageSize;
+                len = (0 - lo) + rng.below(1ull << 24);
+                break;
+            }
+            if (rng.chance(0.02)) { // everything
+                lo = rng.below(mem::kPageSize);
+                len = ~std::uint64_t{0};
+            }
+            const std::size_t before = ats.entries();
+            ats.invalidateRange(lo, len);
+            ref.invalidateRange(lo, len);
+            if (before > 0) { // roughly: which path the agent took
+                const std::uint64_t span = len == 0 ? 1 : len / mem::kPageSize;
+                (span <= before ? probes : scans) += 1;
+            }
+        } else if (op < 994) {
+            ats.invalidateAll();
+            ref.invalidateAll();
+        } else if (op < 996) {
+            ats.reset();
+            ref.reset();
+            ref.dropRemaining = 0;
+        } else {
+            const unsigned n = 1 + unsigned(rng.below(3));
+            ats.debugDropInvalidations(n);
+            ref.dropRemaining = n;
+        }
+
+        const std::vector<Iova> valid = ref.validEntries();
+        ASSERT_EQ(ats.validEntries(), valid) << "step " << step;
+        ASSERT_EQ(ats.entries(), valid.size()) << "step " << step;
+        ASSERT_EQ(ats.hits(), ref.hits) << "step " << step;
+        ASSERT_EQ(ats.misses(), ref.misses) << "step " << step;
+        ASSERT_EQ(ats.fills(), ref.fills) << "step " << step;
+        ASSERT_EQ(ats.invalidations(), ref.invalidations) << "step " << step;
+        if (std::set<Iova>(valid.begin(), valid.end()).size() < valid.size())
+            ++duplicates;
+    }
+    // The run reached the cases it exists for.
+    EXPECT_GT(duplicates, 800u);
+    EXPECT_GT(probes, 700u);
+    EXPECT_GT(scans, 60u);
+    EXPECT_GT(evictions, 500u);
+    EXPECT_GT(ref.hits, 1500u);
 }

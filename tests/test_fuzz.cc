@@ -18,6 +18,7 @@
 #include "exp/json.hh"
 #include "fuzz/corpus.hh"
 #include "fuzz/harness.hh"
+#include "fuzz/interval_set.hh"
 #include "fuzz/rng.hh"
 #include "fuzz/shrink.hh"
 #include "iommu/backend_smmu.hh"
@@ -409,6 +410,184 @@ TEST(FuzzIotlb, InvalidationIsComplete)
 }
 
 // ---------------------------------------------------------------------
+// The harness's IntervalSet vs the ordered-map set it replaced
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** The interval set as an ordered map of lo -> hi. */
+class MapIntervalSet
+{
+  public:
+    void
+    insert(std::uint64_t lo, std::uint64_t hi)
+    {
+        if (lo >= hi)
+            return;
+        ++growth_;
+        auto it = m_.lower_bound(lo);
+        if (it != m_.begin()) {
+            auto prev = std::prev(it);
+            if (prev->second >= lo)
+                it = prev;
+        }
+        while (it != m_.end() && it->first <= hi) {
+            lo = std::min(lo, it->first);
+            hi = std::max(hi, it->second);
+            it = m_.erase(it);
+        }
+        m_[lo] = hi;
+    }
+
+    void
+    erase(std::uint64_t lo, std::uint64_t hi)
+    {
+        if (lo >= hi)
+            return;
+        auto it = m_.lower_bound(lo);
+        if (it != m_.begin()) {
+            auto prev = std::prev(it);
+            if (prev->second > lo)
+                it = prev;
+        }
+        while (it != m_.end() && it->first < hi) {
+            const std::uint64_t l = it->first;
+            const std::uint64_t h = it->second;
+            it = m_.erase(it);
+            if (l < lo)
+                m_[l] = lo;
+            if (h > hi) {
+                m_[hi] = h;
+                break;
+            }
+        }
+    }
+
+    bool
+    overlaps(std::uint64_t lo, std::uint64_t hi) const
+    {
+        auto it = m_.lower_bound(lo);
+        if (it != m_.end() && it->first < hi)
+            return true;
+        if (it != m_.begin() && std::prev(it)->second > lo)
+            return true;
+        return false;
+    }
+
+    void
+    absorb(MapIntervalSet &o)
+    {
+        for (const auto &[l, h] : o.m_)
+            insert(l, h);
+        o.m_.clear();
+    }
+
+    bool empty() const { return m_.empty(); }
+    void clear() { m_.clear(); }
+    std::uint64_t growth() const { return growth_; }
+
+  private:
+    std::map<std::uint64_t, std::uint64_t> m_;
+    std::uint64_t growth_ = 0;
+};
+
+} // namespace
+
+TEST(FuzzIntervalSet, TouchingRangesCoalesceAndEraseSplits)
+{
+    // absorb() inserts one range per stored range, so the growth it
+    // adds counts the ranges the set holds.
+    fuzz::IntervalSet s, sink;
+    s.insert(0x1000, 0x2000);
+    s.insert(0x2000, 0x3000); // touches: one range [0x1000, 0x3000)
+    s.insert(0x5000, 0x5000); // empty: no growth
+    EXPECT_EQ(s.growth(), 2u);
+    sink.absorb(s);
+    EXPECT_TRUE(s.empty());
+    EXPECT_EQ(sink.growth(), 1u);
+
+    sink.erase(0x1800, 0x2800); // splits it in two
+    EXPECT_TRUE(sink.overlaps(0x17ff, 0x1800));
+    EXPECT_FALSE(sink.overlaps(0x1800, 0x2800));
+    EXPECT_TRUE(sink.overlaps(0x2800, 0x2801));
+    EXPECT_EQ(sink.growth(), 1u);
+    s.absorb(sink);
+    EXPECT_EQ(s.growth(), 4u);
+
+    s.insert(0x1800, 0x2800); // fills the hole: one range again
+    sink.absorb(s);
+    EXPECT_EQ(sink.growth(), 2u);
+    sink.erase(0, ~std::uint64_t{0});
+    EXPECT_TRUE(sink.empty());
+}
+
+// Random inserts, erases, overlap queries, absorbs and clears on two
+// pairs of sets over a small coordinate space, so ranges touch, nest
+// and split all the time.  Every few ops each set's coverage is
+// compared point by point; absorb's growth compares the range count.
+TEST(FuzzIntervalSet, MatchesOrderedMapReference)
+{
+    constexpr std::uint64_t kSpace = 160;
+    fuzz::IntervalSet sets[2];
+    MapIntervalSet ref[2];
+    fuzz::Rng rng(0x15e7);
+    unsigned merges = 0, splits = 0;
+    for (int step = 0; step < 100000; ++step) {
+        const unsigned k = unsigned(rng.below(2));
+        std::uint64_t lo = rng.below(kSpace);
+        std::uint64_t hi = lo + rng.below(24);
+        if (rng.chance(0.02))
+            hi = rng.below(kSpace); // sometimes empty or inverted
+        switch (rng.below(10)) {
+          case 0: case 1: case 2: case 3:
+            if (ref[k].overlaps(lo == 0 ? 0 : lo - 1, hi + 1))
+                ++merges;
+            sets[k].insert(lo, hi);
+            ref[k].insert(lo, hi);
+            break;
+          case 4: case 5: case 6:
+            if (lo > 0 && ref[k].overlaps(lo - 1, lo) &&
+                ref[k].overlaps(hi, hi + 1))
+                ++splits;
+            sets[k].erase(lo, hi);
+            ref[k].erase(lo, hi);
+            break;
+          case 7:
+            if (lo <= hi) {
+                ASSERT_EQ(sets[k].overlaps(lo, hi), ref[k].overlaps(lo, hi))
+                    << "step " << step;
+            }
+            break;
+          case 8:
+            sets[k].absorb(sets[1 - k]);
+            ref[k].absorb(ref[1 - k]);
+            break;
+          default:
+            if (rng.chance(0.1)) {
+                sets[k].clear();
+                ref[k].clear();
+            }
+            break;
+        }
+        for (unsigned j = 0; j < 2; ++j) {
+            ASSERT_EQ(sets[j].empty(), ref[j].empty()) << "step " << step;
+            ASSERT_EQ(sets[j].growth(), ref[j].growth()) << "step " << step;
+        }
+        if (step % 16 != 0)
+            continue;
+        for (unsigned j = 0; j < 2; ++j) {
+            for (std::uint64_t x = 0; x < kSpace + 24; ++x) {
+                ASSERT_EQ(sets[j].overlaps(x, x + 1),
+                          ref[j].overlaps(x, x + 1))
+                    << "step " << step << " set " << j << " at " << x;
+            }
+        }
+    }
+    EXPECT_GT(merges, 10000u);
+    EXPECT_GT(splits, 1000u);
+}
+
+// ---------------------------------------------------------------------
 // SMMUv3 command queue under a randomized producer storm
 // ---------------------------------------------------------------------
 
@@ -435,7 +614,7 @@ TEST(FuzzSmmuCmdq, ProducerStallStormStaysCoherent)
                                      4096);
             break;
           case 1:
-            t = smmu.submitTlbiDomain(core, t, d);
+            t = smmu.batchedFlush(core, t, {d});
             break;
           case 2:
             t = smmu.submitTlbiAll(core, t);
