@@ -16,6 +16,7 @@
 #define DAMN_CORE_DAMN_DMA_HH
 
 #include <memory>
+#include <vector>
 
 #include "core/damn_allocator.hh"
 #include "dma/dma_api.hh"
@@ -69,18 +70,18 @@ class DamnDmaApi : public dma::DmaApi
 
     void
     unmapBatch(sim::CpuCursor &cpu, dma::Device &dev,
-               const std::vector<UnmapReq> &reqs) override
+               std::span<const UnmapReq> reqs) override
     {
-        std::vector<UnmapReq> legacy;
+        legacy_.clear();
         for (const UnmapReq &r : reqs) {
             cpu.charge(ctx_.cost.damnUnmapCheckNs);
             if (isDamnIova(r.dmaAddr))
                 ctx_.stats.add(unmapHitsCtr_);
             else
-                legacy.push_back(r);
+                legacy_.push_back(r);
         }
-        if (!legacy.empty())
-            fallback_->unmapBatch(cpu, dev, legacy);
+        if (!legacy_.empty())
+            fallback_->unmapBatch(cpu, dev, legacy_);
     }
 
     void
@@ -137,6 +138,8 @@ class DamnDmaApi : public dma::DmaApi
     std::unique_ptr<dma::DmaApi> fallback_;
     sim::Stats::Counter mapHitsCtr_;
     sim::Stats::Counter unmapHitsCtr_;
+    /** unmapBatch's non-DAMN requests, reused across calls. */
+    std::vector<UnmapReq> legacy_;
 };
 
 } // namespace damn::core

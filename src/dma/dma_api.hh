@@ -20,7 +20,7 @@
 #define DAMN_DMA_DMA_API_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "dma/device.hh"
 #include "dma/dma_types.hh"
@@ -70,7 +70,7 @@ class DmaApi
      */
     virtual void
     unmapBatch(sim::CpuCursor &cpu, Device &dev,
-               const std::vector<UnmapReq> &reqs)
+               std::span<const UnmapReq> reqs)
     {
         for (const UnmapReq &r : reqs)
             unmap(cpu, dev, r.dmaAddr, r.len, r.dir);

@@ -193,7 +193,7 @@ StrictDmaApi::unmap(sim::CpuCursor &cpu, Device &dev,
 
 void
 StrictDmaApi::unmapBatch(sim::CpuCursor &cpu, Device &dev,
-                         const std::vector<UnmapReq> &reqs)
+                         std::span<const UnmapReq> reqs)
 {
     if (reqs.empty())
         return;
@@ -202,25 +202,24 @@ StrictDmaApi::unmapBatch(sim::CpuCursor &cpu, Device &dev,
     span.aux(reqs.size());
     // Clear all PTEs, then pay for a single invalidate + wait round
     // trip covering every range (how dma_unmap_sg behaves).
-    std::vector<iommu::IommuBackend::InvalRange> ranges;
-    ranges.reserve(reqs.size());
+    ranges_.clear();
     for (const UnmapReq &r : reqs) {
         iommu::Iova base;
         unsigned pages;
         clearPtes(cpu, dev, r.dmaAddr, r.len, &base, &pages);
-        ranges.push_back({dev.domain(), base,
-                          std::uint64_t(pages) * mem::kPageSize});
+        ranges_.push_back({dev.domain(), base,
+                           std::uint64_t(pages) * mem::kPageSize});
         span.bytes(r.len);
     }
     {
         sim::TraceSpan inval(ctx_.tracer, cpu, sim::TraceCat::IommuInval,
                              "iommu.sync_inval");
-        inval.aux(ranges.size());
+        inval.aux(ranges_.size());
         cpu.time = iommu_.backend().syncInvalidateRanges(
-            *cpu.core, cpu.time, ranges);
+            *cpu.core, cpu.time, ranges_);
         cpu.charge(ctx_.cost.strictPostWaitNs);
     }
-    for (const auto &r : ranges)
+    for (const auto &r : ranges_)
         iovaAlloc_.free(r.iova, unsigned(r.len >> mem::kPageShift));
     ctx_.stats.add(ctr_.strictInvalidations);
 }
@@ -264,14 +263,14 @@ DeferredDmaApi::flushPending(sim::CpuCursor &cpu)
     // One hardware flush command, scoped to the domains with pending
     // unmaps: other domains' warm IOTLB entries must survive a
     // neighbour's deferred flush.
-    std::vector<iommu::DomainId> domains;
+    flushDomains_.clear();
     for (const PendingUnmap &p : flushQueue_) {
-        if (std::find(domains.begin(), domains.end(), p.domain) ==
-            domains.end())
-            domains.push_back(p.domain);
+        if (std::find(flushDomains_.begin(), flushDomains_.end(),
+                      p.domain) == flushDomains_.end())
+            flushDomains_.push_back(p.domain);
     }
     const sim::TimeNs done = iommu_.backend().batchedFlush(
-        *cpu.core, cpu.time, domains);
+        *cpu.core, cpu.time, flushDomains_);
     cpu.waitUntil(done);
     for (const PendingUnmap &p : flushQueue_)
         iovaAlloc_.free(p.iova, p.pages);
@@ -300,9 +299,7 @@ DeferredDmaApi::armTimer(sim::CoreId core)
 
 namespace {
 
-/** Shadow buckets: powers of two from 512 B to 128 KiB. */
 constexpr std::uint32_t kMinShadow = 512;
-constexpr unsigned kNumBuckets = 9; // 512 .. 128K
 
 constexpr std::uint32_t
 bucketSize(unsigned b)
@@ -330,10 +327,9 @@ ShadowDmaApi::bucketFor(std::uint32_t len)
 ShadowDmaApi::Pool &
 ShadowDmaApi::poolOf(Device &dev)
 {
-    Pool &p = pools_[dev.domain()];
-    if (p.buckets.empty())
-        p.buckets.resize(kNumBuckets);
-    return p;
+    if (dev.domain() >= pools_.size())
+        pools_.resize(dev.domain() + 1);
+    return pools_[dev.domain()];
 }
 
 ShadowDmaApi::ShadowBuf
@@ -429,6 +425,7 @@ ShadowDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
     }
 
     active_[buf.iova] = ActiveMap{buf, pa, len, dir, dev.domain()};
+    ++pools_[dev.domain()].inFlight;
     ctx_.stats.add(ctr_.map);
     return buf.iova;
 }
@@ -437,10 +434,11 @@ void
 ShadowDmaApi::unmap(sim::CpuCursor &cpu, Device &dev,
                     iommu::Iova dma_addr, std::uint32_t len, Dir dir)
 {
-    auto it = active_.find(dma_addr);
-    assert(it != active_.end() && "shadow unmap of unknown DMA address");
-    ActiveMap am = it->second;
-    active_.erase(it);
+    const ActiveMap *found = active_.find(dma_addr);
+    assert(found && "shadow unmap of unknown DMA address");
+    const ActiveMap am = *found;
+    active_.erase(dma_addr);
+    --pools_[am.domain].inFlight;
     assert(am.len == len);
     (void)len;
     sim::TraceSpan span(ctx_.tracer, cpu, sim::TraceCat::DmaUnmap,
@@ -500,23 +498,24 @@ std::uint64_t
 ShadowDmaApi::drainDomain(sim::CpuCursor &cpu, Device &dev)
 {
     const iommu::DomainId d = dev.domain();
-    auto pit = pools_.find(d);
-    if (pit == pools_.end())
+    if (d >= pools_.size())
         return 0;
+    Pool &pool = pools_[d];
 
     // In-flight maps die with the device: the data never arrives, so
     // there is nothing to copy back — just drop the bookkeeping.  The
     // shadow buffers return with their blocks below.
-    for (auto it = active_.begin(); it != active_.end();) {
-        if (it->second.domain == d) {
-            it = active_.erase(it);
-            ctx_.stats.add(ctr_.abortedMaps);
-        } else {
-            ++it;
-        }
+    if (pool.inFlight > 0) {
+        const std::size_t aborted = active_.eraseIf(
+            [d](std::uint64_t, const ActiveMap &am) {
+                return am.domain == d;
+            });
+        assert(aborted == pool.inFlight);
+        ctx_.stats.add(ctr_.abortedMaps, aborted);
+        pool.inFlight = 0;
     }
 
-    const std::uint64_t released = releasePool(cpu, d, pit->second);
+    const std::uint64_t released = releasePool(cpu, d, pool);
     if (released > 0)
         ctx_.stats.add(ctr_.drainedPages, released);
     return released;
@@ -528,28 +527,12 @@ ShadowDmaApi::shrinkIdle(sim::CpuCursor &cpu)
     // A pool block cannot be released while any shadow buffer carved
     // from it is in flight, and buffers of all blocks mix in the
     // bucket lists — so the shrink granularity is a whole domain with
-    // zero active maps.  Domains are walked in sorted order so reclaim
-    // stays deterministic.
-    std::vector<iommu::DomainId> idle;
-    for (const auto &[d, pool] : pools_) {
-        if (pool.blocks.empty())
-            continue;
-        bool busy = false;
-        for (const auto &[iova, am] : active_) {
-            (void)iova;
-            if (am.domain == d) {
-                busy = true;
-                break;
-            }
-        }
-        if (!busy)
-            idle.push_back(d);
-    }
-    std::sort(idle.begin(), idle.end());
-
+    // zero active maps.  Domains are walked in DomainId order so
+    // reclaim stays deterministic.
     std::uint64_t released = 0;
-    for (const iommu::DomainId d : idle)
-        released += releasePool(cpu, d, pools_[d]);
+    for (std::size_t d = 0; d < pools_.size(); ++d)
+        if (pools_[d].inFlight == 0 && !pools_[d].blocks.empty())
+            released += releasePool(cpu, iommu::DomainId(d), pools_[d]);
     if (released > 0)
         ctx_.stats.add(ctr_.shrunkPages, released);
     return released;

@@ -6,16 +6,17 @@
 #ifndef DAMN_DMA_SCHEMES_HH
 #define DAMN_DMA_SCHEMES_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dma/dma_api.hh"
 #include "iommu/iommu.hh"
 #include "iommu/iova_alloc.hh"
 #include "mem/page_alloc.hh"
+#include "sim/flat_map.hh"
 
 namespace damn::dma {
 
@@ -180,9 +181,13 @@ class StrictDmaApi : public MappedDmaApi
 
     /** dma_unmap_sg: one synchronous invalidation for the whole list. */
     void unmapBatch(sim::CpuCursor &cpu, Device &dev,
-                    const std::vector<UnmapReq> &reqs) override;
+                    std::span<const UnmapReq> reqs) override;
 
     const char *name() const override { return "strict"; }
+
+  private:
+    /** unmapBatch's invalidation list, reused across calls. */
+    std::vector<iommu::IommuBackend::InvalRange> ranges_;
 };
 
 /**
@@ -216,6 +221,8 @@ class DeferredDmaApi : public MappedDmaApi
     };
 
     std::vector<PendingUnmap> flushQueue_;
+    /** flushPending's domain list, reused across flushes. */
+    std::vector<iommu::DomainId> flushDomains_;
     bool timerArmed_ = false;
 };
 
@@ -294,12 +301,17 @@ class ShadowDmaApi : public DmaApi
         iommu::DomainId domain;
     };
 
+    /** Shadow buckets: powers of two from 512 B to 128 KiB. */
+    static constexpr unsigned kNumBuckets = 9;
+
     /** Per-device shadow pool: permanently-mapped, bucketed free lists. */
     struct Pool
     {
-        std::vector<std::vector<ShadowBuf>> buckets;
+        std::array<std::vector<ShadowBuf>, kNumBuckets> buckets;
         /** Backing order-5 blocks: (first frame, base IOVA). */
         std::vector<std::pair<mem::Pfn, iommu::Iova>> blocks;
+        /** Entries of active_ in this pool's domain. */
+        std::uint64_t inFlight = 0;
     };
 
     static unsigned bucketFor(std::uint32_t len);
@@ -318,8 +330,10 @@ class ShadowDmaApi : public DmaApi
     mem::PageAllocator &pageAlloc_;
     SchemeCounters ctr_;
     iommu::IovaAllocator iovaAlloc_;
-    std::unordered_map<iommu::DomainId, Pool> pools_;
-    std::unordered_map<iommu::Iova, ActiveMap> active_;
+    /** Indexed by DomainId (domains are numbered densely from 0). */
+    std::vector<Pool> pools_;
+    /** In-flight shadow maps by the shadow IOVA handed to the driver. */
+    sim::FlatMap<ActiveMap> active_;
     std::uint64_t poolFrames_ = 0;
     std::uint64_t mapFails_ = 0;
 };

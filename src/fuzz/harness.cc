@@ -308,21 +308,19 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                     continue;
                 tlbClean[k] = {fills, mustNot[k].growth()};
                 const iommu::DomainId d = devs[k]->domain();
-                for (const iommu::TlbEntry &e :
-                     sys.mmu.iotlb().validEntries(d)) {
+                // The first stale entry in slot order is the one named.
+                sys.mmu.iotlb().forEachValid(d, [&](const iommu::TlbEntry &e) {
                     const std::uint64_t lo = e.iovaPage;
                     const std::uint64_t hi =
                         lo + (e.huge ? iommu::kHugePageSize
                                      : mem::kPageSize);
-                    if (mustNot[k].overlaps(lo, hi)) {
+                    if (!res.violated && mustNot[k].overlaps(lo, hi))
                         fail(i, "stale-translation",
                              "domain " + std::to_string(d) +
                                  " still translates iova " +
                                  std::to_string(lo) +
                                  " after its invalidation completed");
-                        break;
-                    }
-                }
+                });
             }
         }
         // 1b. No stale device-TLB entry after a certain ATS inval.

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "iommu/backend.hh"
@@ -159,7 +158,7 @@ class Iommu
     Iotlb &iotlb() { return backend_->tlb(); }
 
     /** Distinct frames that were ever DMA-mapped (figure 9). */
-    std::uint64_t everMappedFrames() const { return everMapped_.size(); }
+    std::uint64_t everMappedFrames() const { return everMappedCount_; }
     /** Frames currently mapped across all domains. */
     std::uint64_t
     currentlyMappedPages() const
@@ -278,8 +277,12 @@ class Iommu
     noteMapped(mem::Pa pa, unsigned pages)
     {
         const mem::Pfn pfn = mem::paToPfn(pa);
-        for (unsigned i = 0; i < pages; ++i)
-            everMapped_.insert(pfn + i);
+        if (pfn + pages > everMapped_.size())
+            everMapped_.resize(pfn + pages);
+        for (mem::Pfn f = pfn; f < pfn + pages; ++f) {
+            everMappedCount_ += !everMapped_[f];
+            everMapped_[f] = true;
+        }
     }
 
     void
@@ -296,7 +299,10 @@ class Iommu
     bool enabled_;
     std::unique_ptr<IommuBackend> backend_;
     std::vector<std::unique_ptr<IoPageTable>> domains_;
-    std::unordered_set<mem::Pfn> everMapped_;
+    /** Bit f is set once frame f has been mapped; grows only when a
+     *  higher frame is mapped for the first time. */
+    std::vector<bool> everMapped_;
+    std::uint64_t everMappedCount_ = 0;
 
     std::uint64_t faults_ = 0;
     std::vector<std::uint64_t> domainFaults_;

@@ -31,32 +31,31 @@ Iotlb::markValid(TlbEntry &e)
     if (e.valid)
         return;
     e.valid = true;
-    const auto slot = std::uint32_t(&e - slots_.data());
-    livePos_[slot] = std::uint32_t(live_.size());
-    live_.push_back(slot);
+    const auto slot = std::size_t(&e - slots_.data());
+    validBits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+    ++live_;
 }
 
 void
 Iotlb::markInvalid(std::uint32_t slot)
 {
     slots_[slot].valid = false;
-    const std::uint32_t pos = livePos_[slot];
-    const std::uint32_t moved = live_.back();
-    live_[pos] = moved;
-    livePos_[moved] = pos;
-    live_.pop_back();
+    validBits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    --live_;
 }
 
 template <class Pred>
 void
 Iotlb::dropLive(Pred pred)
 {
-    // Backwards, so the swap-remove only ever moves an entry already
-    // visited into the current position.
-    for (std::size_t i = live_.size(); i-- > 0;) {
-        const std::uint32_t slot = live_[i];
-        if (pred(slots_[slot]))
-            markInvalid(slot);
+    for (std::size_t w = 0; w < validBits_.size(); ++w) {
+        for (std::uint64_t bits = validBits_[w]; bits != 0;
+             bits &= bits - 1) {
+            const auto slot =
+                std::uint32_t(w * 64 + unsigned(std::countr_zero(bits)));
+            if (pred(slots_[slot]))
+                markInvalid(slot);
+        }
     }
 }
 
@@ -176,7 +175,8 @@ Iotlb::invalidateRange(DomainId domain, Iova iova, std::uint64_t len)
     // Tags are page-aligned, so only pages first..first+pages-1 can
     // overlap; consecutive pages index consecutive sets (setBase), so
     // min(pages, sets) sets hold every candidate.  Probing them costs
-    // that many sets' ways; walking the live index costs its length.
+    // that many sets' ways; walking the valid slots costs about one
+    // step per valid entry.
     // Both apply the same predicate, so the cheaper one is taken.
     std::uint64_t pages[2];
     std::uint64_t probes = 0;
@@ -190,7 +190,7 @@ Iotlb::invalidateRange(DomainId domain, Iova iova, std::uint64_t len)
         pages[huge] = std::min<std::uint64_t>(n, huge ? sets2m_ : sets4k_);
         probes += pages[huge] * waysOf(huge);
     }
-    if (live_.size() <= probes) {
+    if (live_ <= probes) {
         dropLive(covers);
         return;
     }
@@ -227,21 +227,6 @@ Iotlb::invalidateAll()
 {
     ++invalidations_;
     dropLive([](const TlbEntry &) { return true; });
-}
-
-std::vector<TlbEntry>
-Iotlb::validEntries(DomainId domain) const
-{
-    std::vector<std::uint32_t> mine;
-    for (const std::uint32_t slot : live_)
-        if (slots_[slot].domain == domain)
-            mine.push_back(slot);
-    std::sort(mine.begin(), mine.end());
-    std::vector<TlbEntry> out;
-    out.reserve(mine.size());
-    for (const std::uint32_t slot : mine)
-        out.push_back(slots_[slot]);
-    return out;
 }
 
 } // namespace damn::iommu

@@ -11,6 +11,7 @@
 #ifndef DAMN_IOMMU_IOTLB_HH
 #define DAMN_IOMMU_IOTLB_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -69,11 +70,9 @@ class Iotlb
           sets2m_(sets2m), ways2m_(ways2m),
           base2m_(std::size_t(sets4k) * ways4k),
           slots_(base2m_ + std::size_t(sets2m) * ways2m),
-          livePos_(slots_.size()),
+          validBits_((slots_.size() + 63) / 64),
           pwc_(pwc_entries)
-    {
-        live_.reserve(slots_.size());
-    }
+    {}
 
     /** Look up @p iova for @p domain; returns nullptr on miss. */
     const TlbEntry *lookup(DomainId domain, Iova iova);
@@ -98,27 +97,27 @@ class Iotlb
      */
     void invalidateRange(DomainId domain, Iova iova, std::uint64_t len);
 
-    /** Invalidate everything belonging to @p domain (walks the live
-     *  index only). */
+    /** Invalidate everything belonging to @p domain (walks the valid
+     *  slots only). */
     void invalidateDomain(DomainId domain);
 
-    /** Invalidate the whole IOTLB (global flush; walks the live index
+    /** Invalidate the whole IOTLB (global flush; walks the valid slots
      *  only). */
     void invalidateAll();
 
     /**
-     * Snapshot of every valid entry cached for @p domain, in bank
-     * order: the 4 KiB bank, then the 2 MiB bank, each by slot.
+     * Call @p fn(const TlbEntry &) on every valid entry cached for
+     * @p domain, in bank order: the 4 KiB bank, then the 2 MiB bank,
+     * each by slot.
      *
      * COLD PATH ONLY: audit/teardown and oracle use, never per-packet.
-     * It walks the live index (so its cost follows what is cached, not
-     * the capacity), sorts the matches back into bank order, allocates
-     * the result vector, charges no virtual time and no sim::Tracer
-     * category, and — being const — cannot perturb the hot-path state
-     * (hit/miss counters, LRU clock, entry stamps), so calling it
-     * mid-run never changes simulated output.  After a domain
-     * invalidation this must be empty; anything else is a stale
-     * translation keeping freed memory device-reachable.
+     * It walks the valid-slot bitmap (a word per 64 slots, then one
+     * step per valid entry), allocates nothing, charges no virtual
+     * time and no sim::Tracer category, and — being const — cannot
+     * perturb the hot-path state (hit/miss counters, LRU clock, entry
+     * stamps), so calling it mid-run never changes simulated output.
+     * After a domain invalidation it must find nothing; anything else
+     * is a stale translation keeping freed memory device-reachable.
      *
      * The fuzz stale-translation oracle calls it only after a change:
      * when fills() moved or the domain's must-not-translate set grew
@@ -126,7 +125,29 @@ class Iotlb
      * only be invalidated and the set can only shrink, so a clean scan
      * stays clean and skipping the re-scan is exact.
      */
-    std::vector<TlbEntry> validEntries(DomainId domain) const;
+    template <class Fn>
+    void
+    forEachValid(DomainId domain, Fn fn) const
+    {
+        for (std::size_t w = 0; w < validBits_.size(); ++w) {
+            for (std::uint64_t bits = validBits_[w]; bits != 0;
+                 bits &= bits - 1) {
+                const TlbEntry &e =
+                    slots_[w * 64 + unsigned(std::countr_zero(bits))];
+                if (e.domain == domain)
+                    fn(e);
+            }
+        }
+    }
+
+    /** forEachValid()'s entries as a vector (audit reports, tests). */
+    std::vector<TlbEntry>
+    validEntries(DomainId domain) const
+    {
+        std::vector<TlbEntry> out;
+        forEachValid(domain, [&out](const TlbEntry &e) { out.push_back(e); });
+        return out;
+    }
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -171,7 +192,8 @@ class Iotlb
     TlbEntry *setBase(bool huge, DomainId domain, Iova page_tag);
     unsigned waysOf(bool huge) const { return huge ? ways2m_ : ways4k_; }
 
-    /** The only writers of TlbEntry::valid: they keep live_ exact. */
+    /** The only writers of TlbEntry::valid: they keep validBits_ and
+     *  live_ exact. */
     void markValid(TlbEntry &e);
     void markInvalid(std::uint32_t slot);
     /** Invalidate every live entry @p pred accepts. */
@@ -191,10 +213,9 @@ class Iotlb
      *  [0, base2m_)), so slot order is bank order. */
     std::size_t base2m_;
     std::vector<TlbEntry> slots_;
-    /** Dense index of the valid slots, unordered (swap-remove), and
-     *  each valid slot's position in it. */
-    std::vector<std::uint32_t> live_;
-    std::vector<std::uint32_t> livePos_;
+    /** Bit s is set while slot s is valid. */
+    std::vector<std::uint64_t> validBits_;
+    std::size_t live_ = 0; //!< valid slots
     std::vector<PwcEntry> pwc_;
     std::uint64_t clock_ = 0;
     unsigned debugDropRemaining_ = 0; //!< test-only; see above

@@ -101,17 +101,17 @@ NicDevice::transferSegment(sim::TimeNs now, unsigned port, Traffic dir,
 }
 
 dma::DmaOutcome
-NicDevice::transferSegmentSg(
-    sim::TimeNs now, unsigned port, Traffic dir,
-    const std::vector<std::pair<iommu::Iova, std::uint32_t>> &sg)
+NicDevice::transferSegmentSg(sim::TimeNs now, unsigned port, Traffic dir,
+                             const SkBuff &skb)
 {
     if (linkFlapped(now, port) ||
         ctx_.faults.shouldFail(dir == Traffic::Rx
                                    ? sim::FaultSite::NicRx
                                    : sim::FaultSite::NicTx)) {
         std::uint32_t seg_bytes = 0;
-        for (const auto &[iova, len] : sg)
-            seg_bytes += len;
+        for (const SkbSegment &seg : skb.segs)
+            if (seg.dmaMapped)
+                seg_bytes += seg.dmaLen;
         return dropSegment(now, port, dir, seg_bytes);
     }
 
@@ -119,14 +119,17 @@ NicDevice::transferSegmentSg(
     total.ok = true;
     std::uint32_t seg_bytes = 0;
     sim::TimeNs dma_done = now;
-    for (const auto &[iova, len] : sg) {
-        dma::DmaOutcome o = dmaTouch(now, iova, len, dir == Traffic::Rx);
+    for (const SkbSegment &seg : skb.segs) {
+        if (!seg.dmaMapped)
+            continue;
+        dma::DmaOutcome o =
+            dmaTouch(now, seg.dmaAddr, seg.dmaLen, dir == Traffic::Rx);
         total.bytesDone += o.bytesDone;
         total.ok = total.ok && o.ok;
         total.fault = total.fault || o.fault;
         total.walkNs += o.walkNs;
         dma_done = std::max(dma_done, o.completes);
-        seg_bytes += len;
+        seg_bytes += seg.dmaLen;
     }
     ctx_.tracer.instant(0, sim::TraceCat::NicRing,
                         dir == Traffic::Rx ? "nic.rx_post"

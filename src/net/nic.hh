@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "dma/device.hh"
+#include "net/skbuff.hh"
 #include "net/system.hh"
 #include "sim/sim_mutex.hh"
 
@@ -58,12 +59,11 @@ class NicDevice : public dma::Device
                                     std::uint32_t seg_bytes);
 
     /**
-     * Scatter-gather variant: one segment spread over several DMA
-     * addresses (TX skbs with frags).
+     * Scatter-gather variant: one segment spread over the DMA-mapped
+     * segments of @p skb (TX skbs with frags), in list order.
      */
-    dma::DmaOutcome transferSegmentSg(
-        sim::TimeNs now, unsigned port, Traffic dir,
-        const std::vector<std::pair<iommu::Iova, std::uint32_t>> &sg);
+    dma::DmaOutcome transferSegmentSg(sim::TimeNs now, unsigned port,
+                                      Traffic dir, const SkBuff &skb);
 
     std::uint64_t linkFlaps() const { return linkFlaps_; }
 

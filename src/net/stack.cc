@@ -133,25 +133,14 @@ NicDriver::txUnmap(sim::CpuCursor &cpu, SkBuff &skb)
 {
     sim::TraceSpan span(sys_.ctx.tracer, cpu, sim::TraceCat::NetDriver,
                         "driver.tx_unmap");
-    std::vector<dma::DmaApi::UnmapReq> reqs;
+    unmapReqs_.clear();
     for (SkbSegment &seg : skb.segs) {
         if (!seg.dmaMapped)
             continue;
-        reqs.push_back({seg.dmaAddr, seg.dmaLen, seg.dmaDir});
+        unmapReqs_.push_back({seg.dmaAddr, seg.dmaLen, seg.dmaDir});
         seg.dmaMapped = false;
     }
-    sys_.dmaApi->unmapBatch(cpu, nic_, reqs);
-}
-
-std::vector<std::pair<iommu::Iova, std::uint32_t>>
-NicDriver::sgOf(const SkBuff &skb) const
-{
-    std::vector<std::pair<iommu::Iova, std::uint32_t>> sg;
-    sg.reserve(skb.segs.size());
-    for (const SkbSegment &seg : skb.segs)
-        if (seg.dmaMapped)
-            sg.emplace_back(seg.dmaAddr, seg.dmaLen);
-    return sg;
+    sys_.dmaApi->unmapBatch(cpu, nic_, unmapReqs_);
 }
 
 // ---------------------------------------------------------------------

@@ -83,10 +83,6 @@ class NicDriver
     /** Unmap every mapped segment (TX completion path). */
     void txUnmap(sim::CpuCursor &cpu, SkBuff &skb);
 
-    /** Scatter-gather list of a mapped skb (for the NIC DMA engine). */
-    std::vector<std::pair<iommu::Iova, std::uint32_t>>
-    sgOf(const SkBuff &skb) const;
-
     NicDevice &nic() { return nic_; }
 
   private:
@@ -96,6 +92,8 @@ class NicDriver
     sim::Stats::Counter rxMapFailsCtr_;
     sim::Stats::Counter rxAbortedBuffersCtr_;
     sim::Stats::Counter txMapFailsCtr_;
+    /** txUnmap's request list, reused so unmapping never allocates. */
+    std::vector<dma::DmaApi::UnmapReq> unmapReqs_;
 };
 
 /**

@@ -82,22 +82,21 @@ StreamEngine::pumpRx(std::size_t fi)
         f.generatorStalled = true;
         return;
     }
-    RxBuffer buf = f.posted.front();
-    f.posted.pop_front();
+    const RxBuffer buf = f.posted.front();
 
     const sim::TimeNs now = sys_.ctx.now();
     const dma::DmaOutcome out = nic_.transferSegment(
         now, f.spec.port, Traffic::Rx, buf.seg.dmaAddr, f.spec.segBytes);
     if (out.fault) {
         // The DMA faulted (IOMMU fault or injected drop): the segment
-        // never landed.  Re-post the buffer at the head of the ring and
-        // have the peer retransmit after an exponentially backed-off
-        // timeout; give up (flow failed) once the budget is exhausted.
+        // never landed.  The buffer stays posted at the head of the
+        // ring and the peer retransmits after an exponentially
+        // backed-off timeout; give up (flow failed) once the budget is
+        // exhausted.
         ++f.drops;
         sys_.ctx.tracer.instant(f.spec.core, sim::TraceCat::Fault,
                                 "net.rx_drop", out.completes,
                                 f.spec.segBytes);
-        f.posted.push_front(buf);
         if (!nic_.attached()) {
             // Surprise unplug: no retransmit will ever land.  Fail the
             // flow immediately; the posted ring (including this
@@ -119,6 +118,7 @@ StreamEngine::pumpRx(std::size_t fi)
         return;
     }
     f.rxRetries = 0;
+    f.posted.pop_front();
 
     ++f.rxInflight;
     sys_.ctx.engine.schedule(out.completes, [this, fi, buf, now] {
@@ -195,14 +195,22 @@ StreamEngine::pumpTx(std::size_t fi)
 
     sim::CpuCursor cpu(sys_.ctx.machine.core(f.spec.core),
                        sys_.ctx.now());
-    auto skb = std::make_shared<SkBuff>(
-        stack_.txBuild(cpu, f.spec.segBytes, config_.costFactor,
-                       core::AllocCtx::Standard));
-    if (skb->allocFailed) {
+    std::uint32_t slot;
+    if (freeTxSlots_.empty()) {
+        slot = std::uint32_t(txSkbs_.size());
+        txSkbs_.emplace_back();
+    } else {
+        slot = freeTxSlots_.back();
+        freeTxSlots_.pop_back();
+    }
+    txSkbs_[slot] = stack_.txBuild(cpu, f.spec.segBytes, config_.costFactor,
+                                   core::AllocCtx::Standard);
+    if (txSkbs_[slot].allocFailed) {
         // Memory or IOVA pressure beat the build: nothing was mapped
         // (txBuild already freed the partial skb).  Throttle the
         // application with an exponentially backed-off retry instead
         // of spinning; give up once the budget is exhausted.
+        freeTxSlots_.push_back(slot);
         sys_.ctx.stats.add(txThrottledCtr_);
         ++f.txAllocRetries;
         if (f.txAllocRetries > f.spec.maxRetries) {
@@ -217,24 +225,25 @@ StreamEngine::pumpTx(std::size_t fi)
     f.txAllocRetries = 0;
     ++f.txInflight;
 
-    txSend(fi, skb, cpu.time, sys_.ctx.now(), /*attempt=*/1);
+    txSend(fi, slot, cpu.time, sys_.ctx.now(), /*attempt=*/1);
     // The application loops: next socket write follows immediately
     // (CPU availability permitting -- the cursor serialized on core).
     sys_.ctx.engine.schedule(cpu.time, [this, fi] { pumpTx(fi); });
 }
 
 void
-StreamEngine::txSend(std::size_t fi, std::shared_ptr<SkBuff> skb,
-                     sim::TimeNs when, sim::TimeNs started,
-                     unsigned attempt)
+StreamEngine::txSend(std::size_t fi, std::uint32_t slot, sim::TimeNs when,
+                     sim::TimeNs started, unsigned attempt)
 {
     State &f = flows_[fi];
+    SkBuff &skb = txSkbs_[slot];
 
     // Abort the in-flight segment: complete with error (unmap + free,
     // so the mapping does not leak) and retire the ring credit.
     const auto abort_tx = [&](sim::TimeNs at) {
         sim::CpuCursor cpu(sys_.ctx.machine.core(f.spec.core), at);
-        stack_.txAbort(cpu, *skb, core::AllocCtx::Standard);
+        stack_.txAbort(cpu, skb, core::AllocCtx::Standard);
+        freeTxSlots_.push_back(slot);
         ++abortedSegments_;
         assert(f.txInflight > 0);
         --f.txInflight;
@@ -245,8 +254,8 @@ StreamEngine::txSend(std::size_t fi, std::shared_ptr<SkBuff> skb,
         return;
     }
 
-    const dma::DmaOutcome out = nic_.transferSegmentSg(
-        when, f.spec.port, Traffic::Tx, stack_.driver.sgOf(*skb));
+    const dma::DmaOutcome out =
+        nic_.transferSegmentSg(when, f.spec.port, Traffic::Tx, skb);
     if (out.fault) {
         ++f.drops;
         sys_.ctx.tracer.instant(f.spec.core, sim::TraceCat::Fault,
@@ -266,26 +275,27 @@ StreamEngine::txSend(std::size_t fi, std::shared_ptr<SkBuff> skb,
         const sim::TimeNs retry_at =
             out.completes + (f.spec.rtoNs << shift);
         sys_.ctx.engine.schedule(
-            retry_at, [this, fi, skb, retry_at, started, attempt] {
-                txSend(fi, skb, retry_at, started, attempt + 1);
+            retry_at, [this, fi, slot, retry_at, started, attempt] {
+                txSend(fi, slot, retry_at, started, attempt + 1);
             });
         return;
     }
 
-    sys_.ctx.engine.schedule(out.completes, [this, fi, skb, started] {
-        txDone(fi, skb, started);
+    sys_.ctx.engine.schedule(out.completes, [this, fi, slot, started] {
+        txDone(fi, slot, started);
     });
 }
 
 void
-StreamEngine::txDone(std::size_t fi, std::shared_ptr<SkBuff> skb,
+StreamEngine::txDone(std::size_t fi, std::uint32_t slot,
                      sim::TimeNs started)
 {
     State &f = flows_[fi];
     sim::CpuCursor cpu(sys_.ctx.machine.core(f.spec.core),
                        sys_.ctx.now());
-    stack_.txComplete(cpu, *skb, config_.costFactor,
+    stack_.txComplete(cpu, txSkbs_[slot], config_.costFactor,
                       core::AllocCtx::Standard);
+    freeTxSlots_.push_back(slot);
 
     if (inWindow()) {
         ++f.segments;

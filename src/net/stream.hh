@@ -16,8 +16,8 @@
 #ifndef DAMN_NET_STREAM_HH
 #define DAMN_NET_STREAM_HH
 
-#include <deque>
-#include <memory>
+#include <cassert>
+#include <cstdint>
 #include <vector>
 
 #include "net/stack.hh"
@@ -173,12 +173,46 @@ class StreamEngine
     }
 
   private:
+    /**
+     * An RX flow's posted buffers, oldest first, in a ring of the
+     * flow's window: a flow never has more than `window` buffers
+     * posted, in flight to the stack, or awaiting a refill retry.
+     */
+    class PostedRing
+    {
+      public:
+        explicit PostedRing(unsigned capacity) : slots_(capacity) {}
+
+        bool empty() const { return size_ == 0; }
+        const RxBuffer &front() const { return slots_[head_]; }
+
+        void
+        push_back(const RxBuffer &buf)
+        {
+            assert(size_ < slots_.size());
+            slots_[(head_ + size_++) % slots_.size()] = buf;
+        }
+
+        void
+        pop_front()
+        {
+            assert(size_ > 0);
+            head_ = (head_ + 1) % slots_.size();
+            --size_;
+        }
+
+      private:
+        std::vector<RxBuffer> slots_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
     struct State
     {
-        explicit State(FlowSpec s) : spec(std::move(s)) {}
+        explicit State(FlowSpec s) : spec(s), posted(s.window) {}
 
         FlowSpec spec;
-        std::deque<RxBuffer> posted; //!< RX: buffers owned by the NIC
+        PostedRing posted;           //!< RX: buffers owned by the NIC
         unsigned txInflight = 0;
         unsigned rxInflight = 0;     //!< segments between DMA and stack
         bool generatorStalled = false;
@@ -197,10 +231,9 @@ class StreamEngine
     void rxProcess(std::size_t fi, RxBuffer buf, sim::TimeNs started);
     void refillRx(std::size_t fi);
     void pumpTx(std::size_t fi);
-    void txSend(std::size_t fi, std::shared_ptr<SkBuff> skb,
-                sim::TimeNs when, sim::TimeNs started, unsigned attempt);
-    void txDone(std::size_t fi, std::shared_ptr<SkBuff> skb,
-                sim::TimeNs started);
+    void txSend(std::size_t fi, std::uint32_t slot, sim::TimeNs when,
+                sim::TimeNs started, unsigned attempt);
+    void txDone(std::size_t fi, std::uint32_t slot, sim::TimeNs started);
     bool inWindow() const;
 
     System &sys_;
@@ -211,6 +244,10 @@ class StreamEngine
     sim::Stats::Counter txThrottledCtr_;
     sim::Stats::Counter ringTeardownsCtr_;
     std::vector<State> flows_;
+    /** In-flight TX skbs of every flow; events carry a slot index.  A
+     *  slot is reused once its skb completes or aborts. */
+    std::vector<SkBuff> txSkbs_;
+    std::vector<std::uint32_t> freeTxSlots_;
     sim::LatencyHistogram latency_;
     sim::TimeNs windowStart_ = 0;
     sim::TimeNs windowEnd_ = 0;

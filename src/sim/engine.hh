@@ -20,10 +20,11 @@
  *    recently pushed node when its time matches and no batch (below)
  *    has begun since.  Chain members therefore hold consecutive seqs,
  *    so a node's seq (its first member's) still orders it exactly;
- *  - callbacks live as SmallFn values (48-byte inline buffer, see
- *    sim/small_fn.hh) in slots carved from fixed-size blocks that
- *    never move, so schedule() is allocation-free for every callback
- *    in tree and dispatch runs each callback in place;
+ *  - callbacks live as SmallFn values (64-byte inline buffer, see
+ *    sim/small_fn.hh, which has no heap path) in slots carved from
+ *    fixed-size blocks that never move, so schedule() allocates only
+ *    when the events in flight outgrow every block so far, and
+ *    dispatch runs each callback in place;
  *  - dispatch pops one node and runs its chain.  `until` and the stall
  *    watchdog are checked between batches: a batch is the events at
  *    the earliest time that were already scheduled when it began, so

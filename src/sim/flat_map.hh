@@ -62,20 +62,38 @@ class FlatMap
     bool
     erase(std::uint64_t key)
     {
-        std::size_t hole = indexOf(key);
-        if (hole == kAbsent)
+        const std::size_t i = indexOf(key);
+        if (i == kAbsent)
             return false;
-        // Shift back each later entry of the run homed at or before it.
-        for (std::size_t j = (hole + 1) & mask_; slots_[j].key != kEmptyKey;
-             j = (j + 1) & mask_) {
-            if (((j - home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
-                slots_[hole] = slots_[j];
-                hole = j;
+        eraseAt(i);
+        return true;
+    }
+
+    /**
+     * Remove every entry for which @p pred(key, value) is true, calling
+     * it once per entry; returns how many were removed.
+     */
+    template <typename Pred>
+    std::size_t
+    eraseIf(Pred pred)
+    {
+        // Start just past an empty slot (the table is at most half
+        // full): no probe run then wraps past the start, so the
+        // backward shift only ever moves a not-yet-visited entry into
+        // the slot being visited, and each entry is tested once.
+        std::size_t start = 0;
+        while (slots_[start].key != kEmptyKey)
+            ++start;
+        std::size_t erased = 0;
+        for (std::size_t n = 1; n <= mask_; ++n) {
+            const std::size_t i = (start + n) & mask_;
+            while (slots_[i].key != kEmptyKey &&
+                   pred(slots_[i].key, slots_[i].value)) {
+                eraseAt(i);
+                ++erased;
             }
         }
-        slots_[hole].key = kEmptyKey;
-        --size_;
-        return true;
+        return erased;
     }
 
     /** Empty the map, keeping its capacity. */
@@ -110,6 +128,22 @@ class FlatMap
             if (slots_[i].key == kEmptyKey)
                 return kAbsent;
         return i;
+    }
+
+    /** Empty occupied slot @p hole, shifting back each later entry of
+     *  its run that is homed at or before the hole. */
+    void
+    eraseAt(std::size_t hole)
+    {
+        for (std::size_t j = (hole + 1) & mask_; slots_[j].key != kEmptyKey;
+             j = (j + 1) & mask_) {
+            if (((j - home(slots_[j].key)) & mask_) >= ((j - hole) & mask_)) {
+                slots_[hole] = slots_[j];
+                hole = j;
+            }
+        }
+        slots_[hole].key = kEmptyKey;
+        --size_;
     }
 
     void

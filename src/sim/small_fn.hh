@@ -1,18 +1,18 @@
 /**
  * @file
- * Small-buffer-optimized move-only callable, the engine's event
- * callback representation.
+ * Small-buffer move-only callable, the engine's event callback
+ * representation.
  *
  * `std::function` heap-allocates for any capture list larger than its
  * (implementation-defined, typically two-pointer) inline buffer, and
  * the simulator's event callbacks routinely capture `this` plus a few
- * words of state — every schedule() paid an allocation and every
- * dispatch an indirect-through-heap call.  SmallFn fixes the inline
- * buffer at 48 bytes (covers every callback in tree; checked with a
- * static_assert at each capture-heavy call site that cares) and falls
- * back to a single heap cell only beyond that, so the common path is
- * allocation-free and the callable body sits in the same cache lines
- * as the event bookkeeping.
+ * words of state.  SmallFn stores the callable in a fixed 64-byte
+ * inline buffer and has no heap path: a callable that is larger, more
+ * strictly aligned, or not nothrow-movable does not convert to SmallFn,
+ * so an oversized capture is a compile error at its schedule() call
+ * rather than a hidden allocation per event.  64 bytes holds every
+ * callback in tree (the largest, StreamEngine's RX completion, is
+ * `this` + flow index + receive buffer + timestamp).
  *
  * Move-only on purpose: event callbacks are dispatched exactly once
  * and priority-queue reshuffling only ever relocates them.
@@ -22,39 +22,31 @@
 #define DAMN_SIM_SMALL_FN_HH
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace damn::sim {
 
-/** Move-only `void()` callable with a 48-byte inline buffer. */
+/** Move-only `void()` callable held in a 64-byte inline buffer. */
 class SmallFn
 {
   public:
-    static constexpr std::size_t kInlineBytes = 48;
+    static constexpr std::size_t kInlineBytes = 64;
 
     SmallFn() = default;
 
-    template <typename F,
+    template <typename F, typename Fn = std::decay_t<F>,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+                  !std::is_same_v<Fn, SmallFn> &&
+                  std::is_invocable_r_v<void, Fn &> &&
+                  sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>>>
     SmallFn(F &&f)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= kInlineBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
-            ::new (static_cast<void *>(store_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            // Oversized capture: one owning pointer in the buffer.
-            ::new (static_cast<void *>(store_))
-                Fn *(new Fn(std::forward<F>(f)));
-            ops_ = &heapOps<Fn>;
-        }
+        ::new (static_cast<void *>(store_)) Fn(std::forward<F>(f));
+        ops_ = &opsFor<Fn>;
     }
 
     SmallFn(SmallFn &&other) noexcept { moveFrom(other); }
@@ -98,7 +90,7 @@ class SmallFn
     };
 
     template <typename Fn>
-    static constexpr Ops inlineOps = {
+    static constexpr Ops opsFor = {
         [](void *p) { (*static_cast<Fn *>(p))(); },
         [](void *src, void *dst) noexcept {
             Fn *f = static_cast<Fn *>(src);
@@ -106,15 +98,6 @@ class SmallFn
             f->~Fn();
         },
         [](void *p) noexcept { static_cast<Fn *>(p)->~Fn(); },
-    };
-
-    template <typename Fn>
-    static constexpr Ops heapOps = {
-        [](void *p) { (**static_cast<Fn **>(p))(); },
-        [](void *src, void *dst) noexcept {
-            ::new (dst) Fn *(*static_cast<Fn **>(src));
-        },
-        [](void *p) noexcept { delete *static_cast<Fn **>(p); },
     };
 
     void

@@ -67,9 +67,8 @@ class Instance
                            sys_.ctx.now());
         if (isGet_) {
             // Server transmits a value chunk.
-            auto skb = std::make_shared<net::SkBuff>(
-                stack_.txBuild(cpu, opts_.segBytes, 1.3));
-            if (skb->allocFailed) {
+            txSkb_ = stack_.txBuild(cpu, opts_.segBytes, 1.3);
+            if (txSkb_.allocFailed) {
                 // Memory/IOVA pressure: retry this chunk later.
                 ++segsLeft_;
                 sys_.ctx.stats.add(txThrottledCtr_);
@@ -79,12 +78,11 @@ class Instance
                 return;
             }
             const dma::DmaOutcome out = nic_.transferSegmentSg(
-                cpu.time, port_, net::Traffic::Tx,
-                stack_.driver.sgOf(*skb));
-            sys_.ctx.engine.schedule(out.completes, [this, skb] {
+                cpu.time, port_, net::Traffic::Tx, txSkb_);
+            sys_.ctx.engine.schedule(out.completes, [this] {
                 sim::CpuCursor c2(sys_.ctx.machine.core(core_),
                                   sys_.ctx.now());
-                stack_.txComplete(c2, *skb, 1.3);
+                stack_.txComplete(c2, txSkb_, 1.3);
                 sys_.ctx.engine.schedule(c2.time,
                                          [this] { moveSegment(); });
             });
@@ -138,6 +136,8 @@ class Instance
     sim::Stats::Counter rxRefillFailsCtr_;
     bool isGet_ = false;
     unsigned segsLeft_ = 0;
+    /** The one TX segment in flight (an instance moves one at a time). */
+    net::SkBuff txSkb_;
 };
 
 } // namespace

@@ -319,6 +319,50 @@ TEST_F(SchemeFixture, ShadowPoolRecyclesBuffers)
     EXPECT_EQ(api.poolFrames(), frames);
 }
 
+// Shadow keeps every domain's in-flight maps in one table and a pool
+// per domain.  Draining one domain aborts exactly its maps and
+// releases its pool; the other domain's maps still reach the device
+// and unmap; the pressure shrinker releases only pools with nothing
+// in flight.
+TEST_F(SchemeFixture, ShadowDrainAndShrinkStayInTheirDomain)
+{
+    ShadowDmaApi api(ctx, mmu, pa);
+    Device dev2(ctx, "dev1", mmu, pm);
+    Device dev3(ctx, "dev2", mmu, pm);
+    auto c = cpu();
+    const mem::Pa buf = mem::pfnToPa(pa.allocPages(0, 0, true));
+    std::vector<iommu::Iova> mine, theirs;
+    for (int i = 0; i < 3; ++i)
+        mine.push_back(api.map(c, dev, buf, 2048, Dir::ToDevice));
+    for (int i = 0; i < 5; ++i)
+        theirs.push_back(api.map(c, dev2, buf, 4096, Dir::FromDevice));
+    constexpr std::uint64_t kBlockPages = 32; // one order-5 pool block
+    EXPECT_EQ(api.poolFrames(), 2 * kBlockPages);
+
+    EXPECT_EQ(api.drainDomain(c, dev), kBlockPages);
+    EXPECT_EQ(ctx.stats.get("shadow.aborted_maps"), 3u);
+    EXPECT_EQ(api.poolFrames(), kBlockPages);
+    std::uint8_t byte = 0;
+    for (const iommu::Iova iova : mine)
+        EXPECT_TRUE(dev.dmaRead(c.time, iova, &byte, 1).fault);
+    for (const iommu::Iova iova : theirs) {
+        EXPECT_TRUE(dev2.dmaWrite(c.time, iova, &byte, 1).ok);
+        api.unmap(c, dev2, iova, 4096, Dir::FromDevice);
+    }
+    EXPECT_EQ(ctx.stats.get("shadow.aborted_maps"), 3u);
+
+    // dev2's pool is idle now; dev3 holds one map in flight.
+    const iommu::Iova busy = api.map(c, dev3, buf, 512, Dir::ToDevice);
+    EXPECT_EQ(api.shrinkIdle(c), kBlockPages);
+    EXPECT_EQ(api.poolFrames(), kBlockPages);
+    EXPECT_TRUE(dev3.dmaRead(c.time, busy, &byte, 1).ok);
+    api.unmap(c, dev3, busy, 512, Dir::ToDevice);
+    EXPECT_EQ(api.shrinkIdle(c), kBlockPages);
+    EXPECT_EQ(api.poolFrames(), 0u);
+    EXPECT_EQ(api.outstandingIovas(), 0u);
+    EXPECT_EQ(mmu.currentlyMappedPages(), 0u);
+}
+
 TEST_F(SchemeFixture, DeviceFaultCounting)
 {
     StrictDmaApi api(ctx, mmu);

@@ -187,10 +187,10 @@ TEST_F(ZeroCopyFixture, DeviceReadsFileDataWithoutCopies)
     // segment, and the device reads the page-cache bytes directly.
     EXPECT_EQ(sys->ctx.stats.get("net.tx_zerocopy_segments"), 1u);
     std::vector<std::uint8_t> wire(4096);
-    const auto sg = stack->driver.sgOf(skb);
-    ASSERT_EQ(sg.size(), 3u); // head + 2 file pages
+    ASSERT_EQ(skb.segs.size(), 3u); // head + 2 file pages
+    ASSERT_TRUE(skb.segs[1].dmaMapped);
     EXPECT_TRUE(
-        nic->dmaRead(c.time, sg[1].first, wire.data(), 4096).ok);
+        nic->dmaRead(c.time, skb.segs[1].dmaAddr, wire.data(), 4096).ok);
     EXPECT_EQ(wire[0], 0x6c);
     EXPECT_EQ(wire[4095], 0x6c);
     stack->txComplete(c, skb, 1.0);
@@ -206,8 +206,8 @@ TEST_F(ZeroCopyFixture, FallbackProtectionStillApplies)
     auto c = cpu();
     const auto pages = fileCache(1, 0x31);
     net::SkBuff skb = stack->txBuildZeroCopy(c, pages, 4096, 1.0);
-    const auto sg = stack->driver.sgOf(skb);
-    const iommu::Iova file_iova = sg[1].first;
+    ASSERT_TRUE(skb.segs[1].dmaMapped);
+    const iommu::Iova file_iova = skb.segs[1].dmaAddr;
     EXPECT_TRUE(nic->dmaTouch(c.time, file_iova, 64, false).ok);
 
     stack->txComplete(c, skb, 1.0);

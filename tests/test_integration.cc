@@ -84,8 +84,10 @@ TEST_P(E2E, InterleavedRxTxFlows)
         ASSERT_TRUE(nic->dmaTouch(c.time, buf.seg.dmaAddr, 16384,
                                   true).ok);
     for (auto &skb : tx)
-        for (const auto &[iova, len] : stack->driver.sgOf(skb))
-            ASSERT_TRUE(nic->dmaTouch(c.time, iova, len, false).ok);
+        for (const SkbSegment &seg : skb.segs)
+            ASSERT_TRUE(seg.dmaMapped &&
+                        nic->dmaTouch(c.time, seg.dmaAddr, seg.dmaLen,
+                                      false).ok);
     for (auto &skb : tx)
         stack->txComplete(c, skb, 1.0);
     for (auto &buf : rx) {

@@ -851,6 +851,43 @@ TEST_F(IommuFixture, EverVsCurrentlyMapped)
     EXPECT_EQ(mmu.everMappedFrames(), 2u);
 }
 
+// everMappedFrames() counts distinct frames: remaps of a frame, a
+// 2 MiB block overlapping earlier 4 KiB frames, and a first map far
+// above every earlier frame (the frame bitmap grows there) each add
+// exactly the frames not seen before, and unmaps never subtract.
+TEST_F(IommuFixture, EverMappedFramesDistinctAndMonotonic)
+{
+    const DomainId d = mmu.createDomain();
+    const DomainId e = mmu.createDomain();
+    mmu.mapPage(d, 0x1000, 0x201000, PermRW); // frame 0x201
+    mmu.mapPage(e, 0x1000, 0x201000, PermRead);
+    EXPECT_EQ(mmu.everMappedFrames(), 1u);
+    mmu.unmapPage(d, 0x1000);
+    mmu.mapPage(d, 0x1000, 0x201000, PermRW);
+    EXPECT_EQ(mmu.everMappedFrames(), 1u);
+
+    // Frames 0x200..0x3ff, of which 0x201 was already counted.
+    ASSERT_TRUE(mmu.mapHuge(d, 0x200000, 0x200000, PermRW));
+    EXPECT_EQ(mmu.everMappedFrames(), 512u);
+    mmu.mapPage(e, 0x2000, 0x3ff000, PermRW); // inside the block
+    EXPECT_EQ(mmu.everMappedFrames(), 512u);
+
+    // 3 GiB up, far past the bitmap's words so far.
+    const mem::Pa far = 3ull << 30;
+    mmu.mapPage(d, 0x3000, far, PermRW);
+    EXPECT_EQ(mmu.everMappedFrames(), 513u);
+    mmu.mapPage(d, 0x4000, far - mem::kPageSize, PermRW);
+    mmu.mapPage(e, 0x3000, far, PermRW);
+    EXPECT_EQ(mmu.everMappedFrames(), 514u);
+
+    mmu.unmapPage(d, 0x3000);
+    mmu.detachDomain(e);
+    EXPECT_EQ(mmu.everMappedFrames(), 514u);
+    // Frame 0 is a frame like any other.
+    mmu.mapPage(d, 0x5000, 0, PermRW);
+    EXPECT_EQ(mmu.everMappedFrames(), 515u);
+}
+
 TEST_F(IommuFixture, SyncInvalidateSerializesOnLock)
 {
     const DomainId d = mmu.createDomain();

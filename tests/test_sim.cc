@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -148,21 +149,44 @@ TEST(Engine, SameInstantScheduleFromBatchRunsAfterBatch)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-// Callbacks larger than SmallFn's inline buffer must still work (heap
-// fallback path).
-TEST(Engine, OversizedCallbackFallsBackToHeap)
+// A capture of exactly SmallFn::kInlineBytes is stored and run inside
+// the SmallFn itself, and runs through the engine.
+TEST(Engine, InlineBufferSizedCallbackRunsInPlace)
 {
-    Engine e;
-    std::array<std::uint64_t, 16> payload{};
+    std::array<std::uint64_t, 6> payload{};
     payload.fill(7);
     std::uint64_t sum = 0;
-    e.schedule(5, [payload, &sum] {
+    const void *at = nullptr;
+    const auto cb = [payload, &sum, &at] {
+        at = &payload;
         for (const auto v : payload)
             sum += v;
-    });
+    };
+    static_assert(sizeof(cb) == SmallFn::kInlineBytes);
+
+    SmallFn fn(cb);
+    fn();
+    const auto *lo = reinterpret_cast<const unsigned char *>(&fn);
+    const auto *p = static_cast<const unsigned char *>(at);
+    EXPECT_TRUE(p >= lo && p < lo + sizeof(SmallFn));
+    EXPECT_EQ(sum, 6u * 7u);
+
+    Engine e;
+    e.schedule(5, cb);
     e.runAll();
-    EXPECT_EQ(sum, 16u * 7u);
+    EXPECT_EQ(sum, 2u * 6u * 7u);
 }
+
+// SmallFn has no heap fallback: a larger capture does not convert.
+namespace {
+struct Oversized
+{
+    std::array<std::uint64_t, SmallFn::kInlineBytes / 8 + 1> payload{};
+    void operator()() const {}
+};
+} // namespace
+static_assert(!std::is_constructible_v<SmallFn, Oversized>);
+static_assert(std::is_constructible_v<SmallFn, void (*)()>);
 
 namespace {
 
@@ -921,4 +945,62 @@ TEST(FlatMap, MatchesUnorderedMapOnRandomOperations)
         }
     }
     expectSameContents(m, ref);
+}
+
+// eraseIf() removes exactly the entries its predicate accepts and asks
+// about each entry once, also when erasing shifts later entries of a
+// run (wrapping past the table's end) into the slots it visits.
+TEST(FlatMap, EraseIfTestsEachEntryOnce)
+{
+    FlatMap<std::uint32_t> m;
+    std::unordered_map<std::uint64_t, std::uint32_t> ref;
+    // The wrapping run of the test above: homes 14, 14, 14, 15, 15, 0, 0.
+    std::vector<std::uint64_t> run;
+    for (const auto &[slot, n] : {std::pair{14u, 3u}, {15u, 2u}, {0u, 2u}})
+        for (std::uint64_t k : keysHomedAt(slot, n, 1))
+            run.push_back(k);
+    for (std::uint32_t i = 0; i < run.size(); ++i)
+        ref[run[i]] = m[run[i]] = i;
+
+    std::unordered_map<std::uint64_t, unsigned> asked;
+    const auto even = [&asked](std::uint64_t k, std::uint32_t v) {
+        ++asked[k];
+        return v % 2 == 0;
+    };
+    EXPECT_EQ(m.eraseIf(even), 4u);
+    EXPECT_EQ(asked.size(), run.size());
+    for (const auto &[k, n] : asked)
+        EXPECT_EQ(n, 1u) << "key " << k;
+    std::erase_if(ref, [](const auto &kv) { return kv.second % 2 == 0; });
+    expectSameContents(m, ref);
+
+    // Random contents and predicates against the same rule on
+    // std::unordered_map, at several table sizes.
+    Rng rng(0xe7a5e);
+    for (unsigned round = 0; round < 200; ++round) {
+        const unsigned n = unsigned(rng.below(300));
+        for (unsigned i = 0; i < n; ++i) {
+            const std::uint64_t k = rng.below(2048) * 4096;
+            const auto v = std::uint32_t(rng.next());
+            m[k] = v;
+            ref[k] = v;
+        }
+        const std::uint32_t mod = 1 + std::uint32_t(rng.below(4));
+        asked.clear();
+        const std::size_t before = m.size();
+        const auto pick = [&](std::uint64_t k, std::uint32_t v) {
+            ++asked[k];
+            return v % mod == 0;
+        };
+        const std::size_t erased = m.eraseIf(pick);
+        ASSERT_EQ(asked.size(), before) << "round " << round;
+        for (const auto &[k, times] : asked)
+            ASSERT_EQ(times, 1u) << "round " << round << " key " << k;
+        ASSERT_EQ(erased, std::erase_if(ref, [mod](const auto &kv) {
+                      return kv.second % mod == 0;
+                  })) << "round " << round;
+        expectSameContents(m, ref);
+        if (HasFatalFailure())
+            return;
+    }
 }
