@@ -197,7 +197,7 @@ DamnAllocator::shrink(sim::CpuCursor &cpu)
         // the freed pages may be handed out by the OS only after this.
         cpu.time = iommu_.backend().batchedFlushAll(*cpu.core, cpu.time);
     }
-    return chunks * config_.chunkBytes();
+    return chunks * kChunkBytes;
 }
 
 std::uint64_t
@@ -212,7 +212,7 @@ DamnAllocator::drainDomain(sim::CpuCursor &cpu, iommu::DomainId d)
         // need to die, and other devices' warm entries must survive.
         cpu.time = iommu_.backend().batchedFlush(*cpu.core, cpu.time, {d});
     }
-    return chunks * config_.chunkBytes();
+    return chunks * kChunkBytes;
 }
 
 std::uint64_t

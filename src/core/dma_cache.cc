@@ -18,17 +18,6 @@ alignUp(std::uint32_t v, std::uint32_t align)
     return (v + align - 1) & ~(align - 1);
 }
 
-/** log2 of a power-of-two page count. */
-unsigned
-orderOf(unsigned pages)
-{
-    unsigned o = 0;
-    while ((1u << o) < pages)
-        ++o;
-    assert((1u << o) == pages && "chunkPages must be a power of two");
-    return o;
-}
-
 } // namespace
 
 DmaCache::DmaCache(sim::Context &ctx, mem::PageAllocator &pa,
@@ -42,8 +31,6 @@ DmaCache::DmaCache(sim::Context &ctx, mem::PageAllocator &pa,
       depot_(*this, config.magazineCapacity, ctx.cost.depotExchangeNs),
       perCore_(ctx.machine.numCores())
 {
-    assert(config_.chunkPages >= 4 &&
-           "compound metadata needs the third page struct");
     for (auto &ctxs : perCore_) {
         for (auto &pc : ctxs) {
             pc.loaded = Magazine(config_.magazineCapacity);
@@ -55,15 +42,14 @@ DmaCache::DmaCache(sim::Context &ctx, mem::PageAllocator &pa,
 iommu::Iova
 DmaCache::allocChunkIova(sim::CoreId creating_core)
 {
-    const std::uint64_t chunk_bytes = config_.chunkBytes();
-    if (config_.denseIova || config_.hugeIovaPages) {
-        // Analysis-only variants (Table 3): IOVAs are packed densely in
+    if (config_.hugeIovaPages) {
+        // Analysis-only variant (Table 3): IOVAs are packed densely in
         // a private 16 GiB region; no metadata is encoded.
         const iommu::Iova base =
             iommu::kDamnIovaBit |
             (std::uint64_t(cacheId_) << kDenseRegionShift);
         const iommu::Iova iova = base + denseNext_;
-        denseNext_ += chunk_bytes;
+        denseNext_ += kChunkBytes;
         return iova;
     }
     std::uint64_t slot;
@@ -76,13 +62,13 @@ DmaCache::allocChunkIova(sim::CoreId creating_core)
         // encoded IOVA has the tag bit set, so 0 is an unambiguous
         // invalid sentinel for the caller's OOM path.
         slot = nextSlot_;
-        if (slot * chunk_bytes > kOffsetMask) {
+        if (slot * kChunkBytes > kOffsetMask) {
             ctx_.stats.add(ctr_.iovaRegionExhausted);
             return 0;
         }
         ++nextSlot_;
     }
-    const std::uint64_t offset = slot * chunk_bytes;
+    const std::uint64_t offset = slot * kChunkBytes;
     return encodeIova(creating_core, rights_, devIdx_, numa_, offset);
 }
 
@@ -92,9 +78,9 @@ DmaCache::initCompound(const Chunk &c)
     auto &pm = pageAlloc_.phys();
     mem::Page &head = pm.page(c.pfn);
     head.set(mem::PG_head);
-    head.order = std::uint8_t(orderOf(config_.chunkPages));
+    head.order = std::uint8_t(kChunkOrder);
     head.refcount = 0;
-    for (unsigned i = 1; i < config_.chunkPages; ++i) {
+    for (unsigned i = 1; i < kChunkPages; ++i) {
         mem::Page &tail = pm.page(c.pfn + i);
         tail.set(mem::PG_tail);
         tail.compoundHead = c.pfn;
@@ -114,7 +100,7 @@ DmaCache::clearCompound(const Chunk &c)
     auto &pm = pageAlloc_.phys();
     pm.page(c.pfn).clearFlag(mem::PG_head);
     pm.page(c.pfn).order = 0;
-    for (unsigned i = 1; i < config_.chunkPages; ++i) {
+    for (unsigned i = 1; i < kChunkPages; ++i) {
         mem::Page &tail = pm.page(c.pfn + i);
         tail.clearFlag(mem::PG_tail);
         tail.compoundHead = 0;
@@ -127,7 +113,6 @@ DmaCache::clearCompound(const Chunk &c)
 Chunk
 DmaCache::allocChunk(sim::CpuCursor &cpu)
 {
-    const unsigned order = orderOf(config_.chunkPages);
     Chunk c;
 
     if (config_.hugeIovaPages) {
@@ -155,11 +140,11 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
                 (void)ok;
             }
             const unsigned per_block = unsigned(
-                iommu::kHugePageSize / config_.chunkBytes());
+                iommu::kHugePageSize / kChunkBytes);
             for (unsigned i = 0; i < per_block; ++i) {
                 hugeCarved_.push_back(Chunk{
-                    block + std::uint64_t(i) * config_.chunkPages,
-                    block_iova + std::uint64_t(i) * config_.chunkBytes(),
+                    block + std::uint64_t(i) * kChunkPages,
+                    block_iova + std::uint64_t(i) * kChunkBytes,
                 });
             }
             // Keep denseNext_ 2 MiB aligned for the next block.
@@ -174,7 +159,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
     }
 
     cpu.charge(ctx_.cost.pageAllocNs);
-    c.pfn = pageAlloc_.allocPages(order, numa_,
+    c.pfn = pageAlloc_.allocPages(kChunkOrder, numa_,
                                   /*zero=*/ctx_.functionalData);
     if (c.pfn == mem::kInvalidPfn) {
         // OS page allocator exhausted: propagate the failure up the
@@ -185,7 +170,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
     }
     // The depot zeroes every chunk it obtains from the OS (TX security,
     // section 5.6); zeroing costs CPU time.
-    cpu.charge(sim::TimeNs(double(config_.chunkBytes()) /
+    cpu.charge(sim::TimeNs(double(kChunkBytes) /
                            ctx_.cost.zeroBytesPerNs));
 
     if (config_.mapInIommu) {
@@ -194,12 +179,12 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
             // Encoded-IOVA region exhausted: give the pages back and
             // propagate the failure like a page-allocator miss.
             cpu.charge(ctx_.cost.pageAllocNs);
-            pageAlloc_.freePages(c.pfn, order);
+            pageAlloc_.freePages(c.pfn, kChunkOrder);
             ctx_.stats.add(ctr_.chunkAllocFails);
             return Chunk{};
         }
-        cpu.charge(ctx_.cost.ptePerPageNs * config_.chunkPages);
-        for (unsigned i = 0; i < config_.chunkPages; ++i) {
+        cpu.charge(ctx_.cost.ptePerPageNs * kChunkPages);
+        for (unsigned i = 0; i < kChunkPages; ++i) {
             const bool ok = iommu_.mapPage(
                 domain_, c.iova + std::uint64_t(i) * mem::kPageSize,
                 mem::pfnToPa(c.pfn + i), permOf(rights_));
@@ -233,22 +218,19 @@ DmaCache::releaseChunk(sim::CpuCursor &cpu, const Chunk &c)
     assert(pm.page(c.pfn).refcount == 0 && "releasing a live chunk");
 
     if (config_.mapInIommu) {
-        cpu.charge(ctx_.cost.ptePerPageNs * config_.chunkPages);
-        for (unsigned i = 0; i < config_.chunkPages; ++i) {
+        cpu.charge(ctx_.cost.ptePerPageNs * kChunkPages);
+        for (unsigned i = 0; i < kChunkPages; ++i) {
             const bool ok = iommu_.unmapPage(
                 domain_, c.iova + std::uint64_t(i) * mem::kPageSize);
             assert(ok);
             (void)ok;
         }
-        if (!config_.denseIova) {
-            const IovaFields f = decodeIova(c.iova);
-            freeSlots_.push_back(f.offset / config_.chunkBytes());
-        }
+        freeSlots_.push_back(decodeIova(c.iova).offset / kChunkBytes);
     }
 
     clearCompound(c);
     cpu.charge(ctx_.cost.pageAllocNs);
-    pageAlloc_.freePages(c.pfn, orderOf(config_.chunkPages));
+    pageAlloc_.freePages(c.pfn, kChunkOrder);
     assert(ownedChunks_ > 0);
     --ownedChunks_;
     ctx_.stats.add(ctr_.chunksReleased);
@@ -304,7 +286,7 @@ mem::Pa
 DmaCache::alloc(sim::CpuCursor &cpu, std::uint32_t size,
                 std::uint32_t align, AllocCtx actx)
 {
-    assert(size > 0 && size <= config_.chunkBytes());
+    assert(size > 0 && size <= kChunkBytes);
     assert((align & (align - 1)) == 0 && "alignment must be a power of 2");
     cpu.charge(ctx_.cost.damnFastAllocNs);
 
@@ -312,7 +294,7 @@ DmaCache::alloc(sim::CpuCursor &cpu, std::uint32_t size,
     BumpState &bs = align >= mem::kPageSize ? pc.pageBump : pc.bump;
 
     std::uint32_t start = alignUp(bs.offset, align);
-    if (!bs.chunk.valid() || start + size > config_.chunkBytes()) {
+    if (!bs.chunk.valid() || start + size > kChunkBytes) {
         retireBumpChunk(cpu, pc, bs);
         bs.chunk = getChunk(cpu, pc);
         if (!bs.chunk.valid()) {
@@ -396,9 +378,9 @@ DmaCache::drain(sim::CpuCursor &cpu)
 std::uint64_t
 DmaCache::outstandingIovaSlots() const
 {
-    // Dense/huge/unmapped variants have no recycling slot machinery:
+    // The huge and unmapped variants have no recycling slot machinery:
     // every owned chunk is the outstanding unit.
-    if (config_.denseIova || config_.hugeIovaPages || !config_.mapInIommu)
+    if (config_.hugeIovaPages || !config_.mapInIommu)
         return ownedChunks_;
     return nextSlot_ - freeSlots_.size();
 }

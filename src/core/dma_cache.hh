@@ -41,20 +41,21 @@ enum class AllocCtx : std::uint8_t
     Interrupt = 1,  //!< irq/softirq context (RX path)
 };
 
+/** C: pages per chunk (paper section 5.4), a power of two. */
+constexpr unsigned kChunkOrder = 4;
+constexpr unsigned kChunkPages = 1u << kChunkOrder; //!< 64 KiB chunks
+constexpr std::uint64_t kChunkBytes = kChunkPages * mem::kPageSize;
+static_assert(kChunkPages >= 4,
+              "compound metadata needs the third page struct");
+
 /** Tunables, including the Table-3 analysis variants. */
 struct DmaCacheConfig
 {
-    unsigned chunkPages = 16;       //!< C: 64 KiB chunks
     unsigned magazineCapacity = 16; //!< M
     bool mapInIommu = true;         //!< false: "damn without iommu"
-    bool hugeIovaPages = false;     //!< map 2 MiB IOVA pages
-    bool denseIova = false;         //!< dense IOVAs, no metadata encoding
-
-    std::uint64_t
-    chunkBytes() const
-    {
-        return std::uint64_t(chunkPages) * mem::kPageSize;
-    }
+    /** Dense IOVAs (no metadata encoding) mapped with 2 MiB IOVA
+     *  pages. */
+    bool hugeIovaPages = false;
 };
 
 /**
@@ -130,7 +131,7 @@ class DmaCache : public ChunkSource
     std::uint64_t
     ownedBytes() const
     {
-        return ownedChunks_ * config_.chunkBytes();
+        return ownedChunks_ * kChunkBytes;
     }
 
     std::uint32_t cacheId() const { return cacheId_; }

@@ -70,7 +70,6 @@ DAMN_EXPERIMENT(table3_variants)
         core::DmaCacheConfig stock;
         core::DmaCacheConfig huge;
         huge.hugeIovaPages = true;
-        huge.denseIova = true;
         core::DmaCacheConfig noiommu;
         noiommu.mapInIommu = false;
         const Variant variants[] = {

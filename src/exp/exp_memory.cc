@@ -37,7 +37,7 @@ DAMN_EXPERIMENT(fig9_stock_pages)
         o.segBytes = 64 * 1024;
 
         work::NetperfRun run = work::makeNetperfSystem(o);
-        work::KbuildChurn churn(run.sys->ctx, run.sys->pageAlloc, {});
+        work::KbuildChurn churn(run.sys->ctx, run.sys->pageAlloc);
         churn.start();
 
         net::StreamEngine eng(*run.sys, *run.nic, *run.stack, {});

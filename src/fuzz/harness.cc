@@ -242,15 +242,10 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
     sim::TimeNs t = 0;
     std::vector<Mapping> live;
-    // The live mappings' [iova, end) ranges sorted by iova.  No map
-    // has clashed yet (a clash ends the run), so they are disjoint
-    // and their ends ascend too.
-    std::vector<std::pair<iommu::Iova, iommu::Iova>> liveByIova;
-    const auto forgetIova = [&liveByIova](const Mapping &m) {
-        liveByIova.erase(std::lower_bound(
-            liveByIova.begin(), liveByIova.end(),
-            std::pair<iommu::Iova, iommu::Iova>{m.iova, 0}));
-    };
+    // The live mappings' [iova, iova + len) ranges.  No map has
+    // clashed yet (a clash ends the run), so they are disjoint and
+    // erasing one mapping's range leaves every other one whole.
+    IntervalSet liveIovas;
     IntervalSet pending[2]; //!< unmapped, invalidation not yet certain
     IntervalSet mustNot[2]; //!< unmapped AND certainly invalidated
     // Same two-phase tracking for the per-device ATCs.  IOTLB flushes
@@ -459,13 +454,9 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                 ctx.stats.add(mapFailedCtr);
                 break;
             }
-            // The first live range ending past iova is the only one
-            // that can clash; on a clash the scan in live order names
-            // the mapping the report has always named.
-            const auto next = std::partition_point(
-                liveByIova.begin(), liveByIova.end(),
-                [iova](const auto &r) { return r.second <= iova; });
-            if (next != liveByIova.end() && next->first < iova + len) {
+            // On a clash, the first clashing mapping in live order is
+            // the one the report names.
+            if (liveIovas.overlaps(iova, iova + len)) {
                 for (const Mapping &m : live) {
                     if (iova < m.iova + m.len && m.iova < iova + len) {
                         fail(i, "iova-overlap",
@@ -491,7 +482,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                 atsMustNot[devIdx].erase(lo, hi);
             }
             live.push_back({devIdx, iova, pfn, order, len, dir});
-            liveByIova.insert(next, {iova, iova + len});
+            liveIovas.insert(iova, iova + len);
           } break;
 
           case OpKind::Unmap: {
@@ -502,7 +493,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
             const std::size_t idx = liveAt(op.a);
             const Mapping m = live[idx];
             live.erase(live.begin() + std::ptrdiff_t(idx));
-            forgetIova(m);
+            liveIovas.erase(m.iova, m.iova + m.len);
             doUnmap(m);
           } break;
 
@@ -531,7 +522,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                 live.erase(live.begin() + std::ptrdiff_t(idx));
             reqs.clear();
             for (const Mapping &m : picked) {
-                forgetIova(m);
+                liveIovas.erase(m.iova, m.iova + m.len);
                 reqs.push_back({m.iova, m.len, m.dir});
             }
             sys.dmaApi->unmapBatch(cpu, *devs[devIdx], reqs);
@@ -606,7 +597,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::Teardown: {
             skipTracking = true;
-            liveByIova.clear();
+            liveIovas.clear();
             while (!live.empty()) {
                 const Mapping m = live.back();
                 live.pop_back();

@@ -228,8 +228,10 @@ class IommuBackend
     virtual bool postPageRequest(const PageRequest &req) = 0;
 
     /** OS-side consumption: drain every queued request (and clear any
-     *  overflow condition so new requests can be accepted again). */
-    virtual std::vector<PageRequest> fetchPageRequests() = 0;
+     *  overflow condition so new requests can be accepted again).  The
+     *  result stays valid until the next fetch, so a caller may post
+     *  while it walks the result but must not fetch. */
+    virtual const std::vector<PageRequest> &fetchPageRequests() = 0;
 
     /**
      * OS responds to a fetched request: VT-d produces a
@@ -310,14 +312,15 @@ class IommuBackend
         return true;
     }
 
-    /** Drain half of fetchPageRequests(). */
-    std::vector<PageRequest>
+    /** Drain half of fetchPageRequests(): copies the queue into the
+     *  fetch buffer, so both keep their capacity. */
+    const std::vector<PageRequest> &
     priDrain()
     {
         priFetched_ += prq_.size();
-        std::vector<PageRequest> out = std::move(prq_);
+        fetched_.assign(prq_.begin(), prq_.end());
         prq_.clear();
-        return out;
+        return fetched_;
     }
 
     /** Response accounting for respondPageRequest(). */
@@ -337,6 +340,7 @@ class IommuBackend
     sim::Stats::Counter priAutoResponsesCtr_;
     sim::Stats::Counter priResponsesCtr_;
     std::vector<PageRequest> prq_;
+    std::vector<PageRequest> fetched_; //!< the last fetch's requests
     std::uint64_t priPosted_ = 0;
     std::uint64_t priFetched_ = 0;
     std::uint64_t priResponded_ = 0;

@@ -210,7 +210,7 @@ SmmuV3Backend::postPageRequest(const PageRequest &req)
     return true;
 }
 
-std::vector<IommuBackend::PageRequest>
+const std::vector<IommuBackend::PageRequest> &
 SmmuV3Backend::fetchPageRequests()
 {
     return priDrain();

@@ -115,7 +115,7 @@ class SmmuV3Backend : public IommuBackend
      */
     bool postPageRequest(const PageRequest &req) override;
 
-    std::vector<PageRequest> fetchPageRequests() override;
+    const std::vector<PageRequest> &fetchPageRequests() override;
 
     /** CMD_RESUME (retry or terminate) produced into the cmdq; fire
      *  and forget — no CMD_SYNC needed for the device to resume. */

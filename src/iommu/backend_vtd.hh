@@ -153,7 +153,7 @@ class VtdBackend : public IommuBackend
         return true;
     }
 
-    std::vector<PageRequest>
+    const std::vector<PageRequest> &
     fetchPageRequests() override
     {
         // The driver advances PRQH to PRQT and clears PRS.PRO.

@@ -110,18 +110,6 @@ IoPageTable::unmap(Iova iova)
     return true;
 }
 
-bool
-IoPageTable::unmapHuge(Iova iova)
-{
-    std::uint64_t *e = lookupEntry(iova, 2, /*create=*/false);
-    if (!e || !(*e & kPresent))
-        return false;
-    *e = 0;
-    assert(mapped2m_ > 0);
-    --mapped2m_;
-    return true;
-}
-
 WalkResult
 IoPageTable::walk(Iova iova) const
 {

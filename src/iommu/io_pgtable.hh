@@ -77,9 +77,6 @@ class IoPageTable
      */
     bool unmap(Iova iova);
 
-    /** Remove the 2 MiB mapping at @p iova. */
-    bool unmapHuge(Iova iova);
-
     /** Walk the table for @p iova. */
     WalkResult walk(Iova iova) const;
 

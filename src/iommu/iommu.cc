@@ -29,8 +29,6 @@ Iommu::recordFault(DomainId d, Iova iova, bool is_write,
     if (quarantineThreshold_ != 0 && reason != FaultReason::Quarantined &&
         df >= quarantineThreshold_)
         quarantined_.at(d) = true;
-    if (faultCb_)
-        faultCb_(rec);
 }
 
 TranslateResult

@@ -63,7 +63,6 @@ enum class MapEvent : std::uint8_t
 class Iommu
 {
   public:
-    using FaultCallback = std::function<void(const FaultRecord &)>;
     /** Observer of page-table mutations (the audit ledger hook). */
     using MapObserver =
         std::function<void(MapEvent, DomainId, Iova, unsigned pages)>;
@@ -198,9 +197,6 @@ class Iommu
             faultLog_.resize(cap);
     }
 
-    /** Invoked on every fault, even when the log overflowed. */
-    void onFault(FaultCallback cb) { faultCb_ = std::move(cb); }
-
     // ---- Quarantine ------------------------------------------------
 
     /**
@@ -313,7 +309,6 @@ class Iommu
     std::size_t faultLogCap_ = kDefaultFaultLogCapacity;
     std::vector<FaultRecord> faultLog_;
     std::uint64_t faultLogOverflows_ = 0;
-    FaultCallback faultCb_;
 };
 
 } // namespace damn::iommu

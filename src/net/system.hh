@@ -115,7 +115,7 @@ class System
      * Register the machine's resources and reclaim callbacks with the
      * pressure controller (sim/pressure.hh): watermarked usage probes
      * for pages / kmalloc / IOVA space / DAMN caches / shadow pools,
-     * and reclaimers ordered cheapest-first — force-flush batched
+     * and reclaimers registered cheapest-first — force-flush batched
      * invalidations, shrink DAMN magazines, release idle shadow pools.
      */
     void
@@ -158,25 +158,22 @@ class System
             });
         }
 
-        pc.registerReclaimer(
-            "flush_pending", 10, [this](sim::CpuCursor &cpu) {
-                const std::uint64_t before = dmaApi->outstandingIovas();
-                dmaApi->flushPending(cpu);
-                const std::uint64_t after = dmaApi->outstandingIovas();
-                return before > after ? before - after : 0;
-            });
+        pc.registerReclaimer("flush_pending", [this](sim::CpuCursor &cpu) {
+            const std::uint64_t before = dmaApi->outstandingIovas();
+            dmaApi->flushPending(cpu);
+            const std::uint64_t after = dmaApi->outstandingIovas();
+            return before > after ? before - after : 0;
+        });
         if (damn) {
-            pc.registerReclaimer("damn_shrink", 20,
-                                 [this](sim::CpuCursor &cpu) {
-                                     return damn->shrink(cpu);
-                                 });
+            pc.registerReclaimer("damn_shrink", [this](sim::CpuCursor &cpu) {
+                return damn->shrink(cpu);
+            });
         }
         if (auto *sh =
                 dynamic_cast<dma::ShadowDmaApi *>(dmaApi.get())) {
-            pc.registerReclaimer("shadow_shrink", 30,
-                                 [sh](sim::CpuCursor &cpu) {
-                                     return sh->shrinkIdle(cpu);
-                                 });
+            pc.registerReclaimer("shadow_shrink", [sh](sim::CpuCursor &cpu) {
+                return sh->shrinkIdle(cpu);
+            });
         }
     }
 

@@ -135,8 +135,6 @@ Engine::watchdogCheck()
     // Re-baseline so a caller that chooses to continue running is not
     // re-tripped on the very next batch.
     wdDispatchedAtProgress_ = dispatched_;
-    if (wdOnStall_)
-        wdOnStall_(lastStall_);
     return true;
 }
 

@@ -130,8 +130,8 @@ class Engine
     // otherwise spin run() forever.  Progress is measured by a caller
     // probe (e.g. a completed-segments counter); if it stays flat for
     // @p max_events_without_progress dispatches, run() records a
-    // StallInfo diagnostic, invokes the optional callback, and returns
-    // instead of hanging.  Dispatch-count based, hence deterministic.
+    // StallInfo diagnostic (lastStall()) and returns instead of
+    // hanging.  Dispatch-count based, hence deterministic.
 
     /**
      * Arm (or re-arm) the watchdog.  @p progress is polled every few
@@ -141,15 +141,13 @@ class Engine
      */
     void
     armWatchdog(std::uint64_t max_events_without_progress,
-                std::function<std::uint64_t()> progress,
-                std::function<void(const StallInfo &)> on_stall = {})
+                std::function<std::uint64_t()> progress)
     {
         wdArmed_ = true;
         wdMax_ = max_events_without_progress
                      ? max_events_without_progress
                      : 1;
         wdProgress_ = std::move(progress);
-        wdOnStall_ = std::move(on_stall);
         wdStride_ = wdMax_ / 2 < 1024 ? (wdMax_ / 2 ? wdMax_ / 2 : 1)
                                       : 1024;
         wdLastProgress_ = wdProgress_ ? wdProgress_() : 0;
@@ -246,7 +244,6 @@ class Engine
     std::uint64_t stalls_ = 0;
     StallInfo lastStall_{};
     std::function<std::uint64_t()> wdProgress_;
-    std::function<void(const StallInfo &)> wdOnStall_;
 };
 
 } // namespace damn::sim

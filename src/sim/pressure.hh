@@ -5,17 +5,16 @@
  * Allocation-heavy subsystems (page allocator, kmalloc heap, IOVA
  * space, DAMN caches, shadow pools) register a usage probe; reclaim
  * providers (deferred-flush queues, magazine shrinkers, pool releasers)
- * register a callback tagged with a relative cost.  When an allocation
- * fails — or a producer polls and finds a resource past its critical
- * watermark — reclaim() runs the callbacks cheapest-first until overall
+ * register a callback, cheapest first.  When an allocation fails — or
+ * a producer polls and finds a resource past the critical watermark —
+ * reclaim() runs the callbacks in registration order until overall
  * pressure drops below the low watermark or every provider has run.
  *
  * This is the simulated analog of Linux's vmpressure / shrinker /
  * fq_ring-flush machinery: the point is that exhaustion becomes a
  * *recoverable, observable* degradation path instead of an assert.
- * Everything is deterministic — registration order is preserved, cost
- * ties break by registration order, and all accounting goes through
- * the run's sim::Stats registry.
+ * Everything is deterministic — reclaim follows registration order,
+ * and all accounting goes through the run's sim::Stats registry.
  */
 
 #ifndef DAMN_SIM_PRESSURE_HH
@@ -57,7 +56,7 @@ pressureLevelName(PressureLevel l)
 
 /**
  * Tracks watermark levels across registered resources and drives
- * cost-ordered reclaim.  One instance per sim::Context.
+ * ordered reclaim.  One instance per sim::Context.
  */
 class PressureController
 {
@@ -79,17 +78,16 @@ class PressureController
     PressureController(const PressureController &) = delete;
     PressureController &operator=(const PressureController &) = delete;
 
-    /**
-     * Register a watched resource.  Watermarks are utilization
-     * fractions; crossing them flips the reported level.
-     */
+    /** Utilization fractions at which a resource turns Low and
+     *  Critical. */
+    static constexpr double kLowWatermark = 0.75;
+    static constexpr double kCriticalWatermark = 0.90;
+
+    /** Register a watched resource. */
     void
-    registerResource(std::string name, UsageFn usage,
-                     double low_watermark = 0.75,
-                     double critical_watermark = 0.90)
+    registerResource(std::string name, UsageFn usage)
     {
-        Resource r{name, std::move(usage), low_watermark,
-                   critical_watermark, PressureLevel::Ok, {}};
+        Resource r{name, std::move(usage), PressureLevel::Ok, {}};
         for (const PressureLevel l : {PressureLevel::Ok, PressureLevel::Low,
                                       PressureLevel::Critical})
             r.toLevel[unsigned(l)] = stats_.counter(
@@ -98,21 +96,17 @@ class PressureController
     }
 
     /**
-     * Register a reclaim provider.  @p cost orders providers: lower
-     * runs first (flush a queue before tearing down caches).  Ties
-     * keep registration order, so reclaim is deterministic.
+     * Register a reclaim provider.  Providers run in registration
+     * order, so register the cheapest first (flush a queue before
+     * tearing down caches).
      */
     void
-    registerReclaimer(std::string name, unsigned cost, ReclaimFn fn)
+    registerReclaimer(std::string name, ReclaimFn fn)
     {
         const Stats::Counter reclaimed =
             stats_.counter("pressure.reclaimed." + name);
         reclaimers_.push_back(
-            Reclaimer{std::move(name), cost, std::move(fn), reclaimed});
-        std::stable_sort(reclaimers_.begin(), reclaimers_.end(),
-                         [](const Reclaimer &a, const Reclaimer &b) {
-                             return a.cost < b.cost;
-                         });
+            Reclaimer{std::move(name), std::move(fn), reclaimed});
     }
 
     /** Current level of one resource (Ok when unknown). */
@@ -123,16 +117,6 @@ class PressureController
             if (r.name == resource)
                 return levelOf(r);
         return PressureLevel::Ok;
-    }
-
-    /** Worst level across every registered resource. */
-    PressureLevel
-    overall() const
-    {
-        PressureLevel worst = PressureLevel::Ok;
-        for (const Resource &r : resources_)
-            worst = std::max(worst, levelOf(r));
-        return worst;
     }
 
     /**
@@ -157,7 +141,7 @@ class PressureController
     }
 
     /**
-     * Forced reclaim: run providers cheapest-first until overall
+     * Forced reclaim: run providers in order until overall
      * pressure drops below Low or every provider has run.  Called from
      * allocation-failure paths (the feedback loop) and from throttle
      * sites that found poll() == Critical.
@@ -200,8 +184,6 @@ class PressureController
     {
         std::string name;
         UsageFn usage;
-        double low;
-        double critical;
         PressureLevel lastLevel;
         Stats::Counter toLevel[3]; //!< pressure.<name>.to_<level>
     };
@@ -209,7 +191,6 @@ class PressureController
     struct Reclaimer
     {
         std::string name;
-        unsigned cost;
         ReclaimFn fn;
         Stats::Counter reclaimed; //!< pressure.reclaimed.<name>
     };
@@ -218,9 +199,9 @@ class PressureController
     levelOf(const Resource &r)
     {
         const double u = r.usage();
-        if (u >= r.critical)
+        if (u >= kCriticalWatermark)
             return PressureLevel::Critical;
-        if (u >= r.low)
+        if (u >= kLowWatermark)
             return PressureLevel::Low;
         return PressureLevel::Ok;
     }

@@ -30,6 +30,9 @@ namespace damn::sim {
 class SimMutex
 {
   public:
+    /** Sentinel: derive the queue position from @p now. */
+    static constexpr TimeNs kArrivalIsNow = ~TimeNs{0};
+
     /**
      * Acquire at virtual time @p now, hold for @p hold_ns, release.
      *
@@ -37,17 +40,14 @@ class SimMutex
      *               charged to it.
      * @param now    virtual time of the acquisition attempt.
      * @param hold_ns critical-section length.
-     * @return time the lock is released (== caller's completion time).
-     */
-    /** Sentinel: derive the queue position from @p now. */
-    static constexpr TimeNs kArrivalIsNow = ~TimeNs{0};
-
-    /**
+     * @param spin_busy_fraction  share of the spin booked as busy
+     *               time (see Core::occupy).
      * @param arrival  position in the lock's FIFO.  Callers inside a
      * discrete event should pass the *event* time here when @p now is
      * a core-cursor time that may run ahead of the engine clock —
      * otherwise one backlogged core drags the lock's free time into
      * the future and every other acquirer spins on phantom contention.
+     * @return time the lock is released (== caller's completion time).
      */
     TimeNs
     acquireAndHold(Core &core, TimeNs now, TimeNs hold_ns,

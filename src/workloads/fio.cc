@@ -11,6 +11,9 @@ namespace damn::work {
 
 namespace {
 
+constexpr unsigned kJobs = 12;
+constexpr unsigned kQueueDepth = 32; //!< outstanding IOs per job
+
 /** One fio job's asynchronous IO pump. */
 class FioJob
 {
@@ -30,7 +33,7 @@ class FioJob
         unsigned order = 0;
         while ((mem::kPageSize << order) < opts.blockBytes)
             ++order;
-        for (unsigned i = 0; i < opts.queueDepth; ++i) {
+        for (unsigned i = 0; i < kQueueDepth; ++i) {
             mem::Pfn pfn = sys_.pageAlloc.allocPages(order, 0);
             if (pfn == mem::kInvalidPfn) {
                 sim::CpuCursor cpu(sys_.ctx.machine.core(core_),
@@ -189,7 +192,7 @@ runFio(const FioOpts &opts)
     nvme::NvmeDevice dev(sys.ctx, "nvme0", sys.mmu, sys.phys);
 
     std::vector<std::unique_ptr<FioJob>> jobs;
-    for (unsigned j = 0; j < opts.jobs; ++j) {
+    for (unsigned j = 0; j < kJobs; ++j) {
         jobs.push_back(std::make_unique<FioJob>(
             sys, dev, opts, j % sys.ctx.machine.numCores()));
     }

@@ -22,8 +22,6 @@ namespace damn::work {
 
 struct FioOpts
 {
-    unsigned jobs = 12;
-    unsigned queueDepth = 32;
     std::uint32_t blockBytes = 512;
     RunWindow runWindow{20 * sim::kNsPerMs, 150 * sim::kNsPerMs};
     /** Scheme, backend and trace recording; runFio sets the machine

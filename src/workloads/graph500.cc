@@ -15,8 +15,27 @@ namespace damn::work {
 // BfsCorunner
 // ---------------------------------------------------------------------
 
-BfsCorunner::BfsCorunner(sim::Context &ctx, Config cfg)
-    : ctx_(ctx), cfg_(cfg), stats_(ctx.stats, "bfs"),
+namespace {
+
+constexpr unsigned kTeams = 3;
+constexpr unsigned kCoresPerTeam = 8;
+/** First core id to use (netperf owns the lower ids). */
+constexpr unsigned kFirstCore = 4;
+/** Edge traffic per BFS iteration per team (2^20 vertices x degree
+ *  256 ~ 268M directed edges streamed with metadata). */
+constexpr std::uint64_t kBytesPerIteration = 8ull << 30;
+/** Uncontended per-core streaming bandwidth of the BFS kernel
+ *  (random-access bound), B/ns. */
+constexpr double kPerCoreBytesPerNs = 1.8;
+/** Compute overhead as a fraction of memory time. */
+constexpr double kComputeFraction = 0.10;
+/** Memory-traffic quantum per event, bytes. */
+constexpr std::uint64_t kQuantumBytes = 256 * 1024;
+
+} // namespace
+
+BfsCorunner::BfsCorunner(sim::Context &ctx)
+    : ctx_(ctx), stats_(ctx.stats, "bfs"),
       quantaCtr_(stats_.counter("quanta")),
       bytesCtr_(stats_.counter("bytes"))
 {}
@@ -27,10 +46,10 @@ BfsCorunner::start()
     // Stagger the workers: real BFS teams are not phase-locked, and a
     // synchronized start would make every worker sample the memory
     // controllers right after the whole team injected its quanta.
-    const auto period = sim::TimeNs(double(cfg_.quantumBytes) /
-                                    cfg_.perCoreBytesPerNs);
-    for (unsigned t = 0; t < cfg_.teams; ++t) {
-        for (unsigned m = 0; m < cfg_.coresPerTeam; ++m) {
+    const auto period =
+        sim::TimeNs(double(kQuantumBytes) / kPerCoreBytesPerNs);
+    for (unsigned t = 0; t < kTeams; ++t) {
+        for (unsigned m = 0; m < kCoresPerTeam; ++m) {
             ctx_.engine.scheduleIn(ctx_.rng.below(period),
                                    [this, t, m] { runQuantum(t, m); });
         }
@@ -40,24 +59,22 @@ BfsCorunner::start()
 void
 BfsCorunner::runQuantum(unsigned team, unsigned member)
 {
-    const unsigned core_id =
-        cfg_.firstCore + team * cfg_.coresPerTeam + member;
+    const unsigned core_id = kFirstCore + team * kCoresPerTeam + member;
     sim::Core &core = ctx_.machine.core(core_id);
     sim::CpuCursor cpu(core, ctx_.now());
 
     // Jitter the quantum size (frontier sizes vary wildly across BFS
     // levels); this also keeps workers from re-synchronizing.
-    const std::uint64_t chunk = cfg_.quantumBytes / 2 +
-        ctx_.rng.below(cfg_.quantumBytes);
+    const std::uint64_t chunk =
+        kQuantumBytes / 2 + ctx_.rng.below(kQuantumBytes);
     // BFS is memory-bound: the quantum's time is its edge traffic at
     // the kernel's uncontended streaming rate, stretched when the
     // shared memory controllers are congested (processor-sharing
     // approximation, like CPU copies), plus a small compute share.
     const double stall =
         sim::memStallFactor(ctx_.memBw.utilization(cpu.time));
-    const double mem_ns =
-        double(chunk) / cfg_.perCoreBytesPerNs * stall;
-    cpu.charge(sim::TimeNs(mem_ns * (1.0 + cfg_.computeFraction)));
+    const double mem_ns = double(chunk) / kPerCoreBytesPerNs * stall;
+    cpu.charge(sim::TimeNs(mem_ns * (1.0 + kComputeFraction)));
     ctx_.memBw.occupy(cpu.time, chunk);
 
     if (cpu.time >= windowStart_) {
@@ -77,7 +94,7 @@ BfsCorunner::meanIterationSeconds(sim::TimeNs now) const
         return 0.0;
     const double window_s = double(now - windowStart_) / 1e9;
     const double iterations = double(processedBytes_) /
-        (double(cfg_.bytesPerIteration) * cfg_.teams);
+        (double(kBytesPerIteration) * kTeams);
     return window_s / (iterations / 1.0);
 }
 
@@ -101,7 +118,7 @@ runNetGraphCorun(const CorunOpts &opts)
     NetperfRun run = makeNetperfSystem(o);
     std::unique_ptr<BfsCorunner> bfs;
     if (opts.withGraph) {
-        bfs = std::make_unique<BfsCorunner>(run.sys->ctx, opts.bfs);
+        bfs = std::make_unique<BfsCorunner>(run.sys->ctx);
         bfs->start();
     }
 

@@ -21,34 +21,14 @@
 namespace damn::work {
 
 /**
- * The figure-2 co-runner: @p teams teams of @p cores_per_team cores
- * each repeatedly run one BFS iteration whose edge traffic streams
- * through the shared memory-bandwidth server.
+ * The figure-2 co-runner: 3 teams of 8 cores (ids 4..27; netperf owns
+ * the lower ids) each repeatedly run one BFS iteration whose edge
+ * traffic streams through the shared memory-bandwidth server.
  */
 class BfsCorunner
 {
   public:
-    struct Config
-    {
-        unsigned teams = 3;
-        unsigned coresPerTeam = 8;
-        /** First core id to use (netperf owns the lower ids). */
-        unsigned firstCore = 4;
-        /**
-         * Edge traffic per BFS iteration per team (2^20 vertices x
-         * degree 256 ~ 268M directed edges streamed with metadata).
-         */
-        std::uint64_t bytesPerIteration = 8ull << 30;
-        /** Uncontended per-core streaming bandwidth of the BFS kernel
-         *  (random-access bound), B/ns. */
-        double perCoreBytesPerNs = 1.8;
-        /** Compute overhead as a fraction of memory time. */
-        double computeFraction = 0.10;
-        /** Memory-traffic quantum per event, bytes. */
-        std::uint64_t quantumBytes = 256 * 1024;
-    };
-
-    BfsCorunner(sim::Context &ctx, Config cfg);
+    explicit BfsCorunner(sim::Context &ctx);
 
     /** Start all teams iterating (runs until the engine stops). */
     void start();
@@ -68,7 +48,6 @@ class BfsCorunner
     void runQuantum(unsigned team, unsigned member);
 
     sim::Context &ctx_;
-    Config cfg_;
     sim::ScopedStats stats_;
     sim::Stats::Counter quantaCtr_;
     sim::Stats::Counter bytesCtr_;
@@ -87,7 +66,6 @@ struct CorunOpts
     bool withNet = true;
     bool withGraph = true;
     RunWindow runWindow{30 * sim::kNsPerMs, 300 * sim::kNsPerMs};
-    BfsCorunner::Config bfs{};
 };
 
 /** Co-run result: netperf reports uniformly; the BFS side reports its

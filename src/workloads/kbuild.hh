@@ -15,7 +15,7 @@
 #ifndef DAMN_WORK_KBUILD_HH
 #define DAMN_WORK_KBUILD_HH
 
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "mem/page_alloc.hh"
@@ -27,18 +27,8 @@ namespace damn::work {
 class KbuildChurn
 {
   public:
-    struct Config
-    {
-        sim::CoreId core = 8;           //!< runs beside the netperfs
-        sim::TimeNs intervalNs = 20 * sim::kNsPerUs;
-        unsigned pagesPerBurst = 24;
-        /** Uniform random hold time of each burst. */
-        sim::TimeNs minHoldNs = 200 * sim::kNsPerUs;
-        sim::TimeNs maxHoldNs = 20 * sim::kNsPerMs;
-    };
-
-    KbuildChurn(sim::Context &ctx, mem::PageAllocator &pa, Config cfg)
-        : ctx_(ctx), pageAlloc_(pa), cfg_(cfg),
+    KbuildChurn(sim::Context &ctx, mem::PageAllocator &pa)
+        : ctx_(ctx), pageAlloc_(pa),
           stats_(ctx.stats, "kbuild"),
           burstsCtr_(stats_.counter("bursts")),
           pagesCtr_(stats_.counter("pages"))
@@ -54,6 +44,12 @@ class KbuildChurn
     std::uint64_t bursts() const { return bursts_; }
 
   private:
+    static constexpr sim::TimeNs kIntervalNs = 20 * sim::kNsPerUs;
+    static constexpr unsigned kPagesPerBurst = 24;
+    /** Uniform random hold time of each burst. */
+    static constexpr sim::TimeNs kMinHoldNs = 200 * sim::kNsPerUs;
+    static constexpr sim::TimeNs kMaxHoldNs = 20 * sim::kNsPerMs;
+
     struct Burst
     {
         std::vector<std::pair<mem::Pfn, unsigned>> blocks;
@@ -68,7 +64,7 @@ class KbuildChurn
         // the buddy free lists.
         auto burst = std::make_shared<Burst>();
         unsigned pages = 0;
-        while (pages < cfg_.pagesPerBurst) {
+        while (pages < kPagesPerBurst) {
             const auto order = unsigned(ctx_.rng.below(5));
             const mem::Pfn pfn = pageAlloc_.allocPages(order, 0);
             if (pfn != mem::kInvalidPfn)
@@ -79,18 +75,16 @@ class KbuildChurn
         ctx_.stats.add(burstsCtr_);
         ctx_.stats.add(pagesCtr_, pages);
 
-        const sim::TimeNs hold = ctx_.rng.between(cfg_.minHoldNs,
-                                                  cfg_.maxHoldNs);
+        const sim::TimeNs hold = ctx_.rng.between(kMinHoldNs, kMaxHoldNs);
         ctx_.engine.scheduleIn(hold, [this, burst] {
             for (const auto &[pfn, order] : burst->blocks)
                 pageAlloc_.freePages(pfn, order);
         });
-        ctx_.engine.scheduleIn(cfg_.intervalNs, [this] { tick(); });
+        ctx_.engine.scheduleIn(kIntervalNs, [this] { tick(); });
     }
 
     sim::Context &ctx_;
     mem::PageAllocator &pageAlloc_;
-    Config cfg_;
     sim::ScopedStats stats_;
     sim::Stats::Counter burstsCtr_;
     sim::Stats::Counter pagesCtr_;

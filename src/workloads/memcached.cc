@@ -25,13 +25,24 @@ namespace damn::work {
 
 namespace {
 
+constexpr std::uint32_t kValueBytes = 512 * 1024;
+/** Socket-write flush granularity of the server's event loop (no full
+ *  TSO aggregation on push-style writes). */
+constexpr std::uint32_t kSegBytes = 8 * 1024;
+/** memcached-side CPU per operation (parse, hash, slab churn for
+ *  512 KiB objects, syscalls). */
+constexpr sim::TimeNs kOpCpuNs = 100 * sim::kNsPerUs;
+/** memslap-side turnaround between response and next request (client
+ *  parse + build + RTT). */
+constexpr sim::TimeNs kClientTurnaroundNs = 700 * sim::kNsPerUs;
+
 /** One memcached instance: alternating GET/SET closed loop. */
 class Instance
 {
   public:
     Instance(net::System &sys, net::NicDevice &nic, net::TcpStack &stack,
-             const MemcachedOpts &opts, unsigned idx)
-        : sys_(sys), nic_(nic), stack_(stack), opts_(opts),
+             unsigned idx)
+        : sys_(sys), nic_(nic), stack_(stack),
           core_(idx % sys.ctx.machine.numCores()), port_(idx % 2),
           txThrottledCtr_(sys.ctx.stats.counter("net.tx_throttled")),
           rxRefillFailsCtr_(sys.ctx.stats.counter("net.rx_refill_fails"))
@@ -47,11 +58,11 @@ class Instance
     nextOp()
     {
         isGet_ = !isGet_;
-        segsLeft_ = opts_.valueBytes / opts_.segBytes;
+        segsLeft_ = kValueBytes / kSegBytes;
         // Request arrival + parse + hash lookup / slab work.
         sim::CpuCursor cpu(sys_.ctx.machine.core(core_),
                            sys_.ctx.now());
-        cpu.charge(opts_.opCpuNs);
+        cpu.charge(kOpCpuNs);
         sys_.ctx.engine.schedule(cpu.time, [this] { moveSegment(); });
     }
 
@@ -67,7 +78,7 @@ class Instance
                            sys_.ctx.now());
         if (isGet_) {
             // Server transmits a value chunk.
-            txSkb_ = stack_.txBuild(cpu, opts_.segBytes, 1.3);
+            txSkb_ = stack_.txBuild(cpu, kSegBytes, 1.3);
             if (txSkb_.allocFailed) {
                 // Memory/IOVA pressure: retry this chunk later.
                 ++segsLeft_;
@@ -89,7 +100,7 @@ class Instance
         } else {
             // Server receives a value chunk into a posted buffer.
             net::RxBuffer buf = stack_.driver.allocRxBuffer(
-                cpu, opts_.segBytes, core::AllocCtx::Interrupt);
+                cpu, kSegBytes, core::AllocCtx::Interrupt);
             if (!buf.valid()) {
                 // Memory/IOVA pressure: retry the post later.
                 ++segsLeft_;
@@ -101,12 +112,12 @@ class Instance
             }
             const dma::DmaOutcome out = nic_.transferSegment(
                 cpu.time, port_, net::Traffic::Rx, buf.seg.dmaAddr,
-                opts_.segBytes);
+                kSegBytes);
             sys_.ctx.engine.schedule(out.completes, [this, buf] {
                 sim::CpuCursor c2(sys_.ctx.machine.core(core_),
                                   sys_.ctx.now());
                 net::SkBuff skb =
-                    stack_.driver.rxBuild(c2, buf, opts_.segBytes);
+                    stack_.driver.rxBuild(c2, buf, kSegBytes);
                 stack_.rxSegment(c2, skb, 1.3);
                 stack_.appRead(c2, skb, 1.3, core::AllocCtx::Interrupt);
                 sys_.ctx.engine.schedule(c2.time,
@@ -122,14 +133,13 @@ class Instance
             ++opsDone;
         // Client-side turnaround before the next request (memslap
         // parses the response, builds the next op, RTT).
-        sys_.ctx.engine.scheduleIn(opts_.clientTurnaroundNs,
+        sys_.ctx.engine.scheduleIn(kClientTurnaroundNs,
                                    [this] { nextOp(); });
     }
 
     net::System &sys_;
     net::NicDevice &nic_;
     net::TcpStack &stack_;
-    MemcachedOpts opts_;
     unsigned core_;
     unsigned port_;
     sim::Stats::Counter txThrottledCtr_;
@@ -152,8 +162,8 @@ runMemcached(const MemcachedOpts &opts)
 
     std::vector<std::unique_ptr<Instance>> instances;
     for (unsigned i = 0; i < opts.instances; ++i) {
-        instances.push_back(std::make_unique<Instance>(
-            sys, nic, stack, opts, i));
+        instances.push_back(
+            std::make_unique<Instance>(sys, nic, stack, i));
     }
     for (auto &inst : instances) {
         inst->windowStart = opts.runWindow.warmupNs;
@@ -169,7 +179,7 @@ runMemcached(const MemcachedOpts &opts)
         ops += inst->opsDone;
     r.common.opsPerSec = opts.runWindow.perSecond(ops);
     r.common.cpuPct = opts.runWindow.cpuPct(sys.ctx);
-    r.common.gbps = opts.runWindow.perSecond(ops * opts.valueBytes) *
+    r.common.gbps = opts.runWindow.perSecond(ops * kValueBytes) *
         8.0 / 1e9;
     r.common.memGBps =
         sys.ctx.memBw.achievedGBps(opts.runWindow.measureNs);

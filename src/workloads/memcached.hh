@@ -19,16 +19,6 @@ namespace damn::work {
 struct MemcachedOpts
 {
     unsigned instances = 28;
-    std::uint32_t valueBytes = 512 * 1024;
-    /** Socket-write flush granularity of the server's event loop (no
-     *  full TSO aggregation on push-style writes). */
-    std::uint32_t segBytes = 8 * 1024;
-    /** memcached-side CPU per operation (parse, hash, slab churn for
-     *  512 KiB objects, syscalls), ns. */
-    sim::TimeNs opCpuNs = 100 * sim::kNsPerUs;
-    /** memslap-side turnaround between response and next request
-     *  (client parse + build + RTT), ns. */
-    sim::TimeNs clientTurnaroundNs = 700 * sim::kNsPerUs;
     RunWindow runWindow{};
     net::SystemParams sysParams{};  //!< scheme, backend, trace, shape
 };

@@ -12,7 +12,7 @@
 #include "workloads/rdma.hh"
 
 #include <algorithm>
-#include <vector>
+#include <array>
 
 #include "dma/device.hh"
 #include "iommu/ats.hh"
@@ -29,7 +29,6 @@ namespace {
 struct Wqe
 {
     iommu::Iova va = 0;
-    std::uint32_t len = 0;
     std::uint64_t off = 0;
     bool isWrite = true;
     unsigned attempts = 0;
@@ -39,6 +38,11 @@ struct Wqe
 constexpr iommu::Iova kVaBase = 0x7f0000000000ull;
 constexpr unsigned kQueueDepth = 4;   //!< outstanding WQEs
 constexpr unsigned kMaxFaultsPerWqe = 16;
+/** RDMA message size, bytes. */
+constexpr std::uint32_t kMessageBytes = 16384;
+/** Resident-set bound, pages: faults appear once the footprint
+ *  exceeds it. */
+constexpr unsigned kResidentLimitPages = 128;
 
 } // namespace
 
@@ -51,7 +55,7 @@ runRdma(const RdmaOpts &opts)
 
     dma::Device rnic(ctx, "rnic0", sys.mmu, sys.phys);
     iommu::SvaDomain sva(ctx, sys.mmu, sys.pageAlloc,
-                         opts.residentLimitPages);
+                         kResidentLimitPages);
     iommu::AtsAgent ats(ctx, sys.mmu, sva.domain());
     iommu::IommuBackend &be = sys.mmu.backend();
 
@@ -85,10 +89,9 @@ runRdma(const RdmaOpts &opts)
 
         // Post a queue's worth of WQEs: descriptor DMA through the
         // protection scheme, payload target drawn from the footprint.
-        std::vector<Wqe> sq(kQueueDepth);
+        std::array<Wqe, kQueueDepth> sq{};
         for (Wqe &w : sq) {
             w.va = kVaBase + rng.below(footprintPages) * mem::kPageSize;
-            w.len = opts.messageBytes;
             w.isWrite = rng.below(4) != 0; // RDMA-write-mostly mix
             {
                 sim::TraceSpan span(ctx.tracer, cpu,
@@ -117,7 +120,7 @@ runRdma(const RdmaOpts &opts)
                     continue;
                 const dma::AtsDmaOutcome out = rnic.dmaAts(
                     ats, cpu.time, w.va + w.off, nullptr,
-                    w.len - w.off, w.isWrite);
+                    kMessageBytes - w.off, w.isWrite);
                 w.off += out.bytesDone;
                 cpu.waitUntil(out.completes);
                 if (!out.needsFault || ++w.attempts > kMaxFaultsPerWqe) {
@@ -125,7 +128,7 @@ runRdma(const RdmaOpts &opts)
                     --pendingWqes;
                     if (settled && out.ok) {
                         ++measMessages;
-                        measBytes += w.len;
+                        measBytes += kMessageBytes;
                     }
                     continue;
                 }

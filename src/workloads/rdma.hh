@@ -27,11 +27,6 @@ struct RdmaOpts
 {
     /** Registered (touchable) memory footprint, bytes. */
     std::uint64_t footprintBytes = 4ull << 20;
-    /** Resident-set bound, pages; faults appear once the footprint
-     *  exceeds it.  0 = unbounded (first-touch faults only). */
-    unsigned residentLimitPages = 128;
-    /** RDMA message size, bytes. */
-    std::uint32_t messageBytes = 16384;
     std::uint64_t seed = 42;
     RunWindow runWindow{};
     net::SystemParams sysParams{};  //!< scheme, backend, trace, shape

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "iommu/iommu.hh"
 #include "net/stream.hh"
 #include "workloads/memcached.hh"
 #include "workloads/netperf.hh"
@@ -222,6 +223,45 @@ TEST(AllocFreeMemcached, LongerWindowAllocatesNothingMore)
     EXPECT_EQ(longRun, shortRun);
     EXPECT_GT(longOps, shortOps); // the extra window served operations
 }
+
+// The OS drains the page-request queue in rounds (runRdma, the
+// faultable DMA path, the fuzzer's PRI ops).  Once a round of N
+// requests has been posted and fetched, the next round of N must run
+// on the queue's and the fetch buffer's existing storage.
+struct PriFetch : ::testing::TestWithParam<iommu::BackendKind>
+{};
+
+TEST_P(PriFetch, SecondRoundAllocatesNothing)
+{
+    sim::Context ctx(sim::CostModel{}, 1, 1);
+    iommu::Iommu mmu(ctx, /*enabled=*/true, GetParam());
+    const iommu::DomainId d = mmu.createDomain();
+    iommu::IommuBackend &be = mmu.backend();
+    constexpr std::uint32_t kRequests = 16; // under both queue depths
+    const auto round = [&] {
+        std::uint32_t accepted = 0;
+        for (std::uint32_t i = 0; i < kRequests; ++i)
+            accepted += be.postPageRequest(
+                {d, iommu::Iova(i) * mem::kPageSize, true, i, 0});
+        return std::pair{accepted, be.fetchPageRequests().size()};
+    };
+    const auto first = round();
+    EXPECT_EQ(first.first, kRequests);
+    EXPECT_EQ(first.second, kRequests);
+    const std::uint64_t before = gAllocs.load();
+    const auto second = round();
+    const std::uint64_t allocs = gAllocs.load() - before;
+    EXPECT_EQ(second.first, kRequests);
+    EXPECT_EQ(second.second, kRequests);
+    EXPECT_EQ(allocs, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PriFetch,
+    ::testing::Values(iommu::BackendKind::Vtd, iommu::BackendKind::SmmuV3),
+    [](const ::testing::TestParamInfo<iommu::BackendKind> &p) {
+        return std::string(iommu::backendKindName(p.param));
+    });
 
 // The counter itself: without it every test above passes vacuously.
 TEST(AllocCounter, CountsOperatorNew)

@@ -540,9 +540,9 @@ TEST_F(CoreFixture, HugeDenseVariantUsesHugeMappings)
 {
     DmaCacheConfig cfg;
     cfg.hugeIovaPages = true;
-    cfg.denseIova = true;
     DamnAllocator huge(ctx, pa, heap, mmu, cfg);
-    auto c = cpu();
+    auto c = cpu(0);
+    auto c2 = cpu(2);
     const mem::Pa buf = huge.damnAlloc(c, &nic, Rights::Write, 4096);
     const iommu::Iova iova = huge.iovaOf(buf);
     const iommu::TranslateResult tr =
@@ -551,29 +551,21 @@ TEST_F(CoreFixture, HugeDenseVariantUsesHugeMappings)
     EXPECT_EQ(tr.pa, buf);
     EXPECT_GT(mmu.pageTable(nic.domain()).mapped2mEntries(), 0u);
     huge.damnFree(c, buf);
-}
 
-TEST_F(CoreFixture, DenseIovasArePacked)
-{
-    DmaCacheConfig cfg;
-    cfg.denseIova = true;
-    DamnAllocator dense(ctx, pa, heap, mmu, cfg);
-    auto c = cpu(0);
-    auto c2 = cpu(2);
-    const mem::Pa a = dense.damnAlloc(c, &nic, Rights::Write, 65536);
-    const mem::Pa b = dense.damnAlloc(c2, &nic, Rights::Write, 65536);
+    const mem::Pa a = huge.damnAlloc(c, &nic, Rights::Write, 65536);
+    const mem::Pa b = huge.damnAlloc(c2, &nic, Rights::Write, 65536);
     // Dense: chunk IOVAs pack into one small region regardless of the
     // allocating core (no cpu bits in the address; one magazine's
     // worth may be pre-carved, so assert the region bound).
-    const iommu::Iova ia = dense.iovaOf(a);
-    const iommu::Iova ib = dense.iovaOf(b);
+    const iommu::Iova ia = huge.iovaOf(a);
+    const iommu::Iova ib = huge.iovaOf(b);
     EXPECT_NE(ia, ib);
     EXPECT_EQ(ia % 65536, 0u);
     EXPECT_EQ(ib % 65536, 0u);
     EXPECT_LT(ia - iommu::kDamnIovaBit, 64u * 65536);
     EXPECT_LT(ib - iommu::kDamnIovaBit, 64u * 65536);
-    dense.damnFree(c, a);
-    dense.damnFree(c2, b);
+    huge.damnFree(c, a);
+    huge.damnFree(c2, b);
 }
 
 TEST_F(CoreFixture, NoIommuVariantIsIdentity)

@@ -244,7 +244,6 @@ TEST(Edge, HugeVariantSurvivesManyChunks)
     net::SystemParams p;
     p.scheme = dma::SchemeKind::Damn;
     p.damnCache.hugeIovaPages = true;
-    p.damnCache.denseIova = true;
     net::System sys(p);
     net::NicDevice nic(sys, "mlx5_0");
     sim::CpuCursor c(sys.ctx.machine.core(0), 0);

@@ -25,9 +25,7 @@ using namespace damn::work;
 TEST(Graph500, CorunnerMakesProgress)
 {
     sim::Context ctx(sim::CostModel{}, 2, 14);
-    BfsCorunner::Config cfg;
-    cfg.bytesPerIteration = 64ull << 20;
-    BfsCorunner co(ctx, cfg);
+    BfsCorunner co(ctx);
     co.start();
     ctx.engine.run(100 * sim::kNsPerMs);
     EXPECT_GT(co.meanIterationSeconds(ctx.now()), 0.0);
@@ -39,9 +37,7 @@ TEST(Graph500, CorunnerSlowsUnderMemoryPressure)
     // iteration time must stretch.
     const auto run = [](bool pressure) {
         sim::Context ctx(sim::CostModel{}, 2, 14);
-        BfsCorunner::Config cfg;
-        cfg.bytesPerIteration = 64ull << 20;
-        BfsCorunner co(ctx, cfg);
+        BfsCorunner co(ctx);
         co.start();
         if (pressure) {
             std::function<void()> hog = [&ctx, &hog] {
@@ -280,7 +276,7 @@ TEST(Kbuild, ChurnAllocatesAndFrees)
     sim::Context ctx(sim::CostModel{}, 1, 14);
     mem::PhysicalMemory pm(1ull << 30);
     mem::PageAllocator pa(pm, 1);
-    KbuildChurn churn(ctx, pa, {});
+    KbuildChurn churn(ctx, pa);
     churn.start();
     ctx.engine.run(50 * sim::kNsPerMs);
     EXPECT_GT(churn.bursts(), 1000u);
@@ -299,7 +295,7 @@ TEST(Kbuild, ChurnForcesDmaPageDiversity)
     o.coreLimit = 2;
     o.segBytes = 65536;
     NetperfRun run = makeNetperfSystem(o);
-    KbuildChurn churn(run.sys->ctx, run.sys->pageAlloc, {});
+    KbuildChurn churn(run.sys->ctx, run.sys->pageAlloc);
     churn.start();
     net::StreamEngine eng(*run.sys, *run.nic, *run.stack, {});
     addNetperfFlows(run, eng, o);
