@@ -4,15 +4,17 @@
 Usage: verify_reach.py BUILD_DIR SOURCE_DIR
 
 BUILD_DIR is a tree configured with -DDAMN_COVERAGE=ON in which
-damn_bench and damn_fuzz are built (the `verify-reach` target uses
-the verify-coverage tree, build/coverage).  The script clears old
-.gcda counts, then runs:
+damn_bench, damn_fuzz and the examples are built (the `verify-reach`
+target uses the verify-coverage tree, build/coverage).  The script
+clears old .gcda counts, then runs:
 
   - every experiment at 1+2 ms: seed 42 on VT-d, seed 7 on SMMUv3;
   - one --trace run (the netperf experiments);
   - the damn_fuzz matrix at 5000 ops per cell;
-  - one --inject=stale-tlb --shrink run;
-  - a --replay of every tests/corpus/*.dfz file.
+  - one --inject=stale-tlb --shrink --save run;
+  - a --replay of every tests/corpus/*.dfz file;
+  - damn_bench --list and the four examples with their default
+    arguments.
 
 It then reads the counts with `gcov --json-format` and prints each
 function defined under src/ that none of those runs entered, with a
@@ -27,6 +29,9 @@ import os
 import subprocess
 import sys
 import tempfile
+
+EXAMPLES = ("quickstart", "attack_demo", "firewall_inspection",
+            "protection_comparison")
 
 # Workers for damn_bench and damn_fuzz.  Each builds its own simulated
 # machine, so two keep the run's memory small; the output does not
@@ -57,12 +62,16 @@ def exercise(build, source):
              "--trace=trace.trace"], out)
         run([fuzz, "--ops=5000", "--scheme=all", "--backend=all",
              f"--jobs={JOBS}"], out)
-        # The planted bug must be caught: damn_fuzz exits 3.
-        run([fuzz, "--inject=stale-tlb", "--shrink", f"--jobs={JOBS}"], out,
-            expect=3)
+        # The planted bug must be caught: damn_fuzz exits 3 and saves
+        # the shrunk case as a corpus file.
+        run([fuzz, "--inject=stale-tlb", "--shrink", "--save=.",
+             f"--jobs={JOBS}"], out, expect=3)
         corpus = sorted(glob.glob(os.path.join(source, "tests", "corpus",
                                                "*.dfz")))
         run([fuzz, *(f"--replay={f}" for f in corpus)], out)
+        run([bench, "--list"], out)
+        for name in EXAMPLES:
+            run([os.path.join(build, "examples", name)], out)
 
 
 def gcov_documents(build):

@@ -169,21 +169,6 @@ DamnAllocator::damnFree(sim::CpuCursor &cpu, mem::Pa addr, AllocCtx actx)
     pageAlloc_.freePages(mem::paToPfn(addr), pg.order);
 }
 
-void
-DamnAllocator::damnFreePages(sim::CpuCursor &cpu, mem::Pfn page,
-                             unsigned k, AllocCtx actx)
-{
-    if (page == mem::kInvalidPfn)
-        return;
-    const mem::Pa addr = mem::pfnToPa(page);
-    if (isDamnBuffer(addr)) {
-        damnFree(cpu, addr, actx);
-        return;
-    }
-    cpu.charge(ctx_.cost.pageAllocNs);
-    pageAlloc_.freePages(page, k);
-}
-
 std::uint64_t
 DamnAllocator::shrink(sim::CpuCursor &cpu)
 {

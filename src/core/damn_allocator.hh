@@ -60,13 +60,10 @@ class DamnAllocator
                             Rights rights, unsigned k,
                             AllocCtx actx = AllocCtx::Standard);
 
-    /** Free a buffer from damnAlloc (device/rights looked up). */
+    /** Free a buffer from damnAlloc, or the pfnToPa() of pages from
+     *  damnAllocPages (device, rights and order looked up). */
     void damnFree(sim::CpuCursor &cpu, mem::Pa addr,
                   AllocCtx actx = AllocCtx::Standard);
-
-    /** Free pages from damnAllocPages. */
-    void damnFreePages(sim::CpuCursor &cpu, mem::Pfn page, unsigned k,
-                       AllocCtx actx = AllocCtx::Standard);
 
     // ---- Introspection used by the DMA-API interposition ----------
 

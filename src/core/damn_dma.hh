@@ -101,33 +101,13 @@ class DamnDmaApi : public dma::DmaApi
                fallback_->drainDomain(cpu, dev);
     }
 
-    std::uint64_t
-    outstandingIovas() const override
-    {
-        return fallback_->outstandingIovas();
-    }
-
     // DAMN's own IOVAs are metadata-encoded (not range-allocated), so
-    // the pressure knobs act on the fallback scheme's space.
-    void
-    setIovaSpaceBytes(std::uint64_t bytes) override
+    // the only IOVA space is the fallback scheme's.
+    iommu::IovaAllocator *
+    iovaAllocator() override
     {
-        fallback_->setIovaSpaceBytes(bytes);
+        return fallback_->iovaAllocator();
     }
-
-    double
-    iovaUtilization() const override
-    {
-        return fallback_->iovaUtilization();
-    }
-
-    std::uint64_t
-    mapFailures() const override
-    {
-        return fallback_->mapFailures();
-    }
-
-    const char *name() const override { return "damn"; }
 
     DamnAllocator &allocator() { return alloc_; }
     dma::DmaApi &fallback() { return *fallback_; }

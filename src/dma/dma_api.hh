@@ -24,7 +24,7 @@
 
 #include "dma/device.hh"
 #include "dma/dma_types.hh"
-#include "iommu/io_pgtable.hh"
+#include "iommu/iova_alloc.hh"
 #include "sim/cpu_cursor.hh"
 
 namespace damn::dma {
@@ -76,26 +76,17 @@ class DmaApi
             unmap(cpu, dev, r.dmaAddr, r.len, r.dir);
     }
 
-    /** Scheme name as used in the paper's figures. */
-    virtual const char *name() const = 0;
-
     /** Force any batched invalidations out now (deferred scheme). */
     virtual void flushPending(sim::CpuCursor &) {}
 
-    // ---- Resource pressure -----------------------------------------
-
     /**
-     * Constrain the scheme's DMA-API IOVA space to @p bytes (pressure
-     * experiments use small spaces to hit the exhaustion wall).
-     * No-op for schemes that allocate no IOVAs.
+     * The scheme's DMA-API IOVA space, or nullptr when the scheme
+     * allocates no IOVAs (iommu-off).  Pressure experiments shrink it
+     * to hit the exhaustion wall, the pressure controller reads its
+     * utilization, and teardown audits its outstanding() pages (0
+     * after every device drained).
      */
-    virtual void setIovaSpaceBytes(std::uint64_t) {}
-
-    /** High-water utilization of the scheme's IOVA space in [0, 1]. */
-    virtual double iovaUtilization() const { return 0.0; }
-
-    /** Failed map() calls (resources exhausted past reclaim). */
-    virtual std::uint64_t mapFailures() const { return 0; }
+    virtual iommu::IovaAllocator *iovaAllocator() { return nullptr; }
 
     // ---- Lifecycle / teardown --------------------------------------
 
@@ -114,12 +105,6 @@ class DmaApi
         flushPending(cpu);
         return 0;
     }
-
-    /**
-     * IOVA pages the scheme has allocated and not yet freed, across all
-     * domains.  0 after every device drained — the audit's leak check.
-     */
-    virtual std::uint64_t outstandingIovas() const { return 0; }
 };
 
 } // namespace damn::dma

@@ -113,7 +113,6 @@ MappedDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
         // Still exhausted after forced flush + reclaim: fail the map
         // like dma_map_single() returning DMA_MAPPING_ERROR.  The
         // driver backs off and retries.
-        ++mapFails_;
         ctx_.stats.add(ctr_.mapFails);
         return kMapFailed;
     }
@@ -403,7 +402,6 @@ ShadowDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
     if (buf.pa == 0) {
         // Pool growth failed even after reclaim: fail the map; the
         // driver backs off and retries.
-        ++mapFails_;
         ctx_.stats.add(ctr_.mapFails);
         return kMapFailed;
     }

@@ -62,8 +62,6 @@ class PassthroughDmaApi : public DmaApi
     unmap(sim::CpuCursor &, Device &, iommu::Iova, std::uint32_t,
           Dir) override
     {}
-
-    const char *name() const override { return "iommu-off"; }
 };
 
 /** Interned handles of the counters the DMA-API schemes book. */
@@ -113,25 +111,7 @@ class MappedDmaApi : public DmaApi
     iommu::Iova map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
                     std::uint32_t len, Dir dir) override;
 
-    std::uint64_t
-    outstandingIovas() const override
-    {
-        return iovaAlloc_.outstanding();
-    }
-
-    void
-    setIovaSpaceBytes(std::uint64_t bytes) override
-    {
-        iovaAlloc_.setSpaceBytes(bytes);
-    }
-
-    double
-    iovaUtilization() const override
-    {
-        return iovaAlloc_.utilization();
-    }
-
-    std::uint64_t mapFailures() const override { return mapFails_; }
+    iommu::IovaAllocator *iovaAllocator() override { return &iovaAlloc_; }
 
   protected:
     /** Covering page count of a (pa, len) buffer. */
@@ -163,7 +143,6 @@ class MappedDmaApi : public DmaApi
     iommu::Iommu &iommu_;
     SchemeCounters ctr_;
     iommu::IovaAllocator iovaAlloc_;
-    std::uint64_t mapFails_ = 0;
 };
 
 /**
@@ -182,8 +161,6 @@ class StrictDmaApi : public MappedDmaApi
     /** dma_unmap_sg: one synchronous invalidation for the whole list. */
     void unmapBatch(sim::CpuCursor &cpu, Device &dev,
                     std::span<const UnmapReq> reqs) override;
-
-    const char *name() const override { return "strict"; }
 
   private:
     /** unmapBatch's invalidation list, reused across calls. */
@@ -205,8 +182,6 @@ class DeferredDmaApi : public MappedDmaApi
                std::uint32_t len, Dir dir) override;
 
     void flushPending(sim::CpuCursor &cpu) override;
-
-    const char *name() const override { return "deferred"; }
 
     unsigned pendingFlushes() const { return unsigned(flushQueue_.size()); }
 
@@ -243,24 +218,10 @@ class ShadowDmaApi : public DmaApi
     void unmap(sim::CpuCursor &cpu, Device &dev, iommu::Iova dma_addr,
                std::uint32_t len, Dir dir) override;
 
-    const char *name() const override { return "shadow"; }
-
     /** Frames pinned by shadow pools (all devices). */
     std::uint64_t poolFrames() const { return poolFrames_; }
 
-    void
-    setIovaSpaceBytes(std::uint64_t bytes) override
-    {
-        iovaAlloc_.setSpaceBytes(bytes);
-    }
-
-    double
-    iovaUtilization() const override
-    {
-        return iovaAlloc_.utilization();
-    }
-
-    std::uint64_t mapFailures() const override { return mapFails_; }
+    iommu::IovaAllocator *iovaAllocator() override { return &iovaAlloc_; }
 
     /**
      * Pressure shrinker: release the pool blocks of every domain with
@@ -277,12 +238,6 @@ class ShadowDmaApi : public DmaApi
      * rebuilt lazily on the next map() after a replug.
      */
     std::uint64_t drainDomain(sim::CpuCursor &cpu, Device &dev) override;
-
-    std::uint64_t
-    outstandingIovas() const override
-    {
-        return iovaAlloc_.outstanding();
-    }
 
   private:
     struct ShadowBuf
@@ -335,7 +290,6 @@ class ShadowDmaApi : public DmaApi
     /** In-flight shadow maps by the shadow IOVA handed to the driver. */
     sim::FlatMap<ActiveMap> active_;
     std::uint64_t poolFrames_ = 0;
-    std::uint64_t mapFails_ = 0;
 };
 
 /**

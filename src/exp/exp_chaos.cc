@@ -63,15 +63,6 @@ struct CycleTotals
     std::uint64_t iommuFaults = 0;
 };
 
-std::uint64_t
-outstandingIovasOf(net::System &sys, iommu::DomainId d)
-{
-    std::uint64_t n = sys.dmaApi->outstandingIovas();
-    if (sys.damnMode())
-        n += sys.damn->outstandingIovaSlots(d);
-    return n;
-}
-
 /** Soak one machine built from @p params; its stats and trace land in
  *  @p out's current run. */
 CycleTotals
@@ -183,7 +174,7 @@ soakOneScheme(const net::SystemParams &params, std::uint64_t seed,
             const std::uint64_t forced = sys.mmu.detachDomain(d);
             t.forceCleared += forced;
             const audit::TeardownReport rep = auditor.verifyTeardown(
-                d, outstandingIovasOf(sys, d), forced);
+                d, sys.liveIovaPages(d), forced);
             t.auditViolations += rep.violations.size();
         }
 

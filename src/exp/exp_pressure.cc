@@ -169,8 +169,7 @@ stormOne(const RunCtx &ctx, dma::SchemeKind kind, const StormSpec &spec)
                double(st.get("iommu.iova_flush_recoveries") +
                       st.get("iommu.iova_reclaim_recoveries")),
                "count");
-    out.metric("map_fails", double(sys.dmaApi->mapFailures()),
-               "count");
+    out.metric("map_fails", double(st.get("dma.map_fails")), "count");
     out.metric("reclaim_events",
                double(sys.ctx.pressure.reclaimEvents()), "count");
     out.metric("reclaimed_units",

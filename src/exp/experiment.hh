@@ -164,9 +164,6 @@ bool registerExperiment(Experiment e);
 /** All registered experiments, sorted by name. */
 std::vector<const Experiment *> allExperiments();
 
-/** Look up one experiment by exact name (nullptr if absent). */
-const Experiment *findExperiment(const std::string &name);
-
 /** Shell-style glob match (`*` and `?`) used by --only. */
 bool globMatch(const std::string &pattern, const std::string &text);
 

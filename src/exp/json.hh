@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal JSON value: build, serialize, parse.
+ * Minimal JSON value: build and serialize.
  *
  * Exists so `damn_bench --json` needs no external dependency and its
  * output is *deterministic*: objects preserve insertion order (the
@@ -73,9 +73,6 @@ class Json
     /** Set a key of an object (insertion-ordered; overwrites). */
     void set(const std::string &key, Json v);
 
-    /** Object lookup; nullptr when absent or not an object. */
-    const Json *find(const std::string &key) const;
-
     const std::vector<Json> &items() const { return items_; }
     const std::vector<std::pair<std::string, Json>> &
     members() const
@@ -84,16 +81,10 @@ class Json
     }
 
     bool boolean() const { return bool_; }
-    std::int64_t asInt() const;
-    std::uint64_t asUint() const;
-    double asDouble() const;
     const std::string &str() const { return string_; }
 
     /** Serialize (pretty, 2-space indent, "\n" line endings). */
     std::string dump() const;
-
-    /** Parse a JSON document; throws std::runtime_error on error. */
-    static Json parse(const std::string &text);
 
   private:
     void dumpTo(std::string &out, unsigned indent) const;

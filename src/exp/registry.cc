@@ -59,15 +59,6 @@ allExperiments()
     return out;
 }
 
-const Experiment *
-findExperiment(const std::string &name)
-{
-    for (const Experiment &e : registry())
-        if (e.name == name)
-            return &e;
-    return nullptr;
-}
-
 bool
 globMatch(const std::string &pattern, const std::string &text)
 {

@@ -611,12 +611,8 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
             for (unsigned k = 0; k < 2 && !res.violated; ++k) {
                 const iommu::DomainId d = devs[k]->domain();
                 const std::uint64_t forced = sys.mmu.detachDomain(d);
-                std::uint64_t outstanding =
-                    sys.dmaApi->outstandingIovas();
-                if (sys.damnMode())
-                    outstanding += sys.damn->outstandingIovaSlots(d);
-                const audit::TeardownReport rep =
-                    auditor.verifyTeardown(d, outstanding, forced);
+                const audit::TeardownReport rep = auditor.verifyTeardown(
+                    d, sys.liveIovaPages(d), forced);
                 if (!rep.clean()) {
                     std::string detail =
                         "domain " + std::to_string(d) + ":";

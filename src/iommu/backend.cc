@@ -34,24 +34,6 @@ backendFromName(const std::string &name, BackendKind *out)
     return false;
 }
 
-const char *
-faultReasonName(FaultReason r)
-{
-    switch (r) {
-      case FaultReason::NotPresent:
-        return "not-present";
-      case FaultReason::Permission:
-        return "permission";
-      case FaultReason::Quarantined:
-        return "quarantined";
-      case FaultReason::Injected:
-        return "injected";
-      case FaultReason::Detached:
-        return "detached";
-    }
-    return "?";
-}
-
 std::unique_ptr<IommuBackend>
 makeBackend(BackendKind kind, sim::Context &ctx)
 {

@@ -62,8 +62,6 @@ enum class FaultReason : std::uint8_t
     Detached,    //!< the domain was detached (device torn down)
 };
 
-const char *faultReasonName(FaultReason r);
-
 /** One entry of the IOMMU fault log (a fault recording register on
  *  VT-d, an event-queue record on SMMUv3). */
 struct FaultRecord

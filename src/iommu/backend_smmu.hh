@@ -43,7 +43,9 @@
 
 namespace damn::iommu {
 
-/** ARM SMMUv3 hardware model. */
+/** ARM SMMUv3 hardware model.  SMMUv3 supports up to 52-bit IAS; the
+ *  model keeps the common 48-bit configuration so DAMN's IOVA encoding
+ *  is directly comparable with VT-d. */
 class SmmuV3Backend : public IommuBackend
 {
   public:
@@ -56,8 +58,6 @@ class SmmuV3Backend : public IommuBackend
     {}
 
     BackendKind kind() const override { return BackendKind::SmmuV3; }
-    /** SMMUv3 supports up to 52-bit IAS; we model the common 48-bit
-     *  configuration so DAMN's encoding is directly comparable. */
 
     void attachDevice(DomainId d) override;
     void detachDevice(DomainId d) override;
@@ -161,18 +161,17 @@ class SmmuV3Backend : public IommuBackend
      *  (conservation: faults == in-queue + drained + overflowed). */
     std::uint64_t eventQueueDrained() const { return evtqDrained_; }
 
-    /** Driver-side consumption: empty the ring, clearing the overflow
-     *  condition so new records can be delivered again. */
-    std::vector<FaultRecord>
+    /** Driver-side consumption: empty the ring in place (it keeps its
+     *  storage), clearing the overflow condition so new records can
+     *  be delivered again. */
+    void
     drainEventQueue()
     {
         if (!eventq_.empty()) {
             evtqDrained_ += eventq_.size();
             ctx_.stats.add(ctr_.evtqDrained, eventq_.size());
         }
-        std::vector<FaultRecord> out = std::move(eventq_);
         eventq_.clear();
-        return out;
     }
 
     /** True when @p d's CD is in the config cache (no descriptor fetch

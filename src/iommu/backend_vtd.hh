@@ -222,9 +222,6 @@ class VtdBackend : public IommuBackend
      *  drain. */
     bool prsOverflow() const { return prsOverflow_; }
 
-    // The facade's bounded log *is* the VT-d fault-recording model.
-    void deliverFault(const FaultRecord &) override {}
-
   private:
     /** An injected `iommu.inval` fault drops the descriptor: the time
      *  is spent but the stale entries survive. */

@@ -103,10 +103,4 @@ PhysicalMemory::readByte(Pa pa) const
     return backingConst(paToPfn(pa))[pageOffset(pa)];
 }
 
-void
-PhysicalMemory::writeByte(Pa pa, std::uint8_t v)
-{
-    backing(paToPfn(pa))[pageOffset(pa)] = v;
-}
-
 } // namespace damn::mem

@@ -172,8 +172,6 @@ class PhysicalMemory
     void copy(Pa dst, Pa src, std::uint64_t len);
     /** Read one byte. */
     std::uint8_t readByte(Pa pa) const;
-    /** Write one byte. */
-    void writeByte(Pa pa, std::uint8_t v);
 
     /** Number of frames that have been touched (backed). */
     std::uint64_t backedFrames() const { return owned_.size(); }

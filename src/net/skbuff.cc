@@ -23,14 +23,6 @@ SkbSegList::reserve(std::size_t n)
 }
 
 void
-SkbSegList::assign(const SkbSegList &o)
-{
-    reserve(o.size_);
-    std::copy(o.begin(), o.end(), data());
-    size_ = o.size_;
-}
-
-void
 SkbSegList::steal(SkbSegList &o) noexcept
 {
     if (o.spill_) {

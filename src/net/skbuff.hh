@@ -65,18 +65,7 @@ class SkbSegList
     static constexpr std::size_t kInline = 6;
 
     SkbSegList() = default;
-    SkbSegList(const SkbSegList &o) { assign(o); }
     SkbSegList(SkbSegList &&o) noexcept { steal(o); }
-
-    SkbSegList &
-    operator=(const SkbSegList &o)
-    {
-        if (this != &o) {
-            size_ = 0;
-            assign(o);
-        }
-        return *this;
-    }
 
     SkbSegList &
     operator=(SkbSegList &&o) noexcept
@@ -120,7 +109,6 @@ class SkbSegList
 
     /** Make room for @p n segments, keeping the current ones. */
     void reserve(std::size_t n);
-    void assign(const SkbSegList &o);
     void steal(SkbSegList &o) noexcept;
 
     std::size_t size_ = 0;

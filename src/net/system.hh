@@ -79,8 +79,9 @@ class System
         }
         accessorStorage_ = std::make_unique<SkbAccessor>(
             ctx, pageAlloc, heap, pageFrag, damn.get());
-        if (p.iovaSpaceBytes != 0)
-            dmaApi->setIovaSpaceBytes(p.iovaSpaceBytes);
+        iommu::IovaAllocator *iova = dmaApi->iovaAllocator();
+        if (iova && p.iovaSpaceBytes != 0)
+            iova->setSpaceBytes(p.iovaSpaceBytes);
         wirePressure();
         if (p.recordTrace)
             ctx.tracer.startRecording();
@@ -98,6 +99,23 @@ class System
     }
 
     bool damnMode() const { return damn != nullptr; }
+
+    /**
+     * IOVA pages still allocated that domain @p d could hold: the
+     * DMA-API space's outstanding pages (all domains) plus, under
+     * damn, the DAMN slots of @p d's caches.  0 once every device is
+     * drained — the teardown audit's leak check.
+     */
+    std::uint64_t
+    liveIovaPages(iommu::DomainId d)
+    {
+        const iommu::IovaAllocator *iova = dmaApi->iovaAllocator();
+        std::uint64_t n = iova ? iova->outstanding() : 0;
+        if (damn)
+            n += damn->outstandingIovaSlots(d);
+        return n;
+    }
+
     SkbAccessor &accessor() { return *accessorStorage_; }
 
     SystemParams params;
@@ -138,8 +156,10 @@ class System
             return total == 0.0 ? 0.0
                                 : double(heap.pinnedPages()) / total;
         });
-        pc.registerResource("iova",
-                            [this] { return dmaApi->iovaUtilization(); });
+        iommu::IovaAllocator *iova = dmaApi->iovaAllocator();
+        pc.registerResource("iova", [iova] {
+            return iova ? iova->utilization() : 0.0;
+        });
         if (damn) {
             pc.registerResource("damn", [this, totalFrames] {
                 const double total = totalFrames() * mem::kPageSize;
@@ -158,10 +178,11 @@ class System
             });
         }
 
-        pc.registerReclaimer("flush_pending", [this](sim::CpuCursor &cpu) {
-            const std::uint64_t before = dmaApi->outstandingIovas();
+        pc.registerReclaimer("flush_pending",
+                             [this, iova](sim::CpuCursor &cpu) {
+            const std::uint64_t before = iova ? iova->outstanding() : 0;
             dmaApi->flushPending(cpu);
-            const std::uint64_t after = dmaApi->outstandingIovas();
+            const std::uint64_t after = iova ? iova->outstanding() : 0;
             return before > after ? before - after : 0;
         });
         if (damn) {

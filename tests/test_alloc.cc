@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "iommu/backend_smmu.hh"
 #include "iommu/iommu.hh"
 #include "net/stream.hh"
 #include "workloads/memcached.hh"
@@ -262,6 +263,30 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<iommu::BackendKind> &p) {
         return std::string(iommu::backendKindName(p.param));
     });
+
+// A driver drains the SMMUv3 event queue in rounds (the chaos soak
+// once per cycle, the fuzzer's drain op).  Once a round of N fault
+// records has been delivered and drained, the next round of N must
+// land in the ring's existing storage.
+TEST(EventQueueDrain, SecondRoundAllocatesNothing)
+{
+    sim::Context ctx(sim::CostModel{}, 1, 1);
+    iommu::SmmuV3Backend smmu(ctx);
+    constexpr unsigned kFaults = 16; // under the ring's depth
+    const auto round = [&] {
+        for (unsigned i = 0; i < kFaults; ++i)
+            smmu.deliverFault({0, iommu::Iova(i) * mem::kPageSize, true,
+                               iommu::FaultReason::NotPresent, 0});
+        const std::size_t delivered = smmu.eventQueue().size();
+        smmu.drainEventQueue();
+        return delivered;
+    };
+    EXPECT_EQ(round(), kFaults);
+    const std::uint64_t before = gAllocs.load();
+    EXPECT_EQ(round(), kFaults);
+    EXPECT_EQ(gAllocs.load() - before, 0u);
+    EXPECT_EQ(smmu.eventQueueDrained(), 2u * kFaults);
+}
 
 // The counter itself: without it every test above passes vacuously.
 TEST(AllocCounter, CountsOperatorNew)

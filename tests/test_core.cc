@@ -236,7 +236,7 @@ TEST_F(CoreFixture, AllocPagesNaturallyAligned)
             alloc.damnAllocPages(c, &nic, Rights::Write, k);
         ASSERT_NE(pfn, mem::kInvalidPfn);
         EXPECT_EQ(pfn % (1ull << k), 0u) << "order " << k;
-        alloc.damnFreePages(c, pfn, k);
+        alloc.damnFree(c, mem::pfnToPa(pfn));
     }
 }
 
@@ -332,7 +332,7 @@ TEST_F(CoreFixture, NullDeviceFallsBackToKernelAllocators)
     const mem::Pfn pages =
         alloc.damnAllocPages(c, nullptr, Rights::Read, 2);
     EXPECT_FALSE(alloc.isDamnBuffer(mem::pfnToPa(pages)));
-    alloc.damnFreePages(c, pages, 2);
+    alloc.damnFree(c, mem::pfnToPa(pages));
     EXPECT_EQ(heap.liveObjects(), 0u);
 }
 
@@ -529,7 +529,6 @@ TEST_F(CoreFixture, FreeNullIsNoop)
 {
     auto c = cpu();
     alloc.damnFree(c, 0);
-    alloc.damnFreePages(c, mem::kInvalidPfn, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -647,7 +646,14 @@ TEST_F(InterposeFixture, UnmapDispatchesOnMsb)
 
 TEST_F(InterposeFixture, PropertiesAreDamnLevel)
 {
-    EXPECT_STREQ(api.name(), "damn");
+    EXPECT_STREQ(dma::schemeKindName(dma::SchemeKind::Damn), "damn");
+    dma::SchemeKind parsed;
+    ASSERT_TRUE(dma::schemeFromName("damn", &parsed));
+    EXPECT_EQ(parsed, dma::SchemeKind::Damn);
+    // DAMN's IOVAs are not range-allocated: the only IOVA space is the
+    // fallback's.
+    ASSERT_NE(api.iovaAllocator(), nullptr);
+    EXPECT_EQ(api.iovaAllocator(), api.fallback().iovaAllocator());
 }
 
 TEST_F(InterposeFixture, MapIsCheapForDamnBuffers)

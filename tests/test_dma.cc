@@ -359,7 +359,7 @@ TEST_F(SchemeFixture, ShadowDrainAndShrinkStayInTheirDomain)
     api.unmap(c, dev3, busy, 512, Dir::ToDevice);
     EXPECT_EQ(api.shrinkIdle(c), kBlockPages);
     EXPECT_EQ(api.poolFrames(), 0u);
-    EXPECT_EQ(api.outstandingIovas(), 0u);
+    EXPECT_EQ(api.iovaAllocator()->outstanding(), 0u);
     EXPECT_EQ(mmu.currentlyMappedPages(), 0u);
 }
 
@@ -416,13 +416,21 @@ TEST_F(SchemeFixture, StrictChargesInvalidationTime)
 
 TEST_F(SchemeFixture, SchemeNamesAndProperties)
 {
-    PassthroughDmaApi off(ctx);
-    StrictDmaApi strict(ctx, mmu);
-    DeferredDmaApi deferred(ctx, mmu);
-    ShadowDmaApi shadow(ctx, mmu, pa);
-
-    EXPECT_STREQ(off.name(), "iommu-off");
-    EXPECT_STREQ(strict.name(), "strict");
-    EXPECT_STREQ(deferred.name(), "deferred");
-    EXPECT_STREQ(shadow.name(), "shadow");
+    const std::pair<SchemeKind, const char *> schemes[] = {
+        {SchemeKind::IommuOff, "iommu-off"},
+        {SchemeKind::Strict, "strict"},
+        {SchemeKind::Deferred, "deferred"},
+        {SchemeKind::Shadow, "shadow"},
+    };
+    for (const auto &[kind, name] : schemes) {
+        EXPECT_STREQ(schemeKindName(kind), name);
+        SchemeKind parsed;
+        ASSERT_TRUE(schemeFromName(name, &parsed)) << name;
+        EXPECT_EQ(parsed, kind);
+        // Only iommu-off allocates no IOVAs.
+        const auto api = makeScheme(kind, ctx, mmu, pa);
+        EXPECT_EQ(api->iovaAllocator() == nullptr,
+                  kind == SchemeKind::IommuOff)
+            << name;
+    }
 }

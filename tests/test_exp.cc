@@ -11,8 +11,10 @@
 #include <set>
 
 #include "exp/driver.hh"
+#include "tests/json_reader.hh"
 
 using namespace damn;
+using namespace damn::testjson;
 using exp::Json;
 
 namespace {
@@ -42,8 +44,11 @@ TEST(Registry, AllTwentyExperimentsRegistered)
 
 TEST(Registry, LookupAndSchemeNames)
 {
-    EXPECT_NE(exp::findExperiment("fig4_singlecore"), nullptr);
-    EXPECT_EQ(exp::findExperiment("nope"), nullptr);
+    std::set<std::string> names;
+    for (const exp::Experiment *e : exp::allExperiments())
+        names.insert(e->name);
+    EXPECT_EQ(names.count("fig4_singlecore"), 1u);
+    EXPECT_EQ(names.count("nope"), 0u);
 
     EXPECT_EQ(exp::defaultSchemes().size(), 5u);
     dma::SchemeKind k;
@@ -139,19 +144,19 @@ TEST(JsonValue, BuildDumpParseRoundTrip)
     doc.set("empty_arr", Json::array());
 
     const std::string text = doc.dump();
-    const Json back = Json::parse(text);
+    const Json back = parseJson(text);
     // Round-trip must preserve bytes: reserialize and compare.
     EXPECT_EQ(back.dump(), text);
-    EXPECT_EQ(back.find("int")->asInt(), -3);
-    EXPECT_EQ(back.find("uint")->asUint(), 18446744073709551615ull);
-    EXPECT_DOUBLE_EQ(back.find("double")->asDouble(), 0.1);
-    EXPECT_EQ(back.find("string")->str(), "a \"quoted\"\n\tstring");
-    EXPECT_EQ(back.find("controls")->str(), "\b\f\r\x01");
-    EXPECT_TRUE(back.find("bool")->boolean());
-    EXPECT_EQ(back.find("arr")->items().size(), 2u);
-    EXPECT_THROW(Json::parse("{\"unterminated\": "),
+    EXPECT_EQ(asInt(at(back, "int")), -3);
+    EXPECT_EQ(asUint(at(back, "uint")), 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(asDouble(at(back, "double")), 0.1);
+    EXPECT_EQ(at(back, "string").str(), "a \"quoted\"\n\tstring");
+    EXPECT_EQ(at(back, "controls").str(), "\b\f\r\x01");
+    EXPECT_TRUE(at(back, "bool").boolean());
+    EXPECT_EQ(at(back, "arr").items().size(), 2u);
+    EXPECT_THROW(parseJson("{\"unterminated\": "),
                  std::runtime_error);
-    EXPECT_THROW(Json::parse("[1, 2] trailing"), std::runtime_error);
+    EXPECT_THROW(parseJson("[1, 2] trailing"), std::runtime_error);
 }
 
 /**
@@ -185,34 +190,34 @@ TEST(EndToEnd, EveryExperimentRunsAndJsonIsDeterministic)
 
     // Schema round-trip: parse the emitted JSON and check the
     // documented keys, then reserialize byte-identically.
-    const Json doc = Json::parse(json1);
+    const Json doc = parseJson(json1);
     EXPECT_EQ(doc.dump(), json1);
-    ASSERT_NE(doc.find("schema_version"), nullptr);
-    EXPECT_EQ(doc.find("schema_version")->asInt(),
+    ASSERT_NE(find(doc, "schema_version"), nullptr);
+    EXPECT_EQ(asInt(at(doc, "schema_version")),
               exp::kJsonSchemaVersion);
-    EXPECT_EQ(doc.find("generator")->str(), "damn_bench");
-    EXPECT_EQ(doc.find("seed")->asUint(), o.seed);
-    EXPECT_EQ(doc.find("schemes")->items().size(), 5u);
-    const Json *exps = doc.find("experiments");
+    EXPECT_EQ(at(doc, "generator").str(), "damn_bench");
+    EXPECT_EQ(asUint(at(doc, "seed")), o.seed);
+    EXPECT_EQ(at(doc, "schemes").items().size(), 5u);
+    const Json *exps = find(doc, "experiments");
     ASSERT_NE(exps, nullptr);
     ASSERT_EQ(exps->items().size(), r1.experiments.size());
     for (const Json &je : exps->items()) {
-        ASSERT_NE(je.find("name"), nullptr);
-        ASSERT_NE(je.find("paper"), nullptr);
-        const Json *runs = je.find("runs");
-        ASSERT_NE(runs, nullptr) << je.find("name")->str();
+        ASSERT_NE(find(je, "name"), nullptr);
+        ASSERT_NE(find(je, "paper"), nullptr);
+        const Json *runs = find(je, "runs");
+        ASSERT_NE(runs, nullptr) << at(je, "name").str();
         for (const Json &jr : runs->items()) {
-            ASSERT_NE(jr.find("scheme"), nullptr);
-            ASSERT_NE(jr.find("params"), nullptr);
-            const Json *metrics = jr.find("metrics");
+            ASSERT_NE(find(jr, "scheme"), nullptr);
+            ASSERT_NE(find(jr, "params"), nullptr);
+            const Json *metrics = find(jr, "metrics");
             ASSERT_NE(metrics, nullptr);
             EXPECT_FALSE(metrics->members().empty());
             for (const auto &[name, jm] : metrics->members()) {
                 EXPECT_FALSE(name.empty());
-                ASSERT_NE(jm.find("value"), nullptr);
-                ASSERT_NE(jm.find("unit"), nullptr);
+                ASSERT_NE(find(jm, "value"), nullptr);
+                ASSERT_NE(find(jm, "unit"), nullptr);
             }
-            ASSERT_NE(jr.find("stats"), nullptr);
+            ASSERT_NE(find(jr, "stats"), nullptr);
         }
     }
 }
@@ -354,8 +359,8 @@ TEST(BackendAxis, LabelOnlyWhenAxisIsNotVtd)
     ASSERT_FALSE(native.experiments[0].runs.empty());
     for (const exp::Run &run : native.experiments[0].runs)
         EXPECT_NE(paramOf(run, "backend"), nullptr);
-    const Json doc = Json::parse(exp::reportJson(native).dump());
-    EXPECT_EQ(doc.find("backends"), nullptr);
+    const Json doc = parseJson(exp::reportJson(native).dump());
+    EXPECT_EQ(find(doc, "backends"), nullptr);
 
     // --backend=vtd: the baseline axis, no labels.
     o.backends = {iommu::BackendKind::Vtd};

@@ -15,7 +15,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "exp/json.hh"
 #include "fuzz/corpus.hh"
 #include "fuzz/harness.hh"
 #include "fuzz/interval_set.hh"
@@ -26,8 +25,10 @@
 #include "iommu/iotlb.hh"
 #include "mem/kmalloc.hh"
 #include "sim/context.hh"
+#include "tests/json_reader.hh"
 
 using namespace damn;
+using namespace damn::testjson;
 
 // ---------------------------------------------------------------------
 // I/O page table vs a std::map reference
@@ -325,7 +326,7 @@ TEST(FuzzJsonEscape, AdversarialStringsRoundTripThroughTheParser)
     };
     for (const std::string &s : cases) {
         const std::string wrapped = "\"" + sim::jsonEscape(s) + "\"";
-        const exp::Json v = exp::Json::parse(wrapped);
+        const exp::Json v = parseJson(wrapped);
         EXPECT_EQ(v.str(), s);
     }
 
@@ -334,7 +335,7 @@ TEST(FuzzJsonEscape, AdversarialStringsRoundTripThroughTheParser)
     for (int iter = 0; iter < 2000; ++iter) {
         const std::string s = rng.bytes(64);
         const std::string wrapped = "\"" + sim::jsonEscape(s) + "\"";
-        const exp::Json v = exp::Json::parse(wrapped);
+        const exp::Json v = parseJson(wrapped);
         ASSERT_EQ(v.str(), s) << "iter " << iter;
     }
 }
@@ -356,17 +357,17 @@ TEST(FuzzJsonEscape, AdversarialEventNamesKeepTheTraceParseable)
     const sim::TraceBundle b = ctx.tracer.bundle(ctx.machine, 2.0);
     const std::string json =
         sim::chromeTraceJson({{"evil \"proc\"\n", &b}});
-    const exp::Json doc = exp::Json::parse(json);
-    const exp::Json *evs = doc.find("traceEvents");
+    const exp::Json doc = parseJson(json);
+    const exp::Json *evs = find(doc, "traceEvents");
     ASSERT_NE(evs, nullptr);
     ASSERT_EQ(evs->items().size(), 65u); // metadata + 64 instants
     for (std::size_t i = 1; i < evs->items().size(); ++i) {
         const exp::Json &ev = evs->items()[i];
         // aux identifies the original name regardless of sort order.
         const auto tag =
-            std::size_t(ev.find("args")->find("aux")->asUint()) - 1;
+            std::size_t(asUint(at(ev, "args", "aux"))) - 1;
         ASSERT_LT(tag, names.size());
-        EXPECT_EQ(ev.find("name")->str(), names[tag]);
+        EXPECT_EQ(at(ev, "name").str(), names[tag]);
     }
 }
 

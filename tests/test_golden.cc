@@ -25,8 +25,10 @@
 #include <sstream>
 
 #include "exp/driver.hh"
+#include "tests/json_reader.hh"
 
 using namespace damn;
+using namespace damn::testjson;
 using exp::Json;
 
 namespace {
@@ -112,9 +114,9 @@ TEST(Golden, SweepSmmuV3MatchesCommittedFingerprint)
         std::stringstream ss;
         ss << in.rdbuf();
         if (in) {
-            const Json doc = Json::parse(ss.str());
-            want_digest = doc.find("fingerprint")->str();
-            for (const auto &[k, v] : doc.find("entries")->members())
+            const Json doc = parseJson(ss.str());
+            want_digest = at(doc, "fingerprint").str();
+            for (const auto &[k, v] : at(doc, "entries").members())
                 want[k] = v.str();
         }
     }

@@ -22,16 +22,6 @@ using namespace damn::net;
 
 namespace {
 
-/** Allocator-side IOVA leak count for one domain (the audit input). */
-std::uint64_t
-outstandingIovasOf(System &sys, iommu::DomainId d)
-{
-    std::uint64_t n = sys.dmaApi->outstandingIovas();
-    if (sys.damnMode())
-        n += sys.damn->outstandingIovaSlots(d);
-    return n;
-}
-
 /**
  * One System + NIC + stack + auditor under the parameterized scheme,
  * with helpers running the unplug -> teardown -> drain -> detach ->
@@ -99,7 +89,7 @@ struct LifecycleFixture : ::testing::TestWithParam<dma::SchemeKind>
         const std::uint64_t forced =
             sys->mmu.detachDomain(nic->domain());
         return auditor->verifyTeardown(
-            nic->domain(), outstandingIovasOf(*sys, nic->domain()),
+            nic->domain(), sys->liveIovaPages(nic->domain()),
             forced);
     }
 
@@ -448,7 +438,7 @@ TEST(AllocatorDrain, DamnDrainReleasesEveryCachedChunk)
 
     const std::uint64_t forced = sys.mmu.detachDomain(nic.domain());
     const audit::TeardownReport rep = auditor.verifyTeardown(
-        nic.domain(), outstandingIovasOf(sys, nic.domain()), forced);
+        nic.domain(), sys.liveIovaPages(nic.domain()), forced);
     EXPECT_TRUE(rep.clean())
         << ::testing::PrintToString(rep.violations);
 }

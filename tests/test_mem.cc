@@ -80,8 +80,8 @@ TEST(PhysicalMemory, LazyBacking)
 {
     PhysicalMemory pm(64 * kMiB);
     EXPECT_EQ(pm.backedFrames(), 0u);
-    pm.writeByte(5 * kPageSize, 1);
-    pm.writeByte(9 * kPageSize, 1);
+    pm.fill(5 * kPageSize, 1, 1);
+    pm.fill(9 * kPageSize, 1, 1);
     EXPECT_EQ(pm.backedFrames(), 2u);
 }
 
@@ -163,7 +163,7 @@ TEST(PhysicalMemory, TeardownFreesBackedFrames)
     auto pm = std::make_unique<PhysicalMemory>(4 * kGiB);
     const Pa top = pfnToPa(pm->numFrames() - 1);
     pm->fill(0, 0xab, 3 * kPageSize);
-    pm->writeByte(top + kPageSize - 1, 0xcd);
+    pm->fill(top + kPageSize - 1, 0xcd, 1);
     EXPECT_EQ(pm->backedFrames(), 4u);
     EXPECT_EQ(pm->readByte(2 * kPageSize), 0xab);
     EXPECT_EQ(pm->readByte(top + kPageSize - 1), 0xcd);

@@ -416,7 +416,7 @@ TEST_F(GuardFixture, FreeSkbReleasesBackingChunkOnce)
 }
 
 // ---------------------------------------------------------------------
-// SkBuff segment list: splits, spills, copies, moves
+// SkBuff segment list: splits, spills, moves
 // ---------------------------------------------------------------------
 
 namespace {
@@ -439,6 +439,16 @@ expectSameSegs(const SkBuff &a, const SkBuff &b)
         EXPECT_EQ(x.dmaMapped, y.dmaMapped);
         EXPECT_EQ(x.dmaDir, y.dmaDir);
     }
+}
+
+/** A second skb holding @p src's segments (SkBuff is move-only). */
+SkBuff
+segCopy(const SkBuff &src)
+{
+    SkBuff out;
+    for (const SkbSegment &seg : src.segs)
+        out.segs.push_back(seg);
+    return out;
 }
 
 std::uint8_t
@@ -559,25 +569,19 @@ TEST_F(SegListFixture, CopyAndMovePreserveSegments)
     ASSERT_EQ(big.segs.size(), 20u);
 
     for (const SkBuff *src : {&small, &big}) {
-        SkBuff copy(*src);
-        expectSameSegs(copy, *src);
+        SkBuff copy = segCopy(*src);
         SkBuff moved(std::move(copy));
         expectSameSegs(moved, *src);
-        SkBuff assigned;
-        assigned = moved;
-        expectSameSegs(assigned, *src);
         SkBuff moveAssigned;
-        moveAssigned = std::move(assigned);
+        moveAssigned = std::move(moved);
         expectSameSegs(moveAssigned, *src);
     }
-    // Assignment across the inline/spilled boundary, both ways.
-    SkBuff x(big);
-    x = small;
+    // Move-assignment across the inline/spilled boundary, both ways.
+    SkBuff x = segCopy(big);
+    x = segCopy(small);
     expectSameSegs(x, small);
-    x = big;
+    x = segCopy(big);
     expectSameSegs(x, big);
-    x = SkBuff(small);
-    expectSameSegs(x, small);
 
     sys->accessor().freeSkb(c, small);
     sys->accessor().freeSkb(c, big);

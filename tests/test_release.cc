@@ -98,7 +98,7 @@ TEST(Release, StrictMapExhaustionFailsSoft)
     iommu::Iommu mmu(ctx, /*enabled=*/true);
     dma::Device dev(ctx, "dev0", mmu, pm);
     auto api = dma::makeScheme(dma::SchemeKind::Strict, ctx, mmu, pa);
-    api->setIovaSpaceBytes(2 * mem::kPageSize);
+    api->iovaAllocator()->setSpaceBytes(2 * mem::kPageSize);
     sim::CpuCursor c(ctx.machine.core(0), 0);
     const mem::Pfn pfn = pa.allocPages(0, 0);
     const iommu::Iova a = api->map(c, dev, mem::pfnToPa(pfn),
@@ -163,5 +163,5 @@ TEST(Release, SystemBootsAndMapsUnderPressureWiring)
                           dma::Dir::FromDevice);
     }
     EXPECT_GT(sys.ctx.stats.get("iommu.iova_forced_flushes"), 0u);
-    EXPECT_EQ(sys.dmaApi->mapFailures(), 0u);
+    EXPECT_EQ(sys.ctx.stats.get("dma.map_fails"), 0u);
 }

@@ -10,8 +10,10 @@
 #include "exp/driver.hh"
 #include "net/system.hh"
 #include "workloads/netperf.hh"
+#include "tests/json_reader.hh"
 
 using namespace damn;
+using namespace damn::testjson;
 using exp::Json;
 
 // ---------------------------------------------------------------------
@@ -142,21 +144,21 @@ TEST_F(TracerFixture, ChromeJsonIsValidAndEscaped)
     const std::string json =
         sim::chromeTraceJson({{"proc \"zero\"", &b}});
 
-    const Json doc = Json::parse(json);
-    const Json *evs = doc.find("traceEvents");
+    const Json doc = parseJson(json);
+    const Json *evs = find(doc, "traceEvents");
     ASSERT_NE(evs, nullptr);
     // metadata + span + instant
     ASSERT_EQ(evs->items().size(), 3u);
     const Json &meta = evs->items()[0];
-    EXPECT_EQ(meta.find("ph")->str(), "M");
-    EXPECT_EQ(meta.find("args")->find("name")->str(), "proc \"zero\"");
+    EXPECT_EQ(at(meta, "ph").str(), "M");
+    EXPECT_EQ(at(meta, "args", "name").str(), "proc \"zero\"");
     const Json &span = evs->items()[1];
-    EXPECT_EQ(span.find("ph")->str(), "X");
-    EXPECT_EQ(span.find("name")->str(), "weird \"name\"\n\t\\");
-    EXPECT_EQ(span.find("cat")->str(), "copy");
-    EXPECT_EQ(span.find("args")->find("bytes")->asUint(), 4096u);
+    EXPECT_EQ(at(span, "ph").str(), "X");
+    EXPECT_EQ(at(span, "name").str(), "weird \"name\"\n\t\\");
+    EXPECT_EQ(at(span, "cat").str(), "copy");
+    EXPECT_EQ(asUint(at(span, "args", "bytes")), 4096u);
     const Json &inst = evs->items()[2];
-    EXPECT_EQ(inst.find("ph")->str(), "i");
+    EXPECT_EQ(at(inst, "ph").str(), "i");
 }
 
 TEST_F(TracerFixture, TimestampsAreMicrosecondsWithFixedPrecision)
@@ -208,17 +210,17 @@ TEST(GoldenTrace, SameSeedSameGlobByteIdenticalOutput)
 TEST(GoldenTrace, TraceIsValidJsonWithLabeledProcesses)
 {
     const exp::Report r = exp::runExperiments(traceDriverOpts());
-    const Json doc = Json::parse(exp::chromeTraceForReport(r));
-    const Json *evs = doc.find("traceEvents");
+    const Json doc = parseJson(exp::chromeTraceForReport(r));
+    const Json *evs = find(doc, "traceEvents");
     ASSERT_NE(evs, nullptr);
     ASSERT_GT(evs->items().size(), 100u);
     // One labeled process per traced run (two schemes selected).
     unsigned procs = 0;
     for (const Json &ev : evs->items())
-        if (ev.find("ph")->str() == "M") {
+        if (at(ev, "ph").str() == "M") {
             ++procs;
             const std::string label =
-                ev.find("args")->find("name")->str();
+                at(ev, "args", "name").str();
             EXPECT_EQ(label.rfind("netperf_stream/", 0), 0u) << label;
         }
     EXPECT_EQ(procs, 2u);
@@ -269,10 +271,10 @@ TEST(GoldenTrace, TraceReachesEveryWorkload)
           "fig11_nvme", "fault_storm", "chaos_soak", "pressure_storm"}) {
         o.only = name;
         const exp::Report r = exp::runExperiments(o);
-        const Json doc = Json::parse(exp::chromeTraceForReport(r));
+        const Json doc = parseJson(exp::chromeTraceForReport(r));
         unsigned procs = 0;
-        for (const Json &ev : doc.find("traceEvents")->items())
-            procs += ev.find("ph")->str() == "M";
+        for (const Json &ev : at(doc, "traceEvents").items())
+            procs += at(ev, "ph").str() == "M";
         EXPECT_GE(procs, 1u) << name;
         for (const exp::Run &run : r.experiments.at(0).runs) {
             if (run.trace.hasData()) {
@@ -315,25 +317,25 @@ TEST(GoldenTrace, RdmaPagefaultRunIsByteIdenticalAndServicesFaults)
 
     // Every run of the sweep must actually exercise the PRI path and
     // report the new metric block.
-    const Json doc = Json::parse(j1);
+    const Json doc = parseJson(j1);
     const Json *runs = nullptr;
-    for (const Json &e : doc.find("experiments")->items())
-        if (e.find("name")->str() == "rdma_pagefault")
-            runs = e.find("runs");
+    for (const Json &e : at(doc, "experiments").items())
+        if (at(e, "name").str() == "rdma_pagefault")
+            runs = find(e, "runs");
     ASSERT_NE(runs, nullptr);
     EXPECT_FALSE(runs->items().empty());
     for (const Json &run : runs->items()) {
-        const Json *m = run.find("metrics");
+        const Json *m = find(run, "metrics");
         ASSERT_NE(m, nullptr);
         for (const char *name :
              {"faults_serviced", "auto_responses", "prq_max_depth",
               "devtlb_hit_rate", "fault_service_avg_ns"})
-            ASSERT_NE(m->find(name), nullptr) << name;
-        EXPECT_GT(m->find("faults_serviced")->find("value")->asDouble(),
+            ASSERT_NE(find(*m, name), nullptr) << name;
+        EXPECT_GT(asDouble(at(*m, "faults_serviced", "value")),
                   0.0)
-            << run.find("scheme")->str() << "/"
-            << run.find("params")->find("backend")->str();
-        EXPECT_GT(m->find("prq_max_depth")->find("value")->asDouble(),
+            << at(run, "scheme").str() << "/"
+            << at(run, "params", "backend").str();
+        EXPECT_GT(asDouble(at(*m, "prq_max_depth", "value")),
                   0.0);
     }
 }
@@ -341,29 +343,29 @@ TEST(GoldenTrace, RdmaPagefaultRunIsByteIdenticalAndServicesFaults)
 TEST(GoldenTrace, SchemaV2AttributionBlockIsDocumentedShape)
 {
     const exp::Report r = exp::runExperiments(traceDriverOpts());
-    const Json doc = Json::parse(exp::reportJson(r).dump());
-    EXPECT_EQ(doc.find("schema_version")->asInt(), 2);
+    const Json doc = parseJson(exp::reportJson(r).dump());
+    EXPECT_EQ(asInt(at(doc, "schema_version")), 2);
     const Json &run =
-        doc.find("experiments")->items()[0].find("runs")->items()[0];
-    const Json *attr = run.find("attribution");
+        at(at(doc, "experiments").items()[0], "runs").items()[0];
+    const Json *attr = find(run, "attribution");
     ASSERT_NE(attr, nullptr);
-    ASSERT_NE(attr->find("total_busy_ns"), nullptr);
-    ASSERT_NE(attr->find("total_cycles"), nullptr);
-    ASSERT_NE(attr->find("attributed_ns"), nullptr);
-    ASSERT_NE(attr->find("coverage_pct"), nullptr);
-    ASSERT_NE(attr->find("dropped_events"), nullptr);
-    const Json *cats = attr->find("categories");
+    ASSERT_NE(find(*attr, "total_busy_ns"), nullptr);
+    ASSERT_NE(find(*attr, "total_cycles"), nullptr);
+    ASSERT_NE(find(*attr, "attributed_ns"), nullptr);
+    ASSERT_NE(find(*attr, "coverage_pct"), nullptr);
+    ASSERT_NE(find(*attr, "dropped_events"), nullptr);
+    const Json *cats = find(*attr, "categories");
     ASSERT_NE(cats, nullptr);
     EXPECT_FALSE(cats->members().empty());
     bool saw_dma_map = false;
     for (const auto &[name, jc] : cats->members()) {
-        ASSERT_NE(jc.find("ns"), nullptr) << name;
-        ASSERT_NE(jc.find("cycles"), nullptr) << name;
-        ASSERT_NE(jc.find("bytes"), nullptr) << name;
-        ASSERT_NE(jc.find("events"), nullptr) << name;
+        ASSERT_NE(find(jc, "ns"), nullptr) << name;
+        ASSERT_NE(find(jc, "cycles"), nullptr) << name;
+        ASSERT_NE(find(jc, "bytes"), nullptr) << name;
+        ASSERT_NE(find(jc, "events"), nullptr) << name;
         if (name == "dma.map")
             saw_dma_map = true;
     }
     EXPECT_TRUE(saw_dma_map) << "strict runs must attribute dma.map";
-    EXPECT_GE(attr->find("coverage_pct")->asDouble(), 95.0);
+    EXPECT_GE(asDouble(at(*attr, "coverage_pct")), 95.0);
 }
