@@ -16,9 +16,11 @@ clears old .gcda counts, then runs:
   - damn_bench --list and the four examples with their default
     arguments.
 
-It then reads the counts with `gcov --json-format` and prints each
-function defined under src/ that none of those runs entered, with a
-line and function summary.  A function that is listed is a candidate
+It then reads the counts with `gcov --json-format` from the objects of
+src/, bench/ and examples/ and prints each function defined under src/
+that none of those runs entered, with a line and function summary.  The
+bench/ and examples/ objects count too: an inline src/ function whose
+kept copy was compiled into one of them has its counts there.  A function that is listed is a candidate
 for deletion or for a caller in some experiment; the list is a report,
 not a gate, and the exit status is 0 whatever it holds.
 """
@@ -75,11 +77,13 @@ def exercise(build, source):
 
 
 def gcov_documents(build):
-    """Yield gcov's JSON document for every object compiled from src/."""
+    """Yield gcov's JSON document for every object compiled from src/,
+    bench/ or examples/."""
     by_dir = {}
-    for gcno in glob.glob(os.path.join(build, "src", "**", "*.gcno"),
-                          recursive=True):
-        by_dir.setdefault(os.path.dirname(gcno), []).append(gcno)
+    for top in ("src", "bench", "examples"):
+        for gcno in glob.glob(os.path.join(build, top, "**", "*.gcno"),
+                              recursive=True):
+            by_dir.setdefault(os.path.dirname(gcno), []).append(gcno)
     decoder = json.JSONDecoder()
     for objdir, gcnos in sorted(by_dir.items()):
         # Objects with no .gcda never ran; gcov reports them as zeros.

@@ -379,10 +379,12 @@ reportJson(const Report &report)
             Json jr = Json::object();
             jr.set("scheme", run.scheme);
             Json params = Json::object();
+            params.reserve(run.params.size());
             for (const auto &[k, v] : run.params)
                 params.set(k, v);
             jr.set("params", std::move(params));
             Json metrics = Json::object();
+            metrics.reserve(run.metrics.size());
             for (const Metric &m : run.metrics) {
                 Json jm = Json::object();
                 jm.set("value", m.value);
@@ -391,6 +393,7 @@ reportJson(const Report &report)
             }
             jr.set("metrics", std::move(metrics));
             Json stats = Json::object();
+            stats.reserve(run.stats.size());
             for (const auto &[k, v] : run.stats)
                 stats.set(k, v);
             jr.set("stats", std::move(stats));
@@ -403,6 +406,7 @@ reportJson(const Report &report)
                 attr.set("coverage_pct", tb.coveragePct());
                 attr.set("dropped_events", tb.droppedEvents);
                 Json cats = Json::object();
+                cats.reserve(tb.categories.size());
                 for (const sim::TraceBundle::Category &c :
                      tb.categories) {
                     Json jc = Json::object();

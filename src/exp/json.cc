@@ -17,13 +17,38 @@ void
 Json::set(const std::string &key, Json v)
 {
     assert(kind_ == Kind::Object);
-    for (auto &[k, existing] : members_) {
+    Members &members = std::get<Members>(data_);
+    for (auto &[k, existing] : members) {
         if (k == key) {
             existing = std::move(v);
             return;
         }
     }
-    members_.emplace_back(key, std::move(v));
+    members.emplace_back(key, std::move(v));
+}
+
+const std::vector<Json> &
+Json::items() const
+{
+    static const Items none;
+    const Items *v = std::get_if<Items>(&data_);
+    return v ? *v : none;
+}
+
+const std::vector<std::pair<std::string, Json>> &
+Json::members() const
+{
+    static const Members none;
+    const Members *v = std::get_if<Members>(&data_);
+    return v ? *v : none;
+}
+
+const std::string &
+Json::str() const
+{
+    static const std::string none;
+    const std::string *v = std::get_if<std::string>(&data_);
+    return v ? *v : none;
 }
 
 // ---------------------------------------------------------------------
@@ -70,54 +95,56 @@ Json::dumpTo(std::string &out, unsigned indent) const
         out += "null";
         break;
     case Kind::Bool:
-        out += bool_ ? "true" : "false";
+        out += scalar_.b ? "true" : "false";
         break;
     case Kind::Int:
-        out += std::to_string(int_);
+        out += std::to_string(scalar_.i);
         break;
     case Kind::Uint:
-        out += std::to_string(uint_);
+        out += std::to_string(scalar_.u);
         break;
     case Kind::Double:
-        appendDouble(out, double_);
+        appendDouble(out, scalar_.d);
         break;
     case Kind::String:
-        appendQuoted(out, string_);
+        appendQuoted(out, str());
         break;
-    case Kind::Array:
-        if (items_.empty()) {
+    case Kind::Array: {
+        const Items &arr = items();
+        if (arr.empty()) {
             out += "[]";
             break;
         }
         out += "[\n";
-        for (std::size_t i = 0; i < items_.size(); ++i) {
+        for (std::size_t i = 0; i < arr.size(); ++i) {
             appendIndent(out, indent + 1);
-            items_[i].dumpTo(out, indent + 1);
-            if (i + 1 < items_.size())
+            arr[i].dumpTo(out, indent + 1);
+            if (i + 1 < arr.size())
                 out += ',';
             out += '\n';
         }
         appendIndent(out, indent);
         out += ']';
-        break;
-    case Kind::Object:
-        if (members_.empty()) {
+    } break;
+    case Kind::Object: {
+        const Members &obj = members();
+        if (obj.empty()) {
             out += "{}";
             break;
         }
         out += "{\n";
-        for (std::size_t i = 0; i < members_.size(); ++i) {
+        for (std::size_t i = 0; i < obj.size(); ++i) {
             appendIndent(out, indent + 1);
-            appendQuoted(out, members_[i].first);
+            appendQuoted(out, obj[i].first);
             out += ": ";
-            members_[i].second.dumpTo(out, indent + 1);
-            if (i + 1 < members_.size())
+            obj[i].second.dumpTo(out, indent + 1);
+            if (i + 1 < obj.size())
                 out += ',';
             out += '\n';
         }
         appendIndent(out, indent);
         out += '}';
-        break;
+    } break;
     }
 }
 
@@ -138,16 +165,16 @@ Json::dumpSizeHint(unsigned indent) const
     case Kind::Double:
         return 24;
     case Kind::String:
-        return string_.size() + 8;
+        return str().size() + 8;
     case Kind::Array: {
         std::size_t n = 4;
-        for (const Json &v : items_)
+        for (const Json &v : items())
             n += v.dumpSizeHint(indent + 1) + 2 * (indent + 1) + 2;
         return n;
     }
     case Kind::Object: {
         std::size_t n = 4;
-        for (const auto &[k, v] : members_)
+        for (const auto &[k, v] : members())
             n += k.size() + 4 + v.dumpSizeHint(indent + 1) +
                 2 * (indent + 1) + 2;
         return n;

@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace damn::exp {
@@ -39,17 +40,31 @@ class Json
     };
 
     Json() : kind_(Kind::Null) {}
-    Json(bool b) : kind_(Kind::Bool), bool_(b) {}
-    Json(int v) : kind_(Kind::Int), int_(v) {}
-    Json(std::int64_t v) : kind_(Kind::Int), int_(v) {}
-    Json(unsigned v) : kind_(Kind::Uint), uint_(v) {}
-    Json(std::uint64_t v) : kind_(Kind::Uint), uint_(v) {}
-    Json(double v) : kind_(Kind::Double), double_(v) {}
-    Json(const char *s) : kind_(Kind::String), string_(s) {}
-    Json(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
+    Json(bool b) : kind_(Kind::Bool) { scalar_.b = b; }
+    Json(int v) : kind_(Kind::Int) { scalar_.i = v; }
+    Json(std::int64_t v) : kind_(Kind::Int) { scalar_.i = v; }
+    Json(unsigned v) : kind_(Kind::Uint) { scalar_.u = v; }
+    Json(std::uint64_t v) : kind_(Kind::Uint) { scalar_.u = v; }
+    Json(double v) : kind_(Kind::Double) { scalar_.d = v; }
+    Json(const char *s) : kind_(Kind::String), data_(std::string(s)) {}
+    Json(std::string s) : kind_(Kind::String), data_(std::move(s)) {}
 
-    static Json array() { Json j; j.kind_ = Kind::Array; return j; }
-    static Json object() { Json j; j.kind_ = Kind::Object; return j; }
+    static Json
+    array()
+    {
+        Json j;
+        j.kind_ = Kind::Array;
+        j.data_.emplace<Items>();
+        return j;
+    }
+    static Json
+    object()
+    {
+        Json j;
+        j.kind_ = Kind::Object;
+        j.data_.emplace<Members>();
+        return j;
+    }
 
     Kind kind() const { return kind_; }
 
@@ -57,7 +72,7 @@ class Json
     void
     push(Json v)
     {
-        items_.push_back(std::move(v));
+        std::get<Items>(data_).push_back(std::move(v));
     }
 
     /** Pre-size an array's items (or an object's members). */
@@ -65,23 +80,22 @@ class Json
     reserve(std::size_t n)
     {
         if (kind_ == Kind::Object)
-            members_.reserve(n);
+            std::get<Members>(data_).reserve(n);
         else
-            items_.reserve(n);
+            std::get<Items>(data_).reserve(n);
     }
 
     /** Set a key of an object (insertion-ordered; overwrites). */
     void set(const std::string &key, Json v);
 
-    const std::vector<Json> &items() const { return items_; }
-    const std::vector<std::pair<std::string, Json>> &
-    members() const
-    {
-        return members_;
-    }
+    /** An array's items (empty for any other kind). */
+    const std::vector<Json> &items() const;
+    /** An object's members (empty for any other kind). */
+    const std::vector<std::pair<std::string, Json>> &members() const;
 
-    bool boolean() const { return bool_; }
-    const std::string &str() const { return string_; }
+    bool boolean() const { return kind_ == Kind::Bool && scalar_.b; }
+    /** A string's text (empty for any other kind). */
+    const std::string &str() const;
 
     /** Serialize (pretty, 2-space indent, "\n" line endings). */
     std::string dump() const;
@@ -90,14 +104,21 @@ class Json
     void dumpTo(std::string &out, unsigned indent) const;
     std::size_t dumpSizeHint(unsigned indent) const;
 
+    using Items = std::vector<Json>;
+    using Members = std::vector<std::pair<std::string, Json>>;
+
+    // A sweep report holds tens of thousands of values, so a value
+    // keeps one scalar slot and one variant for its string, items or
+    // members rather than a field per kind.
     Kind kind_;
-    bool bool_ = false;
-    std::int64_t int_ = 0;
-    std::uint64_t uint_ = 0;
-    double double_ = 0.0;
-    std::string string_;
-    std::vector<Json> items_;                            //!< array
-    std::vector<std::pair<std::string, Json>> members_;  //!< object
+    union
+    {
+        bool b;
+        std::int64_t i;
+        std::uint64_t u = 0;
+        double d;
+    } scalar_;
+    std::variant<std::monostate, std::string, Items, Members> data_;
 };
 
 } // namespace damn::exp

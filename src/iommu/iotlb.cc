@@ -34,6 +34,7 @@ Iotlb::markValid(TlbEntry &e)
     const auto slot = std::size_t(&e - slots_.data());
     validBits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
     ++live_;
+    live2m_ += slot >= base2m_;
 }
 
 void
@@ -42,6 +43,7 @@ Iotlb::markInvalid(std::uint32_t slot)
     slots_[slot].valid = false;
     validBits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
     --live_;
+    live2m_ -= slot >= base2m_;
 }
 
 template <class Pred>
@@ -59,23 +61,51 @@ Iotlb::dropLive(Pred pred)
     }
 }
 
+void
+Iotlb::pwcTouch(std::uint32_t i)
+{
+    if (i == pwcNewest_)
+        return;
+    PwcLink &l = pwcLink_[i];
+    if (i == pwcOldest_)
+        pwcOldest_ = l.newer;
+    else
+        pwcLink_[l.older].newer = l.newer;
+    pwcLink_[l.newer].older = l.older;
+    l.older = pwcNewest_;
+    pwcLink_[pwcNewest_].newer = i;
+    pwcNewest_ = i;
+}
+
 bool
 Iotlb::walkCached(DomainId domain, Iova iova)
 {
     const Iova tag = iova >> 21;
-    PwcEntry *victim = &pwc_[0];
-    for (PwcEntry &e : pwc_) {
-        if (e.valid && e.domain == domain && e.tag == tag) {
-            e.lastUse = ++clock_;
+    const auto n = std::uint32_t(pwcTag_.size());
+    for (std::uint32_t i = n - pwcUsed_; i < n; ++i) {
+        if (pwcTag_[i] == tag && pwcDomain_[i] == domain) {
+            pwcTouch(i);
             return true;
         }
-        if (!e.valid || e.lastUse < victim->lastUse)
-            victim = &e;
     }
-    victim->valid = true;
-    victim->domain = domain;
-    victim->tag = tag;
-    victim->lastUse = ++clock_;
+    // Miss: fill the highest empty slot while any is left (the order
+    // the first fills have always taken), else the least recently
+    // used one.
+    std::uint32_t victim;
+    if (pwcUsed_ < n) {
+        victim = n - ++pwcUsed_;
+        if (pwcUsed_ == 1)
+            pwcOldest_ = victim;
+        else
+            pwcLink_[pwcNewest_].newer = victim;
+        pwcLink_[victim].older = pwcNewest_;
+        pwcNewest_ = victim;
+    } else {
+        victim = pwcOldest_;
+        pwcTouch(victim);
+    }
+    pwcTag_[victim] = tag;
+    pwcDomain_[victim] = domain;
     return false;
 }
 
@@ -83,26 +113,29 @@ const TlbEntry *
 Iotlb::lookup(DomainId domain, Iova iova)
 {
     // The LRU clock advances only when a stamp is actually written (on
-    // hit; insert/walkCached stamp for themselves), keeping the miss
-    // path scan-only.  Only the *relative order* of lastUse values
-    // feeds victim selection, so skipping ticks on misses leaves every
-    // eviction decision — and therefore all simulated output —
-    // unchanged.
+    // hit; insert stamps for itself), keeping the miss path scan-only.
+    // Only the *relative order* of lastUse values feeds victim
+    // selection, so skipping ticks (on misses, and the page-walk cache
+    // keeping its own LRU list) leaves every eviction decision — and
+    // therefore all simulated output — unchanged.
     //
-    // 2 MiB bank first: a huge entry covers the 4 KiB tag too.
-    const Iova tag2m = iova & ~(kHugePageSize - 1);
-    TlbEntry *set = setBase(true, domain, tag2m);
-    for (unsigned w = 0; w < ways2m_; ++w) {
-        TlbEntry &e = set[w];
-        if (e.valid && e.domain == domain && e.iovaPage == tag2m &&
-            e.huge) {
-            e.lastUse = ++clock_;
-            ++hits_;
-            return &e;
+    // 2 MiB bank first: a huge entry covers the 4 KiB tag too.  An
+    // empty bank cannot hit, so its probe is skipped.
+    if (live2m_ != 0) {
+        const Iova tag2m = iova & ~(kHugePageSize - 1);
+        TlbEntry *set = setBase(true, domain, tag2m);
+        for (unsigned w = 0; w < ways2m_; ++w) {
+            TlbEntry &e = set[w];
+            if (e.valid && e.domain == domain && e.iovaPage == tag2m &&
+                e.huge) {
+                e.lastUse = ++clock_;
+                ++hits_;
+                return &e;
+            }
         }
     }
     const Iova tag4k = iova & ~Iova(mem::kPageSize - 1);
-    set = setBase(false, domain, tag4k);
+    TlbEntry *set = setBase(false, domain, tag4k);
     for (unsigned w = 0; w < ways4k_; ++w) {
         TlbEntry &e = set[w];
         if (e.valid && e.domain == domain && e.iovaPage == tag4k &&

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "core/damn_allocator.hh"
 #include "dma/dma_api.hh"
@@ -53,18 +54,25 @@ struct SkbSegment
     dma::Dir dmaDir = dma::Dir::FromDevice;
 };
 
+static_assert(std::is_trivially_copyable_v<SkbSegment>,
+              "SkbSegList copies segments as raw storage");
+
 /**
  * An skbuff's ordered segment list.  The first kInline segments live
  * inside the object, so building an RX skb (one segment, up to four
  * once the TOCTTOU guard splits it) or a 64 KiB TX skb (head + four
  * frags) allocates nothing; longer lists spill to one heap array.
+ * The inline array is raw storage: constructing a list initialises
+ * none of its kInline segments, and only the first size() of them are
+ * ever read (SkbSegment is trivially copyable, so push_back and the
+ * moves simply assign into it).
  */
 class SkbSegList
 {
   public:
     static constexpr std::size_t kInline = 6;
 
-    SkbSegList() = default;
+    SkbSegList() noexcept {}
     SkbSegList(SkbSegList &&o) noexcept { steal(o); }
 
     SkbSegList &
@@ -114,7 +122,11 @@ class SkbSegList
     std::size_t size_ = 0;
     std::size_t cap_ = kInline;
     std::unique_ptr<SkbSegment[]> spill_;
-    SkbSegment inline_[kInline];
+    /** In a union so that no segment is default-initialised. */
+    union
+    {
+        SkbSegment inline_[kInline];
+    };
 };
 
 /**

@@ -69,7 +69,7 @@ NicDriver::allocRxBuffer(sim::CpuCursor &cpu, std::uint32_t bytes,
 }
 
 SkBuff
-NicDriver::rxBuild(sim::CpuCursor &cpu, RxBuffer buf,
+NicDriver::rxBuild(sim::CpuCursor &cpu, const RxBuffer &buf,
                    std::uint32_t actual_len)
 {
     assert(buf.seg.dmaMapped);
@@ -77,12 +77,13 @@ NicDriver::rxBuild(sim::CpuCursor &cpu, RxBuffer buf,
                         "driver.rx_build");
     sys_.dmaApi->unmap(cpu, nic_, buf.seg.dmaAddr, buf.seg.dmaLen,
                        dma::Dir::FromDevice);
-    buf.seg.dmaMapped = false;
 
     SkBuff skb;
     skb.dev = &nic_;
-    buf.seg.len = actual_len;
     skb.append(buf.seg);
+    SkbSegment &seg = skb.segs[0];
+    seg.dmaMapped = false;
+    seg.len = actual_len;
     return skb;
 }
 

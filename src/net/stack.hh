@@ -61,7 +61,7 @@ class NicDriver
                            core::AllocCtx actx = core::AllocCtx::Interrupt);
 
     /** Completion: dma_unmap the buffer and wrap it in an skb. */
-    SkBuff rxBuild(sim::CpuCursor &cpu, RxBuffer buf,
+    SkBuff rxBuild(sim::CpuCursor &cpu, const RxBuffer &buf,
                    std::uint32_t actual_len);
 
     /**

@@ -130,7 +130,7 @@ StreamEngine::pumpRx(std::size_t fi)
 }
 
 void
-StreamEngine::rxProcess(std::size_t fi, RxBuffer buf,
+StreamEngine::rxProcess(std::size_t fi, const RxBuffer &buf,
                         sim::TimeNs started)
 {
     State &f = flows_[fi];

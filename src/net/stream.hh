@@ -228,7 +228,8 @@ class StreamEngine
 
     void startFlow(std::size_t fi);
     void pumpRx(std::size_t fi);
-    void rxProcess(std::size_t fi, RxBuffer buf, sim::TimeNs started);
+    void rxProcess(std::size_t fi, const RxBuffer &buf,
+                   sim::TimeNs started);
     void refillRx(std::size_t fi);
     void pumpTx(std::size_t fi);
     void txSend(std::size_t fi, std::uint32_t slot, sim::TimeNs when,

@@ -58,7 +58,7 @@ class Core
     TimeNs
     charge(TimeNs start, TimeNs duration)
     {
-        return occupy(start, duration, 1.0);
+        return book(start, duration, duration);
     }
 
     /**
@@ -70,13 +70,8 @@ class Core
     TimeNs
     occupy(TimeNs start, TimeNs duration, double busy_fraction)
     {
-        const TimeNs begin = start > freeAt_ ? start : freeAt_;
-        freeAt_ = begin + duration;
-        const TimeNs booked = TimeNs(double(duration) * busy_fraction);
-        busyNs_ += booked;
-        if (observer_ != nullptr)
-            observer_->onBusy(id_, booked);
-        return freeAt_;
+        return book(start, duration,
+                    TimeNs(double(duration) * busy_fraction));
     }
 
     /** Install the busy-time observer (nullptr detaches). */
@@ -89,6 +84,19 @@ class Core
     void resetAccounting() { busyNs_ = 0; }
 
   private:
+    /** Occupy the core for @p duration from @p start on, booking
+     *  @p booked ns of it as busy time. */
+    TimeNs
+    book(TimeNs start, TimeNs duration, TimeNs booked)
+    {
+        const TimeNs begin = start > freeAt_ ? start : freeAt_;
+        freeAt_ = begin + duration;
+        busyNs_ += booked;
+        if (observer_ != nullptr)
+            observer_->onBusy(id_, booked);
+        return freeAt_;
+    }
+
     CoreId id_;
     NumaId numa_;
     TimeNs freeAt_ = 0;

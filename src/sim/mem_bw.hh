@@ -148,11 +148,26 @@ class MemBwServer
         const std::uint64_t idx = at / kBucketNs;
         const auto slot = idx % kBuckets;
         if (bucketEpoch_[slot] != idx) {
+            // Recycling drops the slot's old bucket from the sums.
+            if (inMemoWindow(bucketEpoch_[slot]))
+                memoStale_ = true;
             bucketEpoch_[slot] = idx;
             loadNs_[slot] = 0.0;
         }
         loadNs_[slot] += service_ns;
-        memoStale_ = true;
+        // utilization() sums only the buckets before its own, so load
+        // landing in any other bucket leaves the memo exact.
+        if (inMemoWindow(idx))
+            memoStale_ = true;
+    }
+
+    /** Is bucket @p i one of those the memoised utilization summed? */
+    bool
+    inMemoWindow(std::uint64_t i) const
+    {
+        const std::uint64_t lo = memoIdx_ >= kWindowBuckets
+            ? memoIdx_ - kWindowBuckets : 0;
+        return i >= lo && i < memoIdx_;
     }
 
     double bytesPerNs_;

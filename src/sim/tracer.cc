@@ -116,14 +116,9 @@ Tracer::span(CoreId core, TraceCat cat, std::string_view name,
 }
 
 void
-Tracer::instant(CoreId core, TraceCat cat, std::string_view name,
-                TimeNs t, std::uint64_t bytes, std::uint64_t aux)
+Tracer::recordInstant(CoreId core, TraceCat cat, std::string_view name,
+                      TimeNs t, std::uint64_t bytes, std::uint64_t aux)
 {
-    totals_[idx(cat)].events += 1;
-    if (bytes != 0)
-        totals_[idx(cat)].bytes += bytes;
-    if (!recording_)
-        return;
     TraceEvent ev;
     ev.t0 = t;
     ev.t1 = t;

@@ -203,10 +203,17 @@ class Tracer final : public BusyObserver
               std::uint64_t aux = 0);
 
     /** Record an instant event; attributes the activation always,
-     *  appends the event only when recording. */
-    void instant(CoreId core, TraceCat cat, std::string_view name,
-                 TimeNs t, std::uint64_t bytes = 0,
-                 std::uint64_t aux = 0);
+     *  appends the event only when recording (out of line). */
+    void
+    instant(CoreId core, TraceCat cat, std::string_view name, TimeNs t,
+            std::uint64_t bytes = 0, std::uint64_t aux = 0)
+    {
+        Totals &tot = totals_[idx(cat)];
+        tot.events += 1;
+        tot.bytes += bytes;
+        if (recording_)
+            recordInstant(core, cat, name, t, bytes, aux);
+    }
 
     // --- windows and export ----------------------------------------
 
@@ -256,6 +263,9 @@ class Tracer final : public BusyObserver
         std::uint64_t dropped = 0;
     };
 
+    /** instant()'s recording path: append the event. */
+    void recordInstant(CoreId core, TraceCat cat, std::string_view name,
+                       TimeNs t, std::uint64_t bytes, std::uint64_t aux);
     void append(CoreId core, const TraceEvent &ev);
 
     std::vector<PerCore> perCore_;

@@ -288,6 +288,36 @@ TEST(EventQueueDrain, SecondRoundAllocatesNothing)
     EXPECT_EQ(smmu.eventQueueDrained(), 2u * kFaults);
 }
 
+// The RX path's per-segment storage already exists: once the engine's
+// slot pool covers the events in flight, scheduling a capture of the
+// inline buffer's full size (the RX completion's) builds it in its
+// slot, and an skb of up to kInline segments stays inside the object.
+TEST(InPlaceStorage, EventsAndInlineSegmentsAllocateNothing)
+{
+    sim::Engine engine;
+    std::array<std::uint64_t, 7> payload{};
+    payload.fill(1);
+    std::uint64_t sum = 0;
+    const auto cb = [payload, &sum] { sum += payload[6]; };
+    static_assert(sizeof(cb) == sim::SmallFn::kInlineBytes);
+    constexpr int kEvents = 600; // three slot blocks
+    const auto round = [&] {
+        for (int i = 0; i < kEvents; ++i)
+            engine.schedule(engine.now() + sim::TimeNs(i % 50), cb);
+        engine.runAll();
+    };
+    round();
+    const std::uint64_t before = gAllocs.load();
+    for (int r = 0; r < 4; ++r)
+        round();
+    net::SkBuff skb;
+    for (std::size_t i = 0; i < net::SkbSegList::kInline; ++i)
+        skb.append(net::SkbSegment{mem::Pa(i + 1) * mem::kPageSize, 1500});
+    EXPECT_EQ(gAllocs.load() - before, 0u);
+    EXPECT_EQ(sum, 5u * kEvents);
+    EXPECT_EQ(skb.len(), net::SkbSegList::kInline * 1500);
+}
+
 // The counter itself: without it every test above passes vacuously.
 TEST(AllocCounter, CountsOperatorNew)
 {
