@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "core/audit.hh"
 #include "net/stream.hh"
@@ -290,6 +291,33 @@ TEST_F(IommuLifecycle, AuditorLedgerTracksMapUnmapAndDetach)
         auditor.verifyTeardown(d, 0, forced);
     EXPECT_FALSE(rep.clean());
     EXPECT_EQ(rep.forceCleared, 512u);
+}
+
+// An Auditor detaches itself when destroyed, but only while it holds
+// the observer slot: a destroyed thief leaves the slot empty, and a
+// destroyed victim leaves the thief installed.  Maps after either
+// destruction must not reach a dead observer.
+TEST_F(IommuLifecycle, AuditorDetachesItsObserverWhenDestroyed)
+{
+    const iommu::DomainId d = mmu.createDomain();
+    auto first = std::make_unique<audit::Auditor>(mmu);
+    EXPECT_EQ(mmu.mapObserver(), first.get());
+    auto second = std::make_unique<audit::Auditor>(mmu); // steals it
+    first.reset();
+    EXPECT_EQ(mmu.mapObserver(), second.get());
+    ASSERT_TRUE(mmu.mapPage(d, 0x1000, 0x5000, iommu::PermRW));
+    EXPECT_EQ(second->ledgerPages(d), 1u);
+
+    second.reset();
+    EXPECT_EQ(mmu.mapObserver(), nullptr);
+    ASSERT_TRUE(mmu.mapPage(d, 0x2000, 0x6000, iommu::PermRW));
+
+    {
+        audit::Auditor a(mmu);
+        const audit::Auditor b(mmu);
+    } // b (the holder) dies first, then a, which no longer holds it
+    EXPECT_EQ(mmu.mapObserver(), nullptr);
+    ASSERT_TRUE(mmu.unmapPage(d, 0x1000));
 }
 
 // ledgerPages() is a running count kept by the map observer; it must
