@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""List the src/ functions that no experiment, fuzzer cell or replay runs.
+"""List the src/ functions that no experiment, fuzzer cell or replay runs,
+and the counters that no experiment touches.
 
 Usage: verify_reach.py BUILD_DIR SOURCE_DIR
 
@@ -21,13 +22,16 @@ src/, bench/ and examples/ and prints each function defined under src/
 that none of those runs entered, with a line and function summary.  The
 bench/ and examples/ objects count too: an inline src/ function whose
 kept copy was compiled into one of them has its counts there.  A function that is listed is a candidate
-for deletion or for a caller in some experiment; the list is a report,
-not a gate, and the exit status is 0 whatever it holds.
+for deletion or for a caller in some experiment.  Last, it prints each
+row of the counter table (src/sim/counters.hh) that no run's `stats`
+block in the three damn_bench --json reports holds.  Both lists are
+reports, not gates, and the exit status is 0 whatever they hold.
 """
 
 import glob
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -62,6 +66,12 @@ def exercise(build, source):
              "--json=smmuv3.json"], out)
         run([bench, *window, "--only=netperf*", "--json=trace.json",
              "--trace=trace.trace"], out)
+        touched = set()
+        for report_json in ("vtd.json", "smmuv3.json", "trace.json"):
+            with open(os.path.join(out, report_json)) as f:
+                for exp in json.load(f)["experiments"]:
+                    for r in exp["runs"]:
+                        touched.update(r["stats"])
         run([fuzz, "--ops=5000", "--scheme=all", "--backend=all",
              f"--jobs={JOBS}"], out)
         # The planted bug must be caught: damn_fuzz exits 3 and saves
@@ -74,6 +84,7 @@ def exercise(build, source):
         run([bench, "--list"], out)
         for name in EXAMPLES:
             run([os.path.join(build, "examples", name)], out)
+    return touched
 
 
 def gcov_documents(build):
@@ -128,13 +139,24 @@ def report(build, source):
     print(f"src/ functions never run: {len(never)} of {len(functions)}")
 
 
+def report_counters(source, touched):
+    with open(os.path.join(source, "src", "sim", "counters.hh")) as f:
+        table = re.findall(r'X\(\w+,\s*"([^"]+)"', f.read())
+    untouched = [name for name in table if name not in touched]
+    for name in untouched:
+        print(f"counter never touched: {name}")
+    print(f"counters touched by damn_bench: "
+          f"{len(table) - len(untouched)} of {len(table)}")
+
+
 def main(argv):
     if len(argv) != 3:
         sys.exit(__doc__.split("\n\n")[1])
     build = os.path.realpath(argv[1])
     source = os.path.realpath(argv[2])
-    exercise(build, source)
+    touched = exercise(build, source)
     report(build, source)
+    report_counters(source, touched)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ DamnAllocator::DamnAllocator(sim::Context &ctx, mem::PageAllocator &pa,
                              mem::KmallocHeap &heap, iommu::Iommu &mmu,
                              DmaCacheConfig config)
     : ctx_(ctx), pageAlloc_(pa), heap_(heap), iommu_(mmu),
-      config_(config), freesCtr_(ctx.stats.counter("damn.frees"))
+      config_(config)
 {}
 
 DmaCache &
@@ -154,7 +154,7 @@ DamnAllocator::damnFree(sim::CpuCursor &cpu, mem::Pa addr, AllocCtx actx)
             cache.recycleChunk(cpu, Chunk{head, pm.page(head + 1).priv},
                                actx);
         }
-        ctx_.stats.add(freesCtr_);
+        ctx_.stats.add(sim::Ctr::DamnFrees);
         return;
     }
 

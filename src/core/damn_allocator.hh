@@ -139,7 +139,6 @@ class DamnAllocator
     mem::KmallocHeap &heap_;
     iommu::Iommu &iommu_;
     DmaCacheConfig config_;
-    sim::Stats::Counter freesCtr_;
 
     std::map<CacheKey, std::uint32_t> cacheIndex_;
     std::vector<std::unique_ptr<DmaCache>> caches_;

@@ -30,9 +30,7 @@ class DamnDmaApi : public dma::DmaApi
   public:
     DamnDmaApi(sim::Context &ctx, DamnAllocator &alloc,
                std::unique_ptr<dma::DmaApi> fallback)
-        : ctx_(ctx), alloc_(alloc), fallback_(std::move(fallback)),
-          mapHitsCtr_(ctx.stats.counter("damn.map_hits")),
-          unmapHitsCtr_(ctx.stats.counter("damn.unmap_hits"))
+        : ctx_(ctx), alloc_(alloc), fallback_(std::move(fallback))
     {}
 
     iommu::Iova
@@ -45,7 +43,7 @@ class DamnDmaApi : public dma::DmaApi
         cpu.charge(ctx_.cost.damnMapLookupNs);
         if (alloc_.isDamnBuffer(pa)) {
             // Long-lived mapping already exists; just look up the IOVA.
-            ctx_.stats.add(mapHitsCtr_);
+            ctx_.stats.add(sim::Ctr::DamnMapHits);
             return alloc_.iovaOf(pa);
         }
         return fallback_->map(cpu, dev, pa, len, dir);
@@ -62,7 +60,7 @@ class DamnDmaApi : public dma::DmaApi
         if (isDamnIova(dma_addr)) {
             // Nothing to tear down; the buffer is freed later by the
             // networking subsystem through damn_free.
-            ctx_.stats.add(unmapHitsCtr_);
+            ctx_.stats.add(sim::Ctr::DamnUnmapHits);
             return;
         }
         fallback_->unmap(cpu, dev, dma_addr, len, dir);
@@ -76,7 +74,7 @@ class DamnDmaApi : public dma::DmaApi
         for (const UnmapReq &r : reqs) {
             cpu.charge(ctx_.cost.damnUnmapCheckNs);
             if (isDamnIova(r.dmaAddr))
-                ctx_.stats.add(unmapHitsCtr_);
+                ctx_.stats.add(sim::Ctr::DamnUnmapHits);
             else
                 legacy_.push_back(r);
         }
@@ -116,8 +114,6 @@ class DamnDmaApi : public dma::DmaApi
     sim::Context &ctx_;
     DamnAllocator &alloc_;
     std::unique_ptr<dma::DmaApi> fallback_;
-    sim::Stats::Counter mapHitsCtr_;
-    sim::Stats::Counter unmapHitsCtr_;
     /** unmapBatch's non-DAMN requests, reused across calls. */
     std::vector<UnmapReq> legacy_;
 };

@@ -27,7 +27,7 @@ DmaCache::DmaCache(sim::Context &ctx, mem::PageAllocator &pa,
                    const DmaCacheConfig &config)
     : ctx_(ctx), pageAlloc_(pa), iommu_(mmu), domain_(domain),
       cacheId_(cache_id), devIdx_(dev_idx), rights_(rights), numa_(numa),
-      config_(config), ctr_(ctx.stats),
+      config_(config),
       depot_(*this, config.magazineCapacity, ctx.cost.depotExchangeNs),
       perCore_(ctx.machine.numCores())
 {
@@ -63,7 +63,7 @@ DmaCache::allocChunkIova(sim::CoreId creating_core)
         // invalid sentinel for the caller's OOM path.
         slot = nextSlot_;
         if (slot * kChunkBytes > kOffsetMask) {
-            ctx_.stats.add(ctr_.iovaRegionExhausted);
+            ctx_.stats.add(sim::Ctr::DamnIovaRegionExhausted);
             return 0;
         }
         ++nextSlot_;
@@ -154,7 +154,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
         hugeCarved_.pop_back();
         initCompound(c);
         ++ownedChunks_;
-        ctx_.stats.add(ctr_.chunksAllocated);
+        ctx_.stats.add(sim::Ctr::DamnChunksAllocated);
         return c;
     }
 
@@ -165,7 +165,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
         // OS page allocator exhausted: propagate the failure up the
         // magazine protocol instead of dying here — alloc() returns 0
         // and the caller takes its OOM path.
-        ctx_.stats.add(ctr_.chunkAllocFails);
+        ctx_.stats.add(sim::Ctr::DamnChunkAllocFails);
         return Chunk{};
     }
     // The depot zeroes every chunk it obtains from the OS (TX security,
@@ -180,7 +180,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
             // propagate the failure like a page-allocator miss.
             cpu.charge(ctx_.cost.pageAllocNs);
             pageAlloc_.freePages(c.pfn, kChunkOrder);
-            ctx_.stats.add(ctr_.chunkAllocFails);
+            ctx_.stats.add(sim::Ctr::DamnChunkAllocFails);
             return Chunk{};
         }
         cpu.charge(ctx_.cost.ptePerPageNs * kChunkPages);
@@ -198,7 +198,7 @@ DmaCache::allocChunk(sim::CpuCursor &cpu)
 
     initCompound(c);
     ++ownedChunks_;
-    ctx_.stats.add(ctr_.chunksAllocated);
+    ctx_.stats.add(sim::Ctr::DamnChunksAllocated);
     return c;
 }
 
@@ -233,7 +233,7 @@ DmaCache::releaseChunk(sim::CpuCursor &cpu, const Chunk &c)
     pageAlloc_.freePages(c.pfn, kChunkOrder);
     assert(ownedChunks_ > 0);
     --ownedChunks_;
-    ctx_.stats.add(ctr_.chunksReleased);
+    ctx_.stats.add(sim::Ctr::DamnChunksReleased);
 }
 
 Chunk
@@ -298,7 +298,7 @@ DmaCache::alloc(sim::CpuCursor &cpu, std::uint32_t size,
         retireBumpChunk(cpu, pc, bs);
         bs.chunk = getChunk(cpu, pc);
         if (!bs.chunk.valid()) {
-            ctx_.stats.add(ctr_.allocFails);
+            ctx_.stats.add(sim::Ctr::DamnAllocFails);
             return 0;
         }
         bs.offset = 0;
@@ -309,7 +309,7 @@ DmaCache::alloc(sim::CpuCursor &cpu, std::uint32_t size,
 
     bs.offset = start + size;
     ++pageAlloc_.phys().page(bs.chunk.pfn).refcount;
-    ctx_.stats.add(ctr_.allocs);
+    ctx_.stats.add(sim::Ctr::DamnAllocs);
     return mem::pfnToPa(bs.chunk.pfn) + start;
 }
 
@@ -318,7 +318,7 @@ DmaCache::recycleChunk(sim::CpuCursor &cpu, const Chunk &chunk,
                        AllocCtx actx)
 {
     putChunk(cpu, state(cpu.id(), actx), chunk);
-    ctx_.stats.add(ctr_.chunksRecycled);
+    ctx_.stats.add(sim::Ctr::DamnChunksRecycled);
 }
 
 iommu::Iova

@@ -194,23 +194,6 @@ class DmaCache : public ChunkSource
     sim::NumaId numa_;
     DmaCacheConfig config_;
 
-    /** Interned handles of the damn.* cache counters. */
-    struct Counters
-    {
-        explicit Counters(sim::Stats &s)
-            : iovaRegionExhausted(s.counter("damn.iova_region_exhausted")),
-              chunksAllocated(s.counter("damn.chunks_allocated")),
-              chunkAllocFails(s.counter("damn.chunk_alloc_fails")),
-              chunksReleased(s.counter("damn.chunks_released")),
-              allocFails(s.counter("damn.alloc_fails")),
-              allocs(s.counter("damn.allocs")),
-              chunksRecycled(s.counter("damn.chunks_recycled"))
-        {}
-        sim::Stats::Counter iovaRegionExhausted, chunksAllocated,
-            chunkAllocFails, chunksReleased, allocFails, allocs,
-            chunksRecycled;
-    } ctr_;
-
     Depot depot_;
     std::vector<std::array<PerCore, 2>> perCore_;
 

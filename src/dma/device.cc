@@ -19,14 +19,14 @@ Device::masterAbort()
     if (attached_ &&
         ctx_.faults.shouldFail(sim::FaultSite::DeviceUnplug)) {
         unplug();
-        ctx_.stats.add(surpriseUnplugsCtr_);
+        ctx_.stats.add(sim::Ctr::DmaSurpriseUnplugs);
     }
     if (attached_)
         return false;
     // Bus master-abort: completes immediately, no bytes moved, no
     // IOMMU interaction (there is no device to translate for).
     ++faultedDmas_;
-    ctx_.stats.add(unpluggedAbortsCtr_);
+    ctx_.stats.add(sim::Ctr::DmaUnpluggedAborts);
     return true;
 }
 

@@ -52,10 +52,7 @@ class Device
     Device(sim::Context &ctx, std::string name, iommu::Iommu &mmu,
            mem::PhysicalMemory &pm, sim::NumaId numa = 0)
         : ctx_(ctx), name_(std::move(name)), iommu_(mmu), pm_(pm),
-          numa_(numa), domain_(mmu.createDomain()),
-          unplugsCtr_(ctx.stats.counter("dma.unplugs")),
-          surpriseUnplugsCtr_(ctx.stats.counter("dma.surprise_unplugs")),
-          unpluggedAbortsCtr_(ctx.stats.counter("dma.unplugged_aborts"))
+          numa_(numa), domain_(mmu.createDomain())
     {}
 
     virtual ~Device() = default;
@@ -121,7 +118,7 @@ class Device
     unplug()
     {
         attached_ = false;
-        ctx_.stats.add(unplugsCtr_);
+        ctx_.stats.add(sim::Ctr::DmaUnplugs);
     }
 
     /** Re-seat the device after a drain + detach cycle completed. */
@@ -137,9 +134,6 @@ class Device
     mem::PhysicalMemory &pm_;
     sim::NumaId numa_;
     iommu::DomainId domain_;
-    sim::Stats::Counter unplugsCtr_;
-    sim::Stats::Counter surpriseUnplugsCtr_;
-    sim::Stats::Counter unpluggedAbortsCtr_;
     std::uint64_t faultedDmas_ = 0;
     bool attached_ = true;
 

@@ -72,14 +72,14 @@ MappedDmaApi::allocIovaWithReclaim(sim::CpuCursor &cpu, unsigned pages)
     // IOVA space exhausted.  The kernel's fallback (the fq_ring flush
     // in iova_rcache): force the batched invalidations out now, which
     // under the deferred scheme frees every pinned range, then retry.
-    ctx_.stats.add(ctr_.iovaExhausted);
-    ctx_.stats.add(ctr_.iovaForcedFlushes);
+    ctx_.stats.add(sim::Ctr::IommuIovaExhausted);
+    ctx_.stats.add(sim::Ctr::IommuIovaForcedFlushes);
     ctx_.tracer.instant(cpu.id(), sim::TraceCat::Fault,
                         "iommu.iova_forced_flush", cpu.time, 0, pages);
     flushPending(cpu);
     iova = iovaAlloc_.alloc(pages);
     if (iova != iommu::kInvalidIova) {
-        ctx_.stats.add(ctr_.iovaFlushRecoveries);
+        ctx_.stats.add(sim::Ctr::IommuIovaFlushRecoveries);
         return iova;
     }
 
@@ -89,7 +89,7 @@ MappedDmaApi::allocIovaWithReclaim(sim::CpuCursor &cpu, unsigned pages)
     ctx_.pressure.reclaim(cpu);
     iova = iovaAlloc_.alloc(pages);
     if (iova != iommu::kInvalidIova)
-        ctx_.stats.add(ctr_.iovaReclaimRecoveries);
+        ctx_.stats.add(sim::Ctr::IommuIovaReclaimRecoveries);
     return iova;
 }
 
@@ -113,7 +113,7 @@ MappedDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
         // Still exhausted after forced flush + reclaim: fail the map
         // like dma_map_single() returning DMA_MAPPING_ERROR.  The
         // driver backs off and retries.
-        ctx_.stats.add(ctr_.mapFails);
+        ctx_.stats.add(sim::Ctr::DmaMapFails);
         return kMapFailed;
     }
     ctx_.tracer.instant(cpu.id(), sim::TraceCat::DmaMap,
@@ -132,8 +132,8 @@ MappedDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
         (void)ok;
     }
 
-    ctx_.stats.add(ctr_.map);
-    ctx_.stats.add(ctr_.mapPages, pages);
+    ctx_.stats.add(sim::Ctr::DmaMap);
+    ctx_.stats.add(sim::Ctr::DmaMapPages, pages);
     return iova + mem::pageOffset(pa);
 }
 
@@ -151,7 +151,7 @@ MappedDmaApi::clearPtes(sim::CpuCursor &cpu, Device &dev,
         assert(ok && "unmap of an unmapped IOVA");
         (void)ok;
     }
-    ctx_.stats.add(ctr_.unmap);
+    ctx_.stats.add(sim::Ctr::DmaUnmap);
 }
 
 // ---------------------------------------------------------------------
@@ -187,7 +187,7 @@ StrictDmaApi::unmap(sim::CpuCursor &cpu, Device &dev,
     }
 
     iovaAlloc_.free(iova_base, pages);
-    ctx_.stats.add(ctr_.strictInvalidations);
+    ctx_.stats.add(sim::Ctr::DmaStrictInvalidations);
 }
 
 void
@@ -220,7 +220,7 @@ StrictDmaApi::unmapBatch(sim::CpuCursor &cpu, Device &dev,
     }
     for (const auto &r : ranges_)
         iovaAlloc_.free(r.iova, unsigned(r.len >> mem::kPageShift));
-    ctx_.stats.add(ctr_.strictInvalidations);
+    ctx_.stats.add(sim::Ctr::DmaStrictInvalidations);
 }
 
 // ---------------------------------------------------------------------
@@ -273,8 +273,8 @@ DeferredDmaApi::flushPending(sim::CpuCursor &cpu)
     cpu.waitUntil(done);
     for (const PendingUnmap &p : flushQueue_)
         iovaAlloc_.free(p.iova, p.pages);
-    ctx_.stats.add(ctr_.deferredFlushes);
-    ctx_.stats.add(ctr_.deferredFlushedUnmaps, flushQueue_.size());
+    ctx_.stats.add(sim::Ctr::DmaDeferredFlushes);
+    ctx_.stats.add(sim::Ctr::DmaDeferredFlushedUnmaps, flushQueue_.size());
     flushQueue_.clear();
 }
 
@@ -310,7 +310,7 @@ bucketSize(unsigned b)
 
 ShadowDmaApi::ShadowDmaApi(sim::Context &ctx, iommu::Iommu &mmu,
                            mem::PageAllocator &pa)
-    : ctx_(ctx), iommu_(mmu), pageAlloc_(pa), ctr_(ctx.stats)
+    : ctx_(ctx), iommu_(mmu), pageAlloc_(pa)
 {}
 
 unsigned
@@ -349,7 +349,7 @@ ShadowDmaApi::poolAlloc(sim::CpuCursor &cpu, Device &dev,
         mem::Pfn pfn =
             pageAlloc_.allocPages(order, dev.numa(), /*zero=*/true);
         if (pfn == mem::kInvalidPfn) {
-            ctx_.stats.add(ctr_.poolGrowFails);
+            ctx_.stats.add(sim::Ctr::ShadowPoolGrowFails);
             ctx_.pressure.reclaim(cpu);
             pfn = pageAlloc_.allocPages(order, dev.numa(), /*zero=*/true);
             if (pfn == mem::kInvalidPfn)
@@ -357,7 +357,7 @@ ShadowDmaApi::poolAlloc(sim::CpuCursor &cpu, Device &dev,
         }
         iommu::Iova iova = iovaAlloc_.alloc(1u << order);
         if (iova == iommu::kInvalidIova) {
-            ctx_.stats.add(ctr_.iovaExhausted);
+            ctx_.stats.add(sim::Ctr::IommuIovaExhausted);
             ctx_.pressure.reclaim(cpu);
             iova = iovaAlloc_.alloc(1u << order);
             if (iova == iommu::kInvalidIova) {
@@ -377,7 +377,7 @@ ShadowDmaApi::poolAlloc(sim::CpuCursor &cpu, Device &dev,
         for (std::uint64_t off = 0; off + sz <= block; off += sz)
             freelist.push_back({mem::pfnToPa(pfn) + off, iova + off,
                                 bucket});
-        ctx_.stats.add(ctr_.poolGrow);
+        ctx_.stats.add(sim::Ctr::ShadowPoolGrow);
     }
     const ShadowBuf buf = freelist.back();
     freelist.pop_back();
@@ -402,7 +402,7 @@ ShadowDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
     if (buf.pa == 0) {
         // Pool growth failed even after reclaim: fail the map; the
         // driver backs off and retries.
-        ctx_.stats.add(ctr_.mapFails);
+        ctx_.stats.add(sim::Ctr::DmaMapFails);
         return kMapFailed;
     }
 
@@ -419,12 +419,12 @@ ShadowDmaApi::map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
             std::uint64_t(2.0 * len * ctx_.cost.coldCopyMemFactor)));
         if (ctx_.functionalData)
             pm().copy(buf.pa, pa, len);
-        ctx_.stats.add(ctr_.txCopiedBytes, len);
+        ctx_.stats.add(sim::Ctr::ShadowTxCopiedBytes, len);
     }
 
     active_[buf.iova] = ActiveMap{buf, pa, len, dir, dev.domain()};
     ++pools_[dev.domain()].inFlight;
-    ctx_.stats.add(ctr_.map);
+    ctx_.stats.add(sim::Ctr::DmaMap);
     return buf.iova;
 }
 
@@ -454,12 +454,12 @@ ShadowDmaApi::unmap(sim::CpuCursor &cpu, Device &dev,
             std::uint64_t(2.0 * am.len * ctx_.cost.coldCopyMemFactor)));
         if (ctx_.functionalData)
             pm().copy(am.origPa, am.buf.pa, am.len);
-        ctx_.stats.add(ctr_.rxCopiedBytes, am.len);
+        ctx_.stats.add(sim::Ctr::ShadowRxCopiedBytes, am.len);
     }
 
     cpu.charge(ctx_.cost.shadowPoolOpNs);
     poolFree(dev, am.buf);
-    ctx_.stats.add(ctr_.unmap);
+    ctx_.stats.add(sim::Ctr::DmaUnmap);
 }
 
 std::uint64_t
@@ -509,13 +509,13 @@ ShadowDmaApi::drainDomain(sim::CpuCursor &cpu, Device &dev)
                 return am.domain == d;
             });
         assert(aborted == pool.inFlight);
-        ctx_.stats.add(ctr_.abortedMaps, aborted);
+        ctx_.stats.add(sim::Ctr::ShadowAbortedMaps, aborted);
         pool.inFlight = 0;
     }
 
     const std::uint64_t released = releasePool(cpu, d, pool);
     if (released > 0)
-        ctx_.stats.add(ctr_.drainedPages, released);
+        ctx_.stats.add(sim::Ctr::ShadowDrainedPages, released);
     return released;
 }
 
@@ -532,7 +532,7 @@ ShadowDmaApi::shrinkIdle(sim::CpuCursor &cpu)
         if (pools_[d].inFlight == 0 && !pools_[d].blocks.empty())
             released += releasePool(cpu, iommu::DomainId(d), pools_[d]);
     if (released > 0)
-        ctx_.stats.add(ctr_.shrunkPages, released);
+        ctx_.stats.add(sim::Ctr::ShadowShrunkPages, released);
     return released;
 }
 

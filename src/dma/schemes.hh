@@ -64,37 +64,6 @@ class PassthroughDmaApi : public DmaApi
     {}
 };
 
-/** Interned handles of the counters the DMA-API schemes book. */
-struct SchemeCounters
-{
-    explicit SchemeCounters(sim::Stats &s)
-        : map(s.counter("dma.map")),
-          mapPages(s.counter("dma.map_pages")),
-          mapFails(s.counter("dma.map_fails")),
-          unmap(s.counter("dma.unmap")),
-          strictInvalidations(s.counter("dma.strict_invalidations")),
-          deferredFlushes(s.counter("dma.deferred_flushes")),
-          deferredFlushedUnmaps(s.counter("dma.deferred_flushed_unmaps")),
-          iovaExhausted(s.counter("iommu.iova_exhausted")),
-          iovaForcedFlushes(s.counter("iommu.iova_forced_flushes")),
-          iovaFlushRecoveries(s.counter("iommu.iova_flush_recoveries")),
-          iovaReclaimRecoveries(s.counter("iommu.iova_reclaim_recoveries")),
-          poolGrow(s.counter("shadow.pool_grow")),
-          poolGrowFails(s.counter("shadow.pool_grow_fails")),
-          txCopiedBytes(s.counter("shadow.tx_copied_bytes")),
-          rxCopiedBytes(s.counter("shadow.rx_copied_bytes")),
-          abortedMaps(s.counter("shadow.aborted_maps")),
-          drainedPages(s.counter("shadow.drained_pages")),
-          shrunkPages(s.counter("shadow.shrunk_pages"))
-    {}
-
-    sim::Stats::Counter map, mapPages, mapFails, unmap,
-        strictInvalidations, deferredFlushes, deferredFlushedUnmaps,
-        iovaExhausted, iovaForcedFlushes, iovaFlushRecoveries,
-        iovaReclaimRecoveries, poolGrow, poolGrowFails, txCopiedBytes,
-        rxCopiedBytes, abortedMaps, drainedPages, shrunkPages;
-};
-
 /**
  * Shared machinery for the map side of strict and deferred: allocate an
  * IOVA range, write PTEs for the covering pages.  Page granularity —
@@ -105,7 +74,7 @@ class MappedDmaApi : public DmaApi
 {
   public:
     MappedDmaApi(sim::Context &ctx, iommu::Iommu &mmu)
-        : ctx_(ctx), iommu_(mmu), ctr_(ctx.stats)
+        : ctx_(ctx), iommu_(mmu)
     {}
 
     iommu::Iova map(sim::CpuCursor &cpu, Device &dev, mem::Pa pa,
@@ -141,7 +110,6 @@ class MappedDmaApi : public DmaApi
 
     sim::Context &ctx_;
     iommu::Iommu &iommu_;
-    SchemeCounters ctr_;
     iommu::IovaAllocator iovaAlloc_;
 };
 
@@ -283,7 +251,6 @@ class ShadowDmaApi : public DmaApi
     sim::Context &ctx_;
     iommu::Iommu &iommu_;
     mem::PageAllocator &pageAlloc_;
-    SchemeCounters ctr_;
     iommu::IovaAllocator iovaAlloc_;
     /** Indexed by DomainId (domains are numbered densely from 0). */
     std::vector<Pool> pools_;

@@ -40,12 +40,14 @@ DAMN_EXPERIMENT(table1_matrix)
             ctx.out.metric("zero_copy",
                            k == dma::SchemeKind::Shadow ? 0.0 : 1.0,
                            "bool");
-            run.stats["attack.colocation_faults"] =
-                rep.colocationFaults.size();
-            run.stats["attack.stale_window_faults"] =
-                rep.staleWindowFaults.size();
-            run.stats["attack.tocttou_faults"] =
-                rep.tocttouFaults.size();
+            // The replays' blocked DMAs are the run's counters.
+            sim::Stats st;
+            st.add(sim::Ctr::AttackColocationFaults,
+                   rep.colocationFaults.size());
+            st.add(sim::Ctr::AttackStaleWindowFaults,
+                   rep.staleWindowFaults.size());
+            st.add(sim::Ctr::AttackTocttouFaults, rep.tocttouFaults.size());
+            run.stats = st.snapshot();
         }
     };
     return e;

@@ -92,14 +92,12 @@ stormOne(const RunCtx &ctx, dma::SchemeKind kind, const StormSpec &spec)
     // advancing; bounded-retry loops that converge (to failed flows and
     // an empty queue) never accumulate the dispatch budget.
     sim::Stats &st = sys.ctx.stats;
-    const sim::Stats::Counter progress[] = {
-        st.counter("net.rx_segments"), st.counter("net.tx_segments"),
-        st.counter("net.rx_aborted_buffers"),
-        st.counter("net.tx_aborted_segments"),
-        st.counter("net.ring_teardowns")};
-    sys.ctx.engine.armWatchdog(kStallBudgetEvents, [&st, progress] {
+    sys.ctx.engine.armWatchdog(kStallBudgetEvents, [&st] {
         std::uint64_t n = 0;
-        for (const sim::Stats::Counter c : progress)
+        for (const sim::Ctr c :
+             {sim::Ctr::NetRxSegments, sim::Ctr::NetTxSegments,
+              sim::Ctr::NetRxAbortedBuffers, sim::Ctr::NetTxAbortedSegments,
+              sim::Ctr::NetRingTeardowns})
             n += st.get(c);
         return n;
     });
@@ -162,22 +160,22 @@ stormOne(const RunCtx &ctx, dma::SchemeKind kind, const StormSpec &spec)
     out.param("free_frames", spec.keepFreeFrames);
     out.metric("gbps", res.totalGbps, "Gb/s");
     out.metric("iova_exhausted",
-               double(st.get("iommu.iova_exhausted")), "count");
+               double(st.get(sim::Ctr::IommuIovaExhausted)), "count");
     out.metric("forced_flushes",
-               double(st.get("iommu.iova_forced_flushes")), "count");
+               double(st.get(sim::Ctr::IommuIovaForcedFlushes)), "count");
     out.metric("flush_recoveries",
-               double(st.get("iommu.iova_flush_recoveries") +
-                      st.get("iommu.iova_reclaim_recoveries")),
+               double(st.get(sim::Ctr::IommuIovaFlushRecoveries) +
+                      st.get(sim::Ctr::IommuIovaReclaimRecoveries)),
                "count");
-    out.metric("map_fails", double(st.get("dma.map_fails")), "count");
+    out.metric("map_fails", double(st.get(sim::Ctr::DmaMapFails)), "count");
     out.metric("reclaim_events",
                double(sys.ctx.pressure.reclaimEvents()), "count");
     out.metric("reclaimed_units",
                double(sys.ctx.pressure.reclaimedUnits()), "units");
-    out.metric("tx_throttled", double(st.get("net.tx_throttled")),
+    out.metric("tx_throttled", double(st.get(sim::Ctr::NetTxThrottled)),
                "count");
     out.metric("rx_refill_fails",
-               double(st.get("net.rx_refill_fails")), "count");
+               double(st.get(sim::Ctr::NetRxRefillFails)), "count");
     out.metric("drops", double(res.drops), "count");
     out.metric("failed_flows", double(res.failedFlows), "count");
     out.metric("drained_pages", double(drained), "pages");

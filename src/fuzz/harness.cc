@@ -256,15 +256,6 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
     CleanScan tlbClean[2];
     CleanScan atsClean[2];
 
-    const sim::Stats::Counter invalDroppedCtr =
-        ctx.stats.counter("iommu.inval_dropped");
-    const sim::Stats::Counter deferredFlushesCtr =
-        ctx.stats.counter("dma.deferred_flushes");
-    const sim::Stats::Counter mapOomCtr = ctx.stats.counter("fuzz.map_oom");
-    const sim::Stats::Counter mapFailedCtr =
-        ctx.stats.counter("fuzz.map_failed");
-    const sim::Stats::Counter noopCtr = ctx.stats.counter("fuzz.noop");
-
     FuzzResult res;
     const auto fail = [&res](std::size_t i, const char *oracle,
                              std::string detail) {
@@ -414,9 +405,10 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
         const Op &op = seq[i];
         sim::CpuCursor cpu(ctx.machine.core(op.c % ncores), t);
 
-        const std::uint64_t droppedBefore = ctx.stats.get(invalDroppedCtr);
+        const std::uint64_t droppedBefore =
+            ctx.stats.get(sim::Ctr::IommuInvalDropped);
         const std::uint64_t flushedBefore =
-            ctx.stats.get(deferredFlushesCtr);
+            ctx.stats.get(sim::Ctr::DmaDeferredFlushes);
         bool promoteAll = false;   //!< global sync completed this op
         bool skipTracking = false; //!< op manages the sets itself
         unmappedNow.clear();
@@ -443,7 +435,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
             const mem::Pfn pfn =
                 sys.pageAlloc.allocPages(order, op.c % p.sockets);
             if (pfn == mem::kInvalidPfn) {
-                ctx.stats.add(mapOomCtr);
+                ctx.stats.add(sim::Ctr::FuzzMapOom);
                 break;
             }
             const mem::Pa pa = mem::pfnToPa(pfn);
@@ -451,7 +443,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
                 sys.dmaApi->map(cpu, *devs[devIdx], pa, len, dir);
             if (iova == dma::kMapFailed) {
                 sys.pageAlloc.freePages(pfn, order);
-                ctx.stats.add(mapFailedCtr);
+                ctx.stats.add(sim::Ctr::FuzzMapFailed);
                 break;
             }
             // On a clash, the first clashing mapping in live order is
@@ -487,7 +479,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::Unmap: {
             if (live.empty()) {
-                ctx.stats.add(noopCtr);
+                ctx.stats.add(sim::Ctr::FuzzNoop);
                 break;
             }
             const std::size_t idx = liveAt(op.a);
@@ -499,7 +491,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::BatchUnmap: {
             if (live.empty()) {
-                ctx.stats.add(noopCtr);
+                ctx.stats.add(sim::Ctr::FuzzNoop);
                 break;
             }
             const unsigned want = 1 + op.b % 4;
@@ -535,7 +527,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::Dma: {
             if (live.empty()) {
-                ctx.stats.add(noopCtr);
+                ctx.stats.add(sim::Ctr::FuzzNoop);
                 break;
             }
             const Mapping &m = live[liveAt(op.a)];
@@ -687,7 +679,7 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
 
           case OpKind::AtsTranslate: {
             if (live.empty()) {
-                ctx.stats.add(noopCtr);
+                ctx.stats.add(sim::Ctr::FuzzNoop);
                 break;
             }
             const Mapping &m = live[liveAt(op.a)];
@@ -753,9 +745,9 @@ runSequence(const FuzzConfig &cfg, const Sequence &seq)
         // pending (conservative, hence sound).
         if (trackStale && !skipTracking) {
             const std::uint64_t dropped =
-                ctx.stats.get(invalDroppedCtr) - droppedBefore;
+                ctx.stats.get(sim::Ctr::IommuInvalDropped) - droppedBefore;
             const std::uint64_t flushed =
-                ctx.stats.get(deferredFlushesCtr) - flushedBefore;
+                ctx.stats.get(sim::Ctr::DmaDeferredFlushes) - flushedBefore;
             if (dropped == 0) {
                 if (strictScheme)
                     for (const auto &[k, r] : unmappedNow)

@@ -16,9 +16,7 @@ namespace damn::iommu {
 AtsAgent::AtsAgent(sim::Context &ctx, Iommu &mmu, DomainId domain)
     : ctx_(ctx), mmu_(mmu), domain_(domain),
       atc_(ctx.cost.atsDevTlbEntries),
-      free_((atc_.size() + 63) / 64),
-      hitsCtr_(ctx.stats.counter("ats.devtlb_hits")),
-      missesCtr_(ctx.stats.counter("ats.devtlb_misses"))
+      free_((atc_.size() + 63) / 64)
 {
     assert(!atc_.empty());
     dropAll();
@@ -114,7 +112,7 @@ AtsAgent::translate(Iova iova, bool is_write)
         lruUnlink(e);
         lruAppend(ps->lowest);
         ++hits_;
-        ctx_.stats.add(hitsCtr_);
+        ctx_.stats.add(sim::Ctr::AtsDevtlbHits);
         r.ok = true;
         r.hit = true;
         r.pa = e.paPage + (iova - page);
@@ -128,7 +126,7 @@ AtsAgent::translate(Iova iova, bool is_write)
     // translation with no access rights (the PRI retry signal), not a
     // recorded IOMMU fault.
     ++misses_;
-    ctx_.stats.add(missesCtr_);
+    ctx_.stats.add(sim::Ctr::AtsDevtlbMisses);
     r.latencyNs = ctx_.cost.atsTranslateNs +
                   mmu_.backend().walkLatency(domain_, iova);
     const WalkResult w = mmu_.pageTable(domain_).walk(iova);

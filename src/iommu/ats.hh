@@ -149,8 +149,6 @@ class AtsAgent
     std::vector<std::uint64_t> free_; //!< bit set = slot invalid
     std::uint32_t lruOldest_ = kNoSlot, lruNewest_ = kNoSlot;
     std::size_t live_ = 0; //!< valid entries in atc_
-    sim::Stats::Counter hitsCtr_;
-    sim::Stats::Counter missesCtr_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t invalidations_ = 0;

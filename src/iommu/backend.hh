@@ -129,11 +129,7 @@ class IommuBackend
 
     IommuBackend(sim::Context &ctx, const TlbGeometry &g)
         : ctx_(ctx), tlb_(g.sets4k, g.ways4k, g.sets2m, g.ways2m,
-                          g.pwcEntries),
-          invalDroppedCtr_(ctx.stats.counter("iommu.inval_dropped")),
-          priRequestsCtr_(ctx.stats.counter("pri.requests")),
-          priAutoResponsesCtr_(ctx.stats.counter("pri.auto_responses")),
-          priResponsesCtr_(ctx.stats.counter("pri.responses"))
+                          g.pwcEntries)
     {}
 
     virtual ~IommuBackend() = default;
@@ -264,13 +260,21 @@ class IommuBackend
     //   posted == autoResponses + pending + fetched,
     //   responded <= fetched.
     std::size_t pendingPageRequests() const { return prq_.size(); }
-    std::uint64_t pageRequestsPosted() const { return priPosted_; }
+    std::uint64_t
+    pageRequestsPosted() const
+    {
+        return ctx_.stats.get(sim::Ctr::PriRequests);
+    }
     std::uint64_t pageRequestsFetched() const { return priFetched_; }
-    std::uint64_t pageRequestsResponded() const { return priResponded_; }
+    std::uint64_t
+    pageRequestsResponded() const
+    {
+        return ctx_.stats.get(sim::Ctr::PriResponses);
+    }
     std::uint64_t
     pageRequestAutoResponses() const
     {
-        return priAutoResponses_;
+        return ctx_.stats.get(sim::Ctr::PriAutoResponses);
     }
     /** High-water mark of the request queue over the run. */
     std::size_t pageRequestMaxDepth() const { return priMaxDepth_; }
@@ -297,11 +301,9 @@ class IommuBackend
     bool
     priAccept(const PageRequest &req, std::size_t depth)
     {
-        ++priPosted_;
-        ctx_.stats.add(priRequestsCtr_);
+        ctx_.stats.add(sim::Ctr::PriRequests);
         if (prq_.size() >= depth) {
-            ++priAutoResponses_;
-            ctx_.stats.add(priAutoResponsesCtr_);
+            ctx_.stats.add(sim::Ctr::PriAutoResponses);
             return false;
         }
         prq_.push_back(req);
@@ -325,24 +327,16 @@ class IommuBackend
     void
     priNoteResponse()
     {
-        ++priResponded_;
-        ctx_.stats.add(priResponsesCtr_);
+        ctx_.stats.add(sim::Ctr::PriResponses);
     }
 
     sim::Context &ctx_;
     Iotlb tlb_;
-    sim::Stats::Counter invalDroppedCtr_; //!< iommu.inval_dropped
 
   private:
-    sim::Stats::Counter priRequestsCtr_;
-    sim::Stats::Counter priAutoResponsesCtr_;
-    sim::Stats::Counter priResponsesCtr_;
     std::vector<PageRequest> prq_;
     std::vector<PageRequest> fetched_; //!< the last fetch's requests
-    std::uint64_t priPosted_ = 0;
     std::uint64_t priFetched_ = 0;
-    std::uint64_t priResponded_ = 0;
-    std::uint64_t priAutoResponses_ = 0;
     std::size_t priMaxDepth_ = 0;
 };
 

@@ -9,22 +9,6 @@
 
 namespace damn::iommu {
 
-SmmuV3Backend::Counters::Counters(sim::Stats &s)
-    : steWrites(s.counter("smmu.ste_writes")),
-      cfgiSte(s.counter("smmu.cfgi_ste")),
-      cdFetches(s.counter("smmu.cd_fetches")),
-      cmdqStalls(s.counter("smmu.cmdq_stalls")),
-      cmds(s.counter("smmu.cmds")),
-      syncs(s.counter("smmu.syncs")),
-      stallAutoTerms(s.counter("smmu.stall_auto_terms")),
-      stallEvents(s.counter("smmu.stall_events")),
-      cmdResumes(s.counter("smmu.cmd_resumes")),
-      atcInvals(s.counter("smmu.atc_invals")),
-      evtqRecords(s.counter("smmu.evtq_records")),
-      evtqOverflows(s.counter("smmu.evtq_overflows")),
-      evtqDrained(s.counter("smmu.evtq_drained"))
-{}
-
 void
 SmmuV3Backend::attachDevice(DomainId d)
 {
@@ -36,7 +20,7 @@ SmmuV3Backend::attachDevice(DomainId d)
     // A fresh (or re-installed) STE+CD is not yet in the config cache:
     // the first walk after attach pays the descriptor fetch.
     cdCached_[d] = false;
-    ctx_.stats.add(ctr_.steWrites);
+    ctx_.stats.add(sim::Ctr::SmmuSteWrites);
 }
 
 void
@@ -48,7 +32,7 @@ SmmuV3Backend::detachDevice(DomainId d)
     // CFGI_STE: teardown config invalidation is modeled as guaranteed,
     // like the facade's teardown IOTLB flush.
     cdCached_[d] = false;
-    ctx_.stats.add(ctr_.cfgiSte);
+    ctx_.stats.add(sim::Ctr::SmmuCfgiSte);
 }
 
 sim::TimeNs
@@ -62,7 +46,7 @@ SmmuV3Backend::walkLatency(DomainId d, Iova iova)
         // Config-cache miss: fetch STE + CD before the walk can start.
         cdCached_[d] = true;
         lat += ctx_.cost.smmuCdFetchNs;
-        ctx_.stats.add(ctr_.cdFetches);
+        ctx_.stats.add(sim::Ctr::SmmuCdFetches);
     }
     return lat;
 }
@@ -74,7 +58,7 @@ SmmuV3Backend::produce(sim::Core &core, sim::TimeNs now, unsigned n)
         // Ring wrap: the producer polls CONS until the consumer frees
         // enough slots.  Everything already produced has drained by
         // then.
-        ctx_.stats.add(ctr_.cmdqStalls);
+        ctx_.stats.add(sim::Ctr::SmmuCmdqStalls);
         const sim::TimeNs drained = consumer_.freeAt();
         if (drained > now) {
             core.occupy(now, drained - now,
@@ -90,7 +74,7 @@ SmmuV3Backend::produce(sim::Core &core, sim::TimeNs now, unsigned n)
     // are visible, concurrently with whatever the producer does next.
     consumer_.submit(t, sim::TimeNs(n) * ctx_.cost.smmuTlbiNs);
     pendingCmds_ += n;
-    ctx_.stats.add(ctr_.cmds, n);
+    ctx_.stats.add(sim::Ctr::SmmuCmds, n);
     return t;
 }
 
@@ -124,12 +108,12 @@ SmmuV3Backend::sync(sim::Core &core, sim::TimeNs now)
     if (done > t)
         core.occupy(t, done - t, ctx_.cost.smmuSyncSpinBusyFraction);
     pendingCmds_ = 0;
-    ctx_.stats.add(ctr_.syncs);
+    ctx_.stats.add(sim::Ctr::SmmuSyncs);
 
     if (ctx_.faults.shouldFail(sim::FaultSite::IommuInval)) {
         // The batch is dropped in flight: time spent, stale entries
         // survive — the same injectable hole as VT-d's queue.
-        ctx_.stats.add(invalDroppedCtr_);
+        ctx_.stats.add(sim::Ctr::IommuInvalDropped);
         pending_.clear();
         return done;
     }
@@ -203,10 +187,10 @@ SmmuV3Backend::postPageRequest(const PageRequest &req)
     if (!priAccept(req, ctx_.cost.smmuStallDepth)) {
         // Stalled-transaction table full: the SMMU terminates the
         // transaction instead of stalling it (the auto-response).
-        ctx_.stats.add(ctr_.stallAutoTerms);
+        ctx_.stats.add(sim::Ctr::SmmuStallAutoTerms);
         return false;
     }
-    ctx_.stats.add(ctr_.stallEvents);
+    ctx_.stats.add(sim::Ctr::SmmuStallEvents);
     return true;
 }
 
@@ -227,7 +211,7 @@ SmmuV3Backend::respondPageRequest(sim::Core &core, sim::TimeNs now,
     const sim::TimeNs t = produce(core, now, 1);
     const sim::TimeNs done = t + ctx_.cost.priResponseNs;
     priNoteResponse();
-    ctx_.stats.add(ctr_.cmdResumes);
+    ctx_.stats.add(sim::Ctr::SmmuCmdResumes);
     return done;
 }
 
@@ -260,7 +244,7 @@ SmmuV3Backend::atsInvalidate(sim::Core &core, sim::TimeNs now,
     // CMD_ATC_INV + CMD_SYNC; the endpoint round trip rides on the
     // sync wait.
     const sim::TimeNs t = submitAtcInvRange(core, now, agent, iova, len);
-    ctx_.stats.add(ctr_.atcInvals);
+    ctx_.stats.add(sim::Ctr::SmmuAtcInvals);
     return sync(core, t);
 }
 
@@ -270,7 +254,7 @@ SmmuV3Backend::atsInvalidateAll(sim::Core &core, sim::TimeNs now,
 {
     (void)domain;
     const sim::TimeNs t = submitAtcInvAll(core, now, agent);
-    ctx_.stats.add(ctr_.atcInvals);
+    ctx_.stats.add(sim::Ctr::SmmuAtcInvals);
     return sync(core, t);
 }
 
@@ -279,10 +263,9 @@ SmmuV3Backend::deliverFault(const FaultRecord &rec)
 {
     if (eventq_.size() < ctx_.cost.smmuEvtqDepth) {
         eventq_.push_back(rec);
-        ctx_.stats.add(ctr_.evtqRecords);
+        ctx_.stats.add(sim::Ctr::SmmuEvtqRecords);
     } else {
-        ++evtqOverflows_;
-        ctx_.stats.add(ctr_.evtqOverflows);
+        ctx_.stats.add(sim::Ctr::SmmuEvtqOverflows);
     }
 }
 

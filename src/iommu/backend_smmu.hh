@@ -54,7 +54,7 @@ class SmmuV3Backend : public IommuBackend
     static constexpr TlbGeometry kGeometry{128, 4, 16, 4, 16};
 
     explicit SmmuV3Backend(sim::Context &ctx)
-        : IommuBackend(ctx, kGeometry), ctr_(ctx.stats)
+        : IommuBackend(ctx, kGeometry)
     {}
 
     BackendKind kind() const override { return BackendKind::SmmuV3; }
@@ -155,11 +155,19 @@ class SmmuV3Backend : public IommuBackend
 
     /** Records dropped because the ring was full (the architecture's
      *  EVENTQ overflow flag, as a count). */
-    std::uint64_t eventQueueOverflows() const { return evtqOverflows_; }
+    std::uint64_t
+    eventQueueOverflows() const
+    {
+        return ctx_.stats.get(sim::Ctr::SmmuEvtqOverflows);
+    }
 
     /** Records consumed by the driver over the backend's lifetime
      *  (conservation: faults == in-queue + drained + overflowed). */
-    std::uint64_t eventQueueDrained() const { return evtqDrained_; }
+    std::uint64_t
+    eventQueueDrained() const
+    {
+        return ctx_.stats.get(sim::Ctr::SmmuEvtqDrained);
+    }
 
     /** Driver-side consumption: empty the ring in place (it keeps its
      *  storage), clearing the overflow condition so new records can
@@ -167,10 +175,8 @@ class SmmuV3Backend : public IommuBackend
     void
     drainEventQueue()
     {
-        if (!eventq_.empty()) {
-            evtqDrained_ += eventq_.size();
-            ctx_.stats.add(ctr_.evtqDrained, eventq_.size());
-        }
+        if (!eventq_.empty())
+            ctx_.stats.add(sim::Ctr::SmmuEvtqDrained, eventq_.size());
         eventq_.clear();
     }
 
@@ -183,15 +189,6 @@ class SmmuV3Backend : public IommuBackend
     }
 
   private:
-    /** Interned handles of the smmu.* counters. */
-    struct Counters
-    {
-        explicit Counters(sim::Stats &s);
-        sim::Stats::Counter steWrites, cfgiSte, cdFetches, cmdqStalls,
-            cmds, syncs, stallAutoTerms, stallEvents, cmdResumes,
-            atcInvals, evtqRecords, evtqOverflows, evtqDrained;
-    };
-
     struct PendingInval
     {
         enum class Kind : std::uint8_t
@@ -216,7 +213,6 @@ class SmmuV3Backend : public IommuBackend
      */
     sim::TimeNs produce(sim::Core &core, sim::TimeNs now, unsigned n);
 
-    Counters ctr_;
     sim::SimMutex cmdqLock_;        //!< producer slot reservation
     sim::SerialResource consumer_;  //!< the SMMU draining the ring
     std::vector<PendingInval> pending_;
@@ -226,8 +222,6 @@ class SmmuV3Backend : public IommuBackend
     std::vector<bool> cdCached_;    //!< config cache (CD per domain)
 
     std::vector<FaultRecord> eventq_;
-    std::uint64_t evtqOverflows_ = 0;
-    std::uint64_t evtqDrained_ = 0;
 };
 
 } // namespace damn::iommu

@@ -47,12 +47,7 @@ class VtdBackend : public IommuBackend
     static constexpr TlbGeometry kGeometry{256, 4, 32, 4, 32};
 
     explicit VtdBackend(sim::Context &ctx)
-        : IommuBackend(ctx, kGeometry),
-          prqAutoResponsesCtr_(
-              ctx.stats.counter("vtd.prq_auto_responses")),
-          prqPostsCtr_(ctx.stats.counter("vtd.prq_posts")),
-          prqResponsesCtr_(ctx.stats.counter("vtd.prq_responses")),
-          devtlbInvalsCtr_(ctx.stats.counter("vtd.devtlb_invals"))
+        : IommuBackend(ctx, kGeometry)
     {}
 
     BackendKind kind() const override { return BackendKind::Vtd; }
@@ -145,11 +140,11 @@ class VtdBackend : public IommuBackend
             // PRS overflow bit: sticky until the driver drains and
             // clears it; the hardware auto-responded failure.
             prsOverflow_ = true;
-            ctx_.stats.add(prqAutoResponsesCtr_);
+            ctx_.stats.add(sim::Ctr::VtdPrqAutoResponses);
             return false;
         }
         ++prqTail_;
-        ctx_.stats.add(prqPostsCtr_);
+        ctx_.stats.add(sim::Ctr::VtdPrqPosts);
         return true;
     }
 
@@ -172,7 +167,7 @@ class VtdBackend : public IommuBackend
         const sim::TimeNs done = lock_.acquireAndHold(
             core, now, ctx_.cost.priResponseNs, 1.0, ctx_.engine.now());
         priNoteResponse();
-        ctx_.stats.add(prqResponsesCtr_);
+        ctx_.stats.add(sim::Ctr::VtdPrqResponses);
         return done;
     }
 
@@ -193,7 +188,7 @@ class VtdBackend : public IommuBackend
         if (dropped())
             return done;
         agent.invalidateRange(iova, len);
-        ctx_.stats.add(devtlbInvalsCtr_);
+        ctx_.stats.add(sim::Ctr::VtdDevtlbInvals);
         return done;
     }
 
@@ -208,7 +203,7 @@ class VtdBackend : public IommuBackend
         if (dropped())
             return done;
         agent.invalidateAll();
-        ctx_.stats.add(devtlbInvalsCtr_);
+        ctx_.stats.add(sim::Ctr::VtdDevtlbInvals);
         return done;
     }
 
@@ -230,15 +225,11 @@ class VtdBackend : public IommuBackend
     {
         if (!ctx_.faults.shouldFail(sim::FaultSite::IommuInval))
             return false;
-        ctx_.stats.add(invalDroppedCtr_);
+        ctx_.stats.add(sim::Ctr::IommuInvalDropped);
         return true;
     }
 
     sim::SimMutex lock_; //!< the global invalidation-queue lock
-    sim::Stats::Counter prqAutoResponsesCtr_;
-    sim::Stats::Counter prqPostsCtr_;
-    sim::Stats::Counter prqResponsesCtr_;
-    sim::Stats::Counter devtlbInvalsCtr_;
     std::uint64_t prqHead_ = 0;
     std::uint64_t prqTail_ = 0;
     bool prsOverflow_ = false;

@@ -18,11 +18,7 @@ SvaDomain::SvaDomain(sim::Context &ctx, Iommu &mmu,
                      mem::PageAllocator &alloc,
                      unsigned residentLimitPages)
     : ctx_(ctx), mmu_(mmu), alloc_(alloc),
-      residentLimit_(residentLimitPages), domain_(mmu.createDomain()),
-      spuriousFaultsCtr_(ctx.stats.counter("sva.spurious_faults")),
-      faultAllocFailsCtr_(ctx.stats.counter("sva.fault_alloc_fails")),
-      faultsServicedCtr_(ctx.stats.counter("sva.faults_serviced")),
-      evictionsCtr_(ctx.stats.counter("sva.evictions"))
+      residentLimit_(residentLimitPages), domain_(mmu.createDomain())
 {}
 
 SvaDomain::~SvaDomain()
@@ -79,20 +75,20 @@ SvaDomain::handleFault(sim::CpuCursor &cpu, Iova va, bool is_write,
         // Spurious fault: another request already brought it in.
         lruUnlink(*r);
         lruAppend(page);
-        ctx_.stats.add(spuriousFaultsCtr_);
+        ctx_.stats.add(sim::Ctr::SvaSpuriousFaults);
         return true;
     }
     if (residentLimit_ != 0 && resident_.size() >= residentLimit_)
         evict(cpu, lruOldest_, ats); // the least recently used page
     if (ctx_.faults.shouldFail(sim::FaultSite::PageAlloc)) {
-        ctx_.stats.add(faultAllocFailsCtr_);
+        ctx_.stats.add(sim::Ctr::SvaFaultAllocFails);
         ++failedFaults_;
         return false;
     }
     const mem::Pfn pfn =
         alloc_.allocPages(0, cpu.numa(), /*zero=*/ctx_.functionalData);
     if (pfn == mem::kInvalidPfn) {
-        ctx_.stats.add(faultAllocFailsCtr_);
+        ctx_.stats.add(sim::Ctr::SvaFaultAllocFails);
         ++failedFaults_;
         return false;
     }
@@ -101,7 +97,7 @@ SvaDomain::handleFault(sim::CpuCursor &cpu, Iova va, bool is_write,
     resident_[page].pfn = pfn;
     lruAppend(page);
     ++faultsServiced_;
-    ctx_.stats.add(faultsServicedCtr_);
+    ctx_.stats.add(sim::Ctr::SvaFaultsServiced);
     return true;
 }
 
@@ -137,7 +133,7 @@ SvaDomain::evict(sim::CpuCursor &cpu, Iova va, AtsAgent *ats)
     lruUnlink(*r);
     resident_.erase(page);
     ++evictions_;
-    ctx_.stats.add(evictionsCtr_);
+    ctx_.stats.add(sim::Ctr::SvaEvictions);
     return true;
 }
 

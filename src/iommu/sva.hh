@@ -101,10 +101,6 @@ class SvaDomain
     mem::PageAllocator &alloc_;
     unsigned residentLimit_;
     DomainId domain_;
-    sim::Stats::Counter spuriousFaultsCtr_;
-    sim::Stats::Counter faultAllocFailsCtr_;
-    sim::Stats::Counter faultsServicedCtr_;
-    sim::Stats::Counter evictionsCtr_;
     sim::FlatMap<Resident> resident_; //!< keyed by page VA
     Iova lruOldest_ = kNoPage, lruNewest_ = kNoPage; //!< oldest = victim
     std::uint64_t faultsServiced_ = 0;

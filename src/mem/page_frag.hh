@@ -33,8 +33,7 @@ class PageFragAllocator
 
     PageFragAllocator(sim::Context &ctx, PageAllocator &pa)
         : ctx_(ctx), pageAlloc_(pa),
-          perCore_(ctx.machine.numCores()),
-          fragFailsCtr_(ctx.stats.counter("mem.page_frag_fails"))
+          perCore_(ctx.machine.numCores())
     {}
 
     PageFragAllocator(const PageFragAllocator &) = delete;
@@ -59,7 +58,7 @@ class PageFragAllocator
             cpu.charge(ctx_.cost.pageAllocNs);
             b.pfn = pageAlloc_.allocPages(kBlockOrder, cpu.numa());
             if (b.pfn == kInvalidPfn) {
-                ctx_.stats.add(fragFailsCtr_);
+                ctx_.stats.add(sim::Ctr::MemPageFragFails);
                 return 0;
             }
             b.offset = 0;
@@ -123,7 +122,6 @@ class PageFragAllocator
     sim::Context &ctx_;
     PageAllocator &pageAlloc_;
     std::vector<Bump> perCore_;
-    sim::Stats::Counter fragFailsCtr_;
 };
 
 } // namespace damn::mem

@@ -46,8 +46,8 @@ NicDevice::dropSegment(sim::TimeNs now, unsigned port, Traffic dir,
     dma::DmaOutcome out;
     out.fault = true;
     out.completes = pace(now, port, dir, seg_bytes, 0);
-    ctx_.stats.add(dir == Traffic::Rx ? rxInjectedDropsCtr_
-                                      : txInjectedDropsCtr_);
+    ctx_.stats.add(dir == Traffic::Rx ? sim::Ctr::NicRxInjectedDrops
+                                      : sim::Ctr::NicTxInjectedDrops);
     return out;
 }
 
@@ -60,11 +60,10 @@ NicDevice::linkFlapped(sim::TimeNs now, unsigned port)
         ports_[port].linkDownUntil =
             std::max(ports_[port].linkDownUntil,
                      now + ctx_.cost.nicLinkFlapDownNs);
-        ++linkFlaps_;
-        ctx_.stats.add(linkFlapsCtr_);
+        ctx_.stats.add(sim::Ctr::NicLinkFlaps);
     }
     if (now < ports_[port].linkDownUntil) {
-        ctx_.stats.add(linkDownDropsCtr_);
+        ctx_.stats.add(sim::Ctr::NicLinkDownDrops);
         return true;
     }
     return false;

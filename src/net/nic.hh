@@ -38,11 +38,7 @@ class NicDevice : public dma::Device
   public:
     NicDevice(System &sys, std::string name, unsigned ports = 2)
         : dma::Device(sys.ctx, std::move(name), sys.mmu, sys.phys),
-          sys_(sys), ports_(ports),
-          rxInjectedDropsCtr_(sys.ctx.stats.counter("nic.rx_injected_drops")),
-          txInjectedDropsCtr_(sys.ctx.stats.counter("nic.tx_injected_drops")),
-          linkFlapsCtr_(sys.ctx.stats.counter("nic.link_flaps")),
-          linkDownDropsCtr_(sys.ctx.stats.counter("nic.link_down_drops"))
+          sys_(sys), ports_(ports)
     {}
 
     /**
@@ -64,8 +60,6 @@ class NicDevice : public dma::Device
      */
     dma::DmaOutcome transferSegmentSg(sim::TimeNs now, unsigned port,
                                       Traffic dir, const SkBuff &skb);
-
-    std::uint64_t linkFlaps() const { return linkFlaps_; }
 
     /** Wire bytes of a @p seg_bytes aggregate (frames + overhead). */
     std::uint64_t
@@ -93,12 +87,7 @@ class NicDevice : public dma::Device
 
     System &sys_;
     std::vector<Port> ports_;
-    sim::Stats::Counter rxInjectedDropsCtr_;
-    sim::Stats::Counter txInjectedDropsCtr_;
-    sim::Stats::Counter linkFlapsCtr_;
-    sim::Stats::Counter linkDownDropsCtr_;
     sim::SerialResource pcie_[2]; // per direction, shared by both ports
-    std::uint64_t linkFlaps_ = 0;
 };
 
 } // namespace damn::net

@@ -100,7 +100,7 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
             // No kernel memory to copy into, even after reclaim: leave
             // the range in device-visible memory (degraded protection,
             // counted) instead of crashing the consumer.
-            ctx_.stats.add(secureFailsCtr_);
+            ctx_.stats.add(sim::Ctr::SkbSecureFails);
             continue;
         }
         cpu.charge(ctx_.copyCost(
@@ -151,8 +151,7 @@ SkbAccessor::secureRange(sim::CpuCursor &cpu, SkBuff &skb,
         cursor = seg_end;
     }
 
-    securedBytes_ += copied;
-    ctx_.stats.add(securedBytesCtr_, copied);
+    ctx_.stats.add(sim::Ctr::GuardSecuredBytes, copied);
     return copied;
 }
 

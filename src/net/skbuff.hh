@@ -180,9 +180,7 @@ class SkbAccessor
                 mem::KmallocHeap &heap, mem::PageFragAllocator &frag,
                 core::DamnAllocator *alloc)
         : ctx_(ctx), pageAlloc_(pa), pm_(pa.phys()), heap_(heap),
-          frag_(frag), alloc_(alloc),
-          secureFailsCtr_(ctx.stats.counter("skb.secure_fails")),
-          securedBytesCtr_(ctx.stats.counter("guard.secured_bytes"))
+          frag_(frag), alloc_(alloc)
     {}
 
     /**
@@ -226,7 +224,11 @@ class SkbAccessor
                  core::AllocCtx actx = core::AllocCtx::Standard);
 
     /** Cumulative bytes the guard copied (figure 8 accounting). */
-    std::uint64_t securedBytes() const { return securedBytes_; }
+    std::uint64_t
+    securedBytes() const
+    {
+        return ctx_.stats.get(sim::Ctr::GuardSecuredBytes);
+    }
 
   private:
     bool needsSecuring(const SkbSegment &seg) const;
@@ -237,9 +239,6 @@ class SkbAccessor
     mem::KmallocHeap &heap_;
     mem::PageFragAllocator &frag_;
     core::DamnAllocator *alloc_;
-    sim::Stats::Counter secureFailsCtr_;
-    sim::Stats::Counter securedBytesCtr_;
-    std::uint64_t securedBytes_ = 0;
 };
 
 } // namespace damn::net

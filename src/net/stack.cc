@@ -10,12 +10,7 @@
 namespace damn::net {
 
 NicDriver::NicDriver(System &sys, NicDevice &nic)
-    : sys_(sys), nic_(nic),
-      injectedAllocFailsCtr_(
-          sys.ctx.stats.counter("mem.injected_alloc_fails")),
-      rxMapFailsCtr_(sys.ctx.stats.counter("net.rx_map_fails")),
-      rxAbortedBuffersCtr_(sys.ctx.stats.counter("net.rx_aborted_buffers")),
-      txMapFailsCtr_(sys.ctx.stats.counter("net.tx_map_fails"))
+    : sys_(sys), nic_(nic)
 {}
 
 // ---------------------------------------------------------------------
@@ -33,7 +28,7 @@ NicDriver::allocRxBuffer(sim::CpuCursor &cpu, std::uint32_t bytes,
     // Injected memory pressure: the allocation fails before any
     // allocator is consulted, like a failed GFP_ATOMIC alloc.
     if (sys_.ctx.faults.shouldFail(sim::FaultSite::PageAlloc)) {
-        sys_.ctx.stats.add(injectedAllocFailsCtr_);
+        sys_.ctx.stats.add(sim::Ctr::MemInjectedAllocFails);
         return buf;
     }
 
@@ -59,7 +54,7 @@ NicDriver::allocRxBuffer(sim::CpuCursor &cpu, std::uint32_t bytes,
         skb.append(buf.seg);
         sys_.accessor().freeSkb(cpu, skb, actx);
         buf.seg = SkbSegment{};
-        sys_.ctx.stats.add(rxMapFailsCtr_);
+        sys_.ctx.stats.add(sim::Ctr::NetRxMapFails);
         return buf;
     }
     buf.seg.dmaAddr = dma_addr;
@@ -101,7 +96,7 @@ NicDriver::abortRxBuffer(sim::CpuCursor &cpu, RxBuffer buf,
     skb.dev = &nic_;
     skb.append(buf.seg);
     sys_.accessor().freeSkb(cpu, skb, actx);
-    sys_.ctx.stats.add(rxAbortedBuffersCtr_);
+    sys_.ctx.stats.add(sim::Ctr::NetRxAbortedBuffers);
 }
 
 bool
@@ -118,7 +113,7 @@ NicDriver::txMap(sim::CpuCursor &cpu, SkBuff &skb)
             // Roll back the segments already mapped so nothing leaks;
             // the caller drops the skb and backs off.
             txUnmap(cpu, skb);
-            sys_.ctx.stats.add(txMapFailsCtr_);
+            sys_.ctx.stats.add(sim::Ctr::NetTxMapFails);
             return false;
         }
         seg.dmaAddr = addr;
@@ -187,8 +182,8 @@ TcpStack::rxSegment(sim::CpuCursor &cpu, SkBuff &skb, double factor)
 
     cpu.charge(sim::TimeNs(double(c.stackPerSegmentNs) * factor));
     cpu.charge(c.ackPerSegmentNs);
-    sys_.ctx.stats.add(ctr_.rxSegments);
-    sys_.ctx.stats.add(ctr_.rxBytes, skb.len());
+    sys_.ctx.stats.add(sim::Ctr::NetRxSegments);
+    sys_.ctx.stats.add(sim::Ctr::NetRxBytes, skb.len());
 }
 
 void
@@ -203,7 +198,7 @@ TcpStack::appRead(sim::CpuCursor &cpu, SkBuff &skb, double factor,
     // for payload bytes -- no extra work.
     chargeCopy(cpu, skb.len(), sys_.ctx.cost.warmCopyBytesPerNs);
     sys_.accessor().freeSkb(cpu, skb, actx);
-    sys_.ctx.stats.add(ctr_.userReadBytes, skb.len());
+    sys_.ctx.stats.add(sim::Ctr::NetUserReadBytes, skb.len());
 }
 
 SkBuff
@@ -223,7 +218,7 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
         actx);
     if (head.pa == 0) {
         skb.allocFailed = true;
-        sys_.ctx.stats.add(ctr_.txAllocFails);
+        sys_.ctx.stats.add(sim::Ctr::NetTxAllocFails);
         return skb;
     }
     skb.append(head);
@@ -247,7 +242,7 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
         // Memory pressure beat the reclaimers: free what was built and
         // let the caller back off (flagged on the returned skb).
         sys_.accessor().freeSkb(cpu, skb, actx);
-        sys_.ctx.stats.add(ctr_.txAllocFails);
+        sys_.ctx.stats.add(sim::Ctr::NetTxAllocFails);
         return skb;
     }
 
@@ -263,8 +258,8 @@ TcpStack::txBuild(sim::CpuCursor &cpu, std::uint32_t seg_bytes,
         skb.allocFailed = true;
         return skb;
     }
-    sys_.ctx.stats.add(ctr_.txSegments);
-    sys_.ctx.stats.add(ctr_.txBytes, seg_bytes);
+    sys_.ctx.stats.add(sim::Ctr::NetTxSegments);
+    sys_.ctx.stats.add(sim::Ctr::NetTxBytes, seg_bytes);
     return skb;
 }
 
@@ -287,7 +282,7 @@ TcpStack::txBuildZeroCopy(sim::CpuCursor &cpu,
         actx);
     if (head.pa == 0) {
         skb.allocFailed = true;
-        sys_.ctx.stats.add(ctr_.txAllocFails);
+        sys_.ctx.stats.add(sim::Ctr::NetTxAllocFails);
         return skb;
     }
     skb.append(head);
@@ -313,7 +308,7 @@ TcpStack::txBuildZeroCopy(sim::CpuCursor &cpu,
         skb.allocFailed = true;
         return skb;
     }
-    sys_.ctx.stats.add(ctr_.txZerocopySegments);
+    sys_.ctx.stats.add(sim::Ctr::NetTxZerocopySegments);
     return skb;
 }
 
@@ -335,7 +330,7 @@ TcpStack::txAbort(sim::CpuCursor &cpu, SkBuff &skb, core::AllocCtx actx)
 {
     driver.txUnmap(cpu, skb);
     sys_.accessor().freeSkb(cpu, skb, actx);
-    sys_.ctx.stats.add(ctr_.txAbortedSegments);
+    sys_.ctx.stats.add(sim::Ctr::NetTxAbortedSegments);
 }
 
 } // namespace damn::net

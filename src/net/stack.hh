@@ -88,10 +88,6 @@ class NicDriver
   private:
     System &sys_;
     NicDevice &nic_;
-    sim::Stats::Counter injectedAllocFailsCtr_;
-    sim::Stats::Counter rxMapFailsCtr_;
-    sim::Stats::Counter rxAbortedBuffersCtr_;
-    sim::Stats::Counter txMapFailsCtr_;
     /** txUnmap's request list, reused so unmapping never allocates. */
     std::vector<dma::DmaApi::UnmapReq> unmapReqs_;
 };
@@ -109,7 +105,7 @@ class TcpStack
     static constexpr std::uint32_t kTxHeadBytes = 256;
 
     TcpStack(System &sys, NicDevice &nic)
-        : driver(sys, nic), sys_(sys), nic_(nic), ctr_(sys.ctx.stats)
+        : driver(sys, nic), sys_(sys), nic_(nic)
     {}
 
     /**
@@ -173,27 +169,8 @@ class TcpStack
     NicDriver driver;
 
   private:
-    /** Interned handles of the per-segment net.* counters. */
-    struct Counters
-    {
-        explicit Counters(sim::Stats &s)
-            : rxSegments(s.counter("net.rx_segments")),
-              rxBytes(s.counter("net.rx_bytes")),
-              userReadBytes(s.counter("net.user_read_bytes")),
-              txAllocFails(s.counter("net.tx_alloc_fails")),
-              txSegments(s.counter("net.tx_segments")),
-              txBytes(s.counter("net.tx_bytes")),
-              txZerocopySegments(s.counter("net.tx_zerocopy_segments")),
-              txAbortedSegments(s.counter("net.tx_aborted_segments"))
-        {}
-        sim::Stats::Counter rxSegments, rxBytes, userReadBytes,
-            txAllocFails, txSegments, txBytes, txZerocopySegments,
-            txAbortedSegments;
-    };
-
     System &sys_;
     NicDevice &nic_;
-    Counters ctr_;
     std::vector<NetfilterHook> hooks_;
 };
 

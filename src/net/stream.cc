@@ -33,7 +33,7 @@ StreamEngine::startFlow(std::size_t fi)
             if (buf.valid()) {
                 f.posted.push_back(buf);
             } else {
-                sys_.ctx.stats.add(rxRefillFailsCtr_);
+                sys_.ctx.stats.add(sim::Ctr::NetRxRefillFails);
                 sys_.ctx.engine.schedule(
                     cpu.time + f.spec.rtoNs,
                     [this, fi] { refillRx(fi); });
@@ -58,7 +58,7 @@ StreamEngine::refillRx(std::size_t fi)
     if (!buf.valid()) {
         // Still under pressure: try again after a timeout, as the
         // kernel's ring-refill work item does.
-        sys_.ctx.stats.add(rxRefillFailsCtr_);
+        sys_.ctx.stats.add(sim::Ctr::NetRxRefillFails);
         sys_.ctx.engine.schedule(cpu.time + f.spec.rtoNs,
                                  [this, fi] { refillRx(fi); });
         return;
@@ -166,7 +166,7 @@ StreamEngine::rxProcess(std::size_t fi, const RxBuffer &buf,
     } else {
         // Memory pressure: retry the refill later; the peer stalls on
         // flow control if the ring runs dry meanwhile.
-        sys_.ctx.stats.add(rxRefillFailsCtr_);
+        sys_.ctx.stats.add(sim::Ctr::NetRxRefillFails);
         sys_.ctx.engine.schedule(cpu.time + f.spec.rtoNs,
                                  [this, fi] { refillRx(fi); });
     }
@@ -211,7 +211,7 @@ StreamEngine::pumpTx(std::size_t fi)
         // application with an exponentially backed-off retry instead
         // of spinning; give up once the budget is exhausted.
         freeTxSlots_.push_back(slot);
-        sys_.ctx.stats.add(txThrottledCtr_);
+        sys_.ctx.stats.add(sim::Ctr::NetTxThrottled);
         ++f.txAllocRetries;
         if (f.txAllocRetries > f.spec.maxRetries) {
             f.failed = true;
@@ -330,7 +330,7 @@ StreamEngine::teardown(sim::CpuCursor &cpu)
         f.generatorStalled = false;
         f.appStalled = false;
     }
-    sys_.ctx.stats.add(ringTeardownsCtr_);
+    sys_.ctx.stats.add(sim::Ctr::NetRingTeardowns);
 }
 
 StreamResult

@@ -84,10 +84,7 @@ class StreamEngine
   public:
     StreamEngine(System &sys, NicDevice &nic, TcpStack &stack,
                  StreamConfig config = {})
-        : sys_(sys), nic_(nic), stack_(stack), config_(config),
-          rxRefillFailsCtr_(sys.ctx.stats.counter("net.rx_refill_fails")),
-          txThrottledCtr_(sys.ctx.stats.counter("net.tx_throttled")),
-          ringTeardownsCtr_(sys.ctx.stats.counter("net.ring_teardowns"))
+        : sys_(sys), nic_(nic), stack_(stack), config_(config)
     {}
 
     /** Register a flow before run(). */
@@ -241,9 +238,6 @@ class StreamEngine
     NicDevice &nic_;
     TcpStack &stack_;
     StreamConfig config_;
-    sim::Stats::Counter rxRefillFailsCtr_;
-    sim::Stats::Counter txThrottledCtr_;
-    sim::Stats::Counter ringTeardownsCtr_;
     std::vector<State> flows_;
     /** In-flight TX skbs of every flow; events carry a slot index.  A
      *  slot is reused once its skb completes or aborts. */

@@ -37,8 +37,6 @@ struct SystemParams
 
     // DAMN variants (Table 3).
     core::DmaCacheConfig damnCache{};
-    /** damn's fallback scheme for non-DAMN buffers (section 5.3). */
-    dma::SchemeKind damnFallback = dma::SchemeKind::Deferred;
 
     /**
      * DMA-API IOVA-space budget in bytes; 0 keeps the scheme's full
@@ -66,10 +64,12 @@ class System
             damn = std::make_unique<core::DamnAllocator>(
                 ctx, pageAlloc, heap, mmu, p.damnCache);
             // Non-DAMN buffers still get DMA-API protection through
-            // the fallback scheme ("damn without iommu" pairs with the
-            // passthrough fallback since the IOMMU is off entirely).
+            // the deferred fallback scheme (section 5.3; "damn without
+            // iommu" pairs with the passthrough fallback since the
+            // IOMMU is off entirely).
             auto fb = p.damnCache.mapInIommu
-                ? dma::makeScheme(p.damnFallback, ctx, mmu, pageAlloc)
+                ? dma::makeScheme(dma::SchemeKind::Deferred, ctx, mmu,
+                                  pageAlloc)
                 : dma::makeScheme(dma::SchemeKind::IommuOff, ctx, mmu,
                                   pageAlloc);
             dmaApi = std::make_unique<core::DamnDmaApi>(ctx, *damn,
@@ -139,29 +139,31 @@ class System
     void
     wirePressure()
     {
+        using Res = sim::PressureResource;
+        using Rec = sim::PressureReclaimer;
         auto &pc = ctx.pressure;
         const auto totalFrames = [this] {
             return double(pageAlloc.allocatedFrames() +
                           pageAlloc.freeFrames());
         };
 
-        pc.registerResource("pages", [this, totalFrames] {
+        pc.registerResource(Res::Pages, [this, totalFrames] {
             const double total = totalFrames();
             return total == 0.0
                        ? 0.0
                        : double(pageAlloc.allocatedFrames()) / total;
         });
-        pc.registerResource("kmalloc", [this, totalFrames] {
+        pc.registerResource(Res::Kmalloc, [this, totalFrames] {
             const double total = totalFrames();
             return total == 0.0 ? 0.0
                                 : double(heap.pinnedPages()) / total;
         });
         iommu::IovaAllocator *iova = dmaApi->iovaAllocator();
-        pc.registerResource("iova", [iova] {
+        pc.registerResource(Res::Iova, [iova] {
             return iova ? iova->utilization() : 0.0;
         });
         if (damn) {
-            pc.registerResource("damn", [this, totalFrames] {
+            pc.registerResource(Res::Damn, [this, totalFrames] {
                 const double total = totalFrames() * mem::kPageSize;
                 return total == 0.0
                            ? 0.0
@@ -170,7 +172,7 @@ class System
         }
         if (auto *sh =
                 dynamic_cast<dma::ShadowDmaApi *>(dmaApi.get())) {
-            pc.registerResource("shadow", [this, sh, totalFrames] {
+            pc.registerResource(Res::Shadow, [this, sh, totalFrames] {
                 const double total = totalFrames();
                 return total == 0.0
                            ? 0.0
@@ -178,7 +180,7 @@ class System
             });
         }
 
-        pc.registerReclaimer("flush_pending",
+        pc.registerReclaimer(Rec::FlushPending,
                              [this, iova](sim::CpuCursor &cpu) {
             const std::uint64_t before = iova ? iova->outstanding() : 0;
             dmaApi->flushPending(cpu);
@@ -186,13 +188,15 @@ class System
             return before > after ? before - after : 0;
         });
         if (damn) {
-            pc.registerReclaimer("damn_shrink", [this](sim::CpuCursor &cpu) {
+            pc.registerReclaimer(Rec::DamnShrink,
+                                 [this](sim::CpuCursor &cpu) {
                 return damn->shrink(cpu);
             });
         }
         if (auto *sh =
                 dynamic_cast<dma::ShadowDmaApi *>(dmaApi.get())) {
-            pc.registerReclaimer("shadow_shrink", [sh](sim::CpuCursor &cpu) {
+            pc.registerReclaimer(Rec::ShadowShrink,
+                                 [sh](sim::CpuCursor &cpu) {
                 return sh->shrinkIdle(cpu);
             });
         }

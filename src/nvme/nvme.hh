@@ -35,10 +35,7 @@ class NvmeDevice : public dma::Device
   public:
     NvmeDevice(sim::Context &ctx, std::string name, iommu::Iommu &mmu,
                mem::PhysicalMemory &pm)
-        : dma::Device(ctx, std::move(name), mmu, pm),
-          cmdDropsCtr_(ctx.stats.counter("nvme.cmd_drops")),
-          abortedCmdsCtr_(ctx.stats.counter("nvme.aborted_cmds")),
-          failedCmdsCtr_(ctx.stats.counter("nvme.failed_cmds"))
+        : dma::Device(ctx, std::move(name), mmu, pm)
     {}
 
     /**
@@ -57,7 +54,7 @@ class NvmeDevice : public dma::Device
             // The command is lost in flight: no DMA, no completion
             // entry.  The driver notices only via its timeout.
             ++cmdDrops_;
-            ctx_.stats.add(cmdDropsCtr_);
+            ctx_.stats.add(sim::Ctr::NvmeCmdDrops);
             dma::DmaOutcome out;
             out.fault = true;
             out.completes = now;
@@ -95,7 +92,7 @@ class NvmeDevice : public dma::Device
                 // and aborts instead of burning the timeout budget.
                 r.aborted = true;
                 ++abortedCmds_;
-                ctx_.stats.add(abortedCmdsCtr_);
+                ctx_.stats.add(sim::Ctr::NvmeAbortedCmds);
                 ctx_.tracer.instant(0, sim::TraceCat::Nvme,
                                     "nvme.abort", t, 0, attempt);
                 r.completes = t;
@@ -119,7 +116,7 @@ class NvmeDevice : public dma::Device
                 // The fault *was* the unplug; abort without waiting.
                 r.aborted = true;
                 ++abortedCmds_;
-                ctx_.stats.add(abortedCmdsCtr_);
+                ctx_.stats.add(sim::Ctr::NvmeAbortedCmds);
                 ctx_.tracer.instant(0, sim::TraceCat::Nvme,
                                     "nvme.abort", out.completes, 0,
                                     attempt);
@@ -133,7 +130,7 @@ class NvmeDevice : public dma::Device
             t = out.completes + c.nvmeTimeoutNs;
         }
         ++failedCmds_;
-        ctx_.stats.add(failedCmdsCtr_);
+        ctx_.stats.add(sim::Ctr::NvmeFailedCmds);
         ctx_.tracer.instant(0, sim::TraceCat::Nvme, "nvme.fail", t, 0,
                             r.attempts);
         r.completes = t;
@@ -147,9 +144,6 @@ class NvmeDevice : public dma::Device
     std::uint64_t abortedCmds() const { return abortedCmds_; }
 
   private:
-    sim::Stats::Counter cmdDropsCtr_;
-    sim::Stats::Counter abortedCmdsCtr_;
-    sim::Stats::Counter failedCmdsCtr_;
     sim::SerialResource iopsEngine_;
     sim::SerialResource media_;
     std::uint64_t ios_ = 0;

@@ -14,7 +14,7 @@
  * fq_ring-flush machinery: the point is that exhaustion becomes a
  * *recoverable, observable* degradation path instead of an assert.
  * Everything is deterministic — reclaim follows registration order,
- * and all accounting goes through the run's sim::Stats registry.
+ * and all accounting goes through the run's sim::Stats counters.
  */
 
 #ifndef DAMN_SIM_PRESSURE_HH
@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/cpu_cursor.hh"
@@ -40,19 +39,23 @@ enum class PressureLevel : std::uint8_t
     Critical = 2, //!< past critical: allocations are about to fail
 };
 
-constexpr const char *
-pressureLevelName(PressureLevel l)
+/** A watched resource; each owns its pressure.<name>.to_<level> rows. */
+enum class PressureResource : std::uint8_t
 {
-    switch (l) {
-      case PressureLevel::Ok:
-        return "ok";
-      case PressureLevel::Low:
-        return "low";
-      case PressureLevel::Critical:
-        return "critical";
-    }
-    return "?";
-}
+    Pages,   //!< page allocator
+    Kmalloc, //!< kmalloc heap
+    Iova,    //!< DMA-API IOVA space
+    Damn,    //!< DAMN caches
+    Shadow,  //!< shadow pools
+};
+
+/** A reclaim provider; each owns its pressure.reclaimed.<name> row. */
+enum class PressureReclaimer : std::uint8_t
+{
+    FlushPending, //!< force out batched invalidations
+    DamnShrink,   //!< shrink DAMN magazines
+    ShadowShrink, //!< release idle shadow pools
+};
 
 /**
  * Tracks watermark levels across registered resources and drives
@@ -68,12 +71,7 @@ class PressureController
      *  it reclaimed; 0 means it had nothing to give back. */
     using ReclaimFn = std::function<std::uint64_t(CpuCursor &)>;
 
-    explicit PressureController(Stats &stats)
-        : stats_(stats),
-          reclaimsCtr_(stats.counter("pressure.reclaims")),
-          reclaimNsCtr_(stats.counter("pressure.reclaim_ns")),
-          reclaimFutileCtr_(stats.counter("pressure.reclaim_futile"))
-    {}
+    explicit PressureController(Stats &stats) : stats_(stats) {}
 
     PressureController(const PressureController &) = delete;
     PressureController &operator=(const PressureController &) = delete;
@@ -85,14 +83,10 @@ class PressureController
 
     /** Register a watched resource. */
     void
-    registerResource(std::string name, UsageFn usage)
+    registerResource(PressureResource id, UsageFn usage)
     {
-        Resource r{name, std::move(usage), PressureLevel::Ok, {}};
-        for (const PressureLevel l : {PressureLevel::Ok, PressureLevel::Low,
-                                      PressureLevel::Critical})
-            r.toLevel[unsigned(l)] = stats_.counter(
-                "pressure." + name + ".to_" + pressureLevelName(l));
-        resources_.push_back(std::move(r));
+        resources_.push_back(
+            Resource{id, std::move(usage), PressureLevel::Ok});
     }
 
     /**
@@ -101,20 +95,17 @@ class PressureController
      * tearing down caches).
      */
     void
-    registerReclaimer(std::string name, ReclaimFn fn)
+    registerReclaimer(PressureReclaimer id, ReclaimFn fn)
     {
-        const Stats::Counter reclaimed =
-            stats_.counter("pressure.reclaimed." + name);
-        reclaimers_.push_back(
-            Reclaimer{std::move(name), std::move(fn), reclaimed});
+        reclaimers_.push_back(ReclaimerEntry{id, std::move(fn)});
     }
 
-    /** Current level of one resource (Ok when unknown). */
+    /** Current level of one resource (Ok when not registered). */
     PressureLevel
-    level(const std::string &resource) const
+    level(PressureResource id) const
     {
         for (const Resource &r : resources_)
-            if (r.name == resource)
+            if (r.id == id)
                 return levelOf(r);
         return PressureLevel::Ok;
     }
@@ -132,7 +123,7 @@ class PressureController
         for (Resource &r : resources_) {
             const PressureLevel l = levelOf(r);
             if (l != r.lastLevel) {
-                stats_.add(r.toLevel[unsigned(l)]);
+                stats_.add(kToLevel[unsigned(r.id)][unsigned(l)]);
                 r.lastLevel = l;
             }
             worst = std::max(worst, l);
@@ -153,46 +144,73 @@ class PressureController
         if (reclaiming_)
             return 0; // a reclaimer's own allocation failed: don't recurse
         reclaiming_ = true;
-        ++reclaimEvents_;
-        stats_.add(reclaimsCtr_);
+        stats_.add(Ctr::PressureReclaims);
         const TimeNs t0 = cpu.time;
         std::uint64_t total = 0;
-        for (Reclaimer &rec : reclaimers_) {
+        for (ReclaimerEntry &rec : reclaimers_) {
             const std::uint64_t got = rec.fn(cpu);
             if (got > 0) {
                 total += got;
-                stats_.add(rec.reclaimed, got);
+                stats_.add(kReclaimed[unsigned(rec.id)], got);
             }
             if (poll() < PressureLevel::Low)
                 break;
         }
-        reclaimedUnits_ += total;
-        stats_.add(reclaimNsCtr_, std::uint64_t(cpu.time - t0));
+        stats_.add(Ctr::PressureReclaimNs, std::uint64_t(cpu.time - t0));
         if (total == 0)
-            stats_.add(reclaimFutileCtr_);
+            stats_.add(Ctr::PressureReclaimFutile);
         reclaiming_ = false;
         return total;
     }
 
-    std::uint64_t reclaimEvents() const { return reclaimEvents_; }
-    std::uint64_t reclaimedUnits() const { return reclaimedUnits_; }
+    std::uint64_t
+    reclaimEvents() const
+    {
+        return stats_.get(Ctr::PressureReclaims);
+    }
+    std::uint64_t
+    reclaimedUnits() const
+    {
+        std::uint64_t n = 0;
+        for (const Ctr c : kReclaimed)
+            n += stats_.get(c);
+        return n;
+    }
     std::size_t numResources() const { return resources_.size(); }
     std::size_t numReclaimers() const { return reclaimers_.size(); }
 
   private:
     struct Resource
     {
-        std::string name;
+        PressureResource id;
         UsageFn usage;
         PressureLevel lastLevel;
-        Stats::Counter toLevel[3]; //!< pressure.<name>.to_<level>
     };
 
-    struct Reclaimer
+    struct ReclaimerEntry
     {
-        std::string name;
+        PressureReclaimer id;
         ReclaimFn fn;
-        Stats::Counter reclaimed; //!< pressure.reclaimed.<name>
+    };
+
+    /** Level-transition counters, by PressureResource then level. */
+    static constexpr Ctr kToLevel[][3] = {
+        {Ctr::PressurePagesToOk, Ctr::PressurePagesToLow,
+         Ctr::PressurePagesToCritical},
+        {Ctr::PressureKmallocToOk, Ctr::PressureKmallocToLow,
+         Ctr::PressureKmallocToCritical},
+        {Ctr::PressureIovaToOk, Ctr::PressureIovaToLow,
+         Ctr::PressureIovaToCritical},
+        {Ctr::PressureDamnToOk, Ctr::PressureDamnToLow,
+         Ctr::PressureDamnToCritical},
+        {Ctr::PressureShadowToOk, Ctr::PressureShadowToLow,
+         Ctr::PressureShadowToCritical},
+    };
+    /** Units-reclaimed counters, by PressureReclaimer. */
+    static constexpr Ctr kReclaimed[] = {
+        Ctr::PressureReclaimedFlushPending,
+        Ctr::PressureReclaimedDamnShrink,
+        Ctr::PressureReclaimedShadowShrink,
     };
 
     static PressureLevel
@@ -207,14 +225,9 @@ class PressureController
     }
 
     Stats &stats_;
-    Stats::Counter reclaimsCtr_;
-    Stats::Counter reclaimNsCtr_;
-    Stats::Counter reclaimFutileCtr_;
     std::vector<Resource> resources_;
-    std::vector<Reclaimer> reclaimers_;
+    std::vector<ReclaimerEntry> reclaimers_;
     bool reclaiming_ = false;
-    std::uint64_t reclaimEvents_ = 0;
-    std::uint64_t reclaimedUnits_ = 0;
 };
 
 } // namespace damn::sim

@@ -20,12 +20,7 @@ class FioJob
   public:
     FioJob(net::System &sys, nvme::NvmeDevice &dev, const FioOpts &opts,
            unsigned core)
-        : sys_(sys), dev_(dev), opts_(opts), core_(core),
-          bufferAllocFailsCtr_(
-              sys.ctx.stats.counter("nvme.buffer_alloc_fails")),
-          throttledCtr_(sys.ctx.stats.counter("nvme.throttled")),
-          mapFailRetriesCtr_(sys.ctx.stats.counter("nvme.map_fail_retries")),
-          failedIosCtr_(sys.ctx.stats.counter("nvme.failed_ios"))
+        : sys_(sys), dev_(dev), opts_(opts), core_(core)
     {
         // fio preallocates its IO buffers once and reuses them.  Under
         // memory pressure the job runs at whatever queue depth the
@@ -42,7 +37,7 @@ class FioJob
                 pfn = sys_.pageAlloc.allocPages(order, 0);
             }
             if (pfn == mem::kInvalidPfn) {
-                sys_.ctx.stats.add(bufferAllocFailsCtr_);
+                sys_.ctx.stats.add(sim::Ctr::NvmeBufferAllocFails);
                 break;
             }
             buffers_.push_back(mem::pfnToPa(pfn));
@@ -77,7 +72,7 @@ class FioJob
             sys_.ctx.pressure.reclaim(cpu);
             if (sys_.ctx.pressure.poll() ==
                 sim::PressureLevel::Critical) {
-                sys_.ctx.stats.add(throttledCtr_);
+                sys_.ctx.stats.add(sim::Ctr::NvmeThrottled);
                 sys_.ctx.engine.schedule(
                     cpu.time + sys_.ctx.cost.nvmeTimeoutNs,
                     [this, slot, backoffs] {
@@ -100,7 +95,7 @@ class FioJob
             // retry; past the budget the IO fails and the slot parks
             // (graceful queue-depth degradation).
             if (backoffs < kMaxBackoffs) {
-                sys_.ctx.stats.add(mapFailRetriesCtr_);
+                sys_.ctx.stats.add(sim::Ctr::NvmeMapFailRetries);
                 sys_.ctx.engine.schedule(
                     cpu.time + sys_.ctx.cost.nvmeTimeoutNs,
                     [this, slot, backoffs] {
@@ -108,7 +103,7 @@ class FioJob
                     });
             } else {
                 ++failedIos;
-                sys_.ctx.stats.add(failedIosCtr_);
+                sys_.ctx.stats.add(sim::Ctr::NvmeFailedIos);
             }
             return;
         }
@@ -120,7 +115,7 @@ class FioJob
             // failed IO and error-complete it so the mapping is not
             // leaked; a healthy device gets the slot back.
             ++failedIos;
-            sys_.ctx.stats.add(failedIosCtr_);
+            sys_.ctx.stats.add(sim::Ctr::NvmeFailedIos);
             const bool aborted = out.aborted;
             sys_.ctx.engine.schedule(
                 out.completes, [this, slot, dma, aborted] {
@@ -159,10 +154,6 @@ class FioJob
     nvme::NvmeDevice &dev_;
     FioOpts opts_;
     unsigned core_;
-    sim::Stats::Counter bufferAllocFailsCtr_;
-    sim::Stats::Counter throttledCtr_;
-    sim::Stats::Counter mapFailRetriesCtr_;
-    sim::Stats::Counter failedIosCtr_;
     std::vector<mem::Pa> buffers_;
 };
 

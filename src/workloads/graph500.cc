@@ -34,12 +34,6 @@ constexpr std::uint64_t kQuantumBytes = 256 * 1024;
 
 } // namespace
 
-BfsCorunner::BfsCorunner(sim::Context &ctx)
-    : ctx_(ctx), stats_(ctx.stats, "bfs"),
-      quantaCtr_(stats_.counter("quanta")),
-      bytesCtr_(stats_.counter("bytes"))
-{}
-
 void
 BfsCorunner::start()
 {
@@ -79,8 +73,8 @@ BfsCorunner::runQuantum(unsigned team, unsigned member)
 
     if (cpu.time >= windowStart_) {
         processedBytes_ += chunk;
-        ctx_.stats.add(quantaCtr_);
-        ctx_.stats.add(bytesCtr_, chunk);
+        ctx_.stats.add(sim::Ctr::BfsQuanta);
+        ctx_.stats.add(sim::Ctr::BfsBytes, chunk);
     }
 
     ctx_.engine.schedule(cpu.time,

@@ -28,7 +28,7 @@ namespace damn::work {
 class BfsCorunner
 {
   public:
-    explicit BfsCorunner(sim::Context &ctx);
+    explicit BfsCorunner(sim::Context &ctx) : ctx_(ctx) {}
 
     /** Start all teams iterating (runs until the engine stops). */
     void start();
@@ -48,9 +48,6 @@ class BfsCorunner
     void runQuantum(unsigned team, unsigned member);
 
     sim::Context &ctx_;
-    sim::ScopedStats stats_;
-    sim::Stats::Counter quantaCtr_;
-    sim::Stats::Counter bytesCtr_;
     std::uint64_t processedBytes_ = 0;
     sim::TimeNs windowStart_ = 0;
 };

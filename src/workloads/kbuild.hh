@@ -28,10 +28,7 @@ class KbuildChurn
 {
   public:
     KbuildChurn(sim::Context &ctx, mem::PageAllocator &pa)
-        : ctx_(ctx), pageAlloc_(pa),
-          stats_(ctx.stats, "kbuild"),
-          burstsCtr_(stats_.counter("bursts")),
-          pagesCtr_(stats_.counter("pages"))
+        : ctx_(ctx), pageAlloc_(pa)
     {}
 
     /** Begin churning (runs until the engine stops). */
@@ -72,8 +69,8 @@ class KbuildChurn
             pages += 1u << order;
         }
         ++bursts_;
-        ctx_.stats.add(burstsCtr_);
-        ctx_.stats.add(pagesCtr_, pages);
+        ctx_.stats.add(sim::Ctr::KbuildBursts);
+        ctx_.stats.add(sim::Ctr::KbuildPages, pages);
 
         const sim::TimeNs hold = ctx_.rng.between(kMinHoldNs, kMaxHoldNs);
         ctx_.engine.scheduleIn(hold, [this, burst] {
@@ -85,9 +82,6 @@ class KbuildChurn
 
     sim::Context &ctx_;
     mem::PageAllocator &pageAlloc_;
-    sim::ScopedStats stats_;
-    sim::Stats::Counter burstsCtr_;
-    sim::Stats::Counter pagesCtr_;
     std::uint64_t bursts_ = 0;
 };
 

@@ -43,9 +43,7 @@ class Instance
     Instance(net::System &sys, net::NicDevice &nic, net::TcpStack &stack,
              unsigned idx)
         : sys_(sys), nic_(nic), stack_(stack),
-          core_(idx % sys.ctx.machine.numCores()), port_(idx % 2),
-          txThrottledCtr_(sys.ctx.stats.counter("net.tx_throttled")),
-          rxRefillFailsCtr_(sys.ctx.stats.counter("net.rx_refill_fails"))
+          core_(idx % sys.ctx.machine.numCores()), port_(idx % 2)
     {}
 
     void start() { nextOp(); }
@@ -82,7 +80,7 @@ class Instance
             if (txSkb_.allocFailed) {
                 // Memory/IOVA pressure: retry this chunk later.
                 ++segsLeft_;
-                sys_.ctx.stats.add(txThrottledCtr_);
+                sys_.ctx.stats.add(sim::Ctr::NetTxThrottled);
                 sys_.ctx.engine.schedule(
                     cpu.time + 100 * sim::kNsPerUs,
                     [this] { moveSegment(); });
@@ -104,7 +102,7 @@ class Instance
             if (!buf.valid()) {
                 // Memory/IOVA pressure: retry the post later.
                 ++segsLeft_;
-                sys_.ctx.stats.add(rxRefillFailsCtr_);
+                sys_.ctx.stats.add(sim::Ctr::NetRxRefillFails);
                 sys_.ctx.engine.schedule(
                     cpu.time + 100 * sim::kNsPerUs,
                     [this] { moveSegment(); });
@@ -142,8 +140,6 @@ class Instance
     net::TcpStack &stack_;
     unsigned core_;
     unsigned port_;
-    sim::Stats::Counter txThrottledCtr_;
-    sim::Stats::Counter rxRefillFailsCtr_;
     bool isGet_ = false;
     unsigned segsLeft_ = 0;
     /** The one TX segment in flight (an instance moves one at a time). */

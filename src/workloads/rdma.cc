@@ -80,10 +80,10 @@ runRdma(const RdmaOpts &opts)
     while (cpu.time < opts.runWindow.endNs()) {
         if (!settled && cpu.time >= opts.runWindow.warmupNs) {
             opts.runWindow.settle(ctx);
-            faultsBase = ctx.stats.get("sva.faults_serviced");
-            autoBase = ctx.stats.get("pri.auto_responses");
-            hitsBase = ctx.stats.get("ats.devtlb_hits");
-            missesBase = ctx.stats.get("ats.devtlb_misses");
+            faultsBase = ctx.stats.get(sim::Ctr::SvaFaultsServiced);
+            autoBase = ctx.stats.get(sim::Ctr::PriAutoResponses);
+            hitsBase = ctx.stats.get(sim::Ctr::AtsDevtlbHits);
+            missesBase = ctx.stats.get(sim::Ctr::AtsDevtlbMisses);
             settled = true;
         }
 
@@ -163,12 +163,13 @@ runRdma(const RdmaOpts &opts)
     res.common.capture(ctx);
 
     res.faultsServiced =
-        ctx.stats.get("sva.faults_serviced") - faultsBase;
-    res.autoResponses = ctx.stats.get("pri.auto_responses") - autoBase;
+        ctx.stats.get(sim::Ctr::SvaFaultsServiced) - faultsBase;
+    res.autoResponses = ctx.stats.get(sim::Ctr::PriAutoResponses) - autoBase;
     res.prqMaxDepth = be.pageRequestMaxDepth();
-    const std::uint64_t hits = ctx.stats.get("ats.devtlb_hits") - hitsBase;
+    const std::uint64_t hits =
+        ctx.stats.get(sim::Ctr::AtsDevtlbHits) - hitsBase;
     const std::uint64_t misses =
-        ctx.stats.get("ats.devtlb_misses") - missesBase;
+        ctx.stats.get(sim::Ctr::AtsDevtlbMisses) - missesBase;
     res.devTlbHitRate = hits + misses == 0
                             ? 0.0
                             : double(hits) / double(hits + misses);

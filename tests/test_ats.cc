@@ -153,7 +153,7 @@ TEST_P(AtsConformance, DroppedAtsInvalidationLeavesStaleAtc)
     // VT-d drops the device-TLB inval descriptor; SMMUv3 drops the
     // CMD_ATC_INV batch at its CMD_SYNC.  Either way: stale entry.
     EXPECT_EQ(ats.entries(), 1u);
-    EXPECT_EQ(ctx.stats.get("iommu.inval_dropped"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::IommuInvalDropped), 1u);
     // The next (uninjected) invalidation clears it.
     mmu.backend().atsInvalidate(core(), 0, ats, d, 0x5000, 4096);
     EXPECT_EQ(ats.entries(), 0u);
@@ -317,7 +317,7 @@ TEST_P(AtsConformance, SvaSpuriousFaultRefreshesLru)
     EXPECT_FALSE(sva.resident(p1));
     EXPECT_TRUE(sva.resident(p0));
     EXPECT_TRUE(sva.resident(p2));
-    EXPECT_EQ(ctx.stats.get("sva.spurious_faults"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::SvaSpuriousFaults), 1u);
 }
 
 // The resident set and its LRU against an ordered-map + list model:
@@ -380,7 +380,7 @@ TEST_P(AtsConformance, SvaResidentSetMatchesOrderedReference)
             }
         }
         EXPECT_GT(evictions, 500u);
-        EXPECT_GT(ctx.stats.get("sva.spurious_faults"), 500u);
+        EXPECT_GT(ctx.stats.get(sim::Ctr::SvaSpuriousFaults), 500u);
     }
     for (const auto &[page, pfn] : ref)
         ref_alloc.freePages(pfn, 0);
@@ -487,13 +487,13 @@ TEST_F(SmmuAtsFixture, ResumeIsFireAndForget)
     // retries whenever it retries — resume needs no ordering).
     const DomainId d = mmu.createDomain();
     ASSERT_TRUE(smmu.postPageRequest({d, 0x7000, true, 0, 0}));
-    EXPECT_EQ(ctx.stats.get("smmu.stall_events"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::SmmuStallEvents), 1u);
     const auto reqs = smmu.fetchPageRequests();
     ASSERT_EQ(reqs.size(), 1u);
     const sim::TimeNs done =
         smmu.respondPageRequest(ctx.machine.core(0), 50, reqs[0], true);
     EXPECT_GT(done, 50u);
-    EXPECT_EQ(ctx.stats.get("smmu.cmd_resumes"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::SmmuCmdResumes), 1u);
     EXPECT_EQ(smmu.pageRequestsResponded(), 1u);
 }
 

@@ -605,7 +605,7 @@ TEST_F(InterposeFixture, DamnBufferMapReturnsPermanentIova)
     const iommu::Iova dma =
         api.map(c, nic, buf, 2048, dma::Dir::FromDevice);
     EXPECT_EQ(dma, alloc.iovaOf(buf));
-    EXPECT_EQ(ctx.stats.get("damn.map_hits"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::DamnMapHits), 1u);
     // Unmap is a no-op: the mapping survives.
     api.unmap(c, nic, dma, 2048, dma::Dir::FromDevice);
     EXPECT_TRUE(mmu.translate(nic.domain(), dma, true).ok);
@@ -638,8 +638,8 @@ TEST_F(InterposeFixture, UnmapDispatchesOnMsb)
         {d2, 256, dma::Dir::ToDevice},
     };
     api.unmapBatch(c, nic, reqs);
-    EXPECT_EQ(ctx.stats.get("damn.unmap_hits"), 1u);
-    EXPECT_EQ(ctx.stats.get("dma.strict_invalidations"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::DamnUnmapHits), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::DmaStrictInvalidations), 1u);
     alloc.damnFree(c, dbuf);
     heap.kfree(kbuf);
 }

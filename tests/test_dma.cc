@@ -223,7 +223,7 @@ TEST_F(SchemeFixture, DeferredBatchThresholdFlushes)
         pa.freePages(pfn, 0);
     }
     EXPECT_EQ(api.pendingFlushes(), 0u) << "threshold flush fired";
-    EXPECT_EQ(ctx.stats.get("dma.deferred_flushes"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::DmaDeferredFlushes), 1u);
 }
 
 TEST_F(SchemeFixture, DeferredTimerFlushes)
@@ -340,7 +340,7 @@ TEST_F(SchemeFixture, ShadowDrainAndShrinkStayInTheirDomain)
     EXPECT_EQ(api.poolFrames(), 2 * kBlockPages);
 
     EXPECT_EQ(api.drainDomain(c, dev), kBlockPages);
-    EXPECT_EQ(ctx.stats.get("shadow.aborted_maps"), 3u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::ShadowAbortedMaps), 3u);
     EXPECT_EQ(api.poolFrames(), kBlockPages);
     std::uint8_t byte = 0;
     for (const iommu::Iova iova : mine)
@@ -349,7 +349,7 @@ TEST_F(SchemeFixture, ShadowDrainAndShrinkStayInTheirDomain)
         EXPECT_TRUE(dev2.dmaWrite(c.time, iova, &byte, 1).ok);
         api.unmap(c, dev2, iova, 4096, Dir::FromDevice);
     }
-    EXPECT_EQ(ctx.stats.get("shadow.aborted_maps"), 3u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::ShadowAbortedMaps), 3u);
 
     // dev2's pool is idle now; dev3 holds one map in flight.
     const iommu::Iova busy = api.map(c, dev3, buf, 512, Dir::ToDevice);

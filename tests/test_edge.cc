@@ -235,7 +235,7 @@ TEST(Edge, SystemsAreFullyIsolated)
     (void)buf;
     EXPECT_GT(a.pageAlloc.allocatedFrames(), 0u);
     EXPECT_EQ(b.pageAlloc.allocatedFrames(), 0u);
-    EXPECT_EQ(b.ctx.stats.get("damn.allocs"), 0u);
+    EXPECT_EQ(b.ctx.stats.get(sim::Ctr::DamnAllocs), 0u);
     EXPECT_EQ(b.mmu.everMappedFrames(), 0u);
 }
 
@@ -265,12 +265,12 @@ TEST(Edge, HugeVariantSurvivesManyChunks)
         sys.damn->damnFree(c, b);
 }
 
-TEST(Edge, FallbackSchemeConfigurable)
+TEST(Edge, FallbackIsDeferred)
 {
-    // damn with a strict fallback: legacy buffers get strict semantics.
+    // damn's fallback for legacy buffers is the deferred scheme: an
+    // unmapped buffer stays reachable until the batched flush.
     net::SystemParams p;
     p.scheme = dma::SchemeKind::Damn;
-    p.damnFallback = dma::SchemeKind::Strict;
     net::System sys(p);
     net::NicDevice nic(sys, "mlx5_0");
     sim::CpuCursor c(sys.ctx.machine.core(0), 0);
@@ -279,8 +279,11 @@ TEST(Edge, FallbackSchemeConfigurable)
         sys.dmaApi->map(c, nic, kbuf, 512, dma::Dir::ToDevice);
     EXPECT_TRUE(nic.dmaTouch(0, dma, 512, false).ok);
     sys.dmaApi->unmap(c, nic, dma, 512, dma::Dir::ToDevice);
+    EXPECT_TRUE(nic.dmaTouch(0, dma, 512, false).ok)
+        << "the deferred window stays open until the flush";
+    sys.dmaApi->flushPending(c);
     EXPECT_TRUE(nic.dmaTouch(0, dma, 512, false).fault)
-        << "strict fallback closes immediately";
+        << "the flush closes it";
     sys.heap.kfree(kbuf);
 }
 
@@ -293,6 +296,6 @@ TEST(Edge, StatsSurviveHeavyUse)
             c, d.nic.get(), core::Rights::Write, 2048);
         d.sys->damn->damnFree(c, buf);
     }
-    EXPECT_EQ(d.sys->ctx.stats.get("damn.allocs"), 1000u);
-    EXPECT_EQ(d.sys->ctx.stats.get("damn.frees"), 1000u);
+    EXPECT_EQ(d.sys->ctx.stats.get(sim::Ctr::DamnAllocs), 1000u);
+    EXPECT_EQ(d.sys->ctx.stats.get(sim::Ctr::DamnFrees), 1000u);
 }

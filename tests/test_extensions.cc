@@ -124,7 +124,6 @@ struct ZeroCopyFixture : ::testing::Test
     {
         net::SystemParams p;
         p.scheme = dma::SchemeKind::Damn;
-        p.damnFallback = dma::SchemeKind::Strict;
         sys = std::make_unique<net::System>(p);
         nic = std::make_unique<net::NicDevice>(*sys, "mlx5_0");
         stack = std::make_unique<net::TcpStack>(*sys, *nic);
@@ -165,7 +164,7 @@ TEST_F(ZeroCopyFixture, FilePagesMapThroughFallback)
 
     // The head is DAMN; the file frags are legacy-mapped.
     const std::uint64_t damn_hits =
-        sys->ctx.stats.get("damn.map_hits");
+        sys->ctx.stats.get(sim::Ctr::DamnMapHits);
     EXPECT_EQ(damn_hits, 1u) << "only the header buffer is DAMN's";
     unsigned legacy = 0;
     for (const auto &seg : skb.segs)
@@ -185,7 +184,7 @@ TEST_F(ZeroCopyFixture, DeviceReadsFileDataWithoutCopies)
 
     // No user->kernel copy happened: tx path stats show a zero-copy
     // segment, and the device reads the page-cache bytes directly.
-    EXPECT_EQ(sys->ctx.stats.get("net.tx_zerocopy_segments"), 1u);
+    EXPECT_EQ(sys->ctx.stats.get(sim::Ctr::NetTxZerocopySegments), 1u);
     std::vector<std::uint8_t> wire(4096);
     ASSERT_EQ(skb.segs.size(), 3u); // head + 2 file pages
     ASSERT_TRUE(skb.segs[1].dmaMapped);
@@ -200,9 +199,10 @@ TEST_F(ZeroCopyFixture, DeviceReadsFileDataWithoutCopies)
 
 TEST_F(ZeroCopyFixture, FallbackProtectionStillApplies)
 {
-    // With a *strict* fallback, the file pages become inaccessible the
-    // moment the zero-copy skb completes — full protection maintained
-    // for the path DAMN does not cover.
+    // Under damn's deferred fallback, the file pages become
+    // inaccessible once the batched invalidation runs after the
+    // zero-copy skb completes — protection is maintained for the path
+    // DAMN does not cover.
     auto c = cpu();
     const auto pages = fileCache(1, 0x31);
     net::SkBuff skb = stack->txBuildZeroCopy(c, pages, 4096, 1.0);
@@ -211,8 +211,9 @@ TEST_F(ZeroCopyFixture, FallbackProtectionStillApplies)
     EXPECT_TRUE(nic->dmaTouch(c.time, file_iova, 64, false).ok);
 
     stack->txComplete(c, skb, 1.0);
+    sys->dmaApi->flushPending(c);
     EXPECT_TRUE(nic->dmaTouch(c.time, file_iova, 64, false).fault)
-        << "strict fallback must revoke access at unmap";
+        << "the fallback must revoke access once it flushes";
     for (const mem::Pa pa : pages)
         sys->pageAlloc.freePages(mem::paToPfn(pa), 0);
 }

@@ -625,7 +625,7 @@ TEST(FuzzSmmuCmdq, ProducerStallStormStaysCoherent)
     }
     t = smmu.sync(ctx.machine.core(0), t);
     EXPECT_EQ(smmu.pendingCommands(), 0u);
-    EXPECT_GT(ctx.stats.get("smmu.cmdq_stalls"), 0ull)
+    EXPECT_GT(ctx.stats.get(sim::Ctr::SmmuCmdqStalls), 0ull)
         << "a 4-slot ring under a 2000-command storm must stall";
 }
 

@@ -1296,7 +1296,7 @@ TEST_F(SmmuFixture, ConfigCacheFetchesDescriptorOnce)
     EXPECT_TRUE(smmu.configCached(d));
     const sim::TimeNs second = smmu.walkLatency(d, 0x5000);
     EXPECT_GT(first, second) << "CD fetch + cold walk vs cached walk";
-    EXPECT_EQ(ctx.stats.get("smmu.cd_fetches"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::SmmuCdFetches), 1u);
 }
 
 TEST_F(SmmuFixture, DetachDropsStreamTableEntryAndConfigCache)
@@ -1307,7 +1307,7 @@ TEST_F(SmmuFixture, DetachDropsStreamTableEntryAndConfigCache)
     ASSERT_TRUE(smmu.configCached(d));
     mmu.detachDomain(d);
     EXPECT_FALSE(smmu.configCached(d));
-    EXPECT_GE(ctx.stats.get("smmu.cfgi_ste"), 1u);
+    EXPECT_GE(ctx.stats.get(sim::Ctr::SmmuCfgiSte), 1u);
 }
 
 TEST_F(SmmuFixture, InjectedInvalDropKeepsStaleEntries)
@@ -1322,7 +1322,7 @@ TEST_F(SmmuFixture, InjectedInvalDropKeepsStaleEntries)
     smmu.syncInvalidate(ctx.machine.core(0), 0, d, 0x5000, 4096);
     // The dropped CMD_SYNC left the stale entry behind...
     EXPECT_NE(mmu.iotlb().lookup(d, 0x5000), nullptr);
-    EXPECT_EQ(ctx.stats.get("iommu.inval_dropped"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::IommuInvalDropped), 1u);
     // ...and the next (uninjected) one clears it.
     smmu.syncInvalidate(ctx.machine.core(0), 0, d, 0x5000, 4096);
     EXPECT_EQ(mmu.iotlb().lookup(d, 0x5000), nullptr);
@@ -1353,7 +1353,7 @@ TEST_F(SmmuTinyQueues, FullCommandQueueStallsTheProducer)
         t = smmu.submitTlbiRange(ctx.machine.core(0), t, d,
                                  0x5000 + Iova(i) * 0x1000, 4096);
     }
-    EXPECT_GE(ctx.stats.get("smmu.cmdq_stalls"), 1u)
+    EXPECT_GE(ctx.stats.get(sim::Ctr::SmmuCmdqStalls), 1u)
         << "6 TLBIs through a 4-deep ring must stall at least once";
     smmu.sync(ctx.machine.core(0), t);
 }
@@ -1369,7 +1369,7 @@ TEST_F(SmmuTinyQueues, EventQueueBoundedWithOverflowFlag)
     EXPECT_EQ(smmu.eventQueue().size(), 2u);
     EXPECT_EQ(smmu.eventQueueOverflows(), 2u);
     EXPECT_EQ(mmu.faultLog().size(), 4u);
-    EXPECT_EQ(ctx.stats.get("smmu.evtq_overflows"), 2u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::SmmuEvtqOverflows), 2u);
 
     EXPECT_EQ(smmu.eventQueue()[0].reason, FaultReason::NotPresent);
 

@@ -121,7 +121,7 @@ schemeName(const ::testing::TestParamInfo<dma::SchemeKind> &info)
 TEST_P(LifecycleFixture, DetachAfterCleanTeardownAuditsClean)
 {
     burst(500 * sim::kNsPerUs);
-    EXPECT_GT(auditor->mapEvents() + sys->ctx.stats.get("damn.allocs"),
+    EXPECT_GT(auditor->mapEvents() + sys->ctx.stats.get(sim::Ctr::DamnAllocs),
               0u)
         << "burst moved no traffic; the audit would be vacuous";
 
@@ -145,7 +145,7 @@ TEST_P(LifecycleFixture, SurpriseUnplugAbortsInsteadOfHanging)
     sys->ctx.faults.failNth(sim::FaultSite::DeviceUnplug, 20);
     burst(500 * sim::kNsPerUs);
     EXPECT_FALSE(nic->attached()) << "scheduled unplug never fired";
-    EXPECT_GT(sys->ctx.stats.get("dma.unplugged_aborts"), 0u);
+    EXPECT_GT(sys->ctx.stats.get(sim::Ctr::DmaUnpluggedAborts), 0u);
 
     const audit::TeardownReport rep = teardownAndAudit();
     EXPECT_TRUE(rep.clean())

@@ -239,13 +239,13 @@ TEST_P(AllocSegExhausted, FailsAfterOneReclaimWithBorrowedSegment)
     for (const SegOwner stock :
          {SegOwner::Kmalloc, SegOwner::Pages, SegOwner::PageFrag}) {
         const std::uint64_t reclaims =
-            sys.ctx.stats.get("pressure.reclaims");
+            sys.ctx.stats.get(sim::Ctr::PressureReclaims);
         const std::uint64_t objects = sys.heap.liveObjects();
         SkBuff skb;
         skb.dev = &nic;
         skb.append(sys.accessor().allocSeg(c, &nic, stock,
                                            core::Rights::Read, 2000));
-        EXPECT_EQ(sys.ctx.stats.get("pressure.reclaims"), reclaims + 1);
+        EXPECT_EQ(sys.ctx.stats.get(sim::Ctr::PressureReclaims), reclaims + 1);
         EXPECT_EQ(skb.segs[0].pa, 0u);
         EXPECT_EQ(skb.segs[0].owner, SegOwner::Borrowed);
         sys.accessor().freeSkb(c, skb);

@@ -22,6 +22,9 @@ namespace {
 
 constexpr std::uint64_t kMiB = 1ull << 20;
 
+using Res = sim::PressureResource;
+using Rec = sim::PressureReclaimer;
+
 /** Minimal harness: a context plus a cursor to charge reclaim to. */
 struct PressureFixture : ::testing::Test
 {
@@ -45,80 +48,88 @@ struct PressureFixture : ::testing::Test
 TEST_F(PressureFixture, WatermarksMapToLevels)
 {
     double usage = 0.1;
-    ctx.pressure.registerResource("x", [&] { return usage; });
+    ctx.pressure.registerResource(Res::Pages, [&] { return usage; });
     EXPECT_EQ(ctx.pressure.poll(), sim::PressureLevel::Ok);
     usage = 0.80;
     EXPECT_EQ(ctx.pressure.poll(), sim::PressureLevel::Low);
     usage = 0.95;
     EXPECT_EQ(ctx.pressure.poll(), sim::PressureLevel::Critical);
-    EXPECT_EQ(ctx.pressure.level("x"), sim::PressureLevel::Critical);
-    EXPECT_EQ(ctx.pressure.level("unknown"), sim::PressureLevel::Ok);
+    EXPECT_EQ(ctx.pressure.level(Res::Pages), sim::PressureLevel::Critical);
+    // Not registered: reads Ok.
+    EXPECT_EQ(ctx.pressure.level(Res::Shadow), sim::PressureLevel::Ok);
 }
 
 TEST_F(PressureFixture, LevelTransitionsAreCounted)
 {
     double usage = 0.1;
-    ctx.pressure.registerResource("x", [&] { return usage; });
+    ctx.pressure.registerResource(Res::Iova, [&] { return usage; });
     ctx.pressure.poll();
     usage = 0.95;
     ctx.pressure.poll();
     ctx.pressure.poll(); // unchanged level: no second transition
     usage = 0.1;
     ctx.pressure.poll();
-    EXPECT_EQ(ctx.stats.get("pressure.x.to_critical"), 1u);
-    EXPECT_EQ(ctx.stats.get("pressure.x.to_ok"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::PressureIovaToCritical), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::PressureIovaToOk), 1u);
+    // Each resource books its own rows.
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::PressurePagesToCritical), 0u);
 }
 
 TEST_F(PressureFixture, ReclaimRunsInRegistrationOrder)
 {
     double usage = 0.95;
-    ctx.pressure.registerResource("x", [&] { return usage; });
-    std::vector<std::string> order;
-    // Names sort the other way: registration must decide.
-    ctx.pressure.registerReclaimer("slow", [&](sim::CpuCursor &) {
-        order.push_back("slow");
+    ctx.pressure.registerResource(Res::Pages, [&] { return usage; });
+    std::vector<Rec> order;
+    // Enum values and names sort the other way: registration must
+    // decide.
+    ctx.pressure.registerReclaimer(Rec::ShadowShrink,
+                                   [&](sim::CpuCursor &) {
+        order.push_back(Rec::ShadowShrink);
         return std::uint64_t{1};
     });
-    ctx.pressure.registerReclaimer("fast", [&](sim::CpuCursor &) {
-        order.push_back("fast");
+    ctx.pressure.registerReclaimer(Rec::FlushPending,
+                                   [&](sim::CpuCursor &) {
+        order.push_back(Rec::FlushPending);
         usage = 0.1;
         return std::uint64_t{1};
     });
     auto c = cpu();
     EXPECT_EQ(ctx.pressure.reclaim(c), 2u);
     ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], "slow");
-    EXPECT_EQ(order[1], "fast");
+    EXPECT_EQ(order[0], Rec::ShadowShrink);
+    EXPECT_EQ(order[1], Rec::FlushPending);
 }
 
 TEST_F(PressureFixture, ReclaimStopsOncePressureIsRelieved)
 {
     double usage = 0.95;
-    ctx.pressure.registerResource("x", [&] { return usage; });
+    ctx.pressure.registerResource(Res::Pages, [&] { return usage; });
     unsigned expensiveRuns = 0;
-    ctx.pressure.registerReclaimer("cheap", [&](sim::CpuCursor &) {
+    ctx.pressure.registerReclaimer(Rec::FlushPending,
+                                   [&](sim::CpuCursor &) {
         usage = 0.1; // single pass fully relieves the pressure
         return std::uint64_t{100};
     });
-    ctx.pressure.registerReclaimer("expensive", [&](sim::CpuCursor &) {
+    ctx.pressure.registerReclaimer(Rec::DamnShrink, [&](sim::CpuCursor &) {
         ++expensiveRuns;
         return std::uint64_t{100};
     });
     auto c = cpu();
     EXPECT_EQ(ctx.pressure.reclaim(c), 100u);
     EXPECT_EQ(expensiveRuns, 0u);
-    EXPECT_EQ(ctx.stats.get("pressure.reclaimed.cheap"), 100u);
-    EXPECT_EQ(ctx.stats.get("pressure.reclaimed.expensive"), 0u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::PressureReclaimedFlushPending), 100u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::PressureReclaimedDamnShrink), 0u);
+    EXPECT_EQ(ctx.pressure.reclaimedUnits(), 100u);
 }
 
 TEST_F(PressureFixture, FutileReclaimIsCounted)
 {
-    ctx.pressure.registerResource("x", [] { return 0.95; });
+    ctx.pressure.registerResource(Res::Kmalloc, [] { return 0.95; });
     ctx.pressure.registerReclaimer(
-        "empty", [](sim::CpuCursor &) { return std::uint64_t{0}; });
+        Rec::DamnShrink, [](sim::CpuCursor &) { return std::uint64_t{0}; });
     auto c = cpu();
     EXPECT_EQ(ctx.pressure.reclaim(c), 0u);
-    EXPECT_EQ(ctx.stats.get("pressure.reclaim_futile"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::PressureReclaimFutile), 1u);
     EXPECT_EQ(ctx.pressure.reclaimEvents(), 1u);
     EXPECT_EQ(ctx.pressure.reclaimedUnits(), 0u);
 }
@@ -128,9 +139,9 @@ TEST_F(PressureFixture, NestedReclaimDoesNotRecurse)
     // A reclaimer whose own allocation fails re-enters reclaim();
     // the guard must turn that into a no-op instead of infinite
     // recursion.
-    ctx.pressure.registerResource("x", [] { return 0.95; });
+    ctx.pressure.registerResource(Res::Damn, [] { return 0.95; });
     unsigned calls = 0;
-    ctx.pressure.registerReclaimer("reent", [&](sim::CpuCursor &c) {
+    ctx.pressure.registerReclaimer(Rec::DamnShrink, [&](sim::CpuCursor &c) {
         ++calls;
         EXPECT_EQ(ctx.pressure.reclaim(c), 0u);
         return std::uint64_t{1};
@@ -213,7 +224,7 @@ TEST_F(SchemePressureFixture, StrictMapFailsSoftAndRecovers)
     EXPECT_EQ(api->map(c, dev, mem::pfnToPa(pfn), mem::kPageSize,
                        dma::Dir::FromDevice),
               dma::kMapFailed);
-    EXPECT_EQ(ctx.stats.get("dma.map_fails"), 1u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::DmaMapFails), 1u);
     // Unmapping one range makes the next map succeed (recycled).
     api->unmap(c, dev, held[0], mem::kPageSize, dma::Dir::FromDevice);
     EXPECT_NE(api->map(c, dev, mem::pfnToPa(pfn), mem::kPageSize,
@@ -237,9 +248,9 @@ TEST_F(SchemePressureFixture, DeferredForcedFlushRecoversIovaSpace)
         ASSERT_NE(iova, dma::kMapFailed) << "iteration " << i;
         api->unmap(c, dev, iova, mem::kPageSize, dma::Dir::FromDevice);
     }
-    EXPECT_GT(ctx.stats.get("iommu.iova_forced_flushes"), 0u);
-    EXPECT_GT(ctx.stats.get("iommu.iova_flush_recoveries"), 0u);
-    EXPECT_EQ(ctx.stats.get("dma.map_fails"), 0u);
+    EXPECT_GT(ctx.stats.get(sim::Ctr::IommuIovaForcedFlushes), 0u);
+    EXPECT_GT(ctx.stats.get(sim::Ctr::IommuIovaFlushRecoveries), 0u);
+    EXPECT_EQ(ctx.stats.get(sim::Ctr::DmaMapFails), 0u);
 }
 
 TEST_F(SchemePressureFixture, ShadowPoolGrowthFailsSoft)
@@ -259,7 +270,7 @@ TEST_F(SchemePressureFixture, ShadowPoolGrowthFailsSoft)
     EXPECT_EQ(api->map(c, dev, mem::pfnToPa(buf), mem::kPageSize,
                        dma::Dir::ToDevice),
               dma::kMapFailed);
-    EXPECT_GT(ctx.stats.get("shadow.pool_grow_fails"), 0u);
+    EXPECT_GT(ctx.stats.get(sim::Ctr::ShadowPoolGrowFails), 0u);
     // Relief: release the hog and the same map succeeds.
     for (const mem::Pfn pfn : hog)
         pa.freePages(pfn, 0);

@@ -162,6 +162,6 @@ TEST(Release, SystemBootsAndMapsUnderPressureWiring)
         sys.dmaApi->unmap(c, dev, iova, mem::kPageSize,
                           dma::Dir::FromDevice);
     }
-    EXPECT_GT(sys.ctx.stats.get("iommu.iova_forced_flushes"), 0u);
-    EXPECT_EQ(sys.ctx.stats.get("dma.map_fails"), 0u);
+    EXPECT_GT(sys.ctx.stats.get(sim::Ctr::IommuIovaForcedFlushes), 0u);
+    EXPECT_EQ(sys.ctx.stats.get(sim::Ctr::DmaMapFails), 0u);
 }

@@ -844,47 +844,33 @@ TEST(Rng, UniformInUnitInterval)
     EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
-TEST(Stats, AddSetMaxGet)
+TEST(Stats, AddGetSnapshot)
 {
     Stats s;
-    const Stats::Counter a = s.counter("a");
-    const Stats::Counter b = s.counter("b");
-    const Stats::Counter c = s.counter("c");
-    s.add(a);
-    s.add(a, 4);
-    EXPECT_EQ(s.get(a), 5u);
-    EXPECT_EQ(s.get("a"), 5u);
-    s.set(b, 7);
-    EXPECT_EQ(s.get("b"), 7u);
-    s.max(c, 3);
-    s.max(c, 1);
-    EXPECT_EQ(s.get("c"), 3u);
-    EXPECT_EQ(s.get("missing"), 0u);
-    EXPECT_TRUE(s.has("a"));
+    s.add(Ctr::DmaMap);
+    s.add(Ctr::DmaMap, 4);
+    EXPECT_EQ(s.get(Ctr::DmaMap), 5u);
+    s.add(Ctr::SmmuCmds, 7);
+    EXPECT_EQ(s.get(Ctr::SmmuCmds), 7u);
+    // Untouched rows read 0.
+    EXPECT_EQ(s.get(Ctr::NetRxBytes), 0u);
 
-    // Two counter() calls with one name alias.
-    const Stats::Counter a2 = s.counter("a");
-    s.add(a2);
-    EXPECT_EQ(s.get(a), 6u);
-
-    // Delta 0 touches; declared-but-untouched counters stay hidden.
-    const Stats::Counter zero = s.counter("zero");
-    (void)s.counter("declared");
-    s.add(zero, 0);
+    // A delta of 0 touches; untouched rows stay out of the snapshot.
+    s.add(Ctr::AtsDevtlbHits, 0);
     const auto snap = s.snapshot();
-    EXPECT_EQ(snap.count("zero"), 1u);
-    EXPECT_EQ(snap.at("zero"), 0u);
-    EXPECT_EQ(snap.count("declared"), 0u);
-    EXPECT_FALSE(s.has("declared"));
-    EXPECT_EQ(snap.at("b"), 7u);
+    ASSERT_EQ(snap.size(), 3u);
+    EXPECT_EQ(snap.at("ats.devtlb_hits"), 0u);
+    EXPECT_EQ(snap.at("dma.map"), 5u);
+    EXPECT_EQ(snap.at("smmu.cmds"), 7u);
+    EXPECT_EQ(snap.count("net.rx_bytes"), 0u);
 
-    // ScopedStats prefixes names into the shared registry.
-    ScopedStats scoped(s, "task");
-    const Stats::Counter t = scoped.counter("runs");
-    s.add(t, 4);
-    EXPECT_EQ(s.get("task.runs"), 4u);
-    EXPECT_EQ(scoped.counter("runs").index, t.index);
-    EXPECT_EQ(s.snapshot().count("task.runs"), 1u);
+    // Name order, whatever order the counters were touched in.
+    std::vector<std::string> keys;
+    for (const auto &[name, value] : snap)
+        keys.push_back(name);
+    EXPECT_EQ(keys, (std::vector<std::string>{"ats.devtlb_hits",
+                                              "dma.map", "smmu.cmds"}));
+    EXPECT_EQ(kCounters[std::size_t(Ctr::DmaMap)].name, "dma.map");
 }
 
 namespace {
